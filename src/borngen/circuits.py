@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
-from .sim import Gate
+from .sim import Gate, compile_circuit
 
 __all__ = [
     "CircuitSpec",
@@ -65,6 +66,11 @@ class CircuitSpec:
         if not self.register_layout:
             return ("x",)
         return tuple(name for name, _ in self.register_layout)
+
+    @cached_property
+    def program(self) -> tuple:
+        """The compiled ops the simulator runs, built on first use."""
+        return compile_circuit(self)
 
     def slot_gate_kind(self, slot: int) -> str:
         for g in self.gates:

@@ -8,6 +8,7 @@ import numpy as np
 
 from .born import BornModel, model_distribution, model_probs_batch
 from .distributions import DiscreteDistribution
+from .sim import adjoint_gradient, run_circuit
 
 __all__ = [
     "KernelConfig",
@@ -16,6 +17,7 @@ __all__ = [
     "mmd_loss",
     "mmd_loss_samples",
     "mmd_gradient",
+    "mmd_gradient_shift",
     "total_variance",
     "pearson_correlation",
 ]
@@ -67,17 +69,15 @@ class GramCache:
         self.matrix = _kernel_from_sqdist((diff**2).sum(axis=-1), config)
 
 
-def _check_compatible(p: DiscreteDistribution, target: DiscreteDistribution):
-    if p.register_bits != target.register_bits:
-        raise ValueError(
-            f"bin layouts differ: {p.register_bits} vs {target.register_bits}"
-        )
+def _check_compatible(register_bits: tuple[int, ...], target: DiscreteDistribution):
+    if register_bits != target.register_bits:
+        raise ValueError(f"bin layouts differ: {register_bits} vs {target.register_bits}")
 
 
-def _gram(p: DiscreteDistribution, config: KernelConfig, cache: Optional[GramCache]):
-    if cache is not None and cache.register_bits == p.register_bits:
+def _gram(register_bits: tuple[int, ...], config: KernelConfig, cache: Optional[GramCache]):
+    if cache is not None and cache.register_bits == register_bits:
         return cache.matrix
-    return GramCache(p.register_bits, config).matrix
+    return GramCache(register_bits, config).matrix
 
 
 def mmd_loss(
@@ -87,8 +87,8 @@ def mmd_loss(
     cache: Optional[GramCache] = None,
 ) -> float:
     """Exact MMD between two distributions on the same bin set."""
-    _check_compatible(p, target)
-    K = _gram(p, config, cache)
+    _check_compatible(p.register_bits, target)
+    K = _gram(p.register_bits, config, cache)
     d = p.probs - target.probs
     return float(d @ K @ d)
 
@@ -123,46 +123,73 @@ def _shift_for_kind(kind: str) -> tuple[float, float]:
     raise ValueError(f"gate kind {kind} is not parameterized")
 
 
+def _loss_derivative(p: np.ndarray, target, K: np.ndarray, transform) -> np.ndarray:
+    """dL/dp of L = (Tp - t)^T K (Tp - t), with T = I when transform is None."""
+    if transform is None:
+        return 2.0 * (K @ (p - target.probs))
+    return 2.0 * (transform.T @ (K @ (transform @ p - target.probs)))
+
+
 def mmd_gradient(
     model: BornModel,
     target: DiscreteDistribution,
     config: KernelConfig,
     condition: Optional[float] = None,
     cache: Optional[GramCache] = None,
-    transform=None,
+    transform: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Parameter-shift gradient of the exact MMD loss.
+    """Exact gradient of the MMD loss by adjoint differentiation.
 
-    transform, when given, maps each probability vector before the loss
-    (used to train through linear noise channels such as readout flips).
+    With O = diag(dL/dp) held fixed, the loss gradient equals the gradient
+    of <psi|O|psi>, so one forward sweep (for psi and O) and one backward
+    sweep give every parameter's derivative. transform, when given, is the
+    matrix T of a linear channel applied to the probabilities before the
+    loss (used to train through readout flips).
+    """
+    bits = model.circuit.register_bits
+    _check_compatible(bits, target)
+    data_angles = model.data_angles(condition)
+    psi = run_circuit(model.circuit, model.theta, data_angles).amplitudes
+    K = _gram(bits, config, cache)
+    observable = _loss_derivative(np.abs(psi) ** 2, target, K, transform)
+    return adjoint_gradient(model.circuit, model.theta, psi, observable, data_angles)
+
+
+def mmd_gradient_shift(
+    model: BornModel,
+    target: DiscreteDistribution,
+    config: KernelConfig,
+    condition: Optional[float] = None,
+    cache: Optional[GramCache] = None,
+    transform: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Parameter-shift gradient of the exact MMD loss, from 2n + 1 states.
+
+    The rule hardware would use, kept as the oracle for mmd_gradient.
     """
     p_dist = model_distribution(model, condition)
-    _check_compatible(p_dist, target)
-    K = _gram(p_dist, config, cache)
+    _check_compatible(p_dist.register_bits, target)
+    K = _gram(p_dist.register_bits, config, cache)
     n = model.circuit.n_parameters
 
-    thetas = np.empty((2 * n, n))
+    thetas = np.repeat(model.theta[None], 2 * n, axis=0)
     coeffs = np.empty(n)
     for i in range(n):
-        shift, coeff = _shift_for_kind(model.circuit.slot_gate_kind(i))
-        coeffs[i] = coeff
-        thetas[2 * i] = model.theta
+        shift, coeffs[i] = _shift_for_kind(model.circuit.slot_gate_kind(i))
         thetas[2 * i, i] += shift
-        thetas[2 * i + 1] = model.theta
         thetas[2 * i + 1, i] -= shift
     probs = model_probs_batch(model, thetas, condition)
     p = p_dist.probs
     if transform is not None:
-        probs = np.stack([transform(row) for row in probs])
-        p = transform(p)
+        probs = probs @ transform.T
+        p = transform @ p
     kv = K @ (p - target.probs)
-    grad = coeffs * ((probs[0::2] - probs[1::2]) @ kv)
-    return grad
+    return coeffs * ((probs[0::2] - probs[1::2]) @ kv)
 
 
 def total_variance(p: DiscreteDistribution, target: DiscreteDistribution) -> float:
     """Half the L1 distance between two distributions on the same bins."""
-    _check_compatible(p, target)
+    _check_compatible(p.register_bits, target)
     return float(0.5 * np.abs(p.probs - target.probs).sum())
 
 

@@ -8,7 +8,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .distributions import DiscreteDistribution
-from .sim import Gate, StateVector, apply_gate, run_circuit
+from .sim import StateVector, _apply, _apply_1q, _qubit_split, run_circuit  # the shared gate kernel
 
 __all__ = [
     "NoiseConfig",
@@ -85,21 +85,8 @@ def apply_readout_noise(
     )
 
 
-_PAULI_1Q = [
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-]
-
-
-def _apply_pauli(state: StateVector, pauli: int, qubit: int) -> StateVector:
-    from .sim import _apply_single  # shared kernel
-
-    if pauli == 0:
-        return state
-    amps = _apply_single(state.amplitudes, state.n_qubits, _PAULI_1Q[pauli], qubit)
-    return StateVector(state.n_qubits, amps)
+# (m00, m01, m10, m11) of I, X, Y and Z
+_PAULI_ENTRIES = [(1, 0, 0, 1), (0, 1, 1, 0), (0, -1j, 1j, 0), (1, 0, 0, -1)]
 
 
 def apply_cnot_depolarizing(
@@ -119,22 +106,22 @@ def apply_cnot_depolarizing(
         state = run_circuit(circuit, theta, data_angles)
         return DiscreteDistribution(np.abs(state.amplitudes) ** 2, register_bits)
     rng = np.random.default_rng(config.seed)
-    dim = 2**circuit.n_qubits
-    total = np.zeros(dim)
+    n = circuit.n_qubits
+    total = np.zeros(2**n)
     for _ in range(config.n_trajectories):
-        state = StateVector.zero_state(circuit.n_qubits)
-        for gate in circuit.gates:
+        amps = StateVector.zero_state(n).amplitudes[None]
+        for gate, op in zip(circuit.gates, circuit.program):
             angle = None
             if gate.param_slot is not None:
                 angle = theta[gate.param_slot]
             elif gate.data_slot is not None:
                 angle = data_angles[gate.data_slot]
-            state = apply_gate(state, gate, angle)
+            amps = _apply(amps, op, angle)
             if gate.kind == "CNOT" and rng.random() < q:
-                pa, pb = rng.integers(0, 4, size=2)
-                state = _apply_pauli(state, int(pa), gate.targets[0])
-                state = _apply_pauli(state, int(pb), gate.targets[1])
-        total += np.abs(state.amplitudes) ** 2
+                for pauli, qubit in zip(rng.integers(0, 4, size=2), gate.targets):
+                    if pauli:
+                        amps = _apply_1q(amps, *_qubit_split(n, qubit), *_PAULI_ENTRIES[pauli])
+        total += np.abs(amps[0]) ** 2
     return DiscreteDistribution(total / config.n_trajectories, register_bits)
 
 

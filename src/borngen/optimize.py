@@ -31,7 +31,13 @@ __all__ = [
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the loss turns non-finite during training."""
+    """Raised when a gradient, the parameters or a loss turn non-finite
+    during training."""
+
+
+def _check_finite(values: np.ndarray, name: str, epoch: int, step: int) -> None:
+    if not np.all(np.isfinite(values)):
+        raise TrainingDivergedError(f"non-finite {name} at epoch {epoch}, step {step}")
 
 
 @dataclass(frozen=True)
@@ -190,17 +196,16 @@ def train(
             raise ValueError("target bin layout does not match the model")
 
     cache = GramCache(bits, config.kernel)
-    transform = None
+    transform = None  # the readout matrix the model is trained through
     if config.noise is not None:
-        noise_matrix = readout_matrix(model.circuit.n_qubits, config.noise).matrix
-        transform = lambda p: noise_matrix @ p
+        transform = readout_matrix(model.circuit.n_qubits, config.noise).matrix
 
     def eval_dist(theta, cond):
         dist = model_distribution(model.with_theta(theta), cond)
         if transform is None:
             return dist
         return DiscreteDistribution(
-            transform(dist.probs), dist.register_bits, dist.names, dist.condition
+            transform @ dist.probs, dist.register_bits, dist.names, dist.condition
         )
 
     def mean_loss(theta, target_map):
@@ -238,6 +243,7 @@ def train(
             theta = best_theta.copy()  # fine-tuning resumes from the best point
         lr = learning_rate(config, epoch)
         grad_norm = 0.0
+        step = 0
         for cond in conditions:
             for _ in range(config.batches_per_epoch):
                 batch = _batch_target(targets[cond], config, rng)
@@ -256,8 +262,11 @@ def train(
                         cache,
                         transform,
                     )
+                    _check_finite(grad, "gradient", epoch, step)
                     grad_norm = float(np.linalg.norm(grad))
                     theta, adam_state = adam_step(theta, grad, adam_state, lr)
+                _check_finite(theta, "theta", epoch, step)
+                step += 1
 
         train_loss = mean_loss(theta, targets)
         val_loss = mean_loss(theta, val_targets)

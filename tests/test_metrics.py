@@ -1,16 +1,18 @@
-"""MMD loss, parameter-shift gradients, total variance, Pearson matrices."""
+"""MMD loss, adjoint and parameter-shift gradients, total variance, Pearson matrices."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from borngen.born import BornModel, model_distribution
-from borngen.circuits import build_1d_rzz_ansatz, build_hardware_efficient
+from borngen.circuits import CircuitSpec, build_1d_rzz_ansatz, build_hardware_efficient
 from borngen.distributions import DiscreteDistribution
+from borngen.sim import Gate
 from borngen.metrics import (
     GramCache,
     KernelConfig,
     kernel_value,
     mmd_gradient,
+    mmd_gradient_shift,
     mmd_loss,
     mmd_loss_samples,
     pearson_correlation,
@@ -138,7 +140,7 @@ def test_gradient_with_linear_transform():
     m = np.full((8, 8), 0.02) + 0.84 * np.eye(8)  # column-stochastic channel
     transform = lambda p: m @ p
 
-    analytic = mmd_gradient(model, target, config, transform=transform)
+    analytic = mmd_gradient(model, target, config, transform=m)
     h = 1e-6
     numeric = np.empty_like(analytic)
     for i in range(len(numeric)):
@@ -151,6 +153,49 @@ def test_gradient_with_linear_transform():
         lm = mmd_loss(_dist(transform(dm.probs)), target, config)
         numeric[i] = (lp - lm) / (2 * h)
     np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
+
+
+def _random_model(rng, n_qubits, n_gates=14):
+    """Random RY/RX/RZZ/H/CNOT circuit; a quarter of the rotations read data
+    slots, the rest trainable ones."""
+    kinds = ["RY", "RX", "H"] + (["RZZ", "CNOT"] if n_qubits > 1 else [])
+    gates, n_params, n_data = [], 0, 0
+    for _ in range(n_gates):
+        kind = str(rng.choice(kinds))
+        arity = 2 if kind in ("RZZ", "CNOT") else 1
+        targets = tuple(int(q) for q in rng.choice(n_qubits, size=arity, replace=False))
+        if kind in ("H", "CNOT"):
+            gates.append(Gate(kind, targets))
+        elif rng.random() < 0.25:
+            gates.append(Gate(kind, targets, data_slot=n_data))
+            n_data += 1
+        else:
+            gates.append(Gate(kind, targets, param_slot=n_params))
+            n_params += 1
+    gates.append(Gate("RY", (0,), param_slot=n_params))
+    circuit = CircuitSpec(n_qubits, tuple(gates), n_params + 1, n_data_slots=n_data)
+    theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
+    return BornModel(circuit, theta, (50.0, 200.0) if n_data else None)
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 10_000), n_qubits=st.integers(1, 4), noisy=st.booleans())
+def test_adjoint_gradient_matches_parameter_shift(seed, n_qubits, noisy):
+    rng = np.random.default_rng(seed)
+    model = _random_model(rng, n_qubits)
+    condition = rng.uniform(50.0, 200.0) if model.condition_range else None
+    target = _random_dist(rng, 2**n_qubits)
+    transform = None
+    if noisy:  # a random column-stochastic channel
+        transform = rng.random((2**n_qubits, 2**n_qubits))
+        transform /= transform.sum(axis=0)
+    config = KernelConfig()
+    np.testing.assert_allclose(
+        mmd_gradient(model, target, config, condition, transform=transform),
+        mmd_gradient_shift(model, target, config, condition, transform=transform),
+        rtol=0,
+        atol=1e-12,
+    )
 
 
 def test_total_variance_oracle():

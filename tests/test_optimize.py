@@ -1,4 +1,6 @@
 """Optimizers, learning-rate schedule and the training loop."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -176,5 +178,9 @@ def test_train_layout_mismatch():
 def test_train_divergence_detected():
     model, target = _toy_problem(7)
     config = TrainConfig(max_epochs=3, seed=0, initial_lr=float("inf"))
-    with pytest.raises(TrainingDivergedError):
-        train(model, target, config)
+    # caught at the first step, before numpy warns about the inf parameters
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TrainingDivergedError, match="non-finite theta at epoch 0, step 0"):
+            train(model, target, config)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -11,7 +11,7 @@ from borngen.sim import (
     run_circuit,
     run_circuit_batch,
 )
-from borngen.circuits import CircuitSpec
+from borngen.circuits import CircuitSpec, build_conditional
 
 
 def test_zero_state():
@@ -123,6 +123,22 @@ def test_run_circuit_parameter_count_check():
         run_circuit(circuit, [0.1, 0.2])
 
 
+@pytest.mark.parametrize("data_angles", [None, np.zeros(2)])
+def test_batch_validates_data_angles(data_angles):
+    circuit = build_conditional(3, 1)  # three data slots
+    thetas = np.zeros((2, circuit.n_parameters))
+    with pytest.raises(ValueError, match="expected 3 data angles"):
+        run_circuit_batch(circuit, thetas, data_angles)
+    with pytest.raises(ValueError, match="expected 3 data angles"):
+        run_circuit(circuit, thetas[0], data_angles)
+
+
+def test_circuit_compiles_once():
+    circuit = build_conditional(3, 1)
+    assert circuit.program is circuit.program
+    assert len(circuit.program) == len(circuit.gates)
+
+
 def _random_circuit(rng, n_qubits, n_gates):
     gates = []
     slot = 0
@@ -166,6 +182,40 @@ def test_batch_matches_single_runs(seed):
     for i in range(4):
         single = run_circuit(circuit, thetas[i])
         np.testing.assert_allclose(batch[i], single.amplitudes, atol=1e-12)
+
+
+def _dense_matrix(gate, angle, n_qubits):
+    """The gate as a 2**n x 2**n matrix, built from its definition."""
+    idx = np.arange(2**n_qubits)
+    bit = lambda q: (idx >> q) & 1
+    if gate.kind == "CNOT":
+        control, target = gate.targets
+        return np.eye(len(idx))[:, idx ^ (bit(control) << target)]
+    if gate.kind == "RZZ":
+        zz = 1 - 2 * (bit(gate.targets[0]) ^ bit(gate.targets[1]))
+        return np.diag(np.exp(-1j * angle * zz))
+    c, s = np.cos(angle / 2), np.sin(angle / 2)
+    m = {
+        "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+        "RY": np.array([[c, -s], [s, c]]),
+        "RX": np.array([[c, -1j * s], [-1j * s, c]]),
+    }[gate.kind]
+    q = gate.targets[0]
+    return np.kron(np.kron(np.eye(2 ** (n_qubits - 1 - q)), m), np.eye(2**q))
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(0, 10_000), n_qubits=st.integers(1, 4))
+def test_kernel_matches_dense_matrices(seed, n_qubits):
+    rng = np.random.default_rng(seed)
+    circuit = _random_circuit(rng, n_qubits, 12)
+    theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
+    expected = np.zeros(2**n_qubits, dtype=complex)
+    expected[0] = 1.0
+    for gate in circuit.gates:
+        angle = theta[gate.param_slot] if gate.param_slot is not None else 0.0
+        expected = _dense_matrix(gate, angle, n_qubits) @ expected
+    np.testing.assert_allclose(run_circuit(circuit, theta).amplitudes, expected, atol=1e-12)
 
 
 def test_probabilities_distribution():
