@@ -4,14 +4,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .data import BinningSpec, discretize
-from .distributions import DiscreteDistribution
-from .metrics import KernelConfig, total_variance
-from .optimize import AdamState, EpochRecord, TrainingDivergedError, adam_step, learning_rate
+from .metrics import KernelConfig, _kernel_rows, mmd_loss_samples, total_variance
+from .optimize import AdamState, EpochRecord, _check_finite, adam_step, learning_rate
 
 __all__ = [
     "MlpSpec",
@@ -69,16 +68,21 @@ def init_weights(spec: MlpSpec, seed: int = 0) -> list[tuple[np.ndarray, np.ndar
     return weights
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _layers(weights, act):
+    """Each layer's activation in turn, computed in place on its matmul."""
+    for i, (w, b) in enumerate(weights):
+        act = act @ w
+        act += b
+        if i < len(weights) - 1:  # sigmoid
+            np.exp(np.negative(act, out=act), out=act)
+            act += 1.0
+            np.divide(1.0, act, out=act)
+        yield act
 
 
 def _forward_cache(weights, z):
-    acts = [np.atleast_2d(np.asarray(z, dtype=float))]
-    for i, (w, b) in enumerate(weights):
-        pre = acts[-1] @ w + b
-        acts.append(pre if i == len(weights) - 1 else _sigmoid(pre))
-    return acts
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    return [z, *_layers(weights, z)]
 
 
 def forward(weights, z: np.ndarray) -> np.ndarray:
@@ -86,7 +90,9 @@ def forward(weights, z: np.ndarray) -> np.ndarray:
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if z.shape[1] != weights[0][0].shape[0]:
         raise ValueError("latent dimension mismatch")
-    return _forward_cache(weights, z)[-1]
+    for act in _layers(weights, z):
+        pass  # keep one layer at a time: the evaluation batch has 100k rows
+    return act
 
 
 def flatten_weights(weights) -> np.ndarray:
@@ -106,27 +112,9 @@ def unflatten_weights(flat: np.ndarray, spec: MlpSpec):
     return weights
 
 
-def _kernel_terms(x: np.ndarray, y: np.ndarray, config: KernelConfig):
-    """Mean kernel value and the gradient sum d/dx_i of sum_j K(x_i, y_j)."""
-    diff = x[:, None, :] - y[None, :, :]
-    sq = (diff**2).sum(axis=-1)
-    value = np.zeros_like(sq)
-    grad = np.zeros_like(diff)
-    for s in config.bandwidths:
-        k = np.exp(-sq / (2.0 * s))
-        value += k
-        grad += k[:, :, None] * (-diff / s)
-    return value, grad.sum(axis=1)
-
-
 def gmmd_batch_loss(generated: np.ndarray, data: np.ndarray, config: KernelConfig) -> float:
     """Biased sample MMD between a generated and a data batch."""
-    g = np.atleast_2d(np.asarray(generated, dtype=float))
-    d = np.atleast_2d(np.asarray(data, dtype=float))
-    kgg, _ = _kernel_terms(g, g, config)
-    kgd, _ = _kernel_terms(g, d, config)
-    kdd, _ = _kernel_terms(d, d, config)
-    return float(kgg.mean() - 2.0 * kgd.mean() + kdd.mean())
+    return mmd_loss_samples(generated, data, config)
 
 
 def gmmd_loss_and_grad(weights, z: np.ndarray, data: np.ndarray, config: KernelConfig):
@@ -135,10 +123,9 @@ def gmmd_loss_and_grad(weights, z: np.ndarray, data: np.ndarray, config: KernelC
     acts = _forward_cache(weights, z)
     g = acts[-1]
     b_size, m = len(g), len(d)
-    kgg, grad_gg = _kernel_terms(g, g, config)
-    kgd, grad_gd = _kernel_terms(g, d, config)
-    kdd, _ = _kernel_terms(d, d, config)
-    loss = float(kgg.mean() - 2.0 * kgd.mean() + kdd.mean())
+    (kgg, grad_gg), (kgd, grad_gd) = (_kernel_rows(g, y, config, grad=True) for y in (g, d))
+    kdd = _kernel_rows(d, d, config)
+    loss = float(kgg.sum() / b_size**2 - 2.0 * kgd.sum() / (b_size * m) + kdd.sum() / m**2)
     # d loss / d g_i: both gg terms contribute equally by symmetry
     delta = 2.0 / b_size**2 * grad_gg - 2.0 / (b_size * m) * grad_gd
 
@@ -182,18 +169,19 @@ def train_gmmd(
         lr = learning_rate(lr_cfg, epoch)
         grad_norm = 0.0
         epoch_loss = 0.0
-        for _ in range(config.batches_per_epoch):
+        for step in range(config.batches_per_epoch):
             z = rng.standard_normal((config.batch_size, spec.latent_dim))
             batch = data[rng.integers(0, len(data), size=config.batch_size)]
             loss, grads = gmmd_loss_and_grad(weights, z, batch, config.kernel)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+            _check_finite(loss, "loss", epoch, step)
             epoch_loss += loss / config.batches_per_epoch
             flat_grad = flatten_weights(grads)
+            _check_finite(flat_grad, "gradient", epoch, step)
             grad_norm = float(np.linalg.norm(flat_grad))
             flat, adam_state = adam_step(
                 flatten_weights(weights), flat_grad, adam_state, lr
             )
+            _check_finite(flat, "weights", epoch, step)
             weights = unflatten_weights(flat, spec)
 
         generated = forward(weights, eval_latent)

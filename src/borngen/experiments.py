@@ -11,7 +11,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .baseline import GmmdConfig, MlpSpec, train_gmmd, forward
 from .born import BornModel, model_distribution, save_checkpoint
 from .circuits import (
     CorrelationBlockChoice,

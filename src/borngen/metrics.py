@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 PAPER_BANDWIDTHS = (0.01, 0.1, 1.0, 10.0, 100.0)
+_TILE_ROWS = 256  # rows of x per sample-kernel tile: 4 MB against a 2048-row batch
 
 
 @dataclass(frozen=True)
@@ -38,20 +39,12 @@ class KernelConfig:
             raise ValueError("bandwidths must be a nonempty list of positive reals")
 
 
-def _kernel_from_sqdist(sq: np.ndarray, config: KernelConfig) -> np.ndarray:
-    out = np.zeros_like(sq, dtype=float)
-    for s in config.bandwidths:
-        out += np.exp(-sq / (2.0 * s))
-    return out
-
-
 def kernel_value(x, y, config: KernelConfig) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != y.shape:
         raise ValueError("coordinate dimension mismatch")
-    sq = float(np.sum((x - y) ** 2))
-    return float(_kernel_from_sqdist(np.asarray(sq), config))
+    return float(_kernel_rows(x[None], y[None], config)[0])
 
 
 class GramCache:
@@ -65,8 +58,8 @@ class GramCache:
             register_bits,
         )
         coords = probe.bin_coordinates()
-        diff = coords[:, None, :] - coords[None, :, :]
-        self.matrix = _kernel_from_sqdist((diff**2).sum(axis=-1), config)
+        sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1)
+        self.matrix = sum(np.exp(-sq / (2.0 * s)) for s in config.bandwidths)
 
 
 def _check_compatible(register_bits: tuple[int, ...], target: DiscreteDistribution):
@@ -93,20 +86,39 @@ def mmd_loss(
     return float(d @ K @ d)
 
 
+def _kernel_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool = False):
+    """Sums over j of K(x_i, y_j) for (n, d) and (m, d) samples, in row tiles of x.
+
+    With grad, also the (n, d) sums over j of dK(x_i, y_j)/dx_i, formed as
+    W @ y - W.sum(1) x_i with W = sum_s K_s / s; no (n, m, d) array is built.
+    """
+    values, grads = np.zeros(len(x)), np.empty_like(x)
+    tiles = np.empty((3, min(len(x), _TILE_ROWS), len(y)))
+    for start in range(0, len(x), _TILE_ROWS):
+        tile = slice(start, start + _TILE_ROWS)
+        sq, k, w = tiles[:, : len(x[tile])]
+        np.square(np.subtract.outer(x[tile, 0], y[:, 0], out=sq), out=sq)
+        for col in range(1, x.shape[1]):
+            sq += np.square(np.subtract.outer(x[tile, col], y[:, col], out=k), out=k)
+        if grad:
+            w[:] = 0.0
+        for s in config.bandwidths:
+            np.exp(np.multiply(sq, -0.5 / s, out=k), out=k)
+            values[tile] += k.sum(axis=1)
+            if grad:
+                k *= 1.0 / s
+                w += k
+        if grad:
+            grads[tile] = w @ y - w.sum(axis=1)[:, None] * x[tile]
+    return (values, grads) if grad else values
+
+
 def mmd_loss_samples(x: np.ndarray, y: np.ndarray, config: KernelConfig) -> float:
-    """Biased (V-statistic) sample estimator of the MMD on coordinate arrays."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if y.ndim == 1:
-        y = y[:, None]
-
-    def mean_kernel(a, b):
-        sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
-        return float(_kernel_from_sqdist(sq, config).mean())
-
-    return mean_kernel(x, x) - 2.0 * mean_kernel(x, y) + mean_kernel(y, y)
+    """Biased (V-statistic) sample MMD of (n, d) arrays, or of 1-d arrays of n values."""
+    x, y = (np.asarray(a, dtype=float).reshape(len(a), -1) for a in (x, y))
+    n, m = len(x), len(y)
+    xx, xy, yy = (_kernel_rows(a, b, config).sum() for a, b in ((x, x), (x, y), (y, y)))
+    return float(xx / n**2 - 2.0 * xy / (n * m) + yy / m**2)
 
 
 def _shift_for_kind(kind: str) -> tuple[float, float]:

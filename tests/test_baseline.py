@@ -1,10 +1,13 @@
 """Classical MLP generator trained on the sample MMD."""
+import warnings
+
 import numpy as np
 import pytest
 
 from borngen.baseline import (
     GmmdConfig,
     MlpSpec,
+    _forward_cache,
     flatten_weights,
     forward,
     gmmd_batch_loss,
@@ -15,7 +18,8 @@ from borngen.baseline import (
     train_gmmd,
     unflatten_weights,
 )
-from borngen.metrics import KernelConfig
+from borngen.metrics import KernelConfig, mmd_loss_samples
+from borngen.optimize import TrainingDivergedError
 
 SPEC = MlpSpec(latent_dim=4, hidden=(8, 6), output_dim=2)
 
@@ -46,6 +50,12 @@ def test_forward_shapes_and_latent_check():
         forward(weights, np.zeros((10, 3)))
 
 
+def test_forward_matches_backprop_cache_exactly():
+    weights = init_weights(SPEC, seed=5)
+    z = np.random.default_rng(5).standard_normal((300, 4))
+    np.testing.assert_array_equal(forward(weights, z), _forward_cache(weights, z)[-1])
+
+
 def test_flatten_round_trip():
     weights = init_weights(SPEC, seed=1)
     flat = flatten_weights(weights)
@@ -65,6 +75,12 @@ def test_batch_loss_positive_for_shifted_batches():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((64, 2))
     assert gmmd_batch_loss(x, x + 3.0, KernelConfig()) > 0.1
+
+
+def test_batch_loss_is_the_sample_mmd():
+    rng = np.random.default_rng(6)
+    x, y = rng.standard_normal((70, 2)), rng.standard_normal((90, 2)) + 0.5
+    assert gmmd_batch_loss(x, y, KernelConfig()) == mmd_loss_samples(x, y, KernelConfig())
 
 
 def test_backprop_matches_finite_differences():
@@ -100,6 +116,17 @@ def test_training_reduces_validation_loss():
     assert min(r.val_loss for r in trace) < trace[0].val_loss
     generated = forward(weights, rng.standard_normal((1000, 4)))
     assert abs(generated.mean() - 1.0) < 0.3
+
+
+def test_training_divergence_detected():
+    config = GmmdConfig(max_epochs=2, batch_size=32, seed=0, initial_lr=np.inf)
+    data = np.random.default_rng(7).standard_normal((200, 1))
+    # caught at the first step, before numpy warns about the inf weights
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TrainingDivergedError, match="non-finite weights at epoch 0, step 0"):
+            train_gmmd(MlpSpec(4, (8,), 1), data, config)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_training_shape_check():

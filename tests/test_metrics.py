@@ -8,8 +8,10 @@ from borngen.circuits import CircuitSpec, build_1d_rzz_ansatz, build_hardware_ef
 from borngen.distributions import DiscreteDistribution
 from borngen.sim import Gate
 from borngen.metrics import (
+    _TILE_ROWS,
     GramCache,
     KernelConfig,
+    _kernel_rows,
     kernel_value,
     mmd_gradient,
     mmd_gradient_shift,
@@ -96,6 +98,34 @@ def test_mmd_samples_matches_exact_on_empirical():
     assert mmd_loss_samples(x, y, config) == pytest.approx(
         mmd_loss(px, py, config), abs=1e-10
     )
+
+
+def _dense_kernel_rows(x, y, config):
+    """The dense (n, m, d) formula the tiled kernel replaced, as its oracle."""
+    diff = x[:, None, :] - y[None, :, :]
+    sq = (diff**2).sum(axis=-1)
+    value = np.zeros_like(sq)
+    grad = np.zeros_like(diff)
+    for s in config.bandwidths:
+        k = np.exp(-sq / (2.0 * s))
+        value += k
+        grad += k[:, :, None] * (-diff / s)
+    return value.sum(axis=1), grad.sum(axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n", [1, _TILE_ROWS - 1, _TILE_ROWS + 1, 3 * _TILE_ROWS + 5])
+def test_tiled_kernel_rows_match_dense_oracle(n, d):
+    rng = np.random.default_rng(n + d)
+    config = KernelConfig()
+    x = rng.standard_normal((n, d))
+    y = 0.5 * rng.standard_normal((40, d)) + 0.2
+    for other in (x, y):
+        values, grads = _kernel_rows(x, other, config, grad=True)
+        want_values, want_grads = _dense_kernel_rows(x, other, config)
+        np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(_kernel_rows(x, other, config), values)
 
 
 def test_gram_cache_reused():
