@@ -50,6 +50,9 @@ def run_cmd(config_path, output_dir, seed):
     out = _output_dir(config, output_dir)
     try:
         report = run_experiment(config, out)
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_VALIDATION)
     except TrainingDivergedError as exc:
         click.echo(f"training aborted: {exc}", err=True)
         sys.exit(EXIT_TRAINING)

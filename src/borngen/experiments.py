@@ -1,12 +1,17 @@
-"""Experiment definitions and the report bundle writer."""
+"""Experiment definitions and the report bundle writer.
+
+Each experiment is a hook: it prepares its data, picks its circuit, fits
+through `_fit` and computes its metrics. `run_experiment` writes the bundle.
+"""
 from __future__ import annotations
 
 import copy
+import csv
 import datetime
 import json
+import math
 import subprocess
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -31,40 +36,39 @@ from .data import (
     synthesize_mfc,
     train_test_split,
 )
-from .distributions import DiscreteDistribution, marginal, sample
+from .distributions import marginal, sample
 from .metrics import KernelConfig, pearson_correlation, total_variance
 from .noise import NoiseConfig, apply_readout_noise, estimate_confusion_matrix, mitigate_readout
-from .optimize import SpsaSettings, TrainConfig, init_parameters, trace_to_csv, trace_to_json, train
+from .optimize import TrainConfig, init_parameters, trace_to_csv, trace_to_json, train
 
 __all__ = ["ExperimentConfig", "run_experiment", "compare_report", "EXPERIMENTS"]
 
 EXPERIMENTS = ("exp-1d", "exp-multi", "exp-cond", "exp-blocks", "exp-noise")
 
-_DEFAULTS = {
-    "common": {
-        "data": {
-            "source": "synthetic",
-            "n_events": 10240,
-            "condition": 50.0,
-            "path": None,
-        },
-        "train": {
-            "optimizer": "adam",
-            "initial_lr": 0.01,
-            "lr_halving_period": 20,
-            "batches_per_epoch": 10,
-            "batch_size": 512,
-            "max_epochs": 70,
-            "spsa_epochs": 10,
-            "sample_batches": False,
-            "bandwidths": [0.01, 0.1, 1.0, 10.0, 100.0],
-        },
-        "init_scheme": "small_normal",
-        "sampling": {"n_shots": 5120, "repetitions": 10},
+_COMMON = {
+    "data": {"source": "synthetic", "n_events": 10240, "path": None},
+    "train": {
+        "optimizer": "adam",
+        "initial_lr": 0.01,
+        "lr_halving_period": 20,
+        "batches_per_epoch": 10,
+        "batch_size": 512,
+        "max_epochs": 70,
+        "spsa_epochs": 10,
+        "sample_batches": False,
+        "bandwidths": [0.01, 0.1, 1.0, 10.0, 100.0],
     },
+    "init_scheme": "small_normal",
+}
+_SAMPLING = {"n_shots": 5120, "repetitions": 10}
+
+# Each experiment's defaults name exactly the fields it reads, so that any
+# other field is rejected rather than ignored.
+_DEFAULTS = {
     "exp-1d": {
+        "data": {"condition": 50.0},
         "circuit": {"n_qubits": 4},
-        "train": {"max_epochs": 70},
+        "sampling": _SAMPLING,
     },
     "exp-multi": {
         "data": {"condition": 125.0},
@@ -75,11 +79,13 @@ _DEFAULTS = {
             "block": {"connectivity": "linear", "depth_pairs": "first_only", "style": "hh_cx"},
         },
         "train": {"max_epochs": 100},
+        "sampling": _SAMPLING,
     },
     "exp-cond": {
-        "data": {"n_events": 10240, "held_out": 125.0},
+        "data": {"held_out": 125.0},
         "circuit": {"n_qubits": 3, "n_layers": 4},
         "train": {"max_epochs": 30},
+        "sampling": _SAMPLING,
     },
     "exp-blocks": {
         "data": {"condition": 125.0},
@@ -87,14 +93,9 @@ _DEFAULTS = {
         "train": {"max_epochs": 100},
     },
     "exp-noise": {
+        "data": {"condition": 50.0},
         "circuit": {"n_qubits": 4},
-        "train": {"max_epochs": 70},
-        "noise": {
-            "readout_flip_prob": 0.029,
-            "cnot_depol_prob": 0.0,
-            "calibration_shots": 100000,
-            "n_trajectories": 1000,
-        },
+        "noise": {"readout_flip_prob": 0.029, "calibration_shots": 100000},
     },
 }
 
@@ -103,26 +104,18 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the field path."""
 
 
-def _merge_defaults(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(out.get(key), dict) and isinstance(value, dict):
-            out[key] = _merge_defaults(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+def _merge(base: dict, override: dict, path: str = "", extend: bool = False) -> dict:
+    """Deep-merge override into a copy of base. Unless extend is set, a key
+    that base lacks is an error naming its dotted path."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
-        if key not in out:
+        if key not in out and not extend:
             raise ConfigError(f"unknown config field {where!r}")
-        if isinstance(out[key], dict) and isinstance(value, dict):
-            out[key] = _merge(out[key], value, where)
+        if isinstance(out.get(key), dict) and isinstance(value, dict):
+            out[key] = _merge(out[key], value, where, extend)
         else:
-            out[key] = value
+            out[key] = copy.deepcopy(value)
     return out
 
 
@@ -139,19 +132,28 @@ class ExperimentConfig:
         self.experiment = raw["experiment"]
         self.seed = int(raw["seed"])
         self.output_dir = raw.get("output_dir")
-        defaults = _merge_defaults(_DEFAULTS["common"], _DEFAULTS[self.experiment])
+        defaults = _merge(_COMMON, _DEFAULTS[self.experiment], extend=True)
         body = {
             k: v
             for k, v in raw.items()
             if k not in ("experiment", "seed", "output_dir")
         }
         self.settings = _merge(defaults, body)
-        if self.settings["data"]["source"] not in ("synthetic", "csv"):
+        data = self.settings["data"]
+        if data["source"] not in ("synthetic", "csv"):
             raise ConfigError("data.source must be 'synthetic' or 'csv'")
-        if self.settings["data"]["source"] == "csv":
-            path = self.settings["data"].get("path")
+        if data["source"] == "csv":
+            path = data["path"]
             if not path or not Path(path).exists():
                 raise ConfigError(f"data.path does not exist: {path!r}")
+        if "held_out" in data and data["held_out"] not in CONDITION_VALUES:
+            raise ConfigError(
+                f"data.held_out must be one of {CONDITION_VALUES}, got {data['held_out']!r}"
+            )
+        try:
+            self.train_config()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"train: {exc}") from exc
 
     def resolved(self) -> dict:
         return {
@@ -161,30 +163,20 @@ class ExperimentConfig:
         }
 
     def train_config(self, **overrides) -> TrainConfig:
-        t = self.settings["train"]
-        kwargs = dict(
-            optimizer=t["optimizer"],
-            initial_lr=t["initial_lr"],
-            lr_halving_period=t["lr_halving_period"],
-            batches_per_epoch=t["batches_per_epoch"],
-            batch_size=t["batch_size"],
-            max_epochs=t["max_epochs"],
-            seed=self.seed,
-            spsa=SpsaSettings(),
-            spsa_epochs=t["spsa_epochs"],
-            kernel=KernelConfig(tuple(t["bandwidths"])),
-            sample_batches=t["sample_batches"],
-        )
-        kwargs.update(overrides)
-        return TrainConfig(**kwargs)
+        t = dict(self.settings["train"])
+        t["kernel"] = KernelConfig(tuple(t.pop("bandwidths")))
+        return TrainConfig(**{**t, "seed": self.seed, **overrides})
 
 
 def _events(config: ExperimentConfig, condition: float, seed_offset: int = 0):
     d = config.settings["data"]
     if d["source"] == "csv":
-        events = [e for e in load_csv(d["path"]) if e.e_in == condition]
+        events = [
+            e for e in load_csv(d["path"])
+            if math.isclose(e.e_in, condition, rel_tol=1e-9, abs_tol=1e-9)
+        ]
         if not events:
-            raise ConfigError(f"no events with e_in == {condition} in {d['path']}")
+            raise ConfigError(f"no events with e_in == {condition} (to 1e-9) in {d['path']}")
         return events
     return synthesize_mfc(
         d["n_events"], condition, DEFAULT_CORRELATION, config.seed + seed_offset
@@ -207,24 +199,18 @@ def _version_string() -> str:
     return __version__
 
 
-def _sampled_histogram(dist: DiscreteDistribution, n_shots, repetitions, seed):
-    """Per-bin empirical frequency mean and std over sampling repetitions."""
-    freqs = np.empty((repetitions, len(dist.probs)))
+def _write_histogram_csv(path, sampling, binning, feature, target, model_dist, seed):
+    """Target and model bin probabilities, with the per-bin mean and std of
+    the empirical frequency over sampling repetitions."""
+    n_shots, repetitions = sampling["n_shots"], sampling["repetitions"]
+    freqs = np.empty((repetitions, len(model_dist.probs)))
     for r in range(repetitions):
-        draws = sample(dist, n_shots, seed + r)
-        freqs[r] = np.bincount(draws, minlength=len(dist.probs)) / n_shots
-    return freqs.mean(axis=0), freqs.std(axis=0)
-
-
-def _write_histogram_csv(path, binning, feature, target, model_dist, sampling, seed):
-    import csv as _csv
-
-    mean, std = _sampled_histogram(
-        model_dist, sampling["n_shots"], sampling["repetitions"], seed
-    )
+        draws = sample(model_dist, n_shots, seed + r)
+        freqs[r] = np.bincount(draws, minlength=len(model_dist.probs)) / n_shots
+    mean, std = freqs.mean(axis=0), freqs.std(axis=0)
     centers = binning.bin_centers(feature)
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(
             [
                 "bin_index",
@@ -238,281 +224,172 @@ def _write_histogram_csv(path, binning, feature, target, model_dist, sampling, s
         )
         for i in range(len(centers)):
             ratio = mean[i] / target.probs[i] if target.probs[i] > 0 else float("inf")
-            writer.writerow(
-                [
-                    i,
-                    repr(float(centers[i])),
-                    repr(float(target.probs[i])),
-                    repr(float(model_dist.probs[i])),
-                    repr(float(mean[i])),
-                    repr(float(std[i])),
-                    repr(float(ratio)),
-                ]
-            )
+            values = (centers[i], target.probs[i], model_dist.probs[i], mean[i], std[i], ratio)
+            writer.writerow([i, *(repr(float(v)) for v in values)])
 
 
-def _prepare_single_condition(config: ExperimentConfig, n_bins_per_feature, features):
-    """Synthesize/ingest one-condition data, split, preprocess, bin."""
-    condition = config.settings["data"]["condition"]
-    events = _events(config, condition)
+def _single_condition(config: ExperimentConfig, n_bins_per_feature, features):
+    """One condition's events, split, preprocessed and binned: the train and
+    validation distributions, the binning, the preprocessing parameters and
+    the validation features."""
+    events = _events(config, config.settings["data"]["condition"])
     train_events, test_events = train_test_split(events, config.seed)
     train_all, params = preprocess(train_events)
     test_all = apply_preprocess(test_events, params)
     train_f = train_all[:, features]
     test_f = test_all[:, features]
     binning = BinningSpec.from_training_data(train_f, n_bins_per_feature)
-    return {
-        "condition": condition,
-        "params": params,
-        "binning": binning,
-        "train_features": train_f,
-        "test_features": test_f,
-        "train_dist": discretize(train_f, binning),
-        "val_dist": discretize(test_f, binning),
-    }
+    return discretize(train_f, binning), discretize(test_f, binning), binning, params, test_f
 
 
-def _run_exp_1d(config: ExperimentConfig, out: Path) -> dict:
-    prep = _prepare_single_condition(config, [16], [0])
-    circuit = build_1d_rzz_ansatz(config.settings["circuit"]["n_qubits"])
-    model = BornModel(
-        circuit,
-        init_parameters(circuit.n_parameters, config.settings["init_scheme"], config.seed),
-    )
-    trained, trace = train(
-        model, prep["train_dist"], config.train_config(), prep["val_dist"]
-    )
-    dist = model_distribution(trained)
-    tv = total_variance(dist, prep["val_dist"])
-    trace_to_csv(trace, out / "trace.csv")
-    save_checkpoint(trained, out / "checkpoint.json", {"experiment": "exp-1d"})
-    _write_histogram_csv(
-        out / "histogram_e_out.csv",
-        prep["binning"],
-        0,
-        prep["val_dist"],
-        dist,
-        config.settings["sampling"],
-        config.seed,
-    )
+def _fit(config, circuit, target, val_target, seed_offset=0, condition_range=None):
+    """Initialise a Born model on circuit and train it on target."""
+    theta = init_parameters(circuit.n_parameters, config.settings["init_scheme"], config.seed)
+    model = BornModel(circuit, theta, condition_range=condition_range)
+    return train(model, target, config.train_config(seed=config.seed + seed_offset), val_target)
+
+
+def _val_mmd(trace) -> dict:
     return {
-        "tv": tv,
         "final_val_mmd": trace[-1].val_loss,
         "best_val_mmd": min(r.val_loss for r in trace),
-        "trace": trace_to_json(trace, include_seconds=False),
     }
 
 
-def _block_choice(block: dict) -> CorrelationBlockChoice:
-    return CorrelationBlockChoice(block["connectivity"], block["depth_pairs"], block["style"])
+# Each hook returns (trained, trace, metrics, histograms). A histogram is
+# (name, binning, feature, target, model distribution, sampling seed).
 
 
-def _multivariate_prep(config: ExperimentConfig):
-    return _prepare_single_condition(config, [8, 8, 8], [0, 1, 2])
+def _exp_1d(config: ExperimentConfig):
+    train_dist, val_dist, binning, _, _ = _single_condition(config, [16], [0])
+    circuit = build_1d_rzz_ansatz(config.settings["circuit"]["n_qubits"])
+    trained, trace = _fit(config, circuit, train_dist, val_dist)
+    dist = model_distribution(trained)
+    metrics = {"tv": total_variance(dist, val_dist), **_val_mmd(trace)}
+    return trained, trace, metrics, [("e_out", binning, 0, val_dist, dist, config.seed)]
 
 
-def _generated_pearson(model, binning, params, n_samples, seed):
-    """Pearson matrix of sampled events mapped back to physical units."""
-    dist = model_distribution(model)
-    draws = sample(dist, n_samples, seed)
-    coords = dist.bin_coordinates()[draws]
+def _exp_multi(config: ExperimentConfig):
+    train_dist, val_dist, binning, params, test_f = _single_condition(
+        config, [8, 8, 8], [0, 1, 2]
+    )
+    c = config.settings["circuit"]
+    circuit = build_multivariate(
+        c["n_registers"],
+        c["qubits_per_register"],
+        c["n_repetitions"],
+        CorrelationBlockChoice(**c["block"]),
+    )
+    trained, trace = _fit(config, circuit, train_dist, val_dist)
+    dist = model_distribution(trained)
+    names = ("e_out", "pt", "eta")
+    # Pearson matrix of sampled events mapped back to physical units
+    coords = dist.bin_coordinates()[sample(dist, 100000, config.seed)]
     values = np.column_stack(
         [binning.bin_centers(j)[coords[:, j].astype(int)] for j in range(coords.shape[1])]
     )
-    return pearson_correlation(inverse_preprocess(values, params))
-
-
-def _run_exp_multi(config: ExperimentConfig, out: Path) -> dict:
-    prep = _multivariate_prep(config)
-    c = config.settings["circuit"]
-    circuit = build_multivariate(
-        c["n_registers"], c["qubits_per_register"], c["n_repetitions"], _block_choice(c["block"])
-    )
-    model = BornModel(
-        circuit,
-        init_parameters(circuit.n_parameters, config.settings["init_scheme"], config.seed),
-    )
-    trained, trace = train(
-        model, prep["train_dist"], config.train_config(), prep["val_dist"]
-    )
-    dist = model_distribution(trained)
-    names = ("e_out", "pt", "eta")
-    tv_per_feature = {
-        name: total_variance(marginal(dist, j), marginal(prep["val_dist"], j))
-        for j, name in enumerate(names)
-    }
-    corr_generated = _generated_pearson(
-        trained, prep["binning"], prep["params"], 100000, config.seed
-    )
-    corr_data = pearson_correlation(prep["binning"].bin_indices(prep["test_features"]))
-    trace_to_csv(trace, out / "trace.csv")
-    save_checkpoint(trained, out / "checkpoint.json", {"experiment": "exp-multi"})
-    for j, name in enumerate(names):
-        _write_histogram_csv(
-            out / f"histogram_{name}.csv",
-            prep["binning"],
-            j,
-            marginal(prep["val_dist"], j),
-            marginal(dist, j),
-            config.settings["sampling"],
-            config.seed + j,
-        )
-    return {
-        "tv_per_feature": tv_per_feature,
-        "pearson_generated": corr_generated.tolist(),
-        "pearson_data": corr_data.tolist(),
+    metrics = {
+        "tv_per_feature": {
+            name: total_variance(marginal(dist, j), marginal(val_dist, j))
+            for j, name in enumerate(names)
+        },
+        "pearson_generated": pearson_correlation(inverse_preprocess(values, params)).tolist(),
+        "pearson_data": pearson_correlation(binning.bin_indices(test_f)).tolist(),
         "pearson_target": DEFAULT_CORRELATION.tolist(),
-        "final_val_mmd": trace[-1].val_loss,
-        "best_val_mmd": min(r.val_loss for r in trace),
-        "trace": trace_to_json(trace, include_seconds=False),
+        **_val_mmd(trace),
     }
+    histograms = [
+        (name, binning, j, marginal(val_dist, j), marginal(dist, j), config.seed + j)
+        for j, name in enumerate(names)
+    ]
+    return trained, trace, metrics, histograms
 
 
-def _run_exp_blocks(config: ExperimentConfig, out: Path) -> dict:
-    prep = _multivariate_prep(config)
+def _exp_blocks(config: ExperimentConfig):
+    """Every correlation-block variant, ranked by best validation MMD. The
+    trace is one per variant, and there is no single trained model."""
+    train_dist, val_dist, _, _, _ = _single_condition(config, [8, 8, 8], [0, 1, 2])
     c = config.settings["circuit"]
-    results = {}
+    results, traces = {}, []
     for i, choice in enumerate(all_block_choices()):
         circuit = build_multivariate(
             c["n_registers"], c["qubits_per_register"], c["n_repetitions"], choice
         )
-        model = BornModel(
-            circuit,
-            init_parameters(
-                circuit.n_parameters, config.settings["init_scheme"], config.seed
-            ),
-        )
-        trained, trace = train(
-            model,
-            prep["train_dist"],
-            config.train_config(seed=config.seed + i),
-            prep["val_dist"],
-        )
-        trace_to_csv(trace, out / f"trace_{i}.csv")
+        trained, trace = _fit(config, circuit, train_dist, val_dist, seed_offset=i)
+        traces.append(trace)
         results[choice.label] = {
-            "best_val_mmd": min(r.val_loss for r in trace),
-            "final_val_mmd": trace[-1].val_loss,
-            "tv": total_variance(model_distribution(trained), prep["val_dist"]),
+            **_val_mmd(trace),
+            "tv": total_variance(model_distribution(trained), val_dist),
         }
     ranked = sorted(results, key=lambda k: results[k]["best_val_mmd"])
-    return {"blocks": results, "ranking": ranked}
+    return None, traces, {"blocks": results, "ranking": ranked}, []
 
 
-def _prepare_conditional(config: ExperimentConfig):
+def _exp_cond(config: ExperimentConfig):
     held_out = config.settings["data"]["held_out"]
-    conditions = [c for c in CONDITION_VALUES]
-    train_conditions = [c for c in conditions if c != held_out]
-    per_cond_events = {
-        c: _events(config, c, seed_offset=int(c)) for c in conditions
+    train_conditions = [cond for cond in CONDITION_VALUES if cond != held_out]
+    splits = {
+        cond: train_test_split(_events(config, cond, seed_offset=int(cond)), config.seed)
+        for cond in CONDITION_VALUES
     }
-    splits = {c: train_test_split(ev, config.seed) for c, ev in per_cond_events.items()}
-    pooled_train = [e for c in train_conditions for e in splits[c][0]]
+    pooled_train = [e for cond in train_conditions for e in splits[cond][0]]
     _, params = preprocess(pooled_train)
     energy = lambda evs: apply_preprocess(evs, params)[:, [0]]
-    pooled_features = energy(pooled_train)
-    binning = BinningSpec.from_training_data(pooled_features, [8])
-    train_dists = {c: discretize(energy(splits[c][0]), binning) for c in train_conditions}
-    val_dists = {c: discretize(energy(splits[c][1]), binning) for c in train_conditions}
+    binning = BinningSpec.from_training_data(energy(pooled_train), [8])
+    train_dists = {cond: discretize(energy(splits[cond][0]), binning) for cond in train_conditions}
+    val_dists = {cond: discretize(energy(splits[cond][1]), binning) for cond in train_conditions}
     held_out_dist = discretize(energy(splits[held_out][1]), binning)
-    return {
-        "params": params,
-        "binning": binning,
-        "held_out": held_out,
-        "train_conditions": train_conditions,
-        "train_dists": train_dists,
-        "val_dists": val_dists,
-        "held_out_dist": held_out_dist,
-    }
-
-
-def _run_exp_cond(config: ExperimentConfig, out: Path) -> dict:
-    prep = _prepare_conditional(config)
     c = config.settings["circuit"]
-    circuit = build_conditional(c["n_qubits"], c["n_layers"])
-    model = BornModel(
-        circuit,
-        init_parameters(circuit.n_parameters, config.settings["init_scheme"], config.seed),
+    trained, trace = _fit(
+        config,
+        build_conditional(c["n_qubits"], c["n_layers"]),
+        train_dists,
+        val_dists,
         condition_range=(min(CONDITION_VALUES), max(CONDITION_VALUES)),
     )
-    trained, trace = train(
-        model, prep["train_dists"], config.train_config(), prep["val_dists"]
-    )
-    tv_per_condition = {
-        str(cond): total_variance(
-            model_distribution(trained, cond), prep["val_dists"][cond]
-        )
-        for cond in prep["train_conditions"]
-    }
-    held_dist = model_distribution(trained, prep["held_out"])
-    tv_held_out = total_variance(held_dist, prep["held_out_dist"])
-    trace_to_csv(trace, out / "trace.csv")
-    save_checkpoint(trained, out / "checkpoint.json", {"experiment": "exp-cond"})
-    for cond, target in (
-        (100.0, prep["val_dists"].get(100.0)),
-        (150.0, prep["val_dists"].get(150.0)),
-        (prep["held_out"], prep["held_out_dist"]),
-    ):
-        if target is None:
-            continue
-        _write_histogram_csv(
-            out / f"histogram_{int(cond)}gev.csv",
-            prep["binning"],
-            0,
-            target,
-            model_distribution(trained, cond),
-            config.settings["sampling"],
-            config.seed + int(cond),
-        )
-    return {
-        "tv_per_condition": tv_per_condition,
-        "tv_held_out": tv_held_out,
-        "held_out_condition": prep["held_out"],
+    dists = {cond: model_distribution(trained, cond) for cond in CONDITION_VALUES}
+    metrics = {
+        "tv_per_condition": {
+            str(cond): total_variance(dists[cond], val_dists[cond]) for cond in train_conditions
+        },
+        "tv_held_out": total_variance(dists[held_out], held_out_dist),
+        "held_out_condition": held_out,
         "final_val_mmd": trace[-1].val_loss,
-        "trace": trace_to_json(trace, include_seconds=False),
     }
+    targets = {cond: val_dists[cond] for cond in (100.0, 150.0) if cond in val_dists}
+    targets[held_out] = held_out_dist
+    histograms = [
+        (f"{int(cond)}gev", binning, 0, target, dists[cond], config.seed + int(cond))
+        for cond, target in targets.items()
+    ]
+    return trained, trace, metrics, histograms
 
 
-def _run_exp_noise(config: ExperimentConfig, out: Path) -> dict:
-    prep = _prepare_single_condition(config, [16], [0])
+def _exp_noise(config: ExperimentConfig):
+    train_dist, val_dist, _, _, _ = _single_condition(config, [16], [0])
     circuit = build_1d_rzz_ansatz(config.settings["circuit"]["n_qubits"])
-    model = BornModel(
-        circuit,
-        init_parameters(circuit.n_parameters, config.settings["init_scheme"], config.seed),
-    )
-    trained, trace = train(
-        model, prep["train_dist"], config.train_config(), prep["val_dist"]
-    )
+    trained, trace = _fit(config, circuit, train_dist, val_dist)
     n = config.settings["noise"]
-    noise = NoiseConfig(
-        readout_flip_prob=n["readout_flip_prob"],
-        cnot_depol_prob=n["cnot_depol_prob"],
-        seed=config.seed,
-        n_trajectories=n["n_trajectories"],
-    )
+    noise = NoiseConfig(readout_flip_prob=n["readout_flip_prob"], seed=config.seed)
     exact = model_distribution(trained)
     noisy = apply_readout_noise(exact, noise)
-    confusion = estimate_confusion_matrix(
-        circuit.n_qubits, noise, n["calibration_shots"]
-    )
+    confusion = estimate_confusion_matrix(circuit.n_qubits, noise, n["calibration_shots"])
     mitigated = mitigate_readout(noisy, confusion)
-    trace_to_csv(trace, out / "trace.csv")
-    save_checkpoint(trained, out / "checkpoint.json", {"experiment": "exp-noise"})
-    target = prep["val_dist"]
-    return {
-        "tv_exact": total_variance(exact, target),
-        "tv_noisy": total_variance(noisy, target),
-        "tv_mitigated": total_variance(mitigated, target),
+    metrics = {
+        "tv_exact": total_variance(exact, val_dist),
+        "tv_noisy": total_variance(noisy, val_dist),
+        "tv_mitigated": total_variance(mitigated, val_dist),
         "tv_mitigated_vs_exact": total_variance(mitigated, exact),
-        "trace": trace_to_json(trace, include_seconds=False),
     }
+    return trained, trace, metrics, []
 
 
-_RUNNERS = {
-    "exp-1d": _run_exp_1d,
-    "exp-multi": _run_exp_multi,
-    "exp-cond": _run_exp_cond,
-    "exp-blocks": _run_exp_blocks,
-    "exp-noise": _run_exp_noise,
+_HOOKS = {
+    "exp-1d": _exp_1d,
+    "exp-multi": _exp_multi,
+    "exp-cond": _exp_cond,
+    "exp-blocks": _exp_blocks,
+    "exp-noise": _exp_noise,
 }
 
 
@@ -523,7 +400,16 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
     resolved = config.resolved()
     with open(out / "resolved_config.json", "w") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
-    metrics = _RUNNERS[config.experiment](config, out)
+    trained, trace, metrics, histograms = _HOOKS[config.experiment](config)
+    if trained is None:  # exp-blocks: one trace per variant, no single model
+        for i, variant_trace in enumerate(trace):
+            trace_to_csv(variant_trace, out / f"trace_{i}.csv")
+    else:
+        trace_to_csv(trace, out / "trace.csv")
+        save_checkpoint(trained, out / "checkpoint.json", {"experiment": config.experiment})
+        metrics["trace"] = trace_to_json(trace, include_seconds=False)
+    for name, *columns in histograms:
+        _write_histogram_csv(out / f"histogram_{name}.csv", config.settings["sampling"], *columns)
     report = {
         "experiment": config.experiment,
         "seed": config.seed,

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from borngen.cli import EXIT_REGRESSION, EXIT_VALIDATION, main
+from borngen.data import save_csv, synthesize_mfc
 
 
 @pytest.fixture
@@ -123,3 +124,13 @@ def test_report_command(runner, tmp_path):
 def test_report_missing(runner, tmp_path):
     result = runner.invoke(main, ["report", str(tmp_path)])
     assert result.exit_code == EXIT_VALIDATION
+
+
+def test_run_reports_config_error_found_while_running(runner, tmp_path):
+    events = tmp_path / "events.csv"
+    save_csv(synthesize_mfc(64, 75.0, seed=0), events)
+    config = _write_config(tmp_path / "config.json", data={"source": "csv", "path": str(events)})
+    result = runner.invoke(main, ["run", str(config), "-o", str(tmp_path / "out")])
+    assert result.exit_code == EXIT_VALIDATION
+    assert "config error: no events with e_in" in result.output
+    assert "Traceback" not in result.output

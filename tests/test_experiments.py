@@ -1,4 +1,5 @@
 """Experiment configuration, report bundles and report comparison."""
+import dataclasses
 import json
 
 import numpy as np
@@ -84,14 +85,16 @@ def test_run_is_deterministic(tmp_path):
 
 
 def test_run_exp_1d_from_csv(tmp_path):
-    events = synthesize_mfc(512, 50.0, seed=0)
-    path = tmp_path / "events.csv"
-    save_csv(events, path)
-    config = _config(
-        data={"source": "csv", "path": str(path)}, train={"max_epochs": 2}
-    )
-    report = run_experiment(config, tmp_path / "run")
-    assert "tv" in report["metrics"]
+    # an e_in a rounding step away from 50 still counts as condition 50
+    for e_in in (50.0, 50.000000000001):
+        events = [dataclasses.replace(e, e_in=e_in) for e in synthesize_mfc(512, 50.0, seed=0)]
+        path = tmp_path / f"events_{e_in!r}.csv"
+        save_csv(events, path)
+        config = _config(
+            data={"source": "csv", "path": str(path)}, train={"max_epochs": 2}
+        )
+        report = run_experiment(config, tmp_path / f"run_{e_in!r}")
+        assert "tv" in report["metrics"]
 
 
 def test_csv_without_matching_condition(tmp_path):
@@ -113,8 +116,74 @@ def test_run_exp_noise_bundle(tmp_path):
     assert {"tv_exact", "tv_noisy", "tv_mitigated"} <= set(m)
 
 
+_COMMON_FILES = {"report.json", "resolved_config.json", "metadata.json"}
+_MODEL_FILES = _COMMON_FILES | {"trace.csv", "checkpoint.json"}
+_BUNDLES = {
+    "exp-1d": (
+        _MODEL_FILES | {"histogram_e_out.csv"},
+        {"tv", "final_val_mmd", "best_val_mmd", "trace"},
+    ),
+    "exp-multi": (
+        _MODEL_FILES | {f"histogram_{n}.csv" for n in ("e_out", "pt", "eta")},
+        {"tv_per_feature", "pearson_generated", "pearson_data", "pearson_target",
+         "final_val_mmd", "best_val_mmd", "trace"},
+    ),
+    "exp-cond": (
+        _MODEL_FILES | {f"histogram_{e}gev.csv" for e in (100, 125, 150)},
+        {"tv_per_condition", "tv_held_out", "held_out_condition", "final_val_mmd", "trace"},
+    ),
+    "exp-blocks": (
+        _COMMON_FILES | {f"trace_{i}.csv" for i in range(8)},
+        {"blocks", "ranking"},
+    ),
+    "exp-noise": (
+        _MODEL_FILES,
+        {"tv_exact", "tv_noisy", "tv_mitigated", "tv_mitigated_vs_exact", "trace"},
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_bundle_files_and_metric_keys(tmp_path, experiment):
+    files, keys = _BUNDLES[experiment]
+    config = ExperimentConfig({"experiment": experiment, "seed": 0, "train": {"max_epochs": 1}})
+    report = run_experiment(config, tmp_path)
+    assert {p.name for p in tmp_path.iterdir()} == files
+    assert set(report["metrics"]) == keys
+    if "trace" in keys:
+        assert len(report["metrics"]["trace"]) == 1
+
+
+@pytest.mark.parametrize(
+    "experiment, body, path",
+    [
+        ("exp-noise", {"noise": {"cnot_depol_prob": 0.5}}, "noise.cnot_depol_prob"),
+        ("exp-noise", {"noise": {"n_trajectories": 3}}, "noise.n_trajectories"),
+        ("exp-noise", {"sampling": {"n_shots": 100}}, "sampling"),
+        ("exp-cond", {"data": {"condition": 999}}, "data.condition"),
+        ("exp-blocks", {"sampling": {"n_shots": 100}}, "sampling"),
+    ],
+)
+def test_unread_field_rejected(experiment, body, path):
+    with pytest.raises(ConfigError, match=f"unknown config field '{path}'"):
+        ExperimentConfig({"experiment": experiment, "seed": 0, **body})
+
+
+def test_held_out_must_be_a_condition():
+    with pytest.raises(ConfigError, match=r"data\.held_out.*50\.0, 75\.0"):
+        ExperimentConfig({"experiment": "exp-cond", "seed": 0, "data": {"held_out": 130.0}})
+    config = ExperimentConfig({"experiment": "exp-cond", "seed": 0, "data": {"held_out": 75}})
+    assert config.settings["data"]["held_out"] == 75
+
+
+def test_bad_train_value_rejected_up_front():
+    with pytest.raises(ConfigError, match="train: unknown optimizer"):
+        _config(train={"optimizer": "sgd"})
+    with pytest.raises(ConfigError, match="train"):
+        _config(train={"max_epochs": "3"})
+
+
 def test_compare_report_identical():
-    config = _config(train={"max_epochs": 2})
     report = {"experiment": "exp-1d", "metrics": {"tv": 0.5, "trace": []}}
     diff, regression = compare_report(report, json.loads(json.dumps(report)))
     assert diff == {}

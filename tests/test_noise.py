@@ -146,3 +146,22 @@ def test_readout_channel_preserves_simplex(seed, eps):
     noisy = apply_readout_noise(p, NoiseConfig(readout_flip_prob=eps))
     assert noisy.probs.sum() == pytest.approx(1.0, abs=1e-10)
     assert np.all(noisy.probs >= -1e-12)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    n_qubits=st.integers(1, 4),
+    rates=st.lists(st.floats(0.0, 0.1), min_size=4, max_size=4),
+    seed=st.integers(0, 10_000),
+    shots=st.integers(1_000, 20_000),
+)
+def test_mitigation_keeps_the_simplex(n_qubits, rates, seed, shots):
+    # sparse random distributions push the solve to negative entries,
+    # which mitigation must clip and renormalise
+    rng = np.random.default_rng(seed)
+    p = _dist(rng.dirichlet(np.full(2**n_qubits, 0.3)), (n_qubits,))
+    config = NoiseConfig(readout_flip_prob=tuple(rates[:n_qubits]), seed=seed)
+    confusion = estimate_confusion_matrix(n_qubits, config, shots)
+    mitigated = mitigate_readout(apply_readout_noise(p, config), confusion)
+    assert np.all(mitigated.probs >= 0)
+    assert abs(mitigated.probs.sum() - 1.0) <= 1e-12
