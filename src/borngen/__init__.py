@@ -12,7 +12,7 @@ from .circuits import (  # noqa: F401
     build_multivariate,
     encode_condition,
 )
-from .born import BornModel, model_distribution, shifted_distributions  # noqa: F401
+from .born import BornModel, model_distribution  # noqa: F401
 from .distributions import DiscreteDistribution, marginal, sample  # noqa: F401
 from .metrics import (  # noqa: F401
     KernelConfig,

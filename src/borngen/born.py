@@ -15,7 +15,6 @@ __all__ = [
     "BornModel",
     "model_distribution",
     "marginal",
-    "shifted_distributions",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -70,25 +69,6 @@ def model_probs_batch(
     """Probability vectors for a batch of parameter vectors, one per row."""
     amps = run_circuit_batch(model.circuit, thetas, model.data_angles(condition))
     return np.abs(amps) ** 2
-
-
-def shifted_distributions(
-    model: BornModel,
-    param_index: int,
-    condition: Optional[float] = None,
-    shift: float = np.pi / 2,
-):
-    """Distributions at theta +/- shift on one parameter (model untouched)."""
-    if not 0 <= param_index < model.circuit.n_parameters:
-        raise IndexError(f"parameter index {param_index} out of range")
-    plus = model.theta.copy()
-    minus = model.theta.copy()
-    plus[param_index] += shift
-    minus[param_index] -= shift
-    return (
-        model_distribution(model.with_theta(plus), condition),
-        model_distribution(model.with_theta(minus), condition),
-    )
 
 
 def save_checkpoint(model: BornModel, path, extra: Optional[dict] = None) -> None:

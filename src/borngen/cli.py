@@ -114,9 +114,11 @@ def synth_cmd(params_path, out_csv):
         conditions = params.get("conditions", [50.0])
         corr = np.asarray(params.get("target_corr", DEFAULT_CORRELATION))
         seed = int(params.get("seed", 0))
-        events = []
-        for i, cond in enumerate(conditions):
-            events.extend(synthesize_mfc(n_events, float(cond), corr, seed + i))
+        if not conditions:
+            raise ValueError("conditions must list at least one incoming energy")
+        events = np.concatenate(
+            [synthesize_mfc(n_events, float(c), corr, seed + i) for i, c in enumerate(conditions)]
+        )
         save_csv(events, out_csv)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         click.echo(f"synth-data error: {exc}", err=True)

@@ -1,4 +1,7 @@
-"""Event ingestion, preprocessing, binning and the synthetic generator."""
+"""Event ingestion, preprocessing, binning and the synthetic generator.
+
+An event set is an (n, 4) float array with columns (e_out, pt, eta, e_in).
+"""
 from __future__ import annotations
 
 import csv
@@ -11,12 +14,10 @@ from scipy.special import ndtr
 from .distributions import DiscreteDistribution
 
 __all__ = [
-    "EventRecord",
     "PreprocessParams",
     "BinningSpec",
     "FEATURE_NAMES",
     "DEFAULT_CORRELATION",
-    "events_to_array",
     "preprocess",
     "apply_preprocess",
     "inverse_preprocess",
@@ -27,6 +28,8 @@ __all__ = [
 ]
 
 FEATURE_NAMES = ("e_out", "pt", "eta")
+# the event-array columns, which are also the CSV header
+_COLUMNS = (*FEATURE_NAMES, "e_in")
 
 # off-diagonals (e-pt, e-eta, pt-eta) used as the synthetic ground truth
 DEFAULT_CORRELATION = np.array(
@@ -38,20 +41,6 @@ DEFAULT_CORRELATION = np.array(
 )
 
 CONDITION_VALUES = (50.0, 75.0, 100.0, 125.0, 150.0, 175.0, 200.0)
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    e_out: float
-    pt: float
-    eta: float
-    e_in: float
-
-    def __post_init__(self):
-        if self.e_out <= 0:
-            raise ValueError("e_out must be positive")
-        if self.pt < 0:
-            raise ValueError("pt must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -114,13 +103,6 @@ class BinningSpec:
         return out
 
 
-def events_to_array(events: Sequence[EventRecord]) -> np.ndarray:
-    """(n, 4) array of (e_out, pt, eta, e_in)."""
-    if not events:
-        raise ValueError("empty event list")
-    return np.array([(e.e_out, e.pt, e.eta, e.e_in) for e in events])
-
-
 def _raw_features(arr: np.ndarray, incoming_mean: float, pt_exponent: float):
     out = np.empty((len(arr), 3))
     out[:, 0] = arr[:, 0] / incoming_mean
@@ -129,12 +111,16 @@ def _raw_features(arr: np.ndarray, incoming_mean: float, pt_exponent: float):
     return out
 
 
-def preprocess(events: Sequence[EventRecord]) -> tuple[np.ndarray, PreprocessParams]:
+def preprocess(events: np.ndarray) -> tuple[np.ndarray, PreprocessParams]:
     """Scale energy by the mean incoming energy, root-compress pt, then
-    z-score each feature with population statistics."""
-    arr = events_to_array(events)
-    incoming_mean = float(arr[:, 3].mean())
-    raw = _raw_features(arr, incoming_mean, 0.1)
+    z-score each feature with population statistics.
+
+    `events` is an (n, 4) array of (e_out, pt, eta, e_in).
+    """
+    if len(events) == 0:
+        raise ValueError("empty event set")
+    incoming_mean = float(events[:, 3].mean())
+    raw = _raw_features(events, incoming_mean, 0.1)
     means = raw.mean(axis=0)
     stds = raw.std(axis=0)
     if np.any(stds == 0):
@@ -146,10 +132,9 @@ def preprocess(events: Sequence[EventRecord]) -> tuple[np.ndarray, PreprocessPar
     return (raw - means) / stds, params
 
 
-def apply_preprocess(events: Sequence[EventRecord], params: PreprocessParams):
+def apply_preprocess(events: np.ndarray, params: PreprocessParams):
     """Preprocess with previously frozen statistics (for test-set data)."""
-    arr = events_to_array(events)
-    raw = _raw_features(arr, params.incoming_energy_mean, params.pt_exponent)
+    raw = _raw_features(events, params.incoming_energy_mean, params.pt_exponent)
     return (raw - np.array(params.feature_means)) / np.array(params.feature_stds)
 
 
@@ -209,9 +194,10 @@ def synthesize_mfc(
     condition: float,
     target_corr: Optional[np.ndarray] = None,
     seed: int = 0,
-) -> list[EventRecord]:
-    """Correlated stand-in events whose energy scale drifts linearly with
-    the condition energy, so conditional models have something to learn.
+) -> np.ndarray:
+    """Correlated stand-in events, an (n_events, 4) array of (e_out, pt,
+    eta, e_in). Their energy scale drifts linearly with the condition
+    energy e_in, so conditional models have something to learn.
 
     A Gaussian copula is pushed through monotone per-feature transforms;
     the latent correlations are compensated so the physical sample Pearson
@@ -239,52 +225,43 @@ def synthesize_mfc(
     # compression applied during preprocessing
     pt = (1.0 + 0.5 * (soft[:, 1] + 0.16) / 1.32) ** 10
     eta = 2.0 + 0.5 * soft[:, 2]
-    return [
-        EventRecord(float(e), float(p), float(h), float(condition))
-        for e, p, h in zip(e_out, pt, eta)
-    ]
+    return np.column_stack([e_out, pt, eta, np.full(n_events, float(condition))])
 
 
-def train_test_split(
-    events: Sequence[EventRecord], seed: int = 0
-) -> tuple[list[EventRecord], list[EventRecord]]:
-    """Disjoint, exhaustive, seed-stable split into equal halves."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(events))
+def train_test_split(events: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Disjoint, exhaustive, seed-stable split of the rows into equal halves."""
+    order = np.random.default_rng(seed).permutation(len(events))
     half = len(events) // 2
-    train = [events[i] for i in order[:half]]
-    test = [events[i] for i in order[half:]]
-    return train, test
+    return events[order[:half]], events[order[half:]]
 
 
-def load_csv(path) -> list[EventRecord]:
-    """Read events from a CSV with columns e_out, pt, eta, e_in."""
+def load_csv(path) -> np.ndarray:
+    """Read an (n, 4) event array from a CSV with columns e_out, pt, eta, e_in."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: missing header row")
-        missing = [c for c in ("e_out", "pt", "eta", "e_in") if c not in reader.fieldnames]
+        missing = [c for c in _COLUMNS if c not in reader.fieldnames]
         if missing:
             raise ValueError(f"{path}: missing column(s) {missing}")
-        events = []
+        rows = []
         for i, row in enumerate(reader, start=1):
             try:
-                events.append(
-                    EventRecord(
-                        float(row["e_out"]),
-                        float(row["pt"]),
-                        float(row["eta"]),
-                        float(row["e_in"]),
-                    )
-                )
+                values = [float(row[c]) for c in _COLUMNS]
+                if values[0] <= 0:
+                    raise ValueError("e_out must be positive")
+                if values[1] < 0:
+                    raise ValueError("pt must be nonnegative")
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: malformed row {i}: {exc}") from exc
-    return events
+            rows.append(values)
+    return np.array(rows, dtype=float).reshape(-1, len(_COLUMNS))
 
 
-def save_csv(events: Sequence[EventRecord], path) -> None:
+def save_csv(events: np.ndarray, path) -> None:
+    """Write an (n, 4) event array as CSV, each value as its shortest repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["e_out", "pt", "eta", "e_in"])
-        for e in events:
-            writer.writerow([repr(e.e_out), repr(e.pt), repr(e.eta), repr(e.e_in)])
+        writer.writerow(_COLUMNS)
+        for row in events.tolist():
+            writer.writerow([repr(v) for v in row])

@@ -9,8 +9,8 @@ import copy
 import csv
 import datetime
 import json
-import math
 import subprocess
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +119,15 @@ def _merge(base: dict, override: dict, path: str = "", extend: bool = False) -> 
     return out
 
 
+@contextmanager
+def _field(path: str):
+    """Re-raise a TypeError or ValueError as a ConfigError naming path."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 class ExperimentConfig:
     """Validated experiment configuration with defaults filled in."""
 
@@ -150,10 +159,20 @@ class ExperimentConfig:
             raise ConfigError(
                 f"data.held_out must be one of {CONDITION_VALUES}, got {data['held_out']!r}"
             )
-        try:
+        # build every settings object now, so that a bad value fails here
+        with _field("train"):
             self.train_config()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"train: {exc}") from exc
+        with _field("init_scheme"):
+            init_parameters(0, self.settings["init_scheme"])
+        if "block" in self.settings["circuit"]:
+            with _field("circuit.block"):
+                CorrelationBlockChoice(**self.settings["circuit"]["block"])
+        if "noise" in self.settings:
+            with _field("noise.readout_flip_prob"):
+                self.noise_config()
+            shots = self.settings["noise"]["calibration_shots"]
+            if not isinstance(shots, int) or shots < 1:
+                raise ConfigError(f"noise.calibration_shots must be an integer >= 1, not {shots!r}")
 
     def resolved(self) -> dict:
         return {
@@ -167,20 +186,35 @@ class ExperimentConfig:
         t["kernel"] = KernelConfig(tuple(t.pop("bandwidths")))
         return TrainConfig(**{**t, "seed": self.seed, **overrides})
 
+    def noise_config(self) -> NoiseConfig:
+        flip = self.settings["noise"]["readout_flip_prob"]
+        return NoiseConfig(readout_flip_prob=flip, seed=self.seed)
 
-def _events(config: ExperimentConfig, condition: float, seed_offset: int = 0):
+
+def _near(e_in: np.ndarray, condition: float) -> np.ndarray:
+    """math.isclose(e, condition, rel_tol=1e-9, abs_tol=1e-9) for each e in
+    e_in: |e - condition| <= max(1e-9 * max(|e|, |condition|), 1e-9). As in
+    math.isclose, an infinity matches only itself and NaN matches nothing."""
+    tol = np.maximum(1e-9 * np.maximum(np.abs(e_in), abs(condition)), 1e-9)
+    return (e_in == condition) | ((np.abs(e_in - condition) <= tol) & np.isfinite(tol))
+
+
+def _events(config: ExperimentConfig, seed_offsets: dict) -> dict:
+    """(n, 4) events for each condition in seed_offsets, which maps a
+    condition to the seed offset of its synthetic events. A CSV source is
+    read once and split on e_in."""
     d = config.settings["data"]
-    if d["source"] == "csv":
-        events = [
-            e for e in load_csv(d["path"])
-            if math.isclose(e.e_in, condition, rel_tol=1e-9, abs_tol=1e-9)
-        ]
-        if not events:
-            raise ConfigError(f"no events with e_in == {condition} (to 1e-9) in {d['path']}")
-        return events
-    return synthesize_mfc(
-        d["n_events"], condition, DEFAULT_CORRELATION, config.seed + seed_offset
-    )
+    if d["source"] != "csv":
+        return {
+            cond: synthesize_mfc(d["n_events"], cond, DEFAULT_CORRELATION, config.seed + offset)
+            for cond, offset in seed_offsets.items()
+        }
+    events = load_csv(d["path"])
+    selected = {cond: events[_near(events[:, 3], cond)] for cond in seed_offsets}
+    for cond, picked in selected.items():
+        if not len(picked):
+            raise ConfigError(f"no events with e_in == {cond} (to 1e-9) in {d['path']}")
+    return selected
 
 
 def _version_string() -> str:
@@ -232,7 +266,8 @@ def _single_condition(config: ExperimentConfig, n_bins_per_feature, features):
     """One condition's events, split, preprocessed and binned: the train and
     validation distributions, the binning, the preprocessing parameters and
     the validation features."""
-    events = _events(config, config.settings["data"]["condition"])
+    condition = config.settings["data"]["condition"]
+    events = _events(config, {condition: 0})[condition]
     train_events, test_events = train_test_split(events, config.seed)
     train_all, params = preprocess(train_events)
     test_all = apply_preprocess(test_events, params)
@@ -328,11 +363,9 @@ def _exp_blocks(config: ExperimentConfig):
 def _exp_cond(config: ExperimentConfig):
     held_out = config.settings["data"]["held_out"]
     train_conditions = [cond for cond in CONDITION_VALUES if cond != held_out]
-    splits = {
-        cond: train_test_split(_events(config, cond, seed_offset=int(cond)), config.seed)
-        for cond in CONDITION_VALUES
-    }
-    pooled_train = [e for cond in train_conditions for e in splits[cond][0]]
+    events = _events(config, {cond: int(cond) for cond in CONDITION_VALUES})
+    splits = {cond: train_test_split(events[cond], config.seed) for cond in CONDITION_VALUES}
+    pooled_train = np.concatenate([splits[cond][0] for cond in train_conditions])
     _, params = preprocess(pooled_train)
     energy = lambda evs: apply_preprocess(evs, params)[:, [0]]
     binning = BinningSpec.from_training_data(energy(pooled_train), [8])
@@ -370,7 +403,7 @@ def _exp_noise(config: ExperimentConfig):
     circuit = build_1d_rzz_ansatz(config.settings["circuit"]["n_qubits"])
     trained, trace = _fit(config, circuit, train_dist, val_dist)
     n = config.settings["noise"]
-    noise = NoiseConfig(readout_flip_prob=n["readout_flip_prob"], seed=config.seed)
+    noise = config.noise_config()
     exact = model_distribution(trained)
     noisy = apply_readout_noise(exact, noise)
     confusion = estimate_confusion_matrix(circuit.n_qubits, noise, n["calibration_shots"])
@@ -395,12 +428,12 @@ _HOOKS = {
 
 def run_experiment(config: ExperimentConfig, output_dir) -> dict:
     """Run one experiment, writing the full report bundle to output_dir."""
+    trained, trace, metrics, histograms = _HOOKS[config.experiment](config)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     resolved = config.resolved()
     with open(out / "resolved_config.json", "w") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
-    trained, trace, metrics, histograms = _HOOKS[config.experiment](config)
     if trained is None:  # exp-blocks: one trace per variant, no single model
         for i, variant_trace in enumerate(trace):
             trace_to_csv(variant_trace, out / f"trace_{i}.csv")

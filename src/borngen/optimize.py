@@ -208,21 +208,9 @@ def train(
             transform @ dist.probs, dist.register_bits, dist.names, dist.condition
         )
 
-    def mean_loss(theta, target_map):
+    def mean_loss(dists, target_map):
         return float(
-            np.mean(
-                [
-                    mmd_loss(eval_dist(theta, c), target_map[c], config.kernel, cache)
-                    for c in conditions
-                ]
-            )
-        )
-
-    def mean_tv(theta, target_map):
-        return float(
-            np.mean(
-                [total_variance(eval_dist(theta, c), target_map[c]) for c in conditions]
-            )
+            np.mean([mmd_loss(dists[c], target_map[c], config.kernel, cache) for c in conditions])
         )
 
     rng = np.random.default_rng(config.seed)
@@ -268,9 +256,10 @@ def train(
                 _check_finite(theta, "theta", epoch, step)
                 step += 1
 
-        train_loss = mean_loss(theta, targets)
-        val_loss = mean_loss(theta, val_targets)
-        tv = mean_tv(theta, val_targets)
+        dists = {c: eval_dist(theta, c) for c in conditions}  # one per condition
+        train_loss = mean_loss(dists, targets)
+        val_loss = mean_loss(dists, val_targets)
+        tv = float(np.mean([total_variance(dists[c], val_targets[c]) for c in conditions]))
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch}: train={train_loss}, val={val_loss}"

@@ -1,4 +1,4 @@
-"""Born model: distributions, shifted evaluations, checkpoints."""
+"""Born model: distributions, batched probabilities, checkpoints."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +9,6 @@ from borngen.born import (
     model_distribution,
     model_probs_batch,
     save_checkpoint,
-    shifted_distributions,
 )
 from borngen.circuits import (
     CorrelationBlockChoice,
@@ -69,22 +68,6 @@ def test_condition_contract():
     plain = BornModel(build_hardware_efficient(2, 1), np.zeros(6))
     with pytest.raises(ValueError):
         model_distribution(plain, 100.0)  # unconditioned model takes none
-
-
-def test_shifted_distributions_single_ry():
-    circuit = build_hardware_efficient(1, 0)  # one RY gate
-    model = BornModel(circuit, np.zeros(1))
-    plus, minus = shifted_distributions(model, 0)
-    assert plus.probs[1] == pytest.approx(0.5)
-    assert minus.probs[1] == pytest.approx(0.5)
-    # the model itself is untouched
-    assert model_distribution(model).probs[0] == pytest.approx(1.0)
-
-
-def test_shifted_distributions_index_check():
-    model = BornModel(build_hardware_efficient(1, 0), np.zeros(1))
-    with pytest.raises(IndexError):
-        shifted_distributions(model, 1)
 
 
 @settings(deadline=None, max_examples=20)

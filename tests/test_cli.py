@@ -111,6 +111,14 @@ def test_synth_data_rejects_bad_corr(runner, tmp_path):
     assert result.exit_code == EXIT_VALIDATION
 
 
+def test_synth_data_rejects_empty_conditions(runner, tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"conditions": []}))
+    result = runner.invoke(main, ["synth-data", str(params), str(tmp_path / "x.csv")])
+    assert result.exit_code == EXIT_VALIDATION
+    assert "at least one incoming energy" in result.output
+
+
 def test_report_command(runner, tmp_path):
     config = _write_config(tmp_path / "config.json")
     out = tmp_path / "out"
@@ -134,3 +142,4 @@ def test_run_reports_config_error_found_while_running(runner, tmp_path):
     assert result.exit_code == EXIT_VALIDATION
     assert "config error: no events with e_in" in result.output
     assert "Traceback" not in result.output
+    assert not (tmp_path / "out" / "resolved_config.json").exists()

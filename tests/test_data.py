@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 from borngen.data import (
     BinningSpec,
     DEFAULT_CORRELATION,
-    EventRecord,
     apply_preprocess,
     discretize,
-    events_to_array,
     inverse_preprocess,
     load_csv,
     preprocess,
@@ -21,17 +19,20 @@ from borngen.metrics import total_variance
 
 
 def _events(e_values, pt_values, eta_values, e_in=100.0):
-    return [
-        EventRecord(e, p, h, e_in)
-        for e, p, h in zip(e_values, pt_values, eta_values)
-    ]
+    return np.column_stack([e_values, pt_values, eta_values, np.full(len(e_values), e_in)])
 
 
-def test_event_record_validation():
-    with pytest.raises(ValueError):
-        EventRecord(-1.0, 1.0, 0.0, 100.0)
-    with pytest.raises(ValueError):
-        EventRecord(1.0, -1.0, 0.0, 100.0)
+def test_events_are_arrays():
+    events = synthesize_mfc(10, 75.0, seed=0)
+    assert events.shape == (10, 4) and events.dtype == float
+    assert np.all(events[:, 3] == 75.0)
+    train, test = train_test_split(events, 0)
+    assert train.shape == test.shape == (5, 4)
+
+
+def test_empty_event_set_rejected():
+    with pytest.raises(ValueError, match="empty"):
+        preprocess(np.empty((0, 4)))
 
 
 def test_standardization_two_point_oracle():
@@ -60,8 +61,7 @@ def test_preprocess_round_trip():
     events = synthesize_mfc(500, 100.0, seed=1)
     feats, params = preprocess(events)
     physical = inverse_preprocess(feats, params)
-    arr = events_to_array(events)[:, :3]
-    np.testing.assert_allclose(physical, arr, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(physical, events[:, :3], rtol=1e-9, atol=1e-9)
 
 
 def test_apply_preprocess_uses_frozen_statistics():
@@ -122,8 +122,7 @@ def test_discretize_dimension_check():
 
 def test_generator_pearson_matches_target():
     events = synthesize_mfc(100_000, 125.0, seed=0)
-    arr = events_to_array(events)[:, :3]
-    r = np.corrcoef(arr.T)
+    r = np.corrcoef(events[:, :3].T)
     targets = {(0, 1): 0.43, (0, 2): 0.89, (1, 2): 0.61}
     for (i, j), want in targets.items():
         assert abs(r[i, j] - want) <= 0.03
@@ -131,7 +130,7 @@ def test_generator_pearson_matches_target():
 
 def test_generator_identity_correlation():
     events = synthesize_mfc(100_000, 125.0, np.eye(3), seed=1)
-    r = np.corrcoef(events_to_array(events)[:, :3].T)
+    r = np.corrcoef(events[:, :3].T)
     off = [abs(r[0, 1]), abs(r[0, 2]), abs(r[1, 2])]
     assert max(off) <= 0.02
 
@@ -139,7 +138,7 @@ def test_generator_identity_correlation():
 def test_generator_determinism():
     a = synthesize_mfc(100, 75.0, seed=9)
     b = synthesize_mfc(100, 75.0, seed=9)
-    assert a == b
+    np.testing.assert_array_equal(a, b)
 
 
 def test_generator_validation():
@@ -155,7 +154,7 @@ def test_generator_validation():
 def test_generator_condition_drift_distinguishable():
     low = synthesize_mfc(10240, 50.0, seed=2)
     high = synthesize_mfc(10240, 200.0, seed=3)
-    feats, _ = preprocess(low + high)
+    feats, _ = preprocess(np.concatenate([low, high]))
     spec = BinningSpec.from_training_data(feats[:, :1], [8])
     tv = total_variance(
         discretize(feats[: len(low), :1], spec),
@@ -165,7 +164,7 @@ def test_generator_condition_drift_distinguishable():
 
 
 def test_generator_positive_quantities():
-    arr = events_to_array(synthesize_mfc(10_000, 50.0, seed=4))
+    arr = synthesize_mfc(10_000, 50.0, seed=4)
     assert np.all(arr[:, 0] > 0)
     assert np.all(arr[:, 1] >= 0)
 
@@ -176,10 +175,11 @@ def test_split_disjoint_exhaustive_stable(seed):
     events = synthesize_mfc(64, 100.0, seed=0)
     train_a, test_a = train_test_split(events, seed)
     train_b, test_b = train_test_split(events, seed)
-    assert train_a == train_b and test_a == test_b
+    np.testing.assert_array_equal(train_a, train_b)
+    np.testing.assert_array_equal(test_a, test_b)
     assert len(train_a) == len(test_a) == 32
-    combined = sorted((e.e_out, e.pt, e.eta) for e in train_a + test_a)
-    original = sorted((e.e_out, e.pt, e.eta) for e in events)
+    combined = sorted(map(tuple, np.concatenate([train_a, test_a]).tolist()))
+    original = sorted(map(tuple, events.tolist()))
     assert combined == original
 
 
@@ -188,7 +188,9 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "events.csv"
     save_csv(events, path)
     loaded = load_csv(path)
-    assert loaded == events
+    np.testing.assert_array_equal(loaded, events)
+    save_csv(loaded, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 def test_csv_missing_column(tmp_path):
@@ -209,4 +211,18 @@ def test_csv_malformed_row_names_row(tmp_path):
 def test_csv_empty_after_header(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("e_out,pt,eta,e_in\n")
-    assert load_csv(path) == []
+    assert load_csv(path).shape == (0, 4)
+
+
+def test_event_record_validation(tmp_path):
+    # each CSV row is checked as it is read, and the error names the row
+    path = tmp_path / "bad.csv"
+    bad_rows = {
+        "-1.0,1.0,0.0,100.0": "e_out must be positive",
+        "0.0,1.0,0.0,100.0": "e_out must be positive",
+        "1.0,-1.0,0.0,100.0": "pt must be nonnegative",
+    }
+    for row, message in bad_rows.items():
+        path.write_text("\n".join(["e_out,pt,eta,e_in", "1.0,0.0,3.0,100.0", row]) + "\n")
+        with pytest.raises(ValueError, match=f"malformed row 2: {message}"):
+            load_csv(path)

@@ -1,15 +1,17 @@
 """Experiment configuration, report bundles and report comparison."""
-import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from borngen.data import save_csv, synthesize_mfc
+from borngen import experiments
+from borngen.data import CONDITION_VALUES, load_csv, save_csv, synthesize_mfc
 from borngen.experiments import (
     ConfigError,
     EXPERIMENTS,
     ExperimentConfig,
+    _near,
     compare_report,
     run_experiment,
 )
@@ -87,7 +89,8 @@ def test_run_is_deterministic(tmp_path):
 def test_run_exp_1d_from_csv(tmp_path):
     # an e_in a rounding step away from 50 still counts as condition 50
     for e_in in (50.0, 50.000000000001):
-        events = [dataclasses.replace(e, e_in=e_in) for e in synthesize_mfc(512, 50.0, seed=0)]
+        events = synthesize_mfc(512, 50.0, seed=0)
+        events[:, 3] = e_in
         path = tmp_path / f"events_{e_in!r}.csv"
         save_csv(events, path)
         config = _config(
@@ -95,6 +98,38 @@ def test_run_exp_1d_from_csv(tmp_path):
         )
         report = run_experiment(config, tmp_path / f"run_{e_in!r}")
         assert "tv" in report["metrics"]
+
+
+def test_condition_match_is_math_isclose():
+    # 50 + 5.05e-8 lies within np.isclose's atol + rtol * |b| but not
+    # within math.isclose's max(rtol * max(|a|, |b|), atol)
+    values = np.array(
+        [50.0, 50.0 + 4.9e-8, 50.0 + 5.05e-8, 50.0 - 5.05e-8, 49.0, 0.0, 5e-10, 1e-9,
+         1.5e-9, -1e-9, np.inf, -np.inf, np.nan]
+    )
+    for condition in (50.0, 0.0, 1e-10, -1e-9):
+        expected = [math.isclose(v, condition, rel_tol=1e-9, abs_tol=1e-9) for v in values]
+        assert _near(values, condition).tolist() == expected
+
+
+def test_exp_cond_reads_its_csv_once(tmp_path, monkeypatch):
+    events = [synthesize_mfc(128, cond, seed=i) for i, cond in enumerate(CONDITION_VALUES)]
+    path = tmp_path / "events.csv"
+    save_csv(np.concatenate(events), path)
+    calls = []
+
+    def counting_load_csv(csv_path):
+        calls.append(csv_path)
+        return load_csv(csv_path)
+
+    monkeypatch.setattr(experiments, "load_csv", counting_load_csv)
+    config = ExperimentConfig(
+        {"experiment": "exp-cond", "seed": 0, "train": {"max_epochs": 1},
+         "data": {"source": "csv", "path": str(path)}}
+    )
+    report = run_experiment(config, tmp_path / "run")
+    assert calls == [str(path)]
+    assert 0 <= report["metrics"]["tv_held_out"] <= 1
 
 
 def test_csv_without_matching_condition(tmp_path):
@@ -176,11 +211,22 @@ def test_held_out_must_be_a_condition():
     assert config.settings["data"]["held_out"] == 75
 
 
-def test_bad_train_value_rejected_up_front():
-    with pytest.raises(ConfigError, match="train: unknown optimizer"):
-        _config(train={"optimizer": "sgd"})
-    with pytest.raises(ConfigError, match="train"):
-        _config(train={"max_epochs": "3"})
+@pytest.mark.parametrize(
+    "experiment, body, message",
+    [
+        ("exp-1d", {"train": {"optimizer": "sgd"}}, "train: unknown optimizer"),
+        ("exp-1d", {"train": {"max_epochs": "3"}}, "train"),
+        ("exp-noise", {"noise": {"readout_flip_prob": 0.6}}, r"noise\.readout_flip_prob: "),
+        ("exp-noise", {"noise": {"calibration_shots": 0}}, r"noise\.calibration_shots "),
+        ("exp-multi", {"circuit": {"block": {"style": "bogus"}}}, r"circuit\.block: bad style"),
+        ("exp-1d", {"init_scheme": "bogus"}, "init_scheme: unknown init scheme"),
+    ],
+    ids=["optimizer", "max_epochs", "readout_flip_prob", "calibration_shots", "block_style",
+         "init_scheme"],
+)
+def test_bad_train_value_rejected_up_front(experiment, body, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig({"experiment": experiment, "seed": 0, **body})
 
 
 def test_compare_report_identical():

@@ -8,7 +8,7 @@ from borngen.born import BornModel, model_distribution
 from borngen.circuits import build_1d_rzz_ansatz, build_conditional, build_hardware_efficient
 from borngen.data import BinningSpec, discretize, preprocess, synthesize_mfc, train_test_split
 from borngen.distributions import DiscreteDistribution
-from borngen.metrics import KernelConfig, mmd_loss
+from borngen.metrics import KernelConfig, mmd_loss, total_variance
 from borngen.noise import NoiseConfig, apply_readout_noise
 from borngen.optimize import (
     AdamState,
@@ -152,12 +152,22 @@ def test_train_multi_condition():
         init_parameters(circuit.n_parameters, "small_normal", 5),
         condition_range=(50.0, 200.0),
     )
-    targets = {}
+    targets, val_targets = {}, {}
     for cond in (50.0, 125.0, 200.0):
-        probs = rng.random(8)
-        targets[cond] = DiscreteDistribution(probs / probs.sum(), (3,))
-    trained, trace = train(model, targets, TrainConfig(max_epochs=5, seed=0))
-    assert trace[-1].val_loss < trace[0].val_loss
+        for target_map in (targets, val_targets):
+            probs = rng.random(8)
+            target_map[cond] = DiscreteDistribution(probs / probs.sum(), (3,))
+    config = TrainConfig(max_epochs=5, seed=0)
+    trained, trace = train(model, targets, config, val_targets)
+    assert trace[-1].train_loss < trace[0].train_loss
+    # the best epoch's three metrics are those of the returned model
+    best = min(trace, key=lambda r: r.val_loss)
+    dists = {cond: model_distribution(trained, cond) for cond in targets}
+    for value, target_map in ((best.train_loss, targets), (best.val_loss, val_targets)):
+        losses = [mmd_loss(dists[c], target_map[c], config.kernel) for c in targets]
+        assert value == pytest.approx(np.mean(losses), abs=1e-12)
+    tvs = [total_variance(dists[c], val_targets[c]) for c in targets]
+    assert best.tv == pytest.approx(np.mean(tvs), abs=1e-12)
 
 
 def test_train_with_readout_noise_transform():
