@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .circuits import CircuitSpec, circuit_from_json, circuit_to_json, encode_condition
-from .distributions import DiscreteDistribution, marginal, sample
+from .distributions import DiscreteDistribution, marginal
 from .sim import probabilities, run_circuit, run_circuit_batch
 
 __all__ = [
@@ -71,8 +71,12 @@ def model_probs_batch(
     return np.abs(amps) ** 2
 
 
+CHECKPOINT_SCHEMA = 1
+
+
 def save_checkpoint(model: BornModel, path, extra: Optional[dict] = None) -> None:
     payload = {
+        "schema": CHECKPOINT_SCHEMA,
         "circuit": json.loads(circuit_to_json(model.circuit)),
         "theta": [float(t) for t in model.theta],
         "condition_range": list(model.condition_range)
@@ -87,6 +91,12 @@ def save_checkpoint(model: BornModel, path, extra: Optional[dict] = None) -> Non
 def load_checkpoint(path) -> BornModel:
     with open(path) as fh:
         payload = json.load(fh)
+    schema = payload.get("schema", 1)  # files from before the key existed are version 1
+    if schema != CHECKPOINT_SCHEMA:
+        raise ValueError(
+            f"{path}: checkpoint schema version {schema!r} is not supported "
+            f"(this borngen reads version {CHECKPOINT_SCHEMA})"
+        )
     circuit = circuit_from_json(json.dumps(payload["circuit"]))
     rng = payload.get("condition_range")
     return BornModel(

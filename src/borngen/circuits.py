@@ -2,10 +2,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
@@ -68,8 +67,9 @@ class CircuitSpec:
         return tuple(name for name, _ in self.register_layout)
 
     @cached_property
-    def program(self) -> tuple:
-        """The compiled ops the simulator runs, built on first use."""
+    def program(self):
+        """The compiled program the simulator runs, built on first use. Its
+        dtype is float when every gate is RY, H or CNOT, else complex."""
         return compile_circuit(self)
 
     def slot_gate_kind(self, slot: int) -> str:

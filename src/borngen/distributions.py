@@ -1,7 +1,7 @@
 """Discrete probability distributions over register bin tuples."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,21 +1,19 @@
-"""Readout bit-flip noise, CNOT depolarizing trajectories and mitigation."""
+"""Readout bit-flip noise and its mitigation."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from .distributions import DiscreteDistribution
-from .sim import StateVector, _apply, _apply_1q, _qubit_split, run_circuit  # the shared gate kernel
 
 __all__ = [
     "NoiseConfig",
     "ConfusionMatrix",
     "readout_matrix",
     "apply_readout_noise",
-    "apply_cnot_depolarizing",
     "mitigate_readout",
     "estimate_confusion_matrix",
 ]
@@ -23,19 +21,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Per-qubit readout flip probability and per-CNOT depolarizing rate."""
+    """Per-qubit readout flip probability, and the seed of calibration shots."""
 
     readout_flip_prob: Union[float, tuple[float, ...]] = 0.029
-    cnot_depol_prob: float = 0.01
     seed: int = 0
-    n_trajectories: int = 1000
 
     def __post_init__(self):
         probs = np.atleast_1d(np.asarray(self.readout_flip_prob, dtype=float))
         if np.any(probs < 0) or np.any(probs >= 0.5):
             raise ValueError("readout flip probabilities must lie in [0, 0.5)")
-        if not 0 <= self.cnot_depol_prob <= 1:
-            raise ValueError("cnot_depol_prob must lie in [0, 1]")
 
     def flip_probs(self, n_qubits: int) -> np.ndarray:
         probs = np.atleast_1d(np.asarray(self.readout_flip_prob, dtype=float))
@@ -83,46 +77,6 @@ def apply_readout_noise(
     return DiscreteDistribution(
         m @ p_true.probs, p_true.register_bits, p_true.names, p_true.condition
     )
-
-
-# (m00, m01, m10, m11) of I, X, Y and Z
-_PAULI_ENTRIES = [(1, 0, 0, 1), (0, 1, 1, 0), (0, -1j, 1j, 0), (1, 0, 0, -1)]
-
-
-def apply_cnot_depolarizing(
-    circuit,
-    theta: np.ndarray,
-    config: NoiseConfig,
-    data_angles=None,
-    register_bits: Optional[tuple[int, ...]] = None,
-) -> DiscreteDistribution:
-    """Trajectory-averaged distribution with two-qubit depolarizing noise
-    after every CNOT (each error inserts a uniformly random Pauli pair)."""
-    if register_bits is None:
-        register_bits = circuit.register_bits
-    theta = np.asarray(theta, dtype=float)
-    q = config.cnot_depol_prob
-    if q == 0:
-        state = run_circuit(circuit, theta, data_angles)
-        return DiscreteDistribution(np.abs(state.amplitudes) ** 2, register_bits)
-    rng = np.random.default_rng(config.seed)
-    n = circuit.n_qubits
-    total = np.zeros(2**n)
-    for _ in range(config.n_trajectories):
-        amps = StateVector.zero_state(n).amplitudes[None]
-        for gate, op in zip(circuit.gates, circuit.program):
-            angle = None
-            if gate.param_slot is not None:
-                angle = theta[gate.param_slot]
-            elif gate.data_slot is not None:
-                angle = data_angles[gate.data_slot]
-            amps = _apply(amps, op, angle)
-            if gate.kind == "CNOT" and rng.random() < q:
-                for pauli, qubit in zip(rng.integers(0, 4, size=2), gate.targets):
-                    if pauli:
-                        amps = _apply_1q(amps, *_qubit_split(n, qubit), *_PAULI_ENTRIES[pauli])
-        total += np.abs(amps[0]) ** 2
-    return DiscreteDistribution(total / config.n_trajectories, register_bits)
 
 
 def mitigate_readout(

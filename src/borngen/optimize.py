@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import dataclass, field, asdict
 from typing import Callable, Mapping, Optional, Union
@@ -74,7 +73,7 @@ class TrainConfig:
             raise ValueError("counts must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)  # one per epoch of every run, so kept small
 class EpochRecord:
     epoch: int
     train_loss: float

@@ -4,11 +4,14 @@ Convention: qubit 0 is the least-significant bit of the basis index.
 All gate applications are pure (they return a new state) and preserve
 the norm to double precision.
 
-Each circuit is compiled once into a program of ops (held by
-CircuitSpec.program), and every path runs them through one kernel on a
-(batch, 2**n) amplitude array: a single-qubit gate is a 2x2 update of a
+Each circuit is compiled once into a program (held by CircuitSpec.program),
+and every path runs it through one kernel on a (batch, 2**n) amplitude
+array: a single-qubit gate is one matmul of its 2x2 matrix onto a
 (batch, hi, 2, lo) view, a CNOT a swap within a (batch, hi, 2, mid, 2, lo)
-view and an RZZ a product with a precomputed sign vector.
+view and an RZZ a product with its phase on each basis state. A sweep builds
+every parameterized gate's matrix at once. A circuit of RY, H and CNOT
+gates only keeps real amplitudes and runs in float64; RX and RZZ make it
+complex128.
 """
 from __future__ import annotations
 
@@ -71,7 +74,8 @@ class Gate:
 
 @dataclass
 class StateVector:
-    """Complex amplitudes over the 2**n_qubits computational basis states."""
+    """Amplitudes over the 2**n_qubits computational basis states: float64
+    for circuits of RY, H and CNOT gates, complex128 otherwise."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -80,7 +84,7 @@ class StateVector:
     def zero_state(cls, n_qubits: int) -> "StateVector":
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
-        amps = np.zeros(2**n_qubits, dtype=complex)
+        amps = np.zeros(2**n_qubits)
         amps[0] = 1.0
         return cls(n_qubits, amps)
 
@@ -88,11 +92,15 @@ class StateVector:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
-_R = 1 / np.sqrt(2.0)
-_H_ENTRIES = (_R, _R, _R, -_R)
-# dU/dtheta = G U for each parameterized kind; RZZ's G is -i Z@Z, applied
-# through its sign vector
-_GENERATOR_ENTRIES = {"RY": (0.0, -0.5, 0.5, 0.0), "RX": (0.0, -0.5j, -0.5j, 0.0)}
+_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+# dU/dangle = G U for each parameterized kind, with G @ G = -rate**2 I, so
+# U(angle) = cos(rate angle) I + sin(rate angle) G / rate. RZZ's 2x2 acts on
+# the parity of its two bits: it is diag(exp(-i angle), exp(i angle)).
+_GENERATORS = {
+    "RY": (0.5, np.array([[0.0, -0.5], [0.5, 0.0]])),
+    "RX": (0.5, np.array([[0.0, -0.5j], [-0.5j, 0.0]])),
+    "RZZ": (1.0, np.array([[-1j, 0.0], [0.0, 1j]])),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,7 +110,8 @@ class _Op:
 
     The amplitudes of a single-qubit gate are viewed as (batch, hi, 2, lo)
     and those of a CNOT as (batch, hi, 2, mid, 2, lo), so that each target
-    bit is an axis of length 2. signs holds an RZZ's +/-1 Z@Z eigenvalues.
+    bit is an axis of length 2. parity holds an RZZ's 0/1 for two bits that
+    agree/differ, the row of its 2x2 that applies.
     """
 
     kind: str
@@ -110,52 +119,78 @@ class _Op:
     mid: int = 1
     lo: int = 1
     control_high: bool = False  # a CNOT's control is the higher of its qubits
-    signs: Optional[np.ndarray] = None
+    parity: Optional[np.ndarray] = None
 
 
-def _qubit_split(n_qubits: int, qubit: int) -> tuple[int, int]:
-    return 2 ** (n_qubits - 1 - qubit), 2**qubit
+@dataclass(frozen=True, slots=True)
+class _Program:
+    """A compiled circuit: one op per gate, and for each parameterized gate
+    what a sweep needs to build its matrix.
+
+    The k-th parameterized gate takes its angle from column columns[k] of
+    [theta, data angles] and has generator generators[k] with rate rates[k].
+    dtype is float64 when every gate is RY, H or CNOT, so that the
+    amplitudes stay real, and complex128 otherwise.
+    """
+
+    ops: tuple[_Op, ...]
+    columns: np.ndarray
+    rates: np.ndarray
+    generators: np.ndarray
+    dtype: type
 
 
 def _compile_gate(kind: str, targets: tuple[int, ...], n_qubits: int) -> _Op:
     if kind in _SINGLE_QUBIT:
-        hi, lo = _qubit_split(n_qubits, targets[0])
-        return _Op(kind, hi=hi, lo=lo)
+        return _Op(kind, hi=2 ** (n_qubits - 1 - targets[0]), lo=2 ** targets[0])
     high, low = max(targets), min(targets)
     if kind == "CNOT":
         hi, mid, lo = 2 ** (n_qubits - 1 - high), 2 ** (high - low - 1), 2**low
         return _Op("CNOT", hi, mid, lo, control_high=targets[0] == high)
     idx = np.arange(2**n_qubits)
-    zz = np.where(((idx >> high) & 1) == ((idx >> low) & 1), 1.0, -1.0)
-    return _Op("RZZ", signs=zz)
+    return _Op("RZZ", parity=(((idx >> high) ^ (idx >> low)) & 1).astype(np.uint8))
 
 
-def compile_circuit(circuit) -> tuple[_Op, ...]:
+def _compile(gates, n_qubits: int, n_parameters: int) -> _Program:
+    # gates of one kind on the same qubits share an op: a program lives as
+    # long as its circuit, so it is kept small
+    keys = {(g.kind, g.targets) for g in gates}
+    ops = {key: _compile_gate(*key, n_qubits) for key in keys}
+    params = [g for g in gates if g.is_parameterized]
+    columns = [g.param_slot if g.data_slot is None else n_parameters + g.data_slot for g in params]
+    generators = np.array([_GENERATORS[g.kind][1] for g in params]).reshape(-1, 2, 2)
+    return _Program(
+        tuple(ops[g.kind, g.targets] for g in gates),
+        np.array(columns, dtype=int),
+        np.array([_GENERATORS[g.kind][0] for g in params]),
+        generators,
+        generators.dtype,  # complex as soon as one RX or RZZ generator is
+    )
+
+
+def compile_circuit(circuit) -> _Program:
     """Compile a CircuitSpec's gates into the program the kernel runs, one
     op per gate (CircuitSpec.program holds it, so each circuit compiles
     once)."""
-    # gates of one kind on the same qubits share an op: a program lives as
-    # long as its circuit, so it is kept small
-    keys = {(g.kind, g.targets) for g in circuit.gates}
-    ops = {key: _compile_gate(*key, circuit.n_qubits) for key in keys}
-    return tuple(ops[g.kind, g.targets] for g in circuit.gates)
+    return _compile(circuit.gates, circuit.n_qubits, circuit.n_parameters)
 
 
-def _apply_1q(amps: np.ndarray, hi: int, lo: int, m00, m01, m10, m11) -> np.ndarray:
-    # axis 2 of the (batch, hi, 2, lo) view is the target bit. Entries are
-    # scalars or (batch, 1, 1), one matrix per row.
-    v = amps.reshape(amps.shape[0], hi, 2, lo)
-    a0, a1 = v[:, :, 0], v[:, :, 1]
-    out = np.empty_like(v)
-    out[:, :, 0] = m00 * a0 + m01 * a1
-    out[:, :, 1] = m10 * a0 + m11 * a1
-    return out.reshape(amps.shape)
+def _matrices(program: _Program, thetas: np.ndarray, data_angles=None) -> np.ndarray:
+    """Every parameterized gate's matrix for each row of thetas, as a
+    (gates, batch, 2, 2) stack built from one cos and one sin."""
+    if data_angles is not None:
+        data = np.asarray(data_angles, dtype=float)
+        thetas = np.concatenate([thetas, np.broadcast_to(data, (len(thetas), len(data)))], axis=1)
+    angles = thetas.T[program.columns] * program.rates[:, None]
+    c, s = np.cos(angles)[..., None, None], np.sin(angles)[..., None, None]
+    return c * np.eye(2) + s * (program.generators / program.rates[:, None, None])[:, None]
 
 
-def _apply(amps: np.ndarray, op: _Op, angle=None) -> np.ndarray:
+def _apply(amps: np.ndarray, op: _Op, m: Optional[np.ndarray] = None) -> np.ndarray:
     """The gate kernel: apply one compiled gate to (batch, dim) amplitudes.
 
-    angle is None for fixed gates, else a scalar or a (batch, 1, 1) array.
+    m is the gate's 2x2 matrix, or a (batch, 2, 2) stack of one matrix per
+    row; it is None for H and CNOT.
     """
     if op.kind == "CNOT":
         # where the control bit is set, swap the target bit's two halves
@@ -166,22 +201,24 @@ def _apply(amps: np.ndarray, op: _Op, angle=None) -> np.ndarray:
         else:
             out[:, :, :, :, 1] = v[:, :, ::-1, :, 1]
         return out.reshape(amps.shape)
-    if op.kind == "RZZ":
-        # exp(-i angle Z@Z): eigenvalue +1 when the two bits agree
-        phases = np.cos(angle) - 1j * np.sin(angle) * op.signs
-        return amps * phases.reshape(-1, amps.shape[1])
-    if op.kind == "H":
-        return _apply_1q(amps, op.hi, op.lo, *_H_ENTRIES)
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    if op.kind == "RY":
-        return _apply_1q(amps, op.hi, op.lo, c, -s, s, c)
-    return _apply_1q(amps, op.hi, op.lo, c, -1j * s, -1j * s, c)  # RX
+    if op.kind == "RZZ":  # m is diagonal, over the parity of the two bits
+        return amps * np.diagonal(m, axis1=-2, axis2=-1)[..., op.parity]
+    if m is None:
+        m = _H
+    if op.lo == 1:
+        # qubit 0: a matmul over the last axis, several times faster than
+        # one over a trailing axis of length 1
+        return (amps.reshape(amps.shape[0], op.hi, 2) @ m.swapaxes(-1, -2)).reshape(amps.shape)
+    v = amps.reshape(amps.shape[0], op.hi, 2, op.lo)
+    return (m[..., None, :, :] @ v).reshape(amps.shape)
 
 
-def _apply_generator(amps: np.ndarray, op: _Op) -> np.ndarray:
-    if op.kind == "RZZ":
-        return -1j * op.signs * amps
-    return _apply_1q(amps, op.hi, op.lo, *_GENERATOR_ENTRIES[op.kind])
+def _sweep(amps: np.ndarray, gates, ops, matrices: np.ndarray) -> np.ndarray:
+    """Apply the gates in order, taking one matrix per parameterized gate."""
+    matrices = iter(matrices)
+    for gate, op in zip(gates, ops):
+        amps = _apply(amps, op, next(matrices) if gate.is_parameterized else None)
+    return amps
 
 
 def apply_gate(state: StateVector, gate: Gate, angle: Optional[float] = None) -> StateVector:
@@ -194,8 +231,11 @@ def apply_gate(state: StateVector, gate: Gate, angle: Optional[float] = None) ->
         raise ValueError(f"{gate.kind} requires an angle")
     if not gate.is_parameterized and angle is not None:
         raise ValueError(f"{gate.kind} takes no angle")
-    amps = np.asarray(state.amplitudes, dtype=complex)[None]
-    return StateVector(n, _apply(amps, _compile_gate(gate.kind, gate.targets, n), angle)[0])
+    angles = np.array([[] if angle is None else [angle]], dtype=float)
+    slot = 0 if gate.is_parameterized else None
+    program = _compile((Gate(gate.kind, gate.targets, param_slot=slot),), n, angles.shape[1])
+    amps = np.asarray(state.amplitudes)[None]
+    return StateVector(n, _sweep(amps, (gate,), program.ops, _matrices(program, angles))[0])
 
 
 def _check_inputs(circuit, n_theta: int, data_angles) -> None:
@@ -221,18 +261,10 @@ def run_circuit_batch(circuit, thetas: np.ndarray, data_angles=None) -> np.ndarr
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     _check_inputs(circuit, thetas.shape[1], data_angles)
-    # one (batch, 1, 1) column of angles per slot, broadcast by the kernel
-    columns = thetas.T[:, :, None, None]
-    amps = np.zeros((thetas.shape[0], 2**circuit.n_qubits), dtype=complex)
+    program = circuit.program
+    amps = np.zeros((thetas.shape[0], 2**circuit.n_qubits), dtype=program.dtype)
     amps[:, 0] = 1.0
-    for gate, op in zip(circuit.gates, circuit.program):
-        if gate.param_slot is not None:
-            amps = _apply(amps, op, columns[gate.param_slot])
-        elif gate.data_slot is not None:
-            amps = _apply(amps, op, float(data_angles[gate.data_slot]))
-        else:
-            amps = _apply(amps, op)
-    return amps
+    return _sweep(amps, circuit.gates, program.ops, _matrices(program, thetas, data_angles))
 
 
 def adjoint_gradient(
@@ -247,17 +279,18 @@ def adjoint_gradient(
     """
     theta = np.asarray(theta, dtype=float)
     _check_inputs(circuit, len(theta), data_angles)
+    program = circuit.program
+    # each gate's inverse is its conjugate transpose; H and CNOT are their own
+    inverses = _matrices(program, theta[None], data_angles).conj().swapaxes(-1, -2)
+    params = zip(inverses[::-1], program.generators[::-1])
     pair = np.stack([state, observable * state])  # rows psi, lambda
     grad = np.zeros(circuit.n_parameters)
-    for gate, op in zip(reversed(circuit.gates), reversed(circuit.program)):
+    for gate, op in zip(reversed(circuit.gates), reversed(program.ops)):
+        inverse, generator = next(params) if gate.is_parameterized else (None, None)
         if gate.param_slot is not None:
-            g_psi = _apply_generator(pair[:1], op)[0]
+            g_psi = _apply(pair[:1], op, generator)[0]
             grad[gate.param_slot] += 2.0 * np.vdot(pair[1], g_psi).real
-            pair = _apply(pair, op, -theta[gate.param_slot])
-        elif gate.data_slot is not None:
-            pair = _apply(pair, op, -float(data_angles[gate.data_slot]))
-        else:
-            pair = _apply(pair, op)  # H and CNOT are their own inverses
+        pair = _apply(pair, op, inverse)
     return grad
 
 

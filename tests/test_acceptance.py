@@ -6,7 +6,6 @@ pass/fail line with the measured values (visible with ``pytest -s``).
 import time
 
 import numpy as np
-import pytest
 
 from borngen.baseline import (
     GmmdConfig,

@@ -1,4 +1,6 @@
 """Born model: distributions, batched probabilities, checkpoints."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,8 +130,35 @@ def test_checkpoint_round_trip(tmp_path):
     assert restored.circuit == model.circuit
     np.testing.assert_allclose(restored.theta, model.theta)
     assert restored.condition_range == (50.0, 200.0)
+    assert json.loads(path.read_text())["schema"] == 1
     np.testing.assert_allclose(
         model_distribution(restored, 125.0).probs,
         model_distribution(model, 125.0).probs,
         atol=1e-12,
     )
+
+
+def _saved_payload(tmp_path):
+    circuit = build_hardware_efficient(2, 1)
+    model = BornModel(circuit, np.linspace(0.1, 1.0, circuit.n_parameters))
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    return model, path, json.loads(path.read_text())
+
+
+def test_checkpoint_without_schema_reads_as_version_1(tmp_path):
+    model, path, payload = _saved_payload(tmp_path)
+    del payload["schema"]
+    path.write_text(json.dumps(payload))
+    restored = load_checkpoint(path)
+    assert restored.circuit == model.circuit
+    np.testing.assert_array_equal(restored.theta, model.theta)
+
+
+@pytest.mark.parametrize("schema", [0, 2, "1"])
+def test_checkpoint_unknown_schema_rejected(tmp_path, schema):
+    _, path, payload = _saved_payload(tmp_path)
+    payload["schema"] = schema
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"schema version {schema!r} is not supported"):
+        load_checkpoint(path)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from borngen.data import (
     BinningSpec,
-    DEFAULT_CORRELATION,
     apply_preprocess,
     discretize,
     inverse_preprocess,

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from borngen.born import BornModel, model_distribution
-from borngen.circuits import CircuitSpec, build_1d_rzz_ansatz, build_hardware_efficient
+from borngen.circuits import (
+    CircuitSpec,
+    all_block_choices,
+    build_1d_rzz_ansatz,
+    build_hardware_efficient,
+    build_multivariate,
+)
 from borngen.distributions import DiscreteDistribution
 from borngen.sim import Gate
 from borngen.metrics import (
@@ -223,6 +229,29 @@ def test_adjoint_gradient_matches_parameter_shift(seed, n_qubits, noisy):
     np.testing.assert_allclose(
         mmd_gradient(model, target, config, condition, transform=transform),
         mmd_gradient_shift(model, target, config, condition, transform=transform),
+        rtol=0,
+        atol=1e-12,
+    )
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["exact", "transform"])
+@pytest.mark.parametrize("choice", all_block_choices(), ids=lambda c: c.label)
+def test_real_adjoint_gradient_matches_parameter_shift(choice, noisy):
+    # the block models run in float64; their gradient still equals the
+    # parameter-shift rule's
+    rng = np.random.default_rng(21)
+    circuit = build_multivariate(3, 3, 4, choice)
+    model = BornModel(circuit, rng.uniform(0, 2 * np.pi, circuit.n_parameters))
+    p = rng.random(2**circuit.n_qubits)
+    target = DiscreteDistribution(p / p.sum(), circuit.register_bits)
+    transform = None
+    if noisy:
+        transform = rng.random((len(p), len(p)))
+        transform /= transform.sum(axis=0)
+    config = KernelConfig()
+    np.testing.assert_allclose(
+        mmd_gradient(model, target, config, transform=transform),
+        mmd_gradient_shift(model, target, config, transform=transform),
         rtol=0,
         atol=1e-12,
     )

@@ -1,21 +1,18 @@
-"""Readout noise channel, depolarizing trajectories and mitigation."""
+"""Readout noise channel and mitigation."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from borngen.circuits import build_1d_rzz_ansatz, build_hardware_efficient
 from borngen.distributions import DiscreteDistribution
 from borngen.metrics import total_variance
 from borngen.noise import (
     ConfusionMatrix,
     NoiseConfig,
-    apply_cnot_depolarizing,
     apply_readout_noise,
     estimate_confusion_matrix,
     mitigate_readout,
     readout_matrix,
 )
-from borngen.sim import run_circuit
 
 
 def _dist(probs, bits):
@@ -27,8 +24,6 @@ def test_noise_config_validation():
         NoiseConfig(readout_flip_prob=0.5)
     with pytest.raises(ValueError):
         NoiseConfig(readout_flip_prob=-0.1)
-    with pytest.raises(ValueError):
-        NoiseConfig(cnot_depol_prob=1.5)
 
 
 def test_flip_probs_broadcast_and_per_qubit():
@@ -103,38 +98,6 @@ def test_estimated_confusion_matrix_converges():
 def test_estimated_confusion_matrix_shot_check():
     with pytest.raises(ValueError):
         estimate_confusion_matrix(2, NoiseConfig(), 0)
-
-
-def test_depolarizing_zero_rate_is_exact():
-    rng = np.random.default_rng(1)
-    circuit = build_hardware_efficient(3, 2)
-    theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
-    config = NoiseConfig(cnot_depol_prob=0.0)
-    dist = apply_cnot_depolarizing(circuit, theta, config)
-    exact = np.abs(run_circuit(circuit, theta).amplitudes) ** 2
-    np.testing.assert_allclose(dist.probs, exact, atol=1e-12)
-
-
-def test_depolarizing_normalized_and_reproducible():
-    rng = np.random.default_rng(2)
-    circuit = build_hardware_efficient(3, 2)
-    theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
-    config = NoiseConfig(cnot_depol_prob=0.05, seed=7, n_trajectories=200)
-    a = apply_cnot_depolarizing(circuit, theta, config)
-    b = apply_cnot_depolarizing(circuit, theta, config)
-    assert a.probs.sum() == pytest.approx(1.0, abs=1e-10)
-    np.testing.assert_array_equal(a.probs, b.probs)
-
-
-def test_depolarizing_perturbs_the_distribution():
-    rng = np.random.default_rng(3)
-    circuit = build_hardware_efficient(3, 2)
-    theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
-    clean = apply_cnot_depolarizing(circuit, theta, NoiseConfig(cnot_depol_prob=0.0))
-    noisy = apply_cnot_depolarizing(
-        circuit, theta, NoiseConfig(cnot_depol_prob=0.3, seed=0, n_trajectories=400)
-    )
-    assert total_variance(clean, noisy) > 0.01
 
 
 @settings(deadline=None, max_examples=20)

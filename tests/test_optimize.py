@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from borngen.born import BornModel, model_distribution
-from borngen.circuits import build_1d_rzz_ansatz, build_conditional, build_hardware_efficient
-from borngen.data import BinningSpec, discretize, preprocess, synthesize_mfc, train_test_split
+from borngen.circuits import build_1d_rzz_ansatz, build_conditional
 from borngen.distributions import DiscreteDistribution
-from borngen.metrics import KernelConfig, mmd_loss, total_variance
+from borngen.metrics import mmd_loss, total_variance
 from borngen.noise import NoiseConfig, apply_readout_noise
 from borngen.optimize import (
     AdamState,

@@ -11,7 +11,14 @@ from borngen.sim import (
     run_circuit,
     run_circuit_batch,
 )
-from borngen.circuits import CircuitSpec, build_conditional
+from borngen.circuits import (
+    CircuitSpec,
+    all_block_choices,
+    build_1d_rzz_ansatz,
+    build_conditional,
+    build_hardware_efficient,
+    build_multivariate,
+)
 
 
 def test_zero_state():
@@ -136,7 +143,7 @@ def test_batch_validates_data_angles(data_angles):
 def test_circuit_compiles_once():
     circuit = build_conditional(3, 1)
     assert circuit.program is circuit.program
-    assert len(circuit.program) == len(circuit.gates)
+    assert len(circuit.program.ops) == len(circuit.gates)
 
 
 def _random_circuit(rng, n_qubits, n_gates):
@@ -204,18 +211,75 @@ def _dense_matrix(gate, angle, n_qubits):
     return np.kron(np.kron(np.eye(2 ** (n_qubits - 1 - q)), m), np.eye(2**q))
 
 
+def _dense_state(circuit, theta, data_angles=None):
+    """U(theta)|0...0> as a product of dense gate matrices."""
+    state = np.zeros(2**circuit.n_qubits, dtype=complex)
+    state[0] = 1.0
+    for gate in circuit.gates:
+        angle = 0.0
+        if gate.param_slot is not None:
+            angle = theta[gate.param_slot]
+        elif gate.data_slot is not None:
+            angle = data_angles[gate.data_slot]
+        state = _dense_matrix(gate, angle, circuit.n_qubits) @ state
+    return state
+
+
 @settings(deadline=None, max_examples=20)
 @given(seed=st.integers(0, 10_000), n_qubits=st.integers(1, 4))
 def test_kernel_matches_dense_matrices(seed, n_qubits):
     rng = np.random.default_rng(seed)
     circuit = _random_circuit(rng, n_qubits, 12)
     theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
-    expected = np.zeros(2**n_qubits, dtype=complex)
-    expected[0] = 1.0
-    for gate in circuit.gates:
-        angle = theta[gate.param_slot] if gate.param_slot is not None else 0.0
-        expected = _dense_matrix(gate, angle, n_qubits) @ expected
+    expected = _dense_state(circuit, theta)
     np.testing.assert_allclose(run_circuit(circuit, theta).amplitudes, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("choice", all_block_choices(), ids=lambda c: c.label)
+def test_block_models_run_real_and_match_dense_matrices(choice):
+    # the multivariate model of exp-multi and exp-blocks: RY, H and CNOT only
+    circuit = build_multivariate(3, 3, 4, choice)
+    theta = np.random.default_rng(11).uniform(0, 2 * np.pi, circuit.n_parameters)
+    amps = run_circuit(circuit, theta).amplitudes
+    assert amps.dtype == np.float64
+    np.testing.assert_allclose(amps, _dense_state(circuit, theta), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [build_conditional(3, 2), build_1d_rzz_ansatz(4), build_hardware_efficient(3, 2, with_rx=True)],
+    ids=["conditional", "1d-rzz", "hardware-efficient-rx"],
+)
+def test_rx_rzz_and_data_circuits_run_complex_and_match_dense_matrices(circuit):
+    rng = np.random.default_rng(12)
+    theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
+    data_angles = rng.uniform(0, np.pi / 2, circuit.n_data_slots) if circuit.n_data_slots else None
+    amps = run_circuit(circuit, theta, data_angles).amplitudes
+    assert amps.dtype == np.complex128
+    np.testing.assert_allclose(
+        amps, _dense_state(circuit, theta, data_angles), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize(
+    "circuit, dtype",
+    [
+        (build_multivariate(2, 2, 2, all_block_choices()[5]), np.float64),
+        (build_hardware_efficient(3, 2, with_rx=True), np.complex128),
+    ],
+    ids=["real", "complex"],
+)
+def test_batch_of_distinct_rows_matches_single_runs(circuit, dtype):
+    # each row carries its own matrices, including on qubit 0, whose 2x2
+    # the kernel applies along the last axis
+    assert any(g.is_parameterized and g.targets == (0,) for g in circuit.gates)
+    thetas = np.random.default_rng(13).uniform(0, 2 * np.pi, (5, circuit.n_parameters))
+    batch = run_circuit_batch(circuit, thetas)
+    assert batch.dtype == dtype
+    for row, theta in zip(batch, thetas):
+        single = run_circuit(circuit, theta).amplitudes
+        assert single.dtype == dtype
+        np.testing.assert_allclose(row, single, rtol=0, atol=1e-12)
 
 
 def test_probabilities_distribution():

@@ -1,0 +1,49 @@
+"""Source checks that need no linter: no module of borngen imports a name it
+does not use."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "borngen"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Imported names that the module never reads. An import marked
+    `noqa: F401` is a deliberate re-export, and so is a name in __all__."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == ["__all__"]:
+            used.update(element.value for element in node.value.elts)
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []
+
+
+def test_unused_import_check_finds_one(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "from typing import Optional, Union  # noqa: F401\n"
+        "from json import dumps, loads\n"
+        "__all__ = ['loads']\n"
+        "print(osp.sep)\n"
+    )
+    assert _unused_imports(module) == ["mod.py:2 os", "mod.py:5 dumps"]
