@@ -9,7 +9,15 @@ from typing import Optional
 import numpy as np
 
 from .data import BinningSpec, discretize
-from .metrics import KernelConfig, _kernel_rows, mmd_loss_samples, total_variance
+from .metrics import (
+    KernelConfig,
+    SampleTarget,
+    _check_features,
+    _kernel_rows,
+    _self_sum,
+    mmd_loss_samples,
+    total_variance,
+)
 from .optimize import AdamState, EpochRecord, _check_finite, adam_step, learning_rate
 
 __all__ = [
@@ -68,6 +76,12 @@ def init_weights(spec: MlpSpec, seed: int = 0) -> list[tuple[np.ndarray, np.ndar
     return weights
 
 
+# Rows per forward block. The 100k-row evaluation batch would otherwise hold
+# a 100 MB activation per hidden layer; a 4096-row block of the widest
+# (128-unit) layer is 4 MB. Each row's output does not depend on the block.
+_FORWARD_ROWS = 4096
+
+
 def _layers(weights, act):
     """Each layer's activation in turn, computed in place on its matmul."""
     for i, (w, b) in enumerate(weights):
@@ -90,9 +104,13 @@ def forward(weights, z: np.ndarray) -> np.ndarray:
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if z.shape[1] != weights[0][0].shape[0]:
         raise ValueError("latent dimension mismatch")
-    for act in _layers(weights, z):
-        pass  # keep one layer at a time: the evaluation batch has 100k rows
-    return act
+    out = np.empty((len(z), weights[-1][0].shape[1]))
+    for start in range(0, len(z), _FORWARD_ROWS):
+        block = slice(start, start + _FORWARD_ROWS)
+        for act in _layers(weights, z[block]):
+            pass  # keep one layer at a time
+        out[block] = act
+    return out
 
 
 def flatten_weights(weights) -> np.ndarray:
@@ -112,8 +130,9 @@ def unflatten_weights(flat: np.ndarray, spec: MlpSpec):
     return weights
 
 
-def gmmd_batch_loss(generated: np.ndarray, data: np.ndarray, config: KernelConfig) -> float:
-    """Biased sample MMD between a generated and a data batch."""
+def gmmd_batch_loss(generated: np.ndarray, data, config: KernelConfig) -> float:
+    """Biased sample MMD between a generated and a data batch (an array or a
+    SampleTarget)."""
     return mmd_loss_samples(generated, data, config)
 
 
@@ -122,10 +141,12 @@ def gmmd_loss_and_grad(weights, z: np.ndarray, data: np.ndarray, config: KernelC
     d = np.atleast_2d(np.asarray(data, dtype=float))
     acts = _forward_cache(weights, z)
     g = acts[-1]
+    _check_features(g, d)
     b_size, m = len(g), len(d)
     (kgg, grad_gg), (kgd, grad_gd) = (_kernel_rows(g, y, config, grad=True) for y in (g, d))
-    kdd = _kernel_rows(d, d, config)
-    loss = float(kgg.sum() / b_size**2 - 2.0 * kgd.sum() / (b_size * m) + kdd.sum() / m**2)
+    # the data-data block does not depend on the weights: it serves the loss only
+    kdd = _self_sum(d, config)
+    loss = float(kgg.sum() / b_size**2 - 2.0 * kgd.sum() / (b_size * m) + kdd / m**2)
     # d loss / d g_i: both gg terms contribute equally by symmetry
     delta = 2.0 / b_size**2 * grad_gg - 2.0 / (b_size * m) * grad_gd
 
@@ -152,12 +173,15 @@ def train_gmmd(
     if data.shape[1] != spec.output_dim:
         raise ValueError("dataset feature count does not match the net output")
     val = data if val_dataset is None else np.atleast_2d(np.asarray(val_dataset, dtype=float))
+    if val.shape[1] != spec.output_dim:
+        raise ValueError("validation feature count does not match the net output")
 
     rng = np.random.default_rng(config.seed)
     weights = init_weights(spec, config.seed)
     adam_state = AdamState.init(len(flatten_weights(weights)))
     eval_latent = rng.standard_normal((2048, spec.latent_dim))
     val_batch = val[rng.choice(len(val), size=min(len(val), 2048), replace=False)]
+    val_target = SampleTarget(val_batch, config.kernel)  # its self-sum once per run
     val_dist = discretize(val, binning) if binning is not None else None
 
     lr_cfg = _as_train_schedule(config)
@@ -185,7 +209,7 @@ def train_gmmd(
             weights = unflatten_weights(flat, spec)
 
         generated = forward(weights, eval_latent)
-        val_loss = gmmd_batch_loss(generated, val_batch, config.kernel)
+        val_loss = gmmd_batch_loss(generated, val_target, config.kernel)
         tv = (
             total_variance(discretize(generated, binning), val_dist)
             if binning is not None

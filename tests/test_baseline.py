@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from borngen.baseline import (
+    _FORWARD_ROWS,
     GmmdConfig,
     MlpSpec,
     _forward_cache,
@@ -52,8 +53,9 @@ def test_forward_shapes_and_latent_check():
 
 def test_forward_matches_backprop_cache_exactly():
     weights = init_weights(SPEC, seed=5)
-    z = np.random.default_rng(5).standard_normal((300, 4))
-    np.testing.assert_array_equal(forward(weights, z), _forward_cache(weights, z)[-1])
+    for rows in (300, _FORWARD_ROWS + 7):  # one block, and a full block plus a short one
+        z = np.random.default_rng(rows).standard_normal((rows, 4))
+        np.testing.assert_array_equal(forward(weights, z), _forward_cache(weights, z)[-1])
 
 
 def test_flatten_round_trip():
@@ -132,6 +134,14 @@ def test_training_divergence_detected():
 def test_training_shape_check():
     with pytest.raises(ValueError):
         train_gmmd(MlpSpec(4, (8,), 2), np.zeros((100, 1)), GmmdConfig(max_epochs=1))
+    # a validation set with another feature count fails before any training
+    with pytest.raises(ValueError, match="validation feature count"):
+        train_gmmd(
+            MlpSpec(4, (8,), 1),
+            np.zeros((100, 1)),
+            GmmdConfig(max_epochs=1),
+            val_dataset=np.zeros((100, 2)),
+        )
 
 
 def test_weight_serialization_round_trip(tmp_path):

@@ -17,7 +17,9 @@ from borngen.metrics import (
     _TILE_ROWS,
     GramCache,
     KernelConfig,
+    SampleTarget,
     _kernel_rows,
+    _self_sum,
     kernel_value,
     mmd_gradient,
     mmd_gradient_shift,
@@ -119,8 +121,24 @@ def _dense_kernel_rows(x, y, config):
     return value.sum(axis=1), grad.sum(axis=1)
 
 
+def _dense_mmd(x, y, config):
+    """The biased sample MMD from dense kernel blocks, values only."""
+
+    def block(a, b):
+        sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
+        return sum(np.exp(-sq / (2.0 * s)).sum() for s in config.bandwidths)
+
+    n, m = len(x), len(y)
+    return block(x, x) / n**2 - 2.0 * block(x, y) / (n * m) + block(y, y) / m**2
+
+
+# Sizes on and around one tile, and three that straddle tile edges for any
+# power-of-two tile height up to 256 (255 = 4*64 - 1, 773 = 12*64 + 5).
+_EDGE_SIZES = [1, _TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1, 3 * _TILE_ROWS + 5]
+
+
 @pytest.mark.parametrize("d", [1, 3])
-@pytest.mark.parametrize("n", [1, _TILE_ROWS - 1, _TILE_ROWS + 1, 3 * _TILE_ROWS + 5])
+@pytest.mark.parametrize("n", sorted({*_EDGE_SIZES, 255, 257, 773}))
 def test_tiled_kernel_rows_match_dense_oracle(n, d):
     rng = np.random.default_rng(n + d)
     config = KernelConfig()
@@ -132,6 +150,68 @@ def test_tiled_kernel_rows_match_dense_oracle(n, d):
         np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(_kernel_rows(x, other, config), values)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n", _EDGE_SIZES)
+def test_self_sum_over_one_triangle_matches_dense_oracle(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    config = KernelConfig()
+    x = rng.standard_normal((n, d))
+    want = _dense_kernel_rows(x, x, config)[0].sum()
+    assert _self_sum(x, config) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_sample_target_matches_the_plain_array_path(d):
+    rng = np.random.default_rng(d)
+    config = KernelConfig()
+    x = rng.standard_normal((3 * _TILE_ROWS + 5, d))
+    y = 0.5 * rng.standard_normal((_TILE_ROWS + 1, d)) + 0.2
+    target = SampleTarget(y, config)
+    plain = mmd_loss_samples(x, y, config)
+    assert mmd_loss_samples(x, target, config) == pytest.approx(plain, rel=1e-12, abs=1e-12)
+    assert plain == pytest.approx(_dense_mmd(x, y, config), rel=1e-12, abs=1e-12)
+    # the target reads as its rows, which it holds read-only
+    assert len(np.atleast_2d(target)) == len(y)
+    np.testing.assert_array_equal(np.asarray(target), y)
+    with pytest.raises(ValueError):
+        target.rows[0, 0] = 1.0
+
+
+def test_sample_mmd_rejects_mismatched_feature_counts():
+    config = KernelConfig()
+    one, two = np.zeros((5, 1)), np.ones((7, 2))
+    for x, y in ((one, two), (two, one), (one, SampleTarget(two, config))):
+        with pytest.raises(ValueError, match="feature counts differ"):
+            mmd_loss_samples(x, y, config)
+
+
+def test_sample_target_rejects_another_kernel_config():
+    y = np.zeros((4, 1))
+    with pytest.raises(ValueError, match="another kernel config"):
+        mmd_loss_samples(y, SampleTarget(y, BANDWIDTH_ONE), KernelConfig())
+
+
+def test_gmmd_trace_val_loss_matches_dense_recomputation(monkeypatch):
+    from borngen import baseline
+
+    seen = []
+
+    def spy(generated, data, config, real=baseline.gmmd_batch_loss):
+        seen.append((generated.copy(), np.array(data), config))
+        return real(generated, data, config)
+
+    monkeypatch.setattr(baseline, "gmmd_batch_loss", spy)
+    rng = np.random.default_rng(4)
+    data, val = 0.5 * rng.standard_normal((2, 300, 1)) + 1.0
+    config = baseline.GmmdConfig(max_epochs=2, batches_per_epoch=2, batch_size=32, seed=0)
+    _, trace = baseline.train_gmmd(baseline.MlpSpec(4, (8,), 1), data, config, val_dataset=val)
+    assert len(seen) == len(trace) == 2
+    for record, (generated, val_rows, kernel) in zip(trace, seen):
+        assert np.isin(val_rows, val).all()
+        want = _dense_mmd(generated, val_rows, kernel)
+        assert record.val_loss == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_gram_cache_reused():
