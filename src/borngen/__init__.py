@@ -23,4 +23,4 @@ from .metrics import (  # noqa: F401
     total_variance,
 )
 from .optimize import TrainConfig, train  # noqa: F401
-from .sim import Gate, StateVector, apply_gate, probabilities, run_circuit  # noqa: F401
+from .sim import Gate, run_circuit  # noqa: F401

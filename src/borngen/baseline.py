@@ -18,7 +18,8 @@ from .metrics import (
     mmd_loss_samples,
     total_variance,
 )
-from .optimize import AdamState, EpochRecord, _check_finite, adam_step, learning_rate
+from .optimize import AdamState, EpochRecord, adam_step, learning_rate
+from .optimize import _check_finite, _check_schedule
 
 __all__ = [
     "MlpSpec",
@@ -61,6 +62,9 @@ class GmmdConfig:
     max_epochs: int = 100
     seed: int = 0
     kernel: KernelConfig = field(default_factory=KernelConfig)
+
+    def __post_init__(self):
+        _check_schedule(self)
 
 
 def init_weights(spec: MlpSpec, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -184,13 +188,12 @@ def train_gmmd(
     val_target = SampleTarget(val_batch, config.kernel)  # its self-sum once per run
     val_dist = discretize(val, binning) if binning is not None else None
 
-    lr_cfg = _as_train_schedule(config)
     best_val = np.inf
     best_weights = weights
     trace: list[EpochRecord] = []
     for epoch in range(config.max_epochs):
         start = time.perf_counter()
-        lr = learning_rate(lr_cfg, epoch)
+        lr = learning_rate(config, epoch)
         grad_norm = 0.0
         epoch_loss = 0.0
         for step in range(config.batches_per_epoch):
@@ -231,16 +234,6 @@ def train_gmmd(
             )
         )
     return best_weights, trace
-
-
-def _as_train_schedule(config: GmmdConfig):
-    from .optimize import TrainConfig
-
-    return TrainConfig(
-        initial_lr=config.initial_lr,
-        lr_halving_period=config.lr_halving_period,
-        max_epochs=config.max_epochs,
-    )
 
 
 def save_weights(weights, spec: MlpSpec, path) -> None:

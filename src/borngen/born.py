@@ -9,7 +9,7 @@ import numpy as np
 
 from .circuits import CircuitSpec, circuit_from_json, circuit_to_json, encode_condition
 from .distributions import DiscreteDistribution, marginal
-from .sim import probabilities, run_circuit, run_circuit_batch
+from .sim import run_circuit, run_circuit_batch
 
 __all__ = [
     "BornModel",
@@ -56,10 +56,10 @@ def model_distribution(
     model: BornModel, condition: Optional[float] = None
 ) -> DiscreteDistribution:
     """Exact joint distribution over bin tuples via the Born rule."""
-    state = run_circuit(model.circuit, model.theta, model.data_angles(condition))
-    dist = probabilities(state, model.circuit.register_bits)
+    circuit = model.circuit
+    amps = run_circuit(circuit, model.theta, model.data_angles(condition))
     return DiscreteDistribution(
-        dist.probs, dist.register_bits, model.circuit.register_names, condition
+        np.abs(amps) ** 2, circuit.register_bits, circuit.register_names, condition
     )
 
 

@@ -41,6 +41,8 @@ class CircuitSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        if self.n_qubits < 1:
+            raise ValueError("need at least one qubit")
         slots = sorted(g.param_slot for g in self.gates if g.param_slot is not None)
         if sorted(set(slots)) != list(range(self.n_parameters)):
             raise ValueError("parameter slots must cover exactly 0..n_parameters-1")

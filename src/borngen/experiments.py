@@ -440,7 +440,7 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
     else:
         trace_to_csv(trace, out / "trace.csv")
         save_checkpoint(trained, out / "checkpoint.json", {"experiment": config.experiment})
-        metrics["trace"] = trace_to_json(trace, include_seconds=False)
+        metrics["trace"] = trace_to_json(trace)
     for name, *columns in histograms:
         _write_histogram_csv(out / f"histogram_{name}.csv", config.settings["sampling"], *columns)
     report = {

@@ -75,9 +75,16 @@ def _check_compatible(register_bits: tuple[int, ...], target: DiscreteDistributi
 
 
 def _gram(register_bits: tuple[int, ...], config: KernelConfig, cache: Optional[GramCache]):
-    if cache is not None and cache.register_bits == register_bits:
-        return cache.matrix
-    return GramCache(register_bits, config).matrix
+    """The kernel matrix for these bins and this config, from the cache when
+    one is given; a cache built for other bins or another config is an error."""
+    if cache is None:
+        return GramCache(register_bits, config).matrix
+    if cache.register_bits != register_bits or cache.config != config:
+        raise ValueError(
+            f"GramCache built for bits {cache.register_bits} with {cache.config}, "
+            f"used for bits {register_bits} with {config}"
+        )
+    return cache.matrix
 
 
 def mmd_loss(
@@ -219,7 +226,7 @@ def mmd_gradient(
     bits = model.circuit.register_bits
     _check_compatible(bits, target)
     data_angles = model.data_angles(condition)
-    psi = run_circuit(model.circuit, model.theta, data_angles).amplitudes
+    psi = run_circuit(model.circuit, model.theta, data_angles)
     K = _gram(bits, config, cache)
     observable = _loss_derivative(np.abs(psi) ** 2, target, K, transform)
     return adjoint_gradient(model.circuit, model.theta, psi, observable, data_angles)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
@@ -67,10 +67,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("adam", "spsa", "mixed"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.initial_lr <= 0 or self.lr_halving_period < 1:
-            raise ValueError("learning-rate settings must be positive")
-        if min(self.batches_per_epoch, self.batch_size, self.max_epochs) < 1:
-            raise ValueError("counts must be >= 1")
+        _check_schedule(self)
+
+
+def _check_schedule(config) -> None:
+    """Reject non-positive learning-rate settings and counts (TrainConfig, GmmdConfig)."""
+    if config.initial_lr <= 0 or config.lr_halving_period < 1:
+        raise ValueError("learning-rate settings must be positive")
+    if min(config.batches_per_epoch, config.batch_size, config.max_epochs) < 1:
+        raise ValueError("counts must be >= 1")
 
 
 @dataclass(slots=True)  # one per epoch of every run, so kept small
@@ -148,7 +153,9 @@ def init_parameters(n: int, scheme: str = "small_normal", seed: int = 0) -> np.n
     raise ValueError(f"unknown init scheme {scheme!r}")
 
 
-def learning_rate(config: TrainConfig, epoch: int) -> float:
+def learning_rate(config, epoch: int) -> float:
+    """initial_lr halved every lr_halving_period epochs, read from a
+    TrainConfig or a GmmdConfig."""
     return config.initial_lr * 2.0 ** (-(epoch // config.lr_halving_period))
 
 
@@ -281,7 +288,7 @@ def train(
     return model.with_theta(best_theta), trace
 
 
-_TRACE_FIELDS = ("epoch", "train_loss", "val_loss", "tv", "lr", "seconds", "grad_norm", "phase")
+_TRACE_FIELDS = tuple(f.name for f in fields(EpochRecord))
 
 
 def trace_to_csv(trace: list[EpochRecord], path) -> None:
@@ -292,9 +299,7 @@ def trace_to_csv(trace: list[EpochRecord], path) -> None:
             writer.writerow([getattr(rec, f) for f in _TRACE_FIELDS])
 
 
-def trace_to_json(trace: list[EpochRecord], include_seconds: bool = True) -> list[dict]:
-    rows = [asdict(rec) for rec in trace]
-    if not include_seconds:
-        for row in rows:
-            row.pop("seconds")
-    return rows
+def trace_to_json(trace: list[EpochRecord]) -> list[dict]:
+    """The trace as one dict per epoch, without the wall-clock seconds, so
+    that a fixed seed gives the same rows every run."""
+    return [{f: getattr(rec, f) for f in _TRACE_FIELDS if f != "seconds"} for rec in trace]

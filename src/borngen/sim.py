@@ -1,17 +1,17 @@
 """Dense statevector simulation of small qubit circuits.
 
 Convention: qubit 0 is the least-significant bit of the basis index.
-All gate applications are pure (they return a new state) and preserve
-the norm to double precision.
 
+A circuit runs on |0...0> to its amplitude array: run_circuit gives the
+(2**n,) amplitudes psi(theta), run_circuit_batch a (batch, 2**n) array with
+one row per parameter vector, and |psi|**2 are the Born probabilities.
 Each circuit is compiled once into a program (held by CircuitSpec.program),
-and every path runs it through one kernel on a (batch, 2**n) amplitude
-array: a single-qubit gate is one matmul of its 2x2 matrix onto a
-(batch, hi, 2, lo) view, a CNOT a swap within a (batch, hi, 2, mid, 2, lo)
-view and an RZZ a product with its phase on each basis state. A sweep builds
-every parameterized gate's matrix at once. A circuit of RY, H and CNOT
-gates only keeps real amplitudes and runs in float64; RX and RZZ make it
-complex128.
+and both run it through one kernel on a (batch, 2**n) amplitude array: a
+single-qubit gate is one matmul of its 2x2 matrix onto a (batch, hi, 2, lo)
+view, a CNOT a swap within a (batch, hi, 2, mid, 2, lo) view and an RZZ a
+product with its phase on each basis state. A sweep builds every
+parameterized gate's matrix at once. A circuit of RY, H and CNOT gates only
+keeps real amplitudes and runs in float64; RX and RZZ make it complex128.
 """
 from __future__ import annotations
 
@@ -22,13 +22,10 @@ import numpy as np
 
 __all__ = [
     "Gate",
-    "StateVector",
     "adjoint_gradient",
-    "apply_gate",
     "compile_circuit",
     "run_circuit",
     "run_circuit_batch",
-    "probabilities",
     "PARAMETERIZED_KINDS",
     "FIXED_KINDS",
 ]
@@ -70,26 +67,6 @@ class Gate:
     @property
     def is_parameterized(self) -> bool:
         return self.kind in PARAMETERIZED_KINDS
-
-
-@dataclass
-class StateVector:
-    """Amplitudes over the 2**n_qubits computational basis states: float64
-    for circuits of RY, H and CNOT gates, complex128 otherwise."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    @classmethod
-    def zero_state(cls, n_qubits: int) -> "StateVector":
-        if n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        amps = np.zeros(2**n_qubits)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
-
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -151,28 +128,25 @@ def _compile_gate(kind: str, targets: tuple[int, ...], n_qubits: int) -> _Op:
     return _Op("RZZ", parity=(((idx >> high) ^ (idx >> low)) & 1).astype(np.uint8))
 
 
-def _compile(gates, n_qubits: int, n_parameters: int) -> _Program:
+def compile_circuit(circuit) -> _Program:
+    """Compile a CircuitSpec's gates into the program the kernel runs, one
+    op per gate (CircuitSpec.program holds it, so each circuit compiles
+    once)."""
     # gates of one kind on the same qubits share an op: a program lives as
     # long as its circuit, so it is kept small
-    keys = {(g.kind, g.targets) for g in gates}
-    ops = {key: _compile_gate(*key, n_qubits) for key in keys}
-    params = [g for g in gates if g.is_parameterized]
-    columns = [g.param_slot if g.data_slot is None else n_parameters + g.data_slot for g in params]
+    keys = {(g.kind, g.targets) for g in circuit.gates}
+    ops = {key: _compile_gate(*key, circuit.n_qubits) for key in keys}
+    params = [g for g in circuit.gates if g.is_parameterized]
+    n_theta = circuit.n_parameters
+    columns = [g.param_slot if g.data_slot is None else n_theta + g.data_slot for g in params]
     generators = np.array([_GENERATORS[g.kind][1] for g in params]).reshape(-1, 2, 2)
     return _Program(
-        tuple(ops[g.kind, g.targets] for g in gates),
+        tuple(ops[g.kind, g.targets] for g in circuit.gates),
         np.array(columns, dtype=int),
         np.array([_GENERATORS[g.kind][0] for g in params]),
         generators,
         generators.dtype,  # complex as soon as one RX or RZZ generator is
     )
-
-
-def compile_circuit(circuit) -> _Program:
-    """Compile a CircuitSpec's gates into the program the kernel runs, one
-    op per gate (CircuitSpec.program holds it, so each circuit compiles
-    once)."""
-    return _compile(circuit.gates, circuit.n_qubits, circuit.n_parameters)
 
 
 def _matrices(program: _Program, thetas: np.ndarray, data_angles=None) -> np.ndarray:
@@ -213,31 +187,6 @@ def _apply(amps: np.ndarray, op: _Op, m: Optional[np.ndarray] = None) -> np.ndar
     return (m[..., None, :, :] @ v).reshape(amps.shape)
 
 
-def _sweep(amps: np.ndarray, gates, ops, matrices: np.ndarray) -> np.ndarray:
-    """Apply the gates in order, taking one matrix per parameterized gate."""
-    matrices = iter(matrices)
-    for gate, op in zip(gates, ops):
-        amps = _apply(amps, op, next(matrices) if gate.is_parameterized else None)
-    return amps
-
-
-def apply_gate(state: StateVector, gate: Gate, angle: Optional[float] = None) -> StateVector:
-    """Apply one gate to the state, returning a new StateVector."""
-    n = state.n_qubits
-    for t in gate.targets:
-        if not 0 <= t < n:
-            raise ValueError(f"target {t} out of range for {n} qubits")
-    if gate.is_parameterized and angle is None:
-        raise ValueError(f"{gate.kind} requires an angle")
-    if not gate.is_parameterized and angle is not None:
-        raise ValueError(f"{gate.kind} takes no angle")
-    angles = np.array([[] if angle is None else [angle]], dtype=float)
-    slot = 0 if gate.is_parameterized else None
-    program = _compile((Gate(gate.kind, gate.targets, param_slot=slot),), n, angles.shape[1])
-    amps = np.asarray(state.amplitudes)[None]
-    return StateVector(n, _sweep(amps, (gate,), program.ops, _matrices(program, angles))[0])
-
-
 def _check_inputs(circuit, n_theta: int, data_angles) -> None:
     if n_theta != circuit.n_parameters:
         raise ValueError(f"expected {circuit.n_parameters} parameters, got {n_theta}")
@@ -247,10 +196,9 @@ def _check_inputs(circuit, n_theta: int, data_angles) -> None:
         raise ValueError(f"expected {circuit.n_data_slots} data angles")
 
 
-def run_circuit(circuit, theta: Sequence[float], data_angles=None) -> StateVector:
-    """Run the circuit on |0...0>, returning the final statevector."""
-    theta = np.asarray(theta, dtype=float)
-    return StateVector(circuit.n_qubits, run_circuit_batch(circuit, theta[None], data_angles)[0])
+def run_circuit(circuit, theta: Sequence[float], data_angles=None) -> np.ndarray:
+    """Run the circuit on |0...0>, returning its (2**n_qubits,) amplitudes."""
+    return run_circuit_batch(circuit, np.asarray(theta, dtype=float)[None], data_angles)[0]
 
 
 def run_circuit_batch(circuit, thetas: np.ndarray, data_angles=None) -> np.ndarray:
@@ -264,7 +212,10 @@ def run_circuit_batch(circuit, thetas: np.ndarray, data_angles=None) -> np.ndarr
     program = circuit.program
     amps = np.zeros((thetas.shape[0], 2**circuit.n_qubits), dtype=program.dtype)
     amps[:, 0] = 1.0
-    return _sweep(amps, circuit.gates, program.ops, _matrices(program, thetas, data_angles))
+    matrices = iter(_matrices(program, thetas, data_angles))
+    for gate, op in zip(circuit.gates, program.ops):
+        amps = _apply(amps, op, next(matrices) if gate.is_parameterized else None)
+    return amps
 
 
 def adjoint_gradient(
@@ -292,13 +243,3 @@ def adjoint_gradient(
             grad[gate.param_slot] += 2.0 * np.vdot(pair[1], g_psi).real
         pair = _apply(pair, op, inverse)
     return grad
-
-
-def probabilities(state: StateVector, register_bits: Optional[tuple[int, ...]] = None):
-    """Born-rule probabilities of the state as a DiscreteDistribution."""
-    from .distributions import DiscreteDistribution
-
-    if register_bits is None:
-        register_bits = (state.n_qubits,)
-    p = np.abs(state.amplitudes) ** 2
-    return DiscreteDistribution(p, register_bits)

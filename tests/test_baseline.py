@@ -120,6 +120,23 @@ def test_training_reduces_validation_loss():
     assert abs(generated.mean() - 1.0) < 0.3
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("initial_lr", 0.0),
+        ("initial_lr", -0.01),
+        ("lr_halving_period", 0),
+        ("batches_per_epoch", 0),
+        ("batch_size", 0),
+        ("max_epochs", 0),
+    ],
+)
+def test_config_rejects_non_positive_settings(field, value):
+    # rejected when the config is made, so no training can start
+    with pytest.raises(ValueError, match="must be"):
+        GmmdConfig(**{field: value})
+
+
 def test_training_divergence_detected():
     config = GmmdConfig(max_epochs=2, batch_size=32, seed=0, initial_lr=np.inf)
     data = np.random.default_rng(7).standard_normal((200, 1))

@@ -85,13 +85,13 @@ def test_block_choice_validation():
 
 def test_bell_block_two_registers():
     block = build_correlation_block(2, 1, CorrelationBlockChoice(style="bell"))
-    p = np.abs(run_circuit(block, []).amplitudes) ** 2
+    p = np.abs(run_circuit(block, [])) ** 2
     assert p == pytest.approx([0.5, 0.0, 0.0, 0.5], abs=1e-10)
 
 
 def test_bell_block_three_registers_ghz():
     block = build_correlation_block(3, 1, CorrelationBlockChoice(style="bell"))
-    p = np.abs(run_circuit(block, []).amplitudes) ** 2
+    p = np.abs(run_circuit(block, [])) ** 2
     expected = np.zeros(8)
     expected[0] = expected[7] = 0.5
     assert p == pytest.approx(expected, abs=1e-10)
@@ -133,6 +133,12 @@ def test_circuit_spec_slot_coverage_validation():
         CircuitSpec(1, (Gate("RY", (0,), param_slot=1),), 1)  # slot 0 missing
     with pytest.raises(ValueError):
         CircuitSpec(1, (Gate("RY", (0,), param_slot=0),), 2)
+
+
+@pytest.mark.parametrize("n_qubits", [0, -1])
+def test_circuit_spec_rejects_no_qubits(n_qubits):
+    with pytest.raises(ValueError, match="at least one qubit"):
+        CircuitSpec(n_qubits, (), 0)
 
 
 def test_slot_gate_kind():

@@ -223,6 +223,23 @@ def test_gram_cache_reused():
     )
 
 
+def test_gram_cache_for_another_kernel_config_is_rejected():
+    p, q = _dist(np.full(8, 0.125)), _dist(np.eye(8)[2])
+    cache = GramCache((3,), KernelConfig())
+    with pytest.raises(ValueError, match=r"built for bits \(3,\) with .*used for bits \(3,\)"):
+        mmd_loss(p, q, BANDWIDTH_ONE, cache)
+
+
+def test_gram_cache_for_other_bins_is_rejected():
+    p, q = _dist(np.full(8, 0.125)), _dist(np.eye(8)[2])
+    cache = GramCache((2,), BANDWIDTH_ONE)
+    with pytest.raises(ValueError, match=r"built for bits \(2,\) with .*used for bits \(3,\)"):
+        mmd_loss(p, q, BANDWIDTH_ONE, cache)
+    model = BornModel(build_hardware_efficient(3, 1, with_rx=False), np.zeros(6))
+    with pytest.raises(ValueError, match=r"built for bits \(2,\)"):
+        mmd_gradient(model, q, BANDWIDTH_ONE, cache=cache)
+
+
 def _finite_difference(model, target, config, h=1e-6):
     grad = np.empty(model.circuit.n_parameters)
     for i in range(len(grad)):

@@ -3,14 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from borngen.sim import (
-    Gate,
-    StateVector,
-    apply_gate,
-    probabilities,
-    run_circuit,
-    run_circuit_batch,
-)
+from borngen.sim import Gate, run_circuit, run_circuit_batch
 from borngen.circuits import (
     CircuitSpec,
     all_block_choices,
@@ -20,80 +13,65 @@ from borngen.circuits import (
     build_multivariate,
 )
 
-
-def test_zero_state():
-    state = StateVector.zero_state(3)
-    assert state.amplitudes.shape == (8,)
-    assert state.amplitudes[0] == 1.0
-    assert state.norm_squared() == pytest.approx(1.0)
-
-
-def test_zero_state_rejects_no_qubits():
-    with pytest.raises(ValueError):
-        StateVector.zero_state(0)
+# RY(pi)|0> = |1>: a circuit's leading RY(pi) prepares a set qubit from |0...0>
+FLIP = np.pi
 
 
 def test_ry_rotation_probabilities():
     # RY(pi/3)|0> = cos(pi/6)|0> + sin(pi/6)|1> -> p = (3/4, 1/4)
-    state = apply_gate(StateVector.zero_state(1), Gate("RY", (0,), param_slot=0), np.pi / 3)
-    p = np.abs(state.amplitudes) ** 2
+    circuit = CircuitSpec(1, (Gate("RY", (0,), param_slot=0),), 1)
+    p = np.abs(run_circuit(circuit, [np.pi / 3])) ** 2
     assert p == pytest.approx([0.75, 0.25], abs=1e-12)
 
 
 def test_rx_amplitude_is_imaginary():
-    state = apply_gate(StateVector.zero_state(1), Gate("RX", (0,), param_slot=0), np.pi / 2)
-    assert state.amplitudes[0] == pytest.approx(1 / np.sqrt(2))
-    assert state.amplitudes[1] == pytest.approx(-1j / np.sqrt(2))
+    circuit = CircuitSpec(1, (Gate("RX", (0,), param_slot=0),), 1)
+    amps = run_circuit(circuit, [np.pi / 2])
+    assert amps[0] == pytest.approx(1 / np.sqrt(2))
+    assert amps[1] == pytest.approx(-1j / np.sqrt(2))
 
 
 def test_hadamard_twice_is_identity():
-    g = Gate("H", (0,))
-    state = apply_gate(apply_gate(StateVector.zero_state(1), g), g)
-    assert state.amplitudes == pytest.approx([1.0, 0.0], abs=1e-12)
+    circuit = CircuitSpec(1, (Gate("H", (0,)), Gate("H", (0,))), 0)
+    assert run_circuit(circuit, []) == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 def test_cnot_least_significant_bit_convention():
     # qubit 0 is the least-significant bit: |01> is basis index 1 and has
     # qubit 0 set, so CNOT(control=0, target=1) maps it to index 3
-    amps = np.zeros(4, dtype=complex)
-    amps[1] = 1.0
-    state = apply_gate(StateVector(2, amps), Gate("CNOT", (0, 1)))
-    assert state.amplitudes[3] == pytest.approx(1.0)
+    circuit = CircuitSpec(2, (Gate("RY", (0,), param_slot=0), Gate("CNOT", (0, 1))), 1)
+    assert run_circuit(circuit, [FLIP])[3] == pytest.approx(1.0)
 
 
 def test_cnot_control_unset_is_identity():
-    amps = np.zeros(4, dtype=complex)
-    amps[2] = 1.0  # qubit 1 set, qubit 0 (the control) unset
-    state = apply_gate(StateVector(2, amps), Gate("CNOT", (0, 1)))
-    assert state.amplitudes[2] == pytest.approx(1.0)
+    # qubit 1 set, qubit 0 (the control) unset: basis index 2 stays
+    circuit = CircuitSpec(2, (Gate("RY", (1,), param_slot=0), Gate("CNOT", (0, 1))), 1)
+    assert run_circuit(circuit, [FLIP])[2] == pytest.approx(1.0)
 
 
 def test_rzz_phases_on_agreeing_bits():
     # exp(-i theta Z@Z) multiplies |00> (bits agree) by exp(-i theta)
     theta = 0.7
-    state = apply_gate(StateVector.zero_state(2), Gate("RZZ", (0, 1), param_slot=0), theta)
-    assert state.amplitudes[0] == pytest.approx(np.exp(-1j * theta))
+    circuit = CircuitSpec(2, (Gate("RZZ", (0, 1), param_slot=0),), 1)
+    assert run_circuit(circuit, [theta])[0] == pytest.approx(np.exp(-1j * theta))
 
 
 def test_rzz_phases_on_disagreeing_bits():
     theta = 0.7
-    amps = np.zeros(4, dtype=complex)
-    amps[1] = 1.0
-    state = apply_gate(StateVector(2, amps), Gate("RZZ", (0, 1), param_slot=0), theta)
-    assert state.amplitudes[1] == pytest.approx(np.exp(1j * theta))
+    gates = (Gate("RY", (0,), param_slot=0), Gate("RZZ", (0, 1), param_slot=1))
+    amps = run_circuit(CircuitSpec(2, gates, 2), [FLIP, theta])
+    assert amps[1] == pytest.approx(np.exp(1j * theta))
 
 
 def test_bell_state():
     circuit = CircuitSpec(2, (Gate("H", (0,)), Gate("CNOT", (0, 1))), 0)
-    state = run_circuit(circuit, [])
-    p = np.abs(state.amplitudes) ** 2
+    p = np.abs(run_circuit(circuit, [])) ** 2
     assert p == pytest.approx([0.5, 0.0, 0.0, 0.5], abs=1e-10)
 
 
 def test_ghz_state():
     gates = (Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("CNOT", (1, 2)))
-    state = run_circuit(CircuitSpec(3, gates, 0), [])
-    p = np.abs(state.amplitudes) ** 2
+    p = np.abs(run_circuit(CircuitSpec(3, gates, 0), [])) ** 2
     expected = np.zeros(8)
     expected[0] = expected[7] = 0.5
     assert p == pytest.approx(expected, abs=1e-10)
@@ -114,14 +92,12 @@ def test_gate_validation():
         Gate("H", (0,), param_slot=0)
 
 
-def test_apply_gate_angle_contract():
-    state = StateVector.zero_state(1)
-    with pytest.raises(ValueError):
-        apply_gate(state, Gate("RY", (0,), param_slot=0))  # missing angle
-    with pytest.raises(ValueError):
-        apply_gate(state, Gate("H", (0,)), 0.3)  # spurious angle
-    with pytest.raises(ValueError):
-        apply_gate(state, Gate("RY", (1,), param_slot=0), 0.3)  # bad target
+@pytest.mark.parametrize("with_rx", [False, True], ids=["real", "complex"])
+def test_run_circuit_returns_one_amplitude_array(with_rx):
+    circuit = build_hardware_efficient(3, 1, with_rx=with_rx)
+    amps = run_circuit(circuit, np.zeros(circuit.n_parameters))
+    assert type(amps) is np.ndarray and amps.shape == (8,)
+    assert amps.dtype == circuit.program.dtype == (np.complex128 if with_rx else np.float64)
 
 
 def test_run_circuit_parameter_count_check():
@@ -175,8 +151,8 @@ def test_random_circuits_preserve_norm(seed, n_qubits):
     rng = np.random.default_rng(seed)
     circuit = _random_circuit(rng, n_qubits, 12)
     theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
-    state = run_circuit(circuit, theta)
-    assert state.norm_squared() == pytest.approx(1.0, abs=1e-10)
+    psi = run_circuit(circuit, theta)
+    assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-10)
 
 
 @settings(deadline=None, max_examples=15)
@@ -188,7 +164,7 @@ def test_batch_matches_single_runs(seed):
     batch = run_circuit_batch(circuit, thetas)
     for i in range(4):
         single = run_circuit(circuit, thetas[i])
-        np.testing.assert_allclose(batch[i], single.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(batch[i], single, atol=1e-12)
 
 
 def _dense_matrix(gate, angle, n_qubits):
@@ -232,7 +208,7 @@ def test_kernel_matches_dense_matrices(seed, n_qubits):
     circuit = _random_circuit(rng, n_qubits, 12)
     theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
     expected = _dense_state(circuit, theta)
-    np.testing.assert_allclose(run_circuit(circuit, theta).amplitudes, expected, atol=1e-12)
+    np.testing.assert_allclose(run_circuit(circuit, theta), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("choice", all_block_choices(), ids=lambda c: c.label)
@@ -240,7 +216,7 @@ def test_block_models_run_real_and_match_dense_matrices(choice):
     # the multivariate model of exp-multi and exp-blocks: RY, H and CNOT only
     circuit = build_multivariate(3, 3, 4, choice)
     theta = np.random.default_rng(11).uniform(0, 2 * np.pi, circuit.n_parameters)
-    amps = run_circuit(circuit, theta).amplitudes
+    amps = run_circuit(circuit, theta)
     assert amps.dtype == np.float64
     np.testing.assert_allclose(amps, _dense_state(circuit, theta), rtol=0, atol=1e-12)
 
@@ -254,7 +230,7 @@ def test_rx_rzz_and_data_circuits_run_complex_and_match_dense_matrices(circuit):
     rng = np.random.default_rng(12)
     theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
     data_angles = rng.uniform(0, np.pi / 2, circuit.n_data_slots) if circuit.n_data_slots else None
-    amps = run_circuit(circuit, theta, data_angles).amplitudes
+    amps = run_circuit(circuit, theta, data_angles)
     assert amps.dtype == np.complex128
     np.testing.assert_allclose(
         amps, _dense_state(circuit, theta, data_angles), rtol=0, atol=1e-12
@@ -277,13 +253,6 @@ def test_batch_of_distinct_rows_matches_single_runs(circuit, dtype):
     batch = run_circuit_batch(circuit, thetas)
     assert batch.dtype == dtype
     for row, theta in zip(batch, thetas):
-        single = run_circuit(circuit, theta).amplitudes
+        single = run_circuit(circuit, theta)
         assert single.dtype == dtype
         np.testing.assert_allclose(row, single, rtol=0, atol=1e-12)
-
-
-def test_probabilities_distribution():
-    circuit = CircuitSpec(2, (Gate("H", (0,)), Gate("CNOT", (0, 1))), 0)
-    dist = probabilities(run_circuit(circuit, []), (1, 1))
-    assert dist.register_bits == (1, 1)
-    assert dist.probs.sum() == pytest.approx(1.0)

@@ -1,6 +1,8 @@
 """Source checks that need no linter: no module of borngen imports a name it
-does not use."""
+does not use, or lists in __all__ a name it does not define."""
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,24 @@ def test_unused_import_check_finds_one(tmp_path):
         "print(osp.sep)\n"
     )
     assert _unused_imports(module) == ["mod.py:2 os", "mod.py:5 dumps"]
+
+
+def _stale_exports(module) -> list[str]:
+    """Names in the module's __all__ that the module does not define."""
+    return [
+        f"{module.__name__}.{name}"
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    name = "borngen" if path.stem == "__init__" else f"borngen.{path.stem}"
+    assert _stale_exports(importlib.import_module(name)) == []
+
+
+def test_stale_export_check_finds_one():
+    module = types.ModuleType("mod")
+    exec("__all__ = ['kept', 'removed']\nkept = 1\n", module.__dict__)
+    assert _stale_exports(module) == ["mod.removed"]
