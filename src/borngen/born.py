@@ -58,9 +58,7 @@ def model_distribution(
     """Exact joint distribution over bin tuples via the Born rule."""
     circuit = model.circuit
     amps = run_circuit(circuit, model.theta, model.data_angles(condition))
-    return DiscreteDistribution(
-        np.abs(amps) ** 2, circuit.register_bits, circuit.register_names, condition
-    )
+    return DiscreteDistribution(np.abs(amps) ** 2, circuit.register_bits, circuit.register_names)
 
 
 def model_probs_batch(

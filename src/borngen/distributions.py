@@ -20,7 +20,6 @@ class DiscreteDistribution:
     probs: np.ndarray
     register_bits: tuple[int, ...]
     names: tuple[str, ...] | None = None
-    condition: float | None = None
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -66,9 +65,7 @@ class DiscreteDistribution:
         total = self.probs.sum()
         if total <= 0:
             raise ValueError("cannot normalize a zero distribution")
-        return DiscreteDistribution(
-            self.probs / total, self.register_bits, self.names, self.condition
-        )
+        return DiscreteDistribution(self.probs / total, self.register_bits, self.names)
 
 
 def _feature_index(dist: DiscreteDistribution, feature) -> int:
@@ -92,7 +89,7 @@ def marginal(dist: DiscreteDistribution, feature) -> DiscreteDistribution:
     keep = [a for a in range(dist.n_features) if a != axis]
     p = table.sum(axis=tuple(keep)) if keep else table
     name = (dist.names[j],) if dist.names is not None else None
-    return DiscreteDistribution(p, (dist.register_bits[j],), name, dist.condition)
+    return DiscreteDistribution(p, (dist.register_bits[j],), name)
 
 
 def sample(dist: DiscreteDistribution, n_shots: int, rng_seed) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Experiment definitions and the report bundle writer.
 
-Each experiment is a hook: it prepares its data, picks its circuit, fits
-through `_fit` and computes its metrics. `run_experiment` writes the bundle.
+Each experiment is a hook: it builds its model, prepares its data, trains
+(a Born machine through `_fit`, or the classical baseline's MLP) and computes
+its metrics. `run_experiment` writes the bundle.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .baseline import GmmdConfig, MlpSpec, forward, save_weights, train_gmmd
 from .born import BornModel, model_distribution, save_checkpoint
 from .circuits import (
     CorrelationBlockChoice,
@@ -39,14 +41,36 @@ from .data import (
 from .distributions import marginal, sample
 from .metrics import KernelConfig, pearson_correlation, total_variance
 from .noise import NoiseConfig, apply_readout_noise, estimate_confusion_matrix, mitigate_readout
-from .optimize import TrainConfig, init_parameters, trace_to_csv, trace_to_json, train
+from .optimize import TrainConfig, _is_count, init_parameters, trace_to_csv, trace_to_json, train
 
 __all__ = ["ExperimentConfig", "run_experiment", "compare_report", "EXPERIMENTS"]
 
-EXPERIMENTS = ("exp-1d", "exp-multi", "exp-cond", "exp-blocks", "exp-noise")
+EXPERIMENTS = ("exp-1d", "exp-multi", "exp-cond", "exp-blocks", "exp-noise", "exp-gmmd")
 
-_COMMON = {
-    "data": {"source": "synthetic", "n_events": 10240, "path": None},
+
+class ConfigError(ValueError):
+    """Invalid experiment configuration; message carries the field path."""
+
+
+def _merge(base: dict, override: dict, path: str = "", extend: bool = False) -> dict:
+    """Deep-merge override into a copy of base. Unless extend is set, a key
+    that base lacks is an error naming its dotted path."""
+    out = copy.deepcopy(base)
+    for key, value in override.items():
+        where = f"{path}.{key}" if path else key
+        if key not in out and not extend:
+            raise ConfigError(f"unknown config field {where!r}")
+        if isinstance(out.get(key), dict) and isinstance(value, dict):
+            out[key] = _merge(out[key], value, where, extend)
+        else:
+            out[key] = copy.deepcopy(value)
+    return out
+
+
+_DATA = {"data": {"source": "synthetic", "n_events": 10240, "path": None}}
+# The Born machine's training schedule and initial parameters, which the
+# classical baseline does not read.
+_BORN = {
     "train": {
         "optimizer": "adam",
         "initial_lr": 0.01,
@@ -64,7 +88,7 @@ _SAMPLING = {"n_shots": 5120, "repetitions": 10}
 
 # Each experiment's defaults name exactly the fields it reads, so that any
 # other field is rejected rather than ignored.
-_DEFAULTS = {
+_BORN_DEFAULTS = {
     "exp-1d": {
         "data": {"condition": 50.0},
         "circuit": {"n_qubits": 4},
@@ -98,25 +122,14 @@ _DEFAULTS = {
         "noise": {"readout_flip_prob": 0.029, "calibration_shots": 100000},
     },
 }
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; message carries the field path."""
-
-
-def _merge(base: dict, override: dict, path: str = "", extend: bool = False) -> dict:
-    """Deep-merge override into a copy of base. Unless extend is set, a key
-    that base lacks is an error naming its dotted path."""
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in out and not extend:
-            raise ConfigError(f"unknown config field {where!r}")
-        if isinstance(out.get(key), dict) and isinstance(value, dict):
-            out[key] = _merge(out[key], value, where, extend)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
+_DEFAULTS = {
+    **{name: _merge(_BORN, d, extend=True) for name, d in _BORN_DEFAULTS.items()},
+    "exp-gmmd": {
+        "data": {"condition": 50.0},
+        "model": {"latent_dim": 15, "hidden": [64, 128, 64, 16]},
+        "train": {"max_epochs": 100},
+    },
+}
 
 
 @contextmanager
@@ -139,16 +152,16 @@ class ExperimentConfig:
         if "seed" not in raw:
             raise ConfigError("missing required field 'seed'")
         self.experiment = raw["experiment"]
-        self.seed = int(raw["seed"])
+        self.seed = raw["seed"]
         self.output_dir = raw.get("output_dir")
-        defaults = _merge(_COMMON, _DEFAULTS[self.experiment], extend=True)
+        defaults = _merge(_DATA, _DEFAULTS[self.experiment], extend=True)
         body = {
             k: v
             for k, v in raw.items()
             if k not in ("experiment", "seed", "output_dir")
         }
-        self.settings = _merge(defaults, body)
-        data = self.settings["data"]
+        self.settings = s = _merge(defaults, body)
+        data = s["data"]
         if data["source"] not in ("synthetic", "csv"):
             raise ConfigError("data.source must be 'synthetic' or 'csv'")
         if data["source"] == "csv":
@@ -159,20 +172,30 @@ class ExperimentConfig:
             raise ConfigError(
                 f"data.held_out must be one of {CONDITION_VALUES}, got {data['held_out']!r}"
             )
+        counts = [("seed", self.seed, 0), ("data.n_events", data["n_events"], 1)]
+        counts += [(f"sampling.{key}", value, 1) for key, value in s.get("sampling", {}).items()]
+        if "noise" in s:
+            counts.append(("noise.calibration_shots", s["noise"]["calibration_shots"], 1))
+        if "model" in s:
+            if not isinstance(s["model"]["hidden"], list):
+                raise ConfigError(f"model.hidden must be a list, not {s['model']['hidden']!r}")
+            counts.append(("model.latent_dim", s["model"]["latent_dim"], 1))
+            counts += [("model.hidden", width, 1) for width in s["model"]["hidden"]]
+        for path, value, minimum in counts:
+            if not _is_count(value, minimum):
+                raise ConfigError(f"{path} must be an integer >= {minimum}, not {value!r}")
         # build every settings object now, so that a bad value fails here
         with _field("train"):
             self.train_config()
-        with _field("init_scheme"):
-            init_parameters(0, self.settings["init_scheme"])
-        if "block" in self.settings["circuit"]:
+        if "init_scheme" in s:
+            with _field("init_scheme"):
+                init_parameters(0, s["init_scheme"])
+        if "block" in s.get("circuit", {}):
             with _field("circuit.block"):
-                CorrelationBlockChoice(**self.settings["circuit"]["block"])
-        if "noise" in self.settings:
+                CorrelationBlockChoice(**s["circuit"]["block"])
+        if "noise" in s:
             with _field("noise.readout_flip_prob"):
                 self.noise_config()
-            shots = self.settings["noise"]["calibration_shots"]
-            if not isinstance(shots, int) or shots < 1:
-                raise ConfigError(f"noise.calibration_shots must be an integer >= 1, not {shots!r}")
 
     def resolved(self) -> dict:
         return {
@@ -181,10 +204,14 @@ class ExperimentConfig:
             **copy.deepcopy(self.settings),
         }
 
-    def train_config(self, **overrides) -> TrainConfig:
-        t = dict(self.settings["train"])
+    def train_config(self, **overrides) -> TrainConfig | GmmdConfig:
+        """The Born machine's TrainConfig, or the GmmdConfig of an experiment
+        that trains the classical baseline's MLP."""
+        t = {**self.settings["train"], "seed": self.seed, **overrides}
+        if "model" in self.settings:
+            return GmmdConfig(**t)
         t["kernel"] = KernelConfig(tuple(t.pop("bandwidths")))
-        return TrainConfig(**{**t, "seed": self.seed, **overrides})
+        return TrainConfig(**t)
 
     def noise_config(self) -> NoiseConfig:
         flip = self.settings["noise"]["readout_flip_prob"]
@@ -265,7 +292,7 @@ def _write_histogram_csv(path, sampling, binning, feature, target, model_dist, s
 def _single_condition(config: ExperimentConfig, n_bins_per_feature, features):
     """One condition's events, split, preprocessed and binned: the train and
     validation distributions, the binning, the preprocessing parameters and
-    the validation features."""
+    the train and validation features."""
     condition = config.settings["data"]["condition"]
     events = _events(config, {condition: 0})[condition]
     train_events, test_events = train_test_split(events, config.seed)
@@ -274,7 +301,8 @@ def _single_condition(config: ExperimentConfig, n_bins_per_feature, features):
     train_f = train_all[:, features]
     test_f = test_all[:, features]
     binning = BinningSpec.from_training_data(train_f, n_bins_per_feature)
-    return discretize(train_f, binning), discretize(test_f, binning), binning, params, test_f
+    binned = discretize(train_f, binning), discretize(test_f, binning)
+    return *binned, binning, params, train_f, test_f
 
 
 def _fit(config, circuit, target, val_target, seed_offset=0, condition_range=None):
@@ -284,6 +312,13 @@ def _fit(config, circuit, target, val_target, seed_offset=0, condition_range=Non
     return train(model, target, config.train_config(seed=config.seed + seed_offset), val_target)
 
 
+def _checkpoint(config: ExperimentConfig, trained: BornModel):
+    """Writer of a trained Born model's checkpoint into a bundle directory."""
+    return lambda out: save_checkpoint(
+        trained, out / "checkpoint.json", {"experiment": config.experiment}
+    )
+
+
 def _val_mmd(trace) -> dict:
     return {
         "final_val_mmd": trace[-1].val_loss,
@@ -291,29 +326,35 @@ def _val_mmd(trace) -> dict:
     }
 
 
-# Each hook returns (trained, trace, metrics, histograms). A histogram is
-# (name, binning, feature, target, model distribution, sampling seed).
+# Each hook returns (save_model, trace, metrics, histograms). save_model
+# writes the model file into the bundle directory, and is None when there is
+# no single trained model. A histogram is (name, binning, feature, target,
+# model distribution, sampling seed). Hooks build their circuits before any
+# data is made, so that a bad circuit size fails first.
 
 
 def _exp_1d(config: ExperimentConfig):
-    train_dist, val_dist, binning, _, _ = _single_condition(config, [16], [0])
-    circuit = build_1d_rzz_ansatz(config.settings["circuit"]["n_qubits"])
+    with _field("circuit"):
+        circuit = build_1d_rzz_ansatz(config.settings["circuit"]["n_qubits"])
+    train_dist, val_dist, binning, *_ = _single_condition(config, [16], [0])
     trained, trace = _fit(config, circuit, train_dist, val_dist)
     dist = model_distribution(trained)
     metrics = {"tv": total_variance(dist, val_dist), **_val_mmd(trace)}
-    return trained, trace, metrics, [("e_out", binning, 0, val_dist, dist, config.seed)]
+    histograms = [("e_out", binning, 0, val_dist, dist, config.seed)]
+    return _checkpoint(config, trained), trace, metrics, histograms
 
 
 def _exp_multi(config: ExperimentConfig):
-    train_dist, val_dist, binning, params, test_f = _single_condition(
-        config, [8, 8, 8], [0, 1, 2]
-    )
     c = config.settings["circuit"]
-    circuit = build_multivariate(
-        c["n_registers"],
-        c["qubits_per_register"],
-        c["n_repetitions"],
-        CorrelationBlockChoice(**c["block"]),
+    with _field("circuit"):
+        circuit = build_multivariate(
+            c["n_registers"],
+            c["qubits_per_register"],
+            c["n_repetitions"],
+            CorrelationBlockChoice(**c["block"]),
+        )
+    train_dist, val_dist, binning, params, _, test_f = _single_condition(
+        config, [8, 8, 8], [0, 1, 2]
     )
     trained, trace = _fit(config, circuit, train_dist, val_dist)
     dist = model_distribution(trained)
@@ -337,19 +378,23 @@ def _exp_multi(config: ExperimentConfig):
         (name, binning, j, marginal(val_dist, j), marginal(dist, j), config.seed + j)
         for j, name in enumerate(names)
     ]
-    return trained, trace, metrics, histograms
+    return _checkpoint(config, trained), trace, metrics, histograms
 
 
 def _exp_blocks(config: ExperimentConfig):
     """Every correlation-block variant, ranked by best validation MMD. The
     trace is one per variant, and there is no single trained model."""
-    train_dist, val_dist, _, _, _ = _single_condition(config, [8, 8, 8], [0, 1, 2])
     c = config.settings["circuit"]
+    with _field("circuit"):
+        circuits = {
+            choice: build_multivariate(
+                c["n_registers"], c["qubits_per_register"], c["n_repetitions"], choice
+            )
+            for choice in all_block_choices()
+        }
+    train_dist, val_dist, *_ = _single_condition(config, [8, 8, 8], [0, 1, 2])
     results, traces = {}, []
-    for i, choice in enumerate(all_block_choices()):
-        circuit = build_multivariate(
-            c["n_registers"], c["qubits_per_register"], c["n_repetitions"], choice
-        )
+    for i, (choice, circuit) in enumerate(circuits.items()):
         trained, trace = _fit(config, circuit, train_dist, val_dist, seed_offset=i)
         traces.append(trace)
         results[choice.label] = {
@@ -361,6 +406,9 @@ def _exp_blocks(config: ExperimentConfig):
 
 
 def _exp_cond(config: ExperimentConfig):
+    c = config.settings["circuit"]
+    with _field("circuit"):
+        circuit = build_conditional(c["n_qubits"], c["n_layers"])
     held_out = config.settings["data"]["held_out"]
     train_conditions = [cond for cond in CONDITION_VALUES if cond != held_out]
     events = _events(config, {cond: int(cond) for cond in CONDITION_VALUES})
@@ -372,10 +420,9 @@ def _exp_cond(config: ExperimentConfig):
     train_dists = {cond: discretize(energy(splits[cond][0]), binning) for cond in train_conditions}
     val_dists = {cond: discretize(energy(splits[cond][1]), binning) for cond in train_conditions}
     held_out_dist = discretize(energy(splits[held_out][1]), binning)
-    c = config.settings["circuit"]
     trained, trace = _fit(
         config,
-        build_conditional(c["n_qubits"], c["n_layers"]),
+        circuit,
         train_dists,
         val_dists,
         condition_range=(min(CONDITION_VALUES), max(CONDITION_VALUES)),
@@ -395,12 +442,13 @@ def _exp_cond(config: ExperimentConfig):
         (f"{int(cond)}gev", binning, 0, target, dists[cond], config.seed + int(cond))
         for cond, target in targets.items()
     ]
-    return trained, trace, metrics, histograms
+    return _checkpoint(config, trained), trace, metrics, histograms
 
 
 def _exp_noise(config: ExperimentConfig):
-    train_dist, val_dist, _, _, _ = _single_condition(config, [16], [0])
-    circuit = build_1d_rzz_ansatz(config.settings["circuit"]["n_qubits"])
+    with _field("circuit"):
+        circuit = build_1d_rzz_ansatz(config.settings["circuit"]["n_qubits"])
+    train_dist, val_dist, *_ = _single_condition(config, [16], [0])
     trained, trace = _fit(config, circuit, train_dist, val_dist)
     n = config.settings["noise"]
     noise = config.noise_config()
@@ -414,7 +462,22 @@ def _exp_noise(config: ExperimentConfig):
         "tv_mitigated": total_variance(mitigated, val_dist),
         "tv_mitigated_vs_exact": total_variance(mitigated, exact),
     }
-    return trained, trace, metrics, []
+    return _checkpoint(config, trained), trace, metrics, []
+
+
+def _exp_gmmd(config: ExperimentConfig):
+    """The classical baseline: an MLP generator trained on the sample MMD of
+    the 1D target, its TV taken over 100 000 generated events."""
+    m = config.settings["model"]
+    spec = MlpSpec(m["latent_dim"], tuple(m["hidden"]), 1)
+    _, val_dist, binning, _, train_f, test_f = _single_condition(config, [16], [0])
+    weights, trace = train_gmmd(
+        spec, train_f, config.train_config(), binning=binning, val_dataset=test_f
+    )
+    latent = np.random.default_rng(config.seed + 1).standard_normal((100_000, spec.latent_dim))
+    generated = forward(weights, latent)
+    metrics = {"tv": total_variance(discretize(generated, binning), val_dist), **_val_mmd(trace)}
+    return lambda out: save_weights(weights, spec, out / "weights.json"), trace, metrics, []
 
 
 _HOOKS = {
@@ -423,23 +486,24 @@ _HOOKS = {
     "exp-cond": _exp_cond,
     "exp-blocks": _exp_blocks,
     "exp-noise": _exp_noise,
+    "exp-gmmd": _exp_gmmd,
 }
 
 
 def run_experiment(config: ExperimentConfig, output_dir) -> dict:
     """Run one experiment, writing the full report bundle to output_dir."""
-    trained, trace, metrics, histograms = _HOOKS[config.experiment](config)
+    save_model, trace, metrics, histograms = _HOOKS[config.experiment](config)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     resolved = config.resolved()
     with open(out / "resolved_config.json", "w") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
-    if trained is None:  # exp-blocks: one trace per variant, no single model
+    if save_model is None:  # exp-blocks: one trace per variant, no single model
         for i, variant_trace in enumerate(trace):
             trace_to_csv(variant_trace, out / f"trace_{i}.csv")
     else:
         trace_to_csv(trace, out / "trace.csv")
-        save_checkpoint(trained, out / "checkpoint.json", {"experiment": config.experiment})
+        save_model(out)
         metrics["trace"] = trace_to_json(trace)
     for name, *columns in histograms:
         _write_histogram_csv(out / f"histogram_{name}.csv", config.settings["sampling"], *columns)

@@ -74,9 +74,7 @@ def apply_readout_noise(
     """Push a distribution through the independent bit-flip channel."""
     n_qubits = sum(p_true.register_bits)
     m = readout_matrix(n_qubits, config).matrix
-    return DiscreteDistribution(
-        m @ p_true.probs, p_true.register_bits, p_true.names, p_true.condition
-    )
+    return DiscreteDistribution(m @ p_true.probs, p_true.register_bits, p_true.names)
 
 
 def mitigate_readout(
@@ -91,9 +89,7 @@ def mitigate_readout(
     total = p.sum()
     if total == 0:
         raise ValueError("mitigation produced an empty distribution")
-    return DiscreteDistribution(
-        p / total, p_noisy.register_bits, p_noisy.names, p_noisy.condition
-    )
+    return DiscreteDistribution(p / total, p_noisy.register_bits, p_noisy.names)
 
 
 def estimate_confusion_matrix(

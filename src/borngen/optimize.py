@@ -68,6 +68,15 @@ class TrainConfig:
         if self.optimizer not in ("adam", "spsa", "mixed"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         _check_schedule(self)
+        if not _is_count(self.spsa_epochs, 0):
+            raise ValueError(f"spsa_epochs must be an integer >= 0, not {self.spsa_epochs!r}")
+        if not isinstance(self.sample_batches, bool):
+            raise ValueError(f"sample_batches must be true or false, not {self.sample_batches!r}")
+
+
+def _is_count(value, minimum: int) -> bool:
+    """Whether value is an int (a bool is not one) of at least minimum."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
 def _check_schedule(config) -> None:
@@ -174,9 +183,7 @@ def _batch_target(
     if not config.sample_batches:
         return tgt
     counts = rng.multinomial(config.batch_size, tgt.probs / tgt.probs.sum())
-    return DiscreteDistribution(
-        counts / config.batch_size, tgt.register_bits, tgt.names, tgt.condition
-    )
+    return DiscreteDistribution(counts / config.batch_size, tgt.register_bits, tgt.names)
 
 
 def train(
@@ -210,9 +217,7 @@ def train(
         dist = model_distribution(model.with_theta(theta), cond)
         if transform is None:
             return dist
-        return DiscreteDistribution(
-            transform @ dist.probs, dist.register_bits, dist.names, dist.condition
-        )
+        return DiscreteDistribution(transform @ dist.probs, dist.register_bits, dist.names)
 
     def mean_loss(dists, target_map):
         return float(

@@ -4,6 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from borngen import experiments
 from borngen.cli import EXIT_REGRESSION, EXIT_VALIDATION, main
 from borngen.data import save_csv, synthesize_mfc
 
@@ -143,3 +144,45 @@ def test_run_reports_config_error_found_while_running(runner, tmp_path):
     assert "config error: no events with e_in" in result.output
     assert "Traceback" not in result.output
     assert not (tmp_path / "out" / "resolved_config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, body, message",
+    [
+        ("exp-1d", {"circuit": {"n_qubits": 1}}, "circuit: need at least 2 qubits"),
+        ("exp-noise", {"circuit": {"n_qubits": 1}}, "circuit: need at least 2 qubits"),
+        ("exp-multi", {"circuit": {"n_registers": 1}}, "circuit: "),
+        ("exp-blocks", {"circuit": {"n_registers": 1}}, "circuit: "),
+        ("exp-cond", {"circuit": {"n_qubits": 0}}, "circuit: need n_qubits >= 1"),
+        ("exp-1d", {"data": {"n_events": 0}}, "data.n_events must be an integer >= 1"),
+        ("exp-1d", {"sampling": {"n_shots": 0}}, "sampling.n_shots must be an integer >= 1"),
+        ("exp-cond", {"sampling": {"repetitions": 0}}, "sampling.repetitions must be"),
+    ],
+)
+def test_run_rejects_bad_size_before_any_data(runner, tmp_path, monkeypatch, experiment, body,
+                                               message):
+    def no_data(*args, **kwargs):
+        raise AssertionError("events were made before the config error")
+
+    monkeypatch.setattr(experiments, "synthesize_mfc", no_data)
+    config = _write_config(tmp_path / "config.json", experiment=experiment, **body)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(config), "-o", str(out)])
+    assert result.exit_code == EXIT_VALIDATION
+    assert f"config error: {message}" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_gmmd_report_is_read_by_report_and_compare(runner, tmp_path):
+    config = _write_config(tmp_path / "config.json", experiment="exp-gmmd", train={"max_epochs": 1})
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["run", str(config), "-o", str(out)]).exit_code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert {"version", "config"} <= set(report)
+    assert (out / "resolved_config.json").exists() and (out / "metadata.json").exists()
+    shown = runner.invoke(main, ["report", str(out)])
+    assert shown.exit_code == 0 and "exp-gmmd" in shown.output and "tv" in shown.output
+    path = str(out / "report.json")
+    compared = runner.invoke(main, ["compare", path, path])
+    assert compared.exit_code == 0 and "identical" in compared.output

@@ -1,4 +1,6 @@
 """Distribution container: bin coordinates, marginals, sampling."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,3 +98,7 @@ def test_normalized():
     assert dist.normalized().probs == pytest.approx([0.5, 0.5])
     with pytest.raises(ValueError):
         DiscreteDistribution(np.zeros(2), (1,)).normalized()
+
+
+def test_distribution_carries_no_condition():
+    assert [f.name for f in fields(DiscreteDistribution)] == ["probs", "register_bits", "names"]

@@ -1,11 +1,13 @@
 """Experiment configuration, report bundles and report comparison."""
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from borngen import experiments
+from borngen.baseline import load_weights
 from borngen.data import CONDITION_VALUES, load_csv, save_csv, synthesize_mfc
 from borngen.experiments import (
     ConfigError,
@@ -30,6 +32,18 @@ def test_required_fields():
         ExperimentConfig({"experiment": "exp-1d"})
     with pytest.raises(ConfigError, match="unknown experiment"):
         ExperimentConfig({"experiment": "exp-42", "seed": 0})
+
+
+@pytest.mark.parametrize("seed", ["abc", 1.7, True, -1, None])
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ConfigError, match=r"^seed must be an integer >= 0"):
+        ExperimentConfig({"experiment": "exp-1d", "seed": seed})
+
+
+def test_every_checked_in_config_loads():
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("exp_*.json"))
+    loaded = [ExperimentConfig(json.loads(path.read_text())) for path in configs]
+    assert sorted(c.experiment for c in loaded) == sorted(EXPERIMENTS)
 
 
 def test_unknown_field_reports_path():
@@ -175,6 +189,10 @@ _BUNDLES = {
         _MODEL_FILES,
         {"tv_exact", "tv_noisy", "tv_mitigated", "tv_mitigated_vs_exact", "trace"},
     ),
+    "exp-gmmd": (
+        _COMMON_FILES | {"trace.csv", "weights.json"},
+        {"tv", "final_val_mmd", "best_val_mmd", "trace"},
+    ),
 }
 
 
@@ -189,6 +207,19 @@ def test_bundle_files_and_metric_keys(tmp_path, experiment):
         assert len(report["metrics"]["trace"]) == 1
 
 
+def test_gmmd_reads_its_model_and_epochs(tmp_path):
+    config = ExperimentConfig(
+        {"experiment": "exp-gmmd", "seed": 0, "train": {"max_epochs": 2},
+         "model": {"latent_dim": 3, "hidden": [5]}}
+    )
+    report = run_experiment(config, tmp_path)
+    weights, spec = load_weights(tmp_path / "weights.json")
+    assert (spec.latent_dim, spec.hidden, spec.output_dim) == (3, (5,), 1)
+    assert [w.shape for w, _ in weights] == [(3, 5), (5, 1)]
+    assert len(report["metrics"]["trace"]) == 2
+    assert 0 <= report["metrics"]["tv"] <= 1
+
+
 @pytest.mark.parametrize(
     "experiment, body, path",
     [
@@ -197,6 +228,11 @@ def test_bundle_files_and_metric_keys(tmp_path, experiment):
         ("exp-noise", {"sampling": {"n_shots": 100}}, "sampling"),
         ("exp-cond", {"data": {"condition": 999}}, "data.condition"),
         ("exp-blocks", {"sampling": {"n_shots": 100}}, "sampling"),
+        ("exp-gmmd", {"init_scheme": "zeros"}, "init_scheme"),
+        ("exp-gmmd", {"train": {"initial_lr": 0.02}}, "train.initial_lr"),
+        ("exp-gmmd", {"train": {"bandwidths": [1.0]}}, "train.bandwidths"),
+        ("exp-gmmd", {"circuit": {"n_qubits": 4}}, "circuit"),
+        ("exp-gmmd", {"sampling": {"n_shots": 100}}, "sampling"),
     ],
 )
 def test_unread_field_rejected(experiment, body, path):
@@ -220,9 +256,18 @@ def test_held_out_must_be_a_condition():
         ("exp-noise", {"noise": {"calibration_shots": 0}}, r"noise\.calibration_shots "),
         ("exp-multi", {"circuit": {"block": {"style": "bogus"}}}, r"circuit\.block: bad style"),
         ("exp-1d", {"init_scheme": "bogus"}, "init_scheme: unknown init scheme"),
+        ("exp-1d", {"train": {"optimizer": "mixed", "max_epochs": 1, "spsa_epochs": -3}},
+         "train: spsa_epochs must be an integer >= 0"),
+        ("exp-1d", {"train": {"sample_batches": "no"}}, "train: sample_batches must be true"),
+        ("exp-1d", {"data": {"n_events": 512.5}}, r"data\.n_events must be an integer"),
+        ("exp-gmmd", {"train": {"max_epochs": 0}}, "train: counts must be >= 1"),
+        ("exp-gmmd", {"model": {"latent_dim": 0}}, r"model\.latent_dim must be an integer"),
+        ("exp-gmmd", {"model": {"hidden": [64, 2.5]}}, r"model\.hidden must be an integer"),
+        ("exp-gmmd", {"model": {"hidden": 64}}, r"model\.hidden must be a list"),
     ],
     ids=["optimizer", "max_epochs", "readout_flip_prob", "calibration_shots", "block_style",
-         "init_scheme"],
+         "init_scheme", "spsa_epochs", "sample_batches", "n_events", "gmmd_max_epochs",
+         "latent_dim", "hidden_width", "hidden_list"],
 )
 def test_bad_train_value_rejected_up_front(experiment, body, message):
     with pytest.raises(ConfigError, match=message):
@@ -267,4 +312,5 @@ def test_experiment_names():
         "exp-cond",
         "exp-blocks",
         "exp-noise",
+        "exp-gmmd",
     }
