@@ -2,8 +2,7 @@
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,8 +17,8 @@ from .metrics import (
     mmd_loss_samples,
     total_variance,
 )
-from .optimize import AdamState, EpochRecord, adam_step, learning_rate
-from .optimize import _check_finite, _check_schedule
+from .optimize import AdamState, Schedule, adam_step
+from .optimize import _check_finite, _run_epochs
 
 __all__ = [
     "MlpSpec",
@@ -54,17 +53,10 @@ class MlpSpec:
 
 
 @dataclass(frozen=True)
-class GmmdConfig:
-    initial_lr: float = 0.01
-    lr_halving_period: int = 20
-    batches_per_epoch: int = 10
-    batch_size: int = 512
-    max_epochs: int = 100
-    seed: int = 0
-    kernel: KernelConfig = field(default_factory=KernelConfig)
+class GmmdConfig(Schedule):
+    """The shared training schedule, run for 100 epochs."""
 
-    def __post_init__(self):
-        _check_schedule(self)
+    max_epochs: int = 100
 
 
 def init_weights(spec: MlpSpec, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -181,59 +173,41 @@ def train_gmmd(
         raise ValueError("validation feature count does not match the net output")
 
     rng = np.random.default_rng(config.seed)
-    weights = init_weights(spec, config.seed)
-    adam_state = AdamState.init(len(flatten_weights(weights)))
+    flat = flatten_weights(init_weights(spec, config.seed))  # the vector ADAM steps
+    adam_state = AdamState.init(len(flat))
     eval_latent = rng.standard_normal((2048, spec.latent_dim))
     val_batch = val[rng.choice(len(val), size=min(len(val), 2048), replace=False)]
     val_target = SampleTarget(val_batch, config.kernel)  # its self-sum once per run
     val_dist = discretize(val, binning) if binning is not None else None
 
-    best_val = np.inf
-    best_weights = weights
-    trace: list[EpochRecord] = []
-    for epoch in range(config.max_epochs):
-        start = time.perf_counter()
-        lr = learning_rate(config, epoch)
+    def run_epoch(epoch, lr, flat, _best):
+        nonlocal adam_state
         grad_norm = 0.0
         epoch_loss = 0.0
         for step in range(config.batches_per_epoch):
             z = rng.standard_normal((config.batch_size, spec.latent_dim))
             batch = data[rng.integers(0, len(data), size=config.batch_size)]
+            weights = unflatten_weights(flat, spec)
             loss, grads = gmmd_loss_and_grad(weights, z, batch, config.kernel)
             _check_finite(loss, "loss", epoch, step)
             epoch_loss += loss / config.batches_per_epoch
             flat_grad = flatten_weights(grads)
             _check_finite(flat_grad, "gradient", epoch, step)
             grad_norm = float(np.linalg.norm(flat_grad))
-            flat, adam_state = adam_step(
-                flatten_weights(weights), flat_grad, adam_state, lr
-            )
+            flat, adam_state = adam_step(flat, flat_grad, adam_state, lr)
             _check_finite(flat, "weights", epoch, step)
-            weights = unflatten_weights(flat, spec)
+        return flat, {"train_loss": epoch_loss, "grad_norm": grad_norm, "phase": "adam"}
 
-        generated = forward(weights, eval_latent)
+    def evaluate(flat):
+        generated = forward(unflatten_weights(flat, spec), eval_latent)
         val_loss = gmmd_batch_loss(generated, val_target, config.kernel)
-        tv = (
-            total_variance(discretize(generated, binning), val_dist)
-            if binning is not None
-            else 0.0
-        )
-        if val_loss < best_val:
-            best_val = val_loss
-            best_weights = [(w.copy(), b.copy()) for w, b in weights]
-        trace.append(
-            EpochRecord(
-                epoch,
-                epoch_loss,
-                val_loss,
-                tv,
-                lr,
-                time.perf_counter() - start,
-                grad_norm,
-                "adam",
-            )
-        )
-    return best_weights, trace
+        tv = 0.0
+        if binning is not None:
+            tv = total_variance(discretize(generated, binning), val_dist)
+        return {"val_loss": val_loss, "tv": tv}
+
+    best_flat, trace = _run_epochs(config, flat, config.max_epochs, run_epoch, evaluate)
+    return unflatten_weights(best_flat, spec), trace
 
 
 def save_weights(weights, spec: MlpSpec, path) -> None:

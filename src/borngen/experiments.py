@@ -67,7 +67,11 @@ def _merge(base: dict, override: dict, path: str = "", extend: bool = False) -> 
     return out
 
 
-_DATA = {"data": {"source": "synthetic", "n_events": 10240, "path": None}}
+# Each data source's fields: the generator reads n_events, a CSV source its path.
+_SOURCES = {
+    "synthetic": {"source": "synthetic", "n_events": 10240},
+    "csv": {"source": "csv", "path": None},
+}
 # The Born machine's training schedule and initial parameters, which the
 # classical baseline does not read.
 _BORN = {
@@ -154,7 +158,11 @@ class ExperimentConfig:
         self.experiment = raw["experiment"]
         self.seed = raw["seed"]
         self.output_dir = raw.get("output_dir")
-        defaults = _merge(_DATA, _DEFAULTS[self.experiment], extend=True)
+        raw_data = raw.get("data", {})
+        source = raw_data.get("source", "synthetic") if isinstance(raw_data, dict) else None
+        if source not in ("synthetic", "csv"):
+            raise ConfigError("data.source must be 'synthetic' or 'csv'")
+        defaults = _merge({"data": _SOURCES[source]}, _DEFAULTS[self.experiment], extend=True)
         body = {
             k: v
             for k, v in raw.items()
@@ -162,17 +170,17 @@ class ExperimentConfig:
         }
         self.settings = s = _merge(defaults, body)
         data = s["data"]
-        if data["source"] not in ("synthetic", "csv"):
-            raise ConfigError("data.source must be 'synthetic' or 'csv'")
-        if data["source"] == "csv":
+        counts = [("seed", self.seed, 0)]
+        if source == "csv":
             path = data["path"]
             if not path or not Path(path).exists():
                 raise ConfigError(f"data.path does not exist: {path!r}")
+        else:
+            counts.append(("data.n_events", data["n_events"], 1))
         if "held_out" in data and data["held_out"] not in CONDITION_VALUES:
             raise ConfigError(
                 f"data.held_out must be one of {CONDITION_VALUES}, got {data['held_out']!r}"
             )
-        counts = [("seed", self.seed, 0), ("data.n_events", data["n_events"], 1)]
         counts += [(f"sampling.{key}", value, 1) for key, value in s.get("sampling", {}).items()]
         if "noise" in s:
             counts.append(("noise.calibration_shots", s["noise"]["calibration_shots"], 1))
@@ -524,11 +532,16 @@ def run_experiment(config: ExperimentConfig, output_dir) -> dict:
 
 
 def _flatten_metrics(metrics: dict, prefix: str = "") -> dict:
+    """Every numeric leaf by its dotted path; a list's entries are keyed by
+    index (pearson_generated.0.1). The trace and non-numeric leaves are
+    skipped."""
     flat = {}
     for key, value in metrics.items():
         if key == "trace":
             continue
         name = f"{prefix}{key}"
+        if isinstance(value, list):
+            value = dict(enumerate(value))
         if isinstance(value, dict):
             flat.update(_flatten_metrics(value, name + "."))
         elif isinstance(value, (int, float)):

@@ -15,6 +15,7 @@ from .noise import NoiseConfig, readout_matrix
 
 __all__ = [
     "SpsaSettings",
+    "Schedule",
     "TrainConfig",
     "EpochRecord",
     "TrainingDivergedError",
@@ -49,42 +50,49 @@ class SpsaSettings:
     gamma: float = 0.101
 
 
+def _is_count(value, minimum: int) -> bool:
+    """Whether value is an int (a bool is not one) of at least minimum."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 @dataclass(frozen=True)
-class TrainConfig:
-    optimizer: str = "adam"  # adam | spsa | mixed
+class Schedule:
+    """The training schedule the Born machine and the GMMD baseline share."""
+
     initial_lr: float = 0.01
     lr_halving_period: int = 20
     batches_per_epoch: int = 10
     batch_size: int = 512
     max_epochs: int = 70
     seed: int = 0
+    kernel: KernelConfig = field(default_factory=KernelConfig)
+
+    def __post_init__(self):
+        if not self.initial_lr > 0 or not _is_count(self.lr_halving_period, 1):  # NaN too
+            raise ValueError(
+                "learning-rate settings must be positive, lr_halving_period an integer"
+            )
+        for name in ("batches_per_epoch", "batch_size", "max_epochs"):
+            if not _is_count(value := getattr(self, name), 1):
+                raise ValueError(f"counts must be >= 1 and integers, not {name}={value!r}")
+
+
+@dataclass(frozen=True)
+class TrainConfig(Schedule):
+    optimizer: str = "adam"  # adam | spsa | mixed
     spsa: SpsaSettings = field(default_factory=SpsaSettings)
     spsa_epochs: int = 10  # fine-tuning epochs in the mixed scheme
-    kernel: KernelConfig = field(default_factory=KernelConfig)
     noise: Optional[NoiseConfig] = None
     sample_batches: bool = False  # finite 512-sample target batches
 
     def __post_init__(self):
         if self.optimizer not in ("adam", "spsa", "mixed"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        _check_schedule(self)
+        super().__post_init__()
         if not _is_count(self.spsa_epochs, 0):
             raise ValueError(f"spsa_epochs must be an integer >= 0, not {self.spsa_epochs!r}")
         if not isinstance(self.sample_batches, bool):
             raise ValueError(f"sample_batches must be true or false, not {self.sample_batches!r}")
-
-
-def _is_count(value, minimum: int) -> bool:
-    """Whether value is an int (a bool is not one) of at least minimum."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
-
-
-def _check_schedule(config) -> None:
-    """Reject non-positive learning-rate settings and counts (TrainConfig, GmmdConfig)."""
-    if config.initial_lr <= 0 or config.lr_halving_period < 1:
-        raise ValueError("learning-rate settings must be positive")
-    if min(config.batches_per_epoch, config.batch_size, config.max_epochs) < 1:
-        raise ValueError("counts must be >= 1")
 
 
 @dataclass(slots=True)  # one per epoch of every run, so kept small
@@ -162,9 +170,8 @@ def init_parameters(n: int, scheme: str = "small_normal", seed: int = 0) -> np.n
     raise ValueError(f"unknown init scheme {scheme!r}")
 
 
-def learning_rate(config, epoch: int) -> float:
-    """initial_lr halved every lr_halving_period epochs, read from a
-    TrainConfig or a GmmdConfig."""
+def learning_rate(config: Schedule, epoch: int) -> float:
+    """initial_lr halved every lr_halving_period epochs."""
     return config.initial_lr * 2.0 ** (-(epoch // config.lr_halving_period))
 
 
@@ -184,6 +191,34 @@ def _batch_target(
         return tgt
     counts = rng.multinomial(config.batch_size, tgt.probs / tgt.probs.sum())
     return DiscreteDistribution(counts / config.batch_size, tgt.register_bits, tgt.names)
+
+
+def _run_epochs(config: Schedule, params: np.ndarray, n_epochs: int, run_epoch, evaluate):
+    """The epoch loop both generators share. run_epoch(epoch, lr, params,
+    best_params) takes one epoch's steps and returns the new parameters and
+    the EpochRecord fields it measured; evaluate(params) returns the rest,
+    train_loss and val_loss among them. Returns the parameters with the best
+    validation loss and the per-epoch trace."""
+    best_val = np.inf
+    best = params.copy()
+    trace: list[EpochRecord] = []
+    for epoch in range(n_epochs):
+        start = time.perf_counter()
+        lr = learning_rate(config, epoch)
+        params, measured = run_epoch(epoch, lr, params, best)
+        measured.update(evaluate(params))
+        train_loss, val_loss = measured["train_loss"], measured["val_loss"]
+        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+            raise TrainingDivergedError(
+                f"non-finite loss at epoch {epoch}: train={train_loss}, val={val_loss}"
+            )
+        if val_loss < best_val:
+            best_val = val_loss
+            best = params.copy()
+        trace.append(
+            EpochRecord(epoch=epoch, lr=lr, seconds=time.perf_counter() - start, **measured)
+        )
+    return best, trace
 
 
 def train(
@@ -225,71 +260,45 @@ def train(
         )
 
     rng = np.random.default_rng(config.seed)
-    theta = model.theta.copy()
-    adam_state = AdamState.init(len(theta))
+    adam_state = AdamState.init(len(model.theta))
     spsa_iteration = 0
-    best_val = np.inf
-    best_theta = theta.copy()
-    trace: list[EpochRecord] = []
-
     mixed = config.optimizer == "mixed"
-    total_epochs = config.max_epochs + (config.spsa_epochs if mixed else 0)
 
-    for epoch in range(total_epochs):
-        start = time.perf_counter()
+    def run_epoch(epoch, lr, theta, best_theta):
+        nonlocal adam_state, spsa_iteration
         spsa_phase = config.optimizer == "spsa" or (mixed and epoch >= config.max_epochs)
         if mixed and epoch == config.max_epochs:
             theta = best_theta.copy()  # fine-tuning resumes from the best point
-        lr = learning_rate(config, epoch)
         grad_norm = 0.0
         step = 0
         for cond in conditions:
             for _ in range(config.batches_per_epoch):
                 batch = _batch_target(targets[cond], config, rng)
                 if spsa_phase:
-                    loss_fn = lambda th: mmd_loss(
-                        eval_dist(th, cond), batch, config.kernel, cache
-                    )
+                    loss_fn = lambda th: mmd_loss(eval_dist(th, cond), batch, config.kernel, cache)
                     theta = spsa_step(theta, loss_fn, spsa_iteration, config.spsa, rng)
                     spsa_iteration += 1
                 else:
                     grad = mmd_gradient(
-                        model.with_theta(theta),
-                        batch,
-                        config.kernel,
-                        cond,
-                        cache,
-                        transform,
+                        model.with_theta(theta), batch, config.kernel, cond, cache, transform
                     )
                     _check_finite(grad, "gradient", epoch, step)
                     grad_norm = float(np.linalg.norm(grad))
                     theta, adam_state = adam_step(theta, grad, adam_state, lr)
                 _check_finite(theta, "theta", epoch, step)
                 step += 1
+        return theta, {"grad_norm": grad_norm, "phase": "spsa" if spsa_phase else "adam"}
 
+    def evaluate(theta):
         dists = {c: eval_dist(theta, c) for c in conditions}  # one per condition
-        train_loss = mean_loss(dists, targets)
-        val_loss = mean_loss(dists, val_targets)
-        tv = float(np.mean([total_variance(dists[c], val_targets[c]) for c in conditions]))
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-            raise TrainingDivergedError(
-                f"non-finite loss at epoch {epoch}: train={train_loss}, val={val_loss}"
-            )
-        if val_loss < best_val:
-            best_val = val_loss
-            best_theta = theta.copy()
-        trace.append(
-            EpochRecord(
-                epoch,
-                train_loss,
-                val_loss,
-                tv,
-                lr,
-                time.perf_counter() - start,
-                grad_norm,
-                "spsa" if spsa_phase else "adam",
-            )
-        )
+        return {
+            "train_loss": mean_loss(dists, targets),
+            "val_loss": mean_loss(dists, val_targets),
+            "tv": float(np.mean([total_variance(dists[c], val_targets[c]) for c in conditions])),
+        }
+
+    n_epochs = config.max_epochs + (config.spsa_epochs if mixed else 0)
+    best_theta, trace = _run_epochs(config, model.theta.copy(), n_epochs, run_epoch, evaluate)
     return model.with_theta(best_theta), trace
 
 

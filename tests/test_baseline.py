@@ -20,7 +20,7 @@ from borngen.baseline import (
     unflatten_weights,
 )
 from borngen.metrics import KernelConfig, mmd_loss_samples
-from borngen.optimize import TrainingDivergedError
+from borngen.optimize import TrainConfig, TrainingDivergedError
 
 SPEC = MlpSpec(latent_dim=4, hidden=(8, 6), output_dim=2)
 
@@ -120,21 +120,38 @@ def test_training_reduces_validation_loss():
     assert abs(generated.mean() - 1.0) < 0.3
 
 
+_BAD_SCHEDULE = [
+    ("initial_lr", 0.0),
+    ("initial_lr", -0.01),
+    ("initial_lr", float("nan")),
+    ("lr_halving_period", 0),
+    ("batches_per_epoch", 0),
+    ("batch_size", 0),
+    ("max_epochs", 0),
+    ("lr_halving_period", 2.5),
+    ("batches_per_epoch", 2.5),
+    ("batch_size", 2.5),
+    ("max_epochs", 2.5),
+    ("lr_halving_period", True),
+    ("batches_per_epoch", True),
+    ("batch_size", True),
+    ("max_epochs", True),
+]
+
+
 @pytest.mark.parametrize(
-    "field, value",
+    "config_class, field, value",
     [
-        ("initial_lr", 0.0),
-        ("initial_lr", -0.01),
-        ("lr_halving_period", 0),
-        ("batches_per_epoch", 0),
-        ("batch_size", 0),
-        ("max_epochs", 0),
+        pytest.param(config_class, field, value, id=f"{prefix}{field}-{value}")
+        for config_class, prefix in ((GmmdConfig, ""), (TrainConfig, "TrainConfig-"))
+        for field, value in _BAD_SCHEDULE
     ],
 )
-def test_config_rejects_non_positive_settings(field, value):
-    # rejected when the config is made, so no training can start
+def test_config_rejects_non_positive_settings(config_class, field, value):
+    # both configs share the schedule check, and reject when made, so no
+    # training can start
     with pytest.raises(ValueError, match="must be"):
-        GmmdConfig(**{field: value})
+        config_class(**{field: value})
 
 
 def test_training_divergence_detected():

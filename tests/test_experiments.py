@@ -233,6 +233,9 @@ def test_gmmd_reads_its_model_and_epochs(tmp_path):
         ("exp-gmmd", {"train": {"bandwidths": [1.0]}}, "train.bandwidths"),
         ("exp-gmmd", {"circuit": {"n_qubits": 4}}, "circuit"),
         ("exp-gmmd", {"sampling": {"n_shots": 100}}, "sampling"),
+        ("exp-1d", {"data": {"path": "events.csv"}}, "data.path"),
+        ("exp-1d", {"data": {"source": "csv", "path": "events.csv", "n_events": 5}},
+         "data.n_events"),
     ],
 )
 def test_unread_field_rejected(experiment, body, path):
@@ -252,6 +255,7 @@ def test_held_out_must_be_a_condition():
     [
         ("exp-1d", {"train": {"optimizer": "sgd"}}, "train: unknown optimizer"),
         ("exp-1d", {"train": {"max_epochs": "3"}}, "train"),
+        ("exp-1d", {"train": {"max_epochs": 2.5}}, "train: counts must be >= 1"),
         ("exp-noise", {"noise": {"readout_flip_prob": 0.6}}, r"noise\.readout_flip_prob: "),
         ("exp-noise", {"noise": {"calibration_shots": 0}}, r"noise\.calibration_shots "),
         ("exp-multi", {"circuit": {"block": {"style": "bogus"}}}, r"circuit\.block: bad style"),
@@ -265,9 +269,9 @@ def test_held_out_must_be_a_condition():
         ("exp-gmmd", {"model": {"hidden": [64, 2.5]}}, r"model\.hidden must be an integer"),
         ("exp-gmmd", {"model": {"hidden": 64}}, r"model\.hidden must be a list"),
     ],
-    ids=["optimizer", "max_epochs", "readout_flip_prob", "calibration_shots", "block_style",
-         "init_scheme", "spsa_epochs", "sample_batches", "n_events", "gmmd_max_epochs",
-         "latent_dim", "hidden_width", "hidden_list"],
+    ids=["optimizer", "max_epochs", "fractional_max_epochs", "readout_flip_prob",
+         "calibration_shots", "block_style", "init_scheme", "spsa_epochs", "sample_batches",
+         "n_events", "gmmd_max_epochs", "latent_dim", "hidden_width", "hidden_list"],
 )
 def test_bad_train_value_rejected_up_front(experiment, body, message):
     with pytest.raises(ConfigError, match=message):
@@ -289,6 +293,20 @@ def test_compare_report_regression_flag():
     assert regression
     _, ok = compare_report(a, b, tolerance=0.5)
     assert not ok
+
+
+def test_compare_report_diffs_matrices_entry_by_entry():
+    def report(r01):
+        matrix = [[1.0, r01], [r01, 1.0]]
+        return {"experiment": "exp-multi", "metrics": {"pearson_generated": matrix,
+                                                       "ranking": ["a", "b"]}}
+
+    diff, regression = compare_report(report(0.4), report(-0.9))
+    assert diff == {
+        "pearson_generated.0.1": pytest.approx(-1.3),
+        "pearson_generated.1.0": pytest.approx(-1.3),
+    }
+    assert regression
 
 
 def test_compare_report_mismatched_experiments():

@@ -1,5 +1,6 @@
 """Source checks that need no linter: no module of borngen imports a name it
-does not use, or lists in __all__ a name it does not define."""
+does not use, or lists in __all__ a name it does not define, and only the
+epoch loop in optimize builds the per-epoch trace records."""
 import ast
 import importlib
 import types
@@ -70,3 +71,24 @@ def test_stale_export_check_finds_one():
     module = types.ModuleType("mod")
     exec("__all__ = ['kept', 'removed']\nkept = 1\n", module.__dict__)
     assert _stale_exports(module) == ["mod.removed"]
+
+
+def _calls(path: Path, name: str) -> int:
+    """How many calls of name, bare or as an attribute, the module makes."""
+    return sum(
+        isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
+
+
+def test_epoch_records_are_built_only_by_the_shared_loop():
+    # both generators train through optimize._run_epochs
+    builders = {p.name: n for p in sorted(SRC.glob("*.py")) if (n := _calls(p, "EpochRecord"))}
+    assert builders == {"optimize.py": 1}
+
+
+def test_call_check_finds_bare_and_attribute_calls(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("EpochRecord(0)\noptimize.EpochRecord(1)\nEpochRecord\n")
+    assert _calls(module, "EpochRecord") == 2
