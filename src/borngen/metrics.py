@@ -55,18 +55,31 @@ def kernel_value(x, y, config: KernelConfig) -> float:
 
 
 class GramCache:
-    """Precomputed kernel matrix over the bin coordinates of a bin layout."""
+    """Precomputed kernel matrix over the bin coordinates of a bin layout.
+
+    Over a product grid of bins the Gaussian kernel factorizes by register:
+    K = sum_s E_{s,R-1} x ... x E_{s,0}, with E_{s,r}[i, j] =
+    exp(-(i - j)**2 / 2s) over register r's bins. Register 0 holds the
+    lowest bits of a bin index, so it is the rightmost factor.
+    """
 
     def __init__(self, register_bits: tuple[int, ...], config: KernelConfig):
         self.register_bits = tuple(register_bits)
         self.config = config
-        probe = DiscreteDistribution(
-            np.full(2 ** sum(register_bits), 1.0 / 2 ** sum(register_bits)),
-            register_bits,
-        )
-        coords = probe.bin_coordinates()
-        sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1)
-        self.matrix = sum(np.exp(-sq / (2.0 * s)) for s in config.bandwidths)
+        s = np.array(config.bandwidths)[:, None, None]
+        factors = []  # (bandwidths, 2**bits, 2**bits) per register
+        for bits in self.register_bits:
+            i = np.arange(2**bits, dtype=float)
+            factors.append(np.exp(-((i[:, None] - i[None, :]) ** 2) / (2.0 * s)))
+        *lower, top = factors
+        rest = np.ones((len(s), 1, 1))  # the product of the lower registers' factors
+        for e in lower:
+            rest = (e[:, :, None, :, None] * rest[:, None, :, None, :]).reshape(
+                len(s), len(e[0]) * len(rest[0]), -1
+            )
+        # the top factor and the sum over bandwidths in one contraction
+        d, m = len(top[0]), len(rest[0])
+        self.matrix = np.einsum("sij,skl->ikjl", top, rest).reshape(d * m, d * m)
 
 
 def _check_compatible(register_bits: tuple[int, ...], target: DiscreteDistribution):

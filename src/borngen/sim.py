@@ -5,17 +5,32 @@ Convention: qubit 0 is the least-significant bit of the basis index.
 A circuit runs on |0...0> to its amplitude array: run_circuit gives the
 (2**n,) amplitudes psi(theta), run_circuit_batch a (batch, 2**n) array with
 one row per parameter vector, and |psi|**2 are the Born probabilities.
-Each circuit is compiled once into a program (held by CircuitSpec.program),
-and both run it through one kernel on a (batch, 2**n) amplitude array: a
-single-qubit gate is one matmul of its 2x2 matrix onto a (batch, hi, 2, lo)
-view, a CNOT a swap within a (batch, hi, 2, mid, 2, lo) view and an RZZ a
-product with its phase on each basis state. A sweep builds every
-parameterized gate's matrix at once. A circuit of RY, H and CNOT gates only
-keeps real amplitudes and runs in float64; RX and RZZ make it complex128.
+
+Each circuit is compiled once into a program of layers (CircuitSpec.program
+holds it). The scheduler puts each gate in the earliest layer of its kind
+after the last layer that touches its qubits; the kinds are rotations (RY,
+RX), H, a CNOT run and RZZ. A layer's gates commute, and one kernel runs
+each op of a layer on a (batch, 2**n) amplitude array:
+- a rotation or H layer is one Kronecker matrix per block of up to four
+  consecutive qubits that it touches, one matmul onto a (batch, hi, 2**g, lo)
+  view; a sweep builds every rotation block at once, as one gather and one
+  product of its factors' entries;
+- a CNOT run is one index permutation;
+- an RZZ layer is one phase vector exp(-i theta.Z), with Z the layer's
+  (gates, 2**n) table of +/-1.
+A circuit of RY, H and CNOT gates only keeps real amplitudes and runs in
+float64; RX and RZZ make it complex128.
+
+adjoint_gradient sweeps the ops backwards. The gates of an op commute, so
+each gate's gradient is read at the op's output: for a rotation block from
+the 2**g x 2**g matrix sum conj(lambda) psi^T against each gate's I x G x I,
+for an RZZ layer from Z times 2 Im(conj(lambda) psi).
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,113 +93,292 @@ _GENERATORS = {
     "RX": (0.5, np.array([[0.0, -0.5j], [-0.5j, 0.0]])),
     "RZZ": (1.0, np.array([[-1j, 0.0], [0.0, 1j]])),
 }
+# The layer kind of each gate kind. Gates of a CNOT run or an RZZ layer may
+# share qubits: a run applies its CNOTs in order, and diagonal gates commute.
+_LAYER_KIND = {"RY": "rotation", "RX": "rotation", "H": "H", "CNOT": "CNOT", "RZZ": "RZZ"}
+_OVERLAPPING = frozenset({"CNOT", "RZZ"})
+_MAX_BLOCK = 4  # up to this many qubits run as one block; more split into blocks of 3
 
 
 @dataclass(frozen=True, slots=True)
 class _Op:
-    """What the kernel needs to apply one gate, computed once; the gate's
-    slots stay on the Gate.
+    """One kernel call: a block of a rotation or H layer, a CNOT run or an
+    RZZ layer. Its tables are shared by every circuit with the same layer.
 
-    The amplitudes of a single-qubit gate are viewed as (batch, hi, 2, lo)
-    and those of a CNOT as (batch, hi, 2, mid, 2, lo), so that each target
-    bit is an axis of length 2. parity holds an RZZ's 0/1 for two bits that
-    agree/differ, the row of its 2x2 that applies.
+    A block acts on the (batch, hi, 2**g, lo) view of the amplitudes.
+    params is the range of a rotation or phase op's gates in program order.
+    table is, by kind:
+    - "rotation": twice each gate's generator I x G x I on the block,
+      flattened, (k, 4**g); the op's matrix is block number `block` of the
+      sweep;
+    - "fixed": the constant block matrix;
+    - "perm": the run's index permutation (inverse holds its inverse);
+    - "phase": Z, the (k, 2**n) table of +/-1.
     """
 
     kind: str
     hi: int = 1
-    mid: int = 1
     lo: int = 1
-    control_high: bool = False  # a CNOT's control is the higher of its qubits
-    parity: Optional[np.ndarray] = None
+    params: Optional[slice] = None
+    block: int = 0
+    table: Optional[np.ndarray] = None
+    inverse: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True, slots=True)
 class _Program:
-    """A compiled circuit: one op per gate, and for each parameterized gate
-    what a sweep needs to build its matrix.
+    """A compiled circuit: its ops, and what a sweep needs to build their
+    matrices and phases.
 
-    The k-th parameterized gate takes its angle from column columns[k] of
-    [theta, data angles] and has generator generators[k] with rate rates[k].
-    dtype is float64 when every gate is RY, H or CNOT, so that the
-    amplitudes stay real, and complex128 otherwise.
+    The parameterized gates are numbered in op order, and one entry more,
+    the identity, fills the unused qubits of a block. Entry k takes its
+    angle from column columns[k] of [0, theta, data angles], turns at rate
+    rates[k] with generator / rate generators[k] (flattened), and feeds
+    gradient slot slots[k] (n_parameters for data gates and the identity).
+    kron[b] lists the entries of rotation block b, its highest qubit first.
+    The adjoint sweep stops at op first_trainable. dtype is float64 when
+    every gate is RY, H or CNOT, so that the amplitudes stay real, and
+    complex128 otherwise. Circuits with the same gates share a program, so
+    its arrays are read-only.
     """
 
     ops: tuple[_Op, ...]
     columns: np.ndarray
     rates: np.ndarray
     generators: np.ndarray
+    slots: np.ndarray
+    kron: np.ndarray
+    first_trainable: int
     dtype: type
 
 
-def _compile_gate(kind: str, targets: tuple[int, ...], n_qubits: int) -> _Op:
-    if kind in _SINGLE_QUBIT:
-        return _Op(kind, hi=2 ** (n_qubits - 1 - targets[0]), lo=2 ** targets[0])
-    high, low = max(targets), min(targets)
-    if kind == "CNOT":
-        hi, mid, lo = 2 ** (n_qubits - 1 - high), 2 ** (high - low - 1), 2**low
-        return _Op("CNOT", hi, mid, lo, control_high=targets[0] == high)
+def _schedule(gates) -> list[tuple[str, list]]:
+    """The circuit as (kind, gates) layers. Each gate goes into the earliest
+    layer of its kind after the last layer touching its qubits; a CNOT or
+    RZZ may also join that last layer when it is of its kind."""
+    layers: list[tuple[str, list]] = []
+    of_kind: dict[str, list[int]] = {}  # each kind's layer indices, ascending
+    last: dict[int, int] = {}  # each qubit's last layer
+    for gate in gates:
+        kind = _LAYER_KIND[gate.kind]
+        after = max([last.get(q, -1) for q in gate.targets])
+        indices = of_kind.setdefault(kind, [])
+        if after >= 0 and kind in _OVERLAPPING and layers[after][0] == kind:
+            index = after
+        elif (i := bisect_right(indices, after)) < len(indices):
+            index = indices[i]
+        else:
+            index = len(layers)
+            layers.append((kind, []))
+            indices.append(index)
+        layers[index][1].append(gate)
+        for q in gate.targets:
+            last[q] = index
+    return layers
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+_EYE = np.eye(2)
+
+
+@lru_cache(maxsize=None)
+def _kron_entries(g: int) -> np.ndarray:
+    """(g, 4**g): for each entry (i, j) of a g-qubit block, flattened, the
+    entry of each 2x2 factor that it takes, the highest qubit first, as an
+    index into the g factors' flattened entries."""
+    i, j = np.divmod(np.arange(4**g), 2**g)
+    bits = [2 * ((i >> p) & 1) + ((j >> p) & 1) for p in range(g - 1, -1, -1)]
+    return _frozen(np.array([4 * k + b for k, b in enumerate(bits)]))
+
+
+def _kron(factors) -> np.ndarray:
+    """The Kronecker product of g 2x2 matrices, the highest qubit first."""
+    g = len(factors)
+    return np.take(np.ravel(factors), _kron_entries(g)).prod(axis=0).reshape(2**g, 2**g)
+
+
+# The shared tables, keyed by the layer's gates, so that circuits with the
+# same layers (every pass of an experiment builds its circuit anew) hold one
+# copy. Each is small: a block's tables have 4**g <= 256 entries per gate.
+@lru_cache(maxsize=256)
+def _generator_rows(g: int, gates: tuple[tuple[str, int], ...]) -> np.ndarray:
+    """Twice each (kind, position) gate's generator on a g-qubit block,
+    flattened."""
+    return _frozen(np.array([
+        2.0 * _kron([_GENERATORS[kind][1] if p == pos else _EYE for p in range(g - 1, -1, -1)]).ravel()
+        for kind, pos in gates
+    ]))
+
+
+@lru_cache(maxsize=256)
+def _fixed_block(g: int, positions: tuple[int, ...]) -> np.ndarray:
+    """H on these positions of a g-qubit block, identity on the others."""
+    return _frozen(_kron([_H if p in positions else _EYE for p in range(g - 1, -1, -1)]))
+
+
+@lru_cache(maxsize=256)
+def _cnot_run(n_qubits: int, pairs: tuple[tuple[int, int], ...]):
+    """The permutation amps[:, perm] that applies these CNOTs in order, and
+    its inverse, as the smallest unsigned integers that hold 2**n - 1."""
     idx = np.arange(2**n_qubits)
-    return _Op("RZZ", parity=(((idx >> high) ^ (idx >> low)) & 1).astype(np.uint8))
+    perm = idx
+    for control, target in pairs:
+        perm = perm[idx ^ (((idx >> control) & 1) << target)]
+    dtype = np.min_scalar_type(len(idx) - 1)
+    return _frozen(perm.astype(dtype)), _frozen(np.argsort(perm).astype(dtype))
+
+
+@lru_cache(maxsize=256)
+def _zz_table(n_qubits: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """(k, 2**n) Z x Z of each pair: +1 where its two bits agree, else -1."""
+    idx = np.arange(2**n_qubits)
+    parity = np.array([((idx >> a) ^ (idx >> b)) & 1 for a, b in pairs])
+    return _frozen(1.0 - 2.0 * parity)
+
+
+def _blocks_of(n_qubits: int) -> tuple[int, list[int]]:
+    """The block size g and each block's lowest qubit: one block for up to
+    four qubits, else blocks of three, the top one moved down to fit. Qubit
+    q belongs to block q // g."""
+    g = n_qubits if n_qubits <= _MAX_BLOCK else 3
+    return g, [min(start, n_qubits - g) for start in range(0, n_qubits, g)]
 
 
 def compile_circuit(circuit) -> _Program:
-    """Compile a CircuitSpec's gates into the program the kernel runs, one
-    op per gate (CircuitSpec.program holds it, so each circuit compiles
-    once)."""
-    # gates of one kind on the same qubits share an op: a program lives as
-    # long as its circuit, so it is kept small
-    keys = {(g.kind, g.targets) for g in circuit.gates}
-    ops = {key: _compile_gate(*key, circuit.n_qubits) for key in keys}
-    params = [g for g in circuit.gates if g.is_parameterized]
-    n_theta = circuit.n_parameters
-    columns = [g.param_slot if g.data_slot is None else n_theta + g.data_slot for g in params]
-    generators = np.array([_GENERATORS[g.kind][1] for g in params]).reshape(-1, 2, 2)
+    """Compile a CircuitSpec's gates into layers and the ops the kernel runs.
+
+    CircuitSpec.program holds the result, so each circuit compiles once, and
+    circuits with the same gates share one program: an experiment builds its
+    circuit anew on every run, and a program lives as long as its circuit.
+    """
+    return _compile(circuit.n_qubits, circuit.n_parameters, circuit.gates)
+
+
+@lru_cache(maxsize=64)
+def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
+    g, starts = _blocks_of(n)
+    ops, params, kron = [], [], []
+    for kind, gates in _schedule(circuit_gates):
+        first = len(params)
+        if kind == "CNOT":
+            perm, inverse = _cnot_run(n, tuple(gate.targets for gate in gates))
+            ops.append(_Op("perm", table=perm, inverse=inverse))
+        elif kind == "RZZ":
+            params += gates
+            table = _zz_table(n, tuple(gate.targets for gate in gates))
+            ops.append(_Op("phase", params=slice(first, len(params)), table=table))
+        else:
+            by_block: dict[int, list] = {}
+            for gate in gates:
+                by_block.setdefault(gate.targets[0] // g, []).append(gate)
+            for b, block_gates in sorted(by_block.items()):
+                hi, lo = 2 ** (n - starts[b] - g), 2 ** starts[b]
+                positions = [gate.targets[0] - starts[b] for gate in block_gates]
+                if kind == "H":
+                    ops.append(_Op("fixed", hi, lo, table=_fixed_block(g, tuple(sorted(positions)))))
+                    continue
+                first = len(params)
+                params += block_gates
+                entries = [-1] * g  # -1: the identity, the last entry
+                for k, pos in enumerate(positions):
+                    entries[g - 1 - pos] = first + k
+                kron.append(entries)
+                rows = _generator_rows(g, tuple((gt.kind, p) for gt, p in zip(block_gates, positions)))
+                ops.append(_Op("rotation", hi, lo, slice(first, len(params)), len(kron) - 1, rows))
+    trainable = [gate.param_slot is not None for gate in params]
+    first_trainable = next(
+        (i for i, op in enumerate(ops) if op.params and any(trainable[op.params])), len(ops)
+    )
+    rates = [_GENERATORS[gate.kind][0] for gate in params]
+    generators = np.array(
+        [_GENERATORS[gate.kind][1] / rate for gate, rate in zip(params, rates)] + [np.zeros((2, 2))]
+    ).reshape(-1, 4)
     return _Program(
-        tuple(ops[g.kind, g.targets] for g in circuit.gates),
-        np.array(columns, dtype=int),
-        np.array([_GENERATORS[g.kind][0] for g in params]),
-        generators,
-        generators.dtype,  # complex as soon as one RX or RZZ generator is
+        tuple(ops),
+        columns=_frozen(np.array(
+            [1 + gate.param_slot if gate.data_slot is None else 1 + n_theta + gate.data_slot
+             for gate in params] + [0]
+        )),
+        rates=_frozen(np.array(rates + [0.0])),
+        generators=_frozen(generators),
+        slots=_frozen(np.array(
+            [n_theta if gate.param_slot is None else gate.param_slot for gate in params] + [n_theta]
+        )),
+        kron=_frozen(np.array(kron, dtype=int).reshape(-1, g)),
+        first_trainable=first_trainable,
+        dtype=generators.dtype,  # complex as soon as one RX or RZZ generator is
     )
 
 
-def _matrices(program: _Program, thetas: np.ndarray, data_angles=None) -> np.ndarray:
-    """Every parameterized gate's matrix for each row of thetas, as a
-    (gates, batch, 2, 2) stack built from one cos and one sin."""
+def _sweep(program: _Program, thetas: np.ndarray, data_angles=None):
+    """Every parameterized gate's angle times its rate for each row of
+    thetas, (batch, entries), and every rotation block's Kronecker matrix,
+    (blocks, batch, 2**g, 2**g), or (blocks, 2**g, 2**g) for one row. All of
+    them come from one cos, one sin, and one gather and product of the
+    factors' entries."""
+    batch = len(thetas)
+    columns = [np.zeros((batch, 1)), thetas]
     if data_angles is not None:
         data = np.asarray(data_angles, dtype=float)
-        thetas = np.concatenate([thetas, np.broadcast_to(data, (len(thetas), len(data)))], axis=1)
-    angles = thetas.T[program.columns] * program.rates[:, None]
-    c, s = np.cos(angles)[..., None, None], np.sin(angles)[..., None, None]
-    return c * np.eye(2) + s * (program.generators / program.rates[:, None, None])[:, None]
+        columns.append(np.broadcast_to(data, (batch, len(data))))
+    angles = np.concatenate(columns, axis=1).take(program.columns, axis=1) * program.rates
+    # each entry's 2x2 cos I + sin G / rate, flattened
+    m = np.cos(angles)[..., None] * _EYE.ravel() + np.sin(angles)[..., None] * program.generators
+    n_blocks, g = program.kron.shape
+    factors = m.take(program.kron, axis=1).reshape(batch, n_blocks, 4 * g)
+    blocks = factors.take(_kron_entries(g), axis=2).prod(axis=2)
+    blocks = blocks.reshape(batch, n_blocks, 2**g, 2**g).swapaxes(0, 1)
+    return angles, blocks[:, 0] if batch == 1 else blocks
 
 
-def _apply(amps: np.ndarray, op: _Op, m: Optional[np.ndarray] = None) -> np.ndarray:
-    """The gate kernel: apply one compiled gate to (batch, dim) amplitudes.
+def _apply(amps: np.ndarray, op: _Op, blocks: np.ndarray, angles: np.ndarray,
+           inverse: bool = False) -> np.ndarray:
+    """The kernel: apply one op, or with inverse its inverse, to (batch, dim)
+    amplitudes.
 
-    m is the gate's 2x2 matrix, or a (batch, 2, 2) stack of one matrix per
-    row; it is None for H and CNOT.
+    blocks and angles come from _sweep; for the inverse, blocks holds the
+    conjugate transposes.
     """
-    if op.kind == "CNOT":
-        # where the control bit is set, swap the target bit's two halves
-        v = amps.reshape(amps.shape[0], op.hi, 2, op.mid, 2, op.lo)
-        out = v.copy()
-        if op.control_high:
-            out[:, :, 1] = v[:, :, 1, :, ::-1]
-        else:
-            out[:, :, :, :, 1] = v[:, :, ::-1, :, 1]
-        return out.reshape(amps.shape)
-    if op.kind == "RZZ":  # m is diagonal, over the parity of the two bits
-        return amps * np.diagonal(m, axis1=-2, axis2=-1)[..., op.parity]
-    if m is None:
-        m = _H
+    if op.kind == "perm":
+        return amps.take(op.inverse if inverse else op.table, axis=1)
+    if op.kind == "phase":
+        theta_z = angles[:, op.params] @ op.table
+        return amps * np.exp(theta_z * (1j if inverse else -1j))
+    # (d, d), or (batch, d, d) with one matrix per row
+    m = op.table if op.kind == "fixed" else blocks[op.block]
+    batch, d = amps.shape[0], m.shape[-1]
     if op.lo == 1:
-        # qubit 0: a matmul over the last axis, several times faster than
-        # one over a trailing axis of length 1
-        return (amps.reshape(amps.shape[0], op.hi, 2) @ m.swapaxes(-1, -2)).reshape(amps.shape)
-    v = amps.reshape(amps.shape[0], op.hi, 2, op.lo)
-    return (m[..., None, :, :] @ v).reshape(amps.shape)
+        # the block's qubits are the lowest: a matmul over the last axis,
+        # one product for the whole batch when every row shares the matrix
+        if m.ndim == 2:
+            return (amps.reshape(batch * op.hi, d) @ m.T).reshape(amps.shape)
+        return (amps.reshape(batch, op.hi, d) @ m.swapaxes(-1, -2)).reshape(amps.shape)
+    if op.hi == 1:
+        return (m @ amps.reshape(batch, d, op.lo)).reshape(amps.shape)
+    if m.ndim == 3:
+        m = m[:, None]
+    return (m @ amps.reshape(batch, op.hi, d, op.lo)).reshape(amps.shape)
+
+
+def _gradients(pair: np.ndarray, op: _Op) -> np.ndarray:
+    """2 Re<lambda|G psi> for each gate of a rotation or phase op, with
+    pair = (psi, lambda) at the op's output."""
+    psi, lam = pair[0], pair[1].conj() if pair.dtype.kind == "c" else pair[1]
+    if op.kind == "phase":
+        return 2.0 * (op.table @ (lam * psi).imag)
+    # m = sum over the other qubits of conj(lambda) psi^T on the block
+    d = len(psi) // (op.hi * op.lo)
+    if op.lo == 1:
+        m = lam.reshape(op.hi, d).T @ psi.reshape(op.hi, d)
+    elif op.hi == 1:
+        m = lam.reshape(d, op.lo) @ psi.reshape(d, op.lo).T
+    else:
+        m = (lam.reshape(op.hi, d, op.lo) @ psi.reshape(op.hi, d, op.lo).swapaxes(1, 2)).sum(axis=0)
+    return (op.table @ m.ravel()).real  # the table holds 2 I x G x I
 
 
 def _check_inputs(circuit, n_theta: int, data_angles) -> None:
@@ -210,11 +404,11 @@ def run_circuit_batch(circuit, thetas: np.ndarray, data_angles=None) -> np.ndarr
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     _check_inputs(circuit, thetas.shape[1], data_angles)
     program = circuit.program
+    angles, blocks = _sweep(program, thetas, data_angles)
     amps = np.zeros((thetas.shape[0], 2**circuit.n_qubits), dtype=program.dtype)
     amps[:, 0] = 1.0
-    matrices = iter(_matrices(program, thetas, data_angles))
-    for gate, op in zip(circuit.gates, program.ops):
-        amps = _apply(amps, op, next(matrices) if gate.is_parameterized else None)
+    for op in program.ops:
+        amps = _apply(amps, op, blocks, angles)
     return amps
 
 
@@ -224,22 +418,26 @@ def adjoint_gradient(
     """Gradient of <psi|diag(observable)|psi> over the trainable slots.
 
     state is psi = U(theta)|0...0>, the amplitudes run_circuit returns.
-    One backward sweep un-applies each gate to psi and to lambda = O psi,
-    adding 2 Re<lambda|G psi> for each trainable gate with generator G
-    (adjoint differentiation, Jones & Gacon, arXiv:2009.02823).
+    One backward sweep un-applies each op to psi and to lambda = O psi,
+    reading 2 Re<lambda|G psi> at the op's output for each of its gates with
+    generator G (adjoint differentiation, Jones & Gacon, arXiv:2009.02823).
+    It stops at the first op with a trainable gate.
     """
     theta = np.asarray(theta, dtype=float)
     _check_inputs(circuit, len(theta), data_angles)
     program = circuit.program
-    # each gate's inverse is its conjugate transpose; H and CNOT are their own
-    inverses = _matrices(program, theta[None], data_angles).conj().swapaxes(-1, -2)
-    params = zip(inverses[::-1], program.generators[::-1])
+    angles, blocks = _sweep(program, theta[None], data_angles)
+    inverses = blocks.swapaxes(-1, -2)
+    if inverses.dtype.kind == "c":
+        inverses = inverses.conj()
+    values = np.zeros(len(program.slots))
     pair = np.stack([state, observable * state])  # rows psi, lambda
-    grad = np.zeros(circuit.n_parameters)
-    for gate, op in zip(reversed(circuit.gates), reversed(program.ops)):
-        inverse, generator = next(params) if gate.is_parameterized else (None, None)
-        if gate.param_slot is not None:
-            g_psi = _apply(pair[:1], op, generator)[0]
-            grad[gate.param_slot] += 2.0 * np.vdot(pair[1], g_psi).real
-        pair = _apply(pair, op, inverse)
-    return grad
+    ops = program.ops[program.first_trainable :]
+    for i in range(len(ops) - 1, -1, -1):
+        op = ops[i]
+        if op.kind in ("rotation", "phase"):
+            values[op.params] = _gradients(pair, op)
+        if i:
+            pair = _apply(pair, op, inverses, angles, inverse=True)
+    n = circuit.n_parameters
+    return np.bincount(program.slots, weights=values, minlength=n + 1)[:n]

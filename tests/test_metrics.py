@@ -223,6 +223,18 @@ def test_gram_cache_reused():
     )
 
 
+@pytest.mark.parametrize("bits", [(3, 3, 3), (4,), (3,), (2, 3)])
+def test_gram_cache_matches_dense_pairwise_kernel(bits):
+    # the cache is built from per-register factors; the oracle sums the
+    # kernel of the squared distance between every pair of bin coordinates
+    n = 2 ** sum(bits)
+    coords = DiscreteDistribution(np.full(n, 1.0 / n), bits).bin_coordinates()
+    sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1)
+    config = KernelConfig()
+    dense = sum(np.exp(-sq / (2.0 * s)) for s in config.bandwidths)
+    np.testing.assert_allclose(GramCache(bits, config).matrix, dense, rtol=1e-15, atol=0)
+
+
 def test_gram_cache_for_another_kernel_config_is_rejected():
     p, q = _dist(np.full(8, 0.125)), _dist(np.eye(8)[2])
     cache = GramCache((3,), KernelConfig())

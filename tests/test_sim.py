@@ -3,9 +3,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from borngen.born import BornModel
+from borngen.distributions import DiscreteDistribution
+from borngen.metrics import KernelConfig, mmd_gradient, mmd_gradient_shift
 from borngen.sim import Gate, run_circuit, run_circuit_batch
 from borngen.circuits import (
     CircuitSpec,
+    CorrelationBlockChoice,
     all_block_choices,
     build_1d_rzz_ansatz,
     build_conditional,
@@ -119,7 +123,11 @@ def test_batch_validates_data_angles(data_angles):
 def test_circuit_compiles_once():
     circuit = build_conditional(3, 1)
     assert circuit.program is circuit.program
-    assert len(circuit.program.ops) == len(circuit.gates)
+    # gates are compiled into layers, one kernel call per layer and block:
+    # the 1D ansatz's 18 gates are an RY, an RX, an RZZ and an RY layer
+    assert len(build_1d_rzz_ansatz(4).program.ops) == 4
+    multivariate = build_multivariate(3, 3, 4, CorrelationBlockChoice())
+    assert len(multivariate.gates) == 93 and len(multivariate.program.ops) <= 40
 
 
 def _random_circuit(rng, n_qubits, n_gates):
@@ -256,3 +264,86 @@ def test_batch_of_distinct_rows_matches_single_runs(circuit, dtype):
         single = run_circuit(circuit, theta)
         assert single.dtype == dtype
         np.testing.assert_allclose(row, single, rtol=0, atol=1e-12)
+
+
+def _layered_circuit(rng, n_qubits, real, n_patterns=8):
+    """A random circuit of gate patterns that the scheduler moves across
+    layer boundaries: H and rotations interleaved on random qubits, runs of
+    overlapping CNOTs, RZZ on random pairs, and data-slot rotations."""
+    gates, n_slots, n_data = [], 0, 0
+    kinds = ["RY"] if real else ["RY", "RX"]
+
+    def rotation(q):
+        nonlocal n_slots, n_data
+        kind = str(rng.choice(kinds))
+        if rng.random() < 0.2:
+            gates.append(Gate(kind, (q,), data_slot=n_data))
+            n_data += 1
+        else:
+            gates.append(Gate(kind, (q,), param_slot=n_slots))
+            n_slots += 1
+
+    def pair():
+        return tuple(int(q) for q in rng.choice(n_qubits, size=2, replace=False))
+
+    patterns = 2 if n_qubits == 1 else 3 if real else 4
+    for _ in range(n_patterns):
+        qubits = [int(q) for q in rng.permutation(n_qubits)[: rng.integers(1, n_qubits + 1)]]
+        pattern = rng.integers(patterns)
+        if pattern == 0:  # H and rotations interleaved
+            for q in qubits:
+                gates.append(Gate("H", (q,)))
+                rotation(int(rng.integers(n_qubits)))
+        elif pattern == 1:
+            for q in qubits:
+                rotation(q)
+        elif pattern == 2:  # CNOTs that share qubits
+            gates.extend(Gate("CNOT", pair()) for _ in range(rng.integers(1, 4)))
+        else:
+            for _ in range(rng.integers(1, 3)):
+                gates.append(Gate("RZZ", pair(), param_slot=n_slots))
+                n_slots += 1
+    return CircuitSpec(n_qubits, tuple(gates), n_slots, n_data_slots=n_data)
+
+
+def _check_layered_program(circuit, rng):
+    """Amplitudes against the product of dense gate matrices at 1e-12, and
+    the adjoint MMD gradient against the parameter-shift rule at 1e-12."""
+    theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
+    model = BornModel(circuit, theta, (0.0, 1.0) if circuit.n_data_slots else None)
+    condition = rng.uniform(0.0, 1.0) if circuit.n_data_slots else None
+    data_angles = model.data_angles(condition)
+    np.testing.assert_allclose(
+        run_circuit(circuit, theta, data_angles),
+        _dense_state(circuit, theta, data_angles),
+        rtol=0,
+        atol=1e-12,
+    )
+    p = rng.random(2**circuit.n_qubits)
+    target = DiscreteDistribution(p / p.sum(), circuit.register_bits)
+    config = KernelConfig()
+    np.testing.assert_allclose(
+        mmd_gradient(model, target, config, condition),
+        mmd_gradient_shift(model, target, config, condition),
+        rtol=0,
+        atol=1e-12,
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10_000), n_qubits=st.integers(1, 9), real=st.booleans())
+def test_layered_programs_match_dense_matrices_and_parameter_shift(seed, n_qubits, real):
+    rng = np.random.default_rng(seed)
+    circuit = _layered_circuit(rng, n_qubits, real)
+    assert circuit.program.dtype == (np.float64 if real else np.complex128)
+    _check_layered_program(circuit, rng)
+
+
+def test_complex_rotations_on_low_qubits_of_nine_match_oracles():
+    # RX on qubits 1 and 2 of a 9-qubit state run in the block of qubits 0-2
+    gates = [Gate("H", (q,)) for q in range(9)]
+    gates += [Gate("RX", (1 + i % 2,), param_slot=i) for i in range(6)]
+    gates += [Gate("CNOT", (2, 7)), Gate("RX", (1,), param_slot=6), Gate("RY", (8,), data_slot=0)]
+    circuit = CircuitSpec(9, tuple(gates), 7, n_data_slots=1)
+    assert [op.kind for op in circuit.program.ops].count("rotation") == 5
+    _check_layered_program(circuit, np.random.default_rng(17))
