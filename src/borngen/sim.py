@@ -357,8 +357,6 @@ def _apply(amps: np.ndarray, op: _Op, blocks: np.ndarray, angles: np.ndarray,
         if m.ndim == 2:
             return (amps.reshape(batch * op.hi, d) @ m.T).reshape(amps.shape)
         return (amps.reshape(batch, op.hi, d) @ m.swapaxes(-1, -2)).reshape(amps.shape)
-    if op.hi == 1:
-        return (m @ amps.reshape(batch, d, op.lo)).reshape(amps.shape)
     if m.ndim == 3:
         m = m[:, None]
     return (m @ amps.reshape(batch, op.hi, d, op.lo)).reshape(amps.shape)

@@ -6,7 +6,8 @@ carries no wall-clock seconds), its checkpoint or GMMD weights and every
 histogram CSV. Numbers are compared at a relative 1e-10, with an absolute
 floor of 1e-15 for entries that round to zero, so that another BLAS build
 may move the last bits but a changed result fails. Regenerate the files with
-`python scripts/regenerate_golden.py` and say why in CHANGES.md.
+`PYTHONPATH=src python scripts/regenerate_golden.py` and say why in
+CHANGES.md.
 """
 import csv
 import json
