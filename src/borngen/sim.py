@@ -252,8 +252,8 @@ def compile_circuit(circuit) -> _Program:
     """Compile a CircuitSpec's gates into layers and the ops the kernel runs.
 
     CircuitSpec.program holds the result, so each circuit compiles once, and
-    circuits with the same gates share one program: an experiment builds its
-    circuit anew on every run, and a program lives as long as its circuit.
+    circuits with the same gates share one program (the last 64 are kept), so
+    an experiment that builds its circuit anew on every run compiles it once.
     """
     return _compile(circuit.n_qubits, circuit.n_parameters, circuit.gates)
 
@@ -263,11 +263,11 @@ def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
     g, starts = _blocks_of(n)
     ops, params, kron = [], [], []
     for kind, gates in _schedule(circuit_gates):
-        first = len(params)
         if kind == "CNOT":
             perm, inverse = _cnot_run(n, tuple(gate.targets for gate in gates))
             ops.append(_Op("perm", table=perm, inverse=inverse))
         elif kind == "RZZ":
+            first = len(params)
             params += gates
             table = _zz_table(n, tuple(gate.targets for gate in gates))
             ops.append(_Op("phase", params=slice(first, len(params)), table=table))
