@@ -1,14 +1,16 @@
 """MMD loss with multi-bandwidth Gaussian kernel, gradients and metrics."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .born import BornModel, model_distribution, model_probs_batch
 from .distributions import DiscreteDistribution
-from .sim import adjoint_gradient, run_circuit
+from .sim import adjoint_gradient
 
 __all__ = [
     "KernelConfig",
@@ -42,7 +44,7 @@ class KernelConfig:
     def __post_init__(self):
         bw = tuple(float(s) for s in self.bandwidths)
         object.__setattr__(self, "bandwidths", bw)
-        if not bw or any(s <= 0 for s in bw):
+        if not bw or not all(math.isfinite(s) and s > 0 for s in bw):
             raise ValueError("bandwidths must be a nonempty list of positive reals")
 
 
@@ -55,31 +57,56 @@ def kernel_value(x, y, config: KernelConfig) -> float:
 
 
 class GramCache:
-    """Precomputed kernel matrix over the bin coordinates of a bin layout.
+    """The kernel matrix over the bin coordinates of a bin layout, kept as
+    its per-register factors.
 
     Over a product grid of bins the Gaussian kernel factorizes by register:
     K = sum_s E_{s,R-1} x ... x E_{s,0}, with E_{s,r}[i, j] =
     exp(-(i - j)**2 / 2s) over register r's bins. Register 0 holds the
-    lowest bits of a bin index, so it is the rightmost factor.
+    lowest bits of a bin index, so it is the rightmost factor. apply
+    multiplies by K from these factors; with one register they are summed
+    over the bandwidths first.
     """
 
     def __init__(self, register_bits: tuple[int, ...], config: KernelConfig):
         self.register_bits = tuple(register_bits)
         self.config = config
         s = np.array(config.bandwidths)[:, None, None]
-        factors = []  # (bandwidths, 2**bits, 2**bits) per register
+        self.factors = []  # (bandwidths, 2**bits, 2**bits) per register, register 0 first
         for bits in self.register_bits:
             i = np.arange(2**bits, dtype=float)
-            factors.append(np.exp(-((i[:, None] - i[None, :]) ** 2) / (2.0 * s)))
-        *lower, top = factors
-        rest = np.ones((len(s), 1, 1))  # the product of the lower registers' factors
+            self.factors.append(np.exp(-((i[:, None] - i[None, :]) ** 2) / (2.0 * s)))
+        if len(self.factors) == 1:
+            self.factors = [self.factors[0].sum(axis=0, keepdims=True)]
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """v @ K (K is symmetric) for v of shape (..., bins): one matmul per
+        register with the bandwidths stacked, then a sum over them."""
+        if len(self.factors) == 1:
+            return v @ self.factors[0][0]
+        t, lo = v[None], 1
+        for e in self.factors:
+            d = e.shape[-1]
+            if lo == 1:
+                t = t.reshape(len(t), -1, d) @ e
+            else:  # E_{s,r} on register r's axis of the (bandwidths, hi, d, lo) view
+                t = e[:, None] @ t.reshape(len(t), -1, d, lo)
+            lo *= d
+        return t.sum(axis=0).reshape(v.shape)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense kernel matrix, built on first use: the oracle that
+        apply is checked against."""
+        *lower, top = self.factors
+        rest = np.ones((len(top), 1, 1))  # the product of the lower registers' factors
         for e in lower:
             rest = (e[:, :, None, :, None] * rest[:, None, :, None, :]).reshape(
-                len(s), len(e[0]) * len(rest[0]), -1
+                len(rest), len(e[0]) * len(rest[0]), -1
             )
         # the top factor and the sum over bandwidths in one contraction
         d, m = len(top[0]), len(rest[0])
-        self.matrix = np.einsum("sij,skl->ikjl", top, rest).reshape(d * m, d * m)
+        return np.einsum("sij,skl->ikjl", top, rest).reshape(d * m, d * m)
 
 
 def _check_compatible(register_bits: tuple[int, ...], target: DiscreteDistribution):
@@ -88,16 +115,17 @@ def _check_compatible(register_bits: tuple[int, ...], target: DiscreteDistributi
 
 
 def _gram(register_bits: tuple[int, ...], config: KernelConfig, cache: Optional[GramCache]):
-    """The kernel matrix for these bins and this config, from the cache when
-    one is given; a cache built for other bins or another config is an error."""
+    """The GramCache for these bins and this config: the given one, or a new
+    one when none is given; a cache built for other bins or another config
+    is an error."""
     if cache is None:
-        return GramCache(register_bits, config).matrix
+        return GramCache(register_bits, config)
     if cache.register_bits != register_bits or cache.config != config:
         raise ValueError(
             f"GramCache built for bits {cache.register_bits} with {cache.config}, "
             f"used for bits {register_bits} with {config}"
         )
-    return cache.matrix
+    return cache
 
 
 def mmd_loss(
@@ -110,7 +138,7 @@ def mmd_loss(
     _check_compatible(p.register_bits, target)
     K = _gram(p.register_bits, config, cache)
     d = p.probs - target.probs
-    return float(d @ K @ d)
+    return float(d @ K.apply(d))
 
 
 def _kernel_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool = False):
@@ -213,11 +241,11 @@ def _shift_for_kind(kind: str) -> tuple[float, float]:
     raise ValueError(f"gate kind {kind} is not parameterized")
 
 
-def _loss_derivative(p: np.ndarray, target, K: np.ndarray, transform) -> np.ndarray:
+def _loss_derivative(p: np.ndarray, target, K: GramCache, transform) -> np.ndarray:
     """dL/dp of L = (Tp - t)^T K (Tp - t), with T = I when transform is None."""
     if transform is None:
-        return 2.0 * (K @ (p - target.probs))
-    return 2.0 * (transform.T @ (K @ (transform @ p - target.probs)))
+        return 2.0 * K.apply(p - target.probs)
+    return 2.0 * (K.apply(transform @ p - target.probs) @ transform)
 
 
 def mmd_gradient(
@@ -231,18 +259,20 @@ def mmd_gradient(
     """Exact gradient of the MMD loss by adjoint differentiation.
 
     With O = diag(dL/dp) held fixed, the loss gradient equals the gradient
-    of <psi|O|psi>, so one forward sweep (for psi and O) and one backward
-    sweep give every parameter's derivative. transform, when given, is the
+    of <psi|O|psi>, so one forward run (for psi and O) and one backward run
+    give every parameter's derivative. transform, when given, is the
     matrix T of a linear channel applied to the probabilities before the
     loss (used to train through readout flips).
     """
     bits = model.circuit.register_bits
     _check_compatible(bits, target)
-    data_angles = model.data_angles(condition)
-    psi = run_circuit(model.circuit, model.theta, data_angles)
     K = _gram(bits, config, cache)
-    observable = _loss_derivative(np.abs(psi) ** 2, target, K, transform)
-    return adjoint_gradient(model.circuit, model.theta, psi, observable, data_angles)
+
+    def observable_of(psi):
+        return _loss_derivative(np.abs(psi) ** 2, target, K, transform)
+
+    _, grad = adjoint_gradient(model.circuit, model.theta, observable_of, model.data_angles(condition))
+    return grad
 
 
 def mmd_gradient_shift(
@@ -273,7 +303,7 @@ def mmd_gradient_shift(
     if transform is not None:
         probs = probs @ transform.T
         p = transform @ p
-    kv = K @ (p - target.probs)
+    kv = K.apply(p - target.probs)
     return coeffs * ((probs[0::2] - probs[1::2]) @ kv)
 
 

@@ -28,7 +28,7 @@ class NoiseConfig:
 
     def __post_init__(self):
         probs = np.atleast_1d(np.asarray(self.readout_flip_prob, dtype=float))
-        if np.any(probs < 0) or np.any(probs >= 0.5):
+        if not all(0 <= p < 0.5 for p in probs):  # NaN too
             raise ValueError("readout flip probabilities must lie in [0, 0.5)")
 
     def flip_probs(self, n_qubits: int) -> np.ndarray:

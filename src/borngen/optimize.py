@@ -269,7 +269,6 @@ def train(
         spsa_phase = config.optimizer == "spsa" or (mixed and epoch >= config.max_epochs)
         if mixed and epoch == config.max_epochs:
             theta = best_theta.copy()  # fine-tuning resumes from the best point
-        grad_norm = 0.0
         step = 0
         for cond in conditions:
             for _ in range(config.batches_per_epoch):
@@ -283,10 +282,11 @@ def train(
                         model.with_theta(theta), batch, config.kernel, cond, cache, transform
                     )
                     _check_finite(grad, "gradient", epoch, step)
-                    grad_norm = float(np.linalg.norm(grad))
                     theta, adam_state = adam_step(theta, grad, adam_state, lr)
                 _check_finite(theta, "theta", epoch, step)
                 step += 1
+        # the trace records the norm of the epoch's last gradient
+        grad_norm = 0.0 if spsa_phase else float(np.linalg.norm(grad))
         return theta, {"grad_norm": grad_norm, "phase": "spsa" if spsa_phase else "adam"}
 
     def evaluate(theta):

@@ -18,20 +18,26 @@ each op of a layer on a (batch, 2**n) amplitude array:
 - a CNOT run is one index permutation;
 - an RZZ layer is one phase vector exp(-i theta.Z), with Z the layer's
   (gates, 2**n) table of +/-1.
+A fixed op, an H block or (when the circuit is one block) a CNOT run, is
+folded into the next rotation op on its block when no op in between touches
+that block: the sweep builds that rotation's matrix as M @ F.
 A circuit of RY, H and CNOT gates only keeps real amplitudes and runs in
 float64; RX and RZZ make it complex128.
 
-adjoint_gradient sweeps the ops backwards. The gates of an op commute, so
-each gate's gradient is read at the op's output: for a rotation block from
-the 2**g x 2**g matrix sum conj(lambda) psi^T against each gate's I x G x I,
-for an RZZ layer from Z times 2 Im(conj(lambda) psi).
+adjoint_gradient runs the circuit once, keeping every op's output psi, then
+un-applies the ops to lambda alone. The gates of an op commute (and a folded
+F comes before them), so each gate's gradient is read at the op's output:
+for a rotation block from the 2**g x 2**g matrix sum conj(lambda) psi^T
+against each gate's I x G x I, for an RZZ layer from Z times
+2 Im(conj(lambda) psi). These reads run at the end, one stacked matmul per
+group of ops with the same layout.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -109,8 +115,8 @@ class _Op:
     params is the range of a rotation or phase op's gates in program order.
     table is, by kind:
     - "rotation": twice each gate's generator I x G x I on the block,
-      flattened, (k, 4**g); the op's matrix is block number `block` of the
-      sweep;
+      flattened, (k, 4**g), which its _Group stacks; the op's matrix is
+      block number `block` of the sweep;
     - "fixed": the constant block matrix;
     - "perm": the run's index permutation (inverse holds its inverse);
     - "phase": Z, the (k, 2**n) table of +/-1.
@@ -126,6 +132,25 @@ class _Op:
 
 
 @dataclass(frozen=True, slots=True)
+class _Group:
+    """The rotation or phase ops, from the program's first_trainable on,
+    that share a kind, a block (hi, lo) and a gate count. The adjoint reads
+    all their gradients at once.
+
+    rows is the group's slice of the program's reads, params its gates'
+    entries, op after op, and table the ops' tables stacked, (ops, k, 4**g)
+    for rotations; for phases it holds 2 Z, (ops, k, 2**n).
+    """
+
+    kind: str
+    hi: int
+    lo: int
+    rows: slice
+    params: np.ndarray
+    table: np.ndarray
+
+
+@dataclass(frozen=True, slots=True)
 class _Program:
     """A compiled circuit: its ops, and what a sweep needs to build their
     matrices and phases.
@@ -135,8 +160,12 @@ class _Program:
     angle from column columns[k] of [0, theta, data angles], turns at rate
     rates[k] with generator / rate generators[k] (flattened), and feeds
     gradient slot slots[k] (n_parameters for data gates and the identity).
-    kron[b] lists the entries of rotation block b, its highest qubit first.
-    The adjoint sweep stops at op first_trainable. dtype is float64 when
+    kron[b] lists the entries of rotation block b, its highest qubit first,
+    and folds[b], (2**g, 2**g) behind a length-1 batch axis, the fixed
+    matrix folded into it (the identity if none is; folds is None when no
+    block has one). The adjoint sweep stops at op first_trainable; reads
+    lists the rotation and phase ops from there on, group after group, whose
+    gradients it reads. dtype is float64 when
     every gate is RY, H or CNOT, so that the amplitudes stay real, and
     complex128 otherwise. Circuits with the same gates share a program, so
     its arrays are read-only.
@@ -148,7 +177,10 @@ class _Program:
     generators: np.ndarray
     slots: np.ndarray
     kron: np.ndarray
+    folds: Optional[np.ndarray]
     first_trainable: int
+    reads: tuple[int, ...]
+    groups: tuple[_Group, ...]
     dtype: type
 
 
@@ -289,10 +321,12 @@ def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
                 kron.append(entries)
                 rows = _generator_rows(g, tuple((gt.kind, p) for gt, p in zip(block_gates, positions)))
                 ops.append(_Op("rotation", hi, lo, slice(first, len(params)), len(kron) - 1, rows))
+    ops, folds = _fold(ops, n <= _MAX_BLOCK, len(kron), 2**g)
     trainable = [gate.param_slot is not None for gate in params]
     first_trainable = next(
         (i for i, op in enumerate(ops) if op.params and any(trainable[op.params])), len(ops)
     )
+    reads, groups = _groups(ops, first_trainable)
     rates = [_GENERATORS[gate.kind][0] for gate in params]
     generators = np.array(
         [_GENERATORS[gate.kind][1] / rate for gate, rate in zip(params, rates)] + [np.zeros((2, 2))]
@@ -309,9 +343,67 @@ def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
             [n_theta if gate.param_slot is None else gate.param_slot for gate in params] + [n_theta]
         )),
         kron=_frozen(np.array(kron, dtype=int).reshape(-1, g)),
+        folds=folds,
         first_trainable=first_trainable,
+        reads=reads,
+        groups=groups,
         dtype=generators.dtype,  # complex as soon as one RX or RZZ generator is
     )
+
+
+def _fold(ops: list[_Op], one_block: bool, n_blocks: int, d: int):
+    """Fold each fixed op (an H block, or a CNOT run when the circuit is one
+    block) into the next rotation op on its block, when no op in between
+    touches that block. Returns the ops left and the program's folds.
+
+    Only a fixed F before a rotation M folds: d(M F)/dangle = G M F, so the
+    gradient is still read at the op's output.
+    """
+    kept: list[Optional[_Op]] = []
+    pending: dict[tuple[int, int], int] = {}  # each block's last op, if fixed
+    folds = {}
+    for op in ops:
+        fixed = op.kind == "fixed" or (op.kind == "perm" and one_block)
+        if not fixed and op.kind != "rotation":
+            pending.clear()  # a phase op or a CNOT run touches every block
+        else:
+            j = pending.pop((op.hi, op.lo), None)
+            if fixed:
+                pending[op.hi, op.lo] = len(kept)
+            elif j is not None:
+                f = kept[j].table
+                folds[op.block] = f if kept[j].kind == "fixed" else np.eye(d)[f]
+                kept[j] = None
+        kept.append(op)
+    if not folds:
+        return kept, None
+    stacked = np.tile(np.eye(d), (n_blocks, 1, 1, 1))
+    for b, f in folds.items():
+        stacked[b, 0] = f
+    return [op for op in kept if op is not None], _frozen(stacked)
+
+
+def _groups(ops: list[_Op], first: int) -> tuple[tuple[int, ...], tuple[_Group, ...]]:
+    """The program's reads and groups: the rotation and phase ops from op
+    first on, grouped by kind, block and gate count, with their tables
+    stacked."""
+    members: dict[tuple, list[int]] = {}
+    for i in range(first, len(ops)):
+        op = ops[i]
+        if op.params is not None:
+            members.setdefault((op.kind, op.hi, op.lo, len(op.table)), []).append(i)
+    reads, groups = [], []
+    for (kind, hi, lo, _), indices in members.items():
+        group_ops = [ops[i] for i in indices]
+        table = np.stack([op.table for op in group_ops])
+        groups.append(_Group(
+            kind, hi, lo,
+            rows=slice(len(reads), len(reads) + len(indices)),
+            params=_frozen(np.concatenate([np.arange(op.params.start, op.params.stop) for op in group_ops])),
+            table=_frozen(2.0 * table if kind == "phase" else table),
+        ))
+        reads += indices
+    return tuple(reads), tuple(groups)
 
 
 def _sweep(program: _Program, thetas: np.ndarray, data_angles=None):
@@ -319,7 +411,7 @@ def _sweep(program: _Program, thetas: np.ndarray, data_angles=None):
     thetas, (batch, entries), and every rotation block's Kronecker matrix,
     (blocks, batch, 2**g, 2**g), or (blocks, 2**g, 2**g) for one row. All of
     them come from one cos, one sin, and one gather and product of the
-    factors' entries."""
+    factors' entries, and one matmul by the folded fixed matrices."""
     batch = len(thetas)
     columns = [np.zeros((batch, 1)), thetas]
     if data_angles is not None:
@@ -332,6 +424,8 @@ def _sweep(program: _Program, thetas: np.ndarray, data_angles=None):
     factors = m.take(program.kron, axis=1).reshape(batch, n_blocks, 4 * g)
     blocks = factors.take(_kron_entries(g), axis=2).prod(axis=2)
     blocks = blocks.reshape(batch, n_blocks, 2**g, 2**g).swapaxes(0, 1)
+    if program.folds is not None:
+        blocks = blocks @ program.folds
     return angles, blocks[:, 0] if batch == 1 else blocks
 
 
@@ -355,28 +449,33 @@ def _apply(amps: np.ndarray, op: _Op, blocks: np.ndarray, angles: np.ndarray,
         # the block's qubits are the lowest: a matmul over the last axis,
         # one product for the whole batch when every row shares the matrix
         if m.ndim == 2:
-            return (amps.reshape(batch * op.hi, d) @ m.T).reshape(amps.shape)
+            # (np.dot takes the transposed operand faster than matmul does)
+            return np.dot(amps.reshape(batch * op.hi, d), m.T).reshape(amps.shape)
         return (amps.reshape(batch, op.hi, d) @ m.swapaxes(-1, -2)).reshape(amps.shape)
     if m.ndim == 3:
         m = m[:, None]
     return (m @ amps.reshape(batch, op.hi, d, op.lo)).reshape(amps.shape)
 
 
-def _gradients(pair: np.ndarray, op: _Op) -> np.ndarray:
-    """2 Re<lambda|G psi> for each gate of a rotation or phase op, with
-    pair = (psi, lambda) at the op's output."""
-    psi, lam = pair[0], pair[1].conj() if pair.dtype.kind == "c" else pair[1]
-    if op.kind == "phase":
-        return 2.0 * (op.table @ (lam * psi).imag)
-    # m = sum over the other qubits of conj(lambda) psi^T on the block
-    d = len(psi) // (op.hi * op.lo)
-    if op.lo == 1:
-        m = lam.reshape(op.hi, d).T @ psi.reshape(op.hi, d)
-    elif op.hi == 1:
-        m = lam.reshape(d, op.lo) @ psi.reshape(d, op.lo).T
+def _read(group: _Group, psi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """2 Re<lambda|G psi> for each gate of the group's ops, op after op;
+    psi and conj(lambda) hold one row per op, at its output."""
+    k = len(psi)
+    if group.kind == "phase":
+        products = (lam * psi).imag
     else:
-        m = (lam.reshape(op.hi, d, op.lo) @ psi.reshape(op.hi, d, op.lo).swapaxes(1, 2)).sum(axis=0)
-    return (op.table @ m.ravel()).real  # the table holds 2 I x G x I
+        # m = sum over the other qubits of conj(lambda) psi^T on the block
+        hi, lo = group.hi, group.lo
+        d = psi.shape[1] // (hi * lo)
+        if lo == 1:
+            m = lam.reshape(k, hi, d).swapaxes(1, 2) @ psi.reshape(k, hi, d)
+        elif hi == 1:
+            m = lam.reshape(k, d, lo) @ psi.reshape(k, d, lo).swapaxes(1, 2)
+        else:  # (k, d, hi lo) @ (k, hi lo, d)
+            lam = lam.reshape(k, hi, d, lo).transpose(0, 2, 1, 3).reshape(k, d, hi * lo)
+            m = lam @ psi.reshape(k, hi, d, lo).transpose(0, 1, 3, 2).reshape(k, hi * lo, d)
+        products = m.reshape(k, d * d)
+    return (group.table @ products[..., None]).real.ravel()
 
 
 def _check_inputs(circuit, n_theta: int, data_angles) -> None:
@@ -393,49 +492,69 @@ def run_circuit(circuit, theta: Sequence[float], data_angles=None) -> np.ndarray
     return run_circuit_batch(circuit, np.asarray(theta, dtype=float)[None], data_angles)[0]
 
 
+def _forward(circuit, thetas: np.ndarray, data_angles):
+    """The circuit's program, the angles and blocks of one sweep, and a
+    generator of the amplitudes: |0...0>, then each op's output."""
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    _check_inputs(circuit, thetas.shape[1], data_angles)
+    program = circuit.program
+    angles, blocks = _sweep(program, thetas, data_angles)
+
+    def states():
+        amps = np.zeros((len(thetas), 2**circuit.n_qubits), dtype=program.dtype)
+        amps[:, 0] = 1.0
+        yield amps
+        for op in program.ops:
+            amps = _apply(amps, op, blocks, angles)
+            yield amps
+
+    return program, angles, blocks, states()
+
+
 def run_circuit_batch(circuit, thetas: np.ndarray, data_angles=None) -> np.ndarray:
     """Run the circuit for a batch of parameter vectors at once.
 
     Returns a (batch, 2**n_qubits) array of amplitudes, one row per
     parameter vector.
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    _check_inputs(circuit, thetas.shape[1], data_angles)
-    program = circuit.program
-    angles, blocks = _sweep(program, thetas, data_angles)
-    amps = np.zeros((thetas.shape[0], 2**circuit.n_qubits), dtype=program.dtype)
-    amps[:, 0] = 1.0
-    for op in program.ops:
-        amps = _apply(amps, op, blocks, angles)
+    *_, states = _forward(circuit, thetas, data_angles)
+    for amps in states:  # keep only the last
+        pass
     return amps
 
 
 def adjoint_gradient(
-    circuit, theta: Sequence[float], state: np.ndarray, observable: np.ndarray, data_angles=None
-) -> np.ndarray:
-    """Gradient of <psi|diag(observable)|psi> over the trainable slots.
+    circuit, theta: Sequence[float], observable_of: Callable[[np.ndarray], np.ndarray],
+    data_angles=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """psi = U(theta)|0...0> and the gradient of <psi|diag(O)|psi> over the
+    trainable slots, where O = observable_of(psi) is held fixed.
 
-    state is psi = U(theta)|0...0>, the amplitudes run_circuit returns.
-    One backward sweep un-applies each op to psi and to lambda = O psi,
-    reading 2 Re<lambda|G psi> at the op's output for each of its gates with
-    generator G (adjoint differentiation, Jones & Gacon, arXiv:2009.02823).
-    It stops at the first op with a trainable gate.
+    One sweep builds every matrix. The forward run keeps each op's output
+    psi; the backward run un-applies each op to lambda = O psi alone, down
+    to the first op with a trainable gate. Then 2 Re<lambda|G psi> is read
+    at each op's output for each of its gates with generator G (adjoint
+    differentiation, Jones & Gacon, arXiv:2009.02823), one stacked read per
+    group of ops.
     """
     theta = np.asarray(theta, dtype=float)
-    _check_inputs(circuit, len(theta), data_angles)
-    program = circuit.program
-    angles, blocks = _sweep(program, theta[None], data_angles)
+    program, angles, blocks, states = _forward(circuit, theta[None], data_angles)
+    states = list(states)  # states[i + 1] is op i's output
+    psi = states[-1][0]
     inverses = blocks.swapaxes(-1, -2)
     if inverses.dtype.kind == "c":
         inverses = inverses.conj()
+    ops = program.ops
+    lams = [None] * len(ops) + [(observable_of(psi) * psi)[None]]  # as states
+    for i in range(len(ops) - 1, program.first_trainable, -1):
+        lams[i] = _apply(lams[i + 1], ops[i], inverses, angles, inverse=True)
     values = np.zeros(len(program.slots))
-    pair = np.stack([state, observable * state])  # rows psi, lambda
-    ops = program.ops[program.first_trainable :]
-    for i in range(len(ops) - 1, -1, -1):
-        op = ops[i]
-        if op.kind in ("rotation", "phase"):
-            values[op.params] = _gradients(pair, op)
-        if i:
-            pair = _apply(pair, op, inverses, angles, inverse=True)
+    if program.reads:
+        psis = np.concatenate([states[i + 1] for i in program.reads])
+        lams = np.concatenate([lams[i + 1] for i in program.reads])
+        if lams.dtype.kind == "c":
+            lams = lams.conj()
+        for group in program.groups:
+            values[group.params] = _read(group, psis[group.rows], lams[group.rows])
     n = circuit.n_parameters
-    return np.bincount(program.slots, weights=values, minlength=n + 1)[:n]
+    return psi, np.bincount(program.slots, weights=values, minlength=n + 1)[:n]

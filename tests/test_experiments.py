@@ -257,6 +257,10 @@ def test_held_out_must_be_a_condition():
         ("exp-1d", {"train": {"max_epochs": "3"}}, "train"),
         ("exp-1d", {"train": {"max_epochs": 2.5}}, "train: counts must be >= 1"),
         ("exp-noise", {"noise": {"readout_flip_prob": 0.6}}, r"noise\.readout_flip_prob: "),
+        # json reads a NaN literal, so a config file can hold these
+        ("exp-noise", {"noise": {"readout_flip_prob": float("nan")}}, r"noise\.readout_flip_prob: "),
+        ("exp-1d", {"train": {"bandwidths": [1.0, float("nan")]}}, "train: bandwidths must be"),
+        ("exp-1d", {"train": {"bandwidths": [float("inf")]}}, "train: bandwidths must be"),
         ("exp-noise", {"noise": {"calibration_shots": 0}}, r"noise\.calibration_shots "),
         ("exp-multi", {"circuit": {"block": {"style": "bogus"}}}, r"circuit\.block: bad style"),
         ("exp-1d", {"init_scheme": "bogus"}, "init_scheme: unknown init scheme"),
@@ -270,6 +274,7 @@ def test_held_out_must_be_a_condition():
         ("exp-gmmd", {"model": {"hidden": 64}}, r"model\.hidden must be a list"),
     ],
     ids=["optimizer", "max_epochs", "fractional_max_epochs", "readout_flip_prob",
+         "nan_readout_flip_prob", "nan_bandwidth", "inf_bandwidth",
          "calibration_shots", "block_style", "init_scheme", "spsa_epochs", "sample_batches",
          "n_events", "gmmd_max_epochs", "latent_dim", "hidden_width", "hidden_list"],
 )

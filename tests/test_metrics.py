@@ -53,6 +53,9 @@ def test_kernel_config_validation():
         KernelConfig(())
     with pytest.raises(ValueError):
         KernelConfig((1.0, -2.0))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            KernelConfig((1.0, bad))
 
 
 def test_kernel_value_oracle():
@@ -232,7 +235,14 @@ def test_gram_cache_matches_dense_pairwise_kernel(bits):
     sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1)
     config = KernelConfig()
     dense = sum(np.exp(-sq / (2.0 * s)) for s in config.bandwidths)
-    np.testing.assert_allclose(GramCache(bits, config).matrix, dense, rtol=1e-15, atol=0)
+    cache = GramCache(bits, config)
+    np.testing.assert_allclose(cache.matrix, dense, rtol=1e-15, atol=0)
+    # apply multiplies by the factors, one register at a time; K is symmetric.
+    # v is positive, so that no entry of v @ K cancels to near 0, where a
+    # relative bound would compare rounding errors
+    v = np.random.default_rng(sum(bits)).random((5, n))
+    np.testing.assert_allclose(cache.apply(v), v @ dense, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(cache.apply(v[0]), dense @ v[0], rtol=1e-13, atol=0)
 
 
 def test_gram_cache_for_another_kernel_config_is_rejected():

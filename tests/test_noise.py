@@ -24,6 +24,10 @@ def test_noise_config_validation():
         NoiseConfig(readout_flip_prob=0.5)
     with pytest.raises(ValueError):
         NoiseConfig(readout_flip_prob=-0.1)
+    # NaN fails every comparison, so the check is written to reject it
+    for bad in (float("nan"), (0.1, float("nan")), float("inf")):
+        with pytest.raises(ValueError):
+            NoiseConfig(readout_flip_prob=bad)
 
 
 def test_flip_probs_broadcast_and_per_qubit():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from borngen.born import BornModel
 from borngen.distributions import DiscreteDistribution
 from borngen.metrics import KernelConfig, mmd_gradient, mmd_gradient_shift
+from borngen import sim
 from borngen.sim import Gate, run_circuit, run_circuit_batch
 from borngen.circuits import (
     CircuitSpec,
@@ -126,8 +127,11 @@ def test_circuit_compiles_once():
     # gates are compiled into layers, one kernel call per layer and block:
     # the 1D ansatz's 18 gates are an RY, an RX, an RZZ and an RY layer
     assert len(build_1d_rzz_ansatz(4).program.ops) == 4
+    # an H block folds into the next rotation on its block, and so does a
+    # CNOT run when the circuit is one block
     multivariate = build_multivariate(3, 3, 4, CorrelationBlockChoice())
-    assert len(multivariate.gates) == 93 and len(multivariate.program.ops) <= 40
+    assert len(multivariate.gates) == 93 and len(multivariate.program.ops) <= 32
+    assert len(build_conditional(3, 4).program.ops) == 10
 
 
 def _random_circuit(rng, n_qubits, n_gates):
@@ -347,3 +351,29 @@ def test_complex_rotations_on_low_qubits_of_nine_match_oracles():
     circuit = CircuitSpec(9, tuple(gates), 7, n_data_slots=1)
     assert [op.kind for op in circuit.program.ops].count("rotation") == 5
     _check_layered_program(circuit, np.random.default_rng(17))
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [build_multivariate(3, 3, 4, CorrelationBlockChoice()), build_conditional(3, 2)],
+    ids=["multivariate", "conditional"],
+)
+def test_gradient_sweeps_the_angles_once(circuit, monkeypatch):
+    # the forward and backward runs share one sweep's matrices
+    sweep, calls = sim._sweep, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "_sweep", counted)
+    rng = np.random.default_rng(5)
+    model = BornModel(
+        circuit,
+        rng.uniform(0, 2 * np.pi, circuit.n_parameters),
+        (0.0, 1.0) if circuit.n_data_slots else None,
+    )
+    p = rng.random(2**circuit.n_qubits)
+    target = DiscreteDistribution(p / p.sum(), circuit.register_bits)
+    mmd_gradient(model, target, KernelConfig(), 0.5 if circuit.n_data_slots else None)
+    assert len(calls) == 1
