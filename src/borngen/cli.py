@@ -9,14 +9,25 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .data import DEFAULT_CORRELATION, save_csv, synthesize_mfc
+from .data import save_csv, synthesize_mfc
 from .experiments import ConfigError, ExperimentConfig, compare_report, run_experiment
+from .experiments import _count, _is_energy, _must, _resolve
 from .optimize import TrainingDivergedError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_TRAINING = 2
 EXIT_REGRESSION = 3
+
+# synth-data's parameters: each one's name, check and default
+_SYNTH_PARAMS = (
+    ("n_events", _count(1), 10240),
+    ("conditions", _must(lambda c: isinstance(c, list) and c and all(map(_is_energy, c)),
+                         "a list of at least one incoming energy, each a finite number > 0"),
+     [50.0]),
+    ("target_corr", None, None),  # None: data.DEFAULT_CORRELATION
+    ("seed", _count(0), 0),
+)
 
 
 @click.group()
@@ -105,17 +116,13 @@ def synth_cmd(params_path, out_csv):
     """Generate a synthetic event CSV from a JSON parameter file.
 
     The parameter file may set n_events, conditions (list of incoming
-    energies), target_corr (3x3 matrix) and seed.
+    energies), target_corr (3x3 matrix) and seed, and nothing else.
     """
     try:
         with open(params_path) as fh:
-            params = json.load(fh)
-        n_events = int(params.get("n_events", 10240))
-        conditions = params.get("conditions", [50.0])
-        corr = np.asarray(params.get("target_corr", DEFAULT_CORRELATION))
-        seed = int(params.get("seed", 0))
-        if not conditions:
-            raise ValueError("conditions must list at least one incoming energy")
+            params = _resolve(json.load(fh), _SYNTH_PARAMS)
+        n_events, conditions = params["n_events"], params["conditions"]
+        corr, seed = params["target_corr"], params["seed"]
         events = np.concatenate(
             [synthesize_mfc(n_events, float(c), corr, seed + i) for i, c in enumerate(conditions)]
         )

@@ -10,8 +10,8 @@ import copy
 import csv
 import datetime
 import json
+import math
 import subprocess
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .data import (
     train_test_split,
 )
 from .distributions import marginal, sample
-from .metrics import KernelConfig, pearson_correlation, total_variance
+from .metrics import PAPER_BANDWIDTHS, KernelConfig, pearson_correlation, total_variance
 from .noise import NoiseConfig, apply_readout_noise, estimate_confusion_matrix, mitigate_readout
 from .optimize import TrainConfig, _is_count, init_parameters, trace_to_csv, trace_to_json, train
 
@@ -52,97 +52,139 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the field path."""
 
 
-def _merge(base: dict, override: dict, path: str = "", extend: bool = False) -> dict:
-    """Deep-merge override into a copy of base. Unless extend is set, a key
-    that base lacks is an error naming its dotted path."""
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in out and not extend:
-            raise ConfigError(f"unknown config field {where!r}")
-        if isinstance(out.get(key), dict) and isinstance(value, dict):
-            out[key] = _merge(out[key], value, where, extend)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
+_REQUIRED = object()  # the default of a field that a config must set
+_BORN_EXPERIMENTS = ("exp-1d", "exp-multi", "exp-cond", "exp-blocks", "exp-noise")
+_SAMPLED = ("exp-1d", "exp-multi", "exp-cond")  # the experiments that write histograms
 
 
-# Each data source's fields: the generator reads n_events, a CSV source its path.
-_SOURCES = {
-    "synthetic": {"source": "synthetic", "n_events": 10240},
-    "csv": {"source": "csv", "path": None},
-}
-# The Born machine's training schedule and initial parameters, which the
-# classical baseline does not read.
-_BORN = {
-    "train": {
-        "optimizer": "adam",
-        "initial_lr": 0.01,
-        "lr_halving_period": 20,
-        "batches_per_epoch": 10,
-        "batch_size": 512,
-        "max_epochs": 70,
-        "spsa_epochs": 10,
-        "sample_batches": False,
-        "bandwidths": [0.01, 0.1, 1.0, 10.0, 100.0],
-    },
-    "init_scheme": "small_normal",
-}
-_SAMPLING = {"n_shots": 5120, "repetitions": 10}
+def _must(test, wanted: str):
+    """A check that a value passes test."""
 
-# Each experiment's defaults name exactly the fields it reads, so that any
-# other field is rejected rather than ignored.
-_BORN_DEFAULTS = {
-    "exp-1d": {
-        "data": {"condition": 50.0},
-        "circuit": {"n_qubits": 4},
-        "sampling": _SAMPLING,
-    },
-    "exp-multi": {
-        "data": {"condition": 125.0},
-        "circuit": {
-            "n_registers": 3,
-            "qubits_per_register": 3,
-            "n_repetitions": 4,
-            "block": {"connectivity": "linear", "depth_pairs": "first_only", "style": "hh_cx"},
-        },
-        "train": {"max_epochs": 100},
-        "sampling": _SAMPLING,
-    },
-    "exp-cond": {
-        "data": {"held_out": 125.0},
-        "circuit": {"n_qubits": 3, "n_layers": 4},
-        "train": {"max_epochs": 30},
-        "sampling": _SAMPLING,
-    },
-    "exp-blocks": {
-        "data": {"condition": 125.0},
-        "circuit": {"n_registers": 3, "qubits_per_register": 3, "n_repetitions": 4},
-        "train": {"max_epochs": 100},
-    },
-    "exp-noise": {
-        "data": {"condition": 50.0},
-        "circuit": {"n_qubits": 4},
-        "noise": {"readout_flip_prob": 0.029, "calibration_shots": 100000},
-    },
-}
-_DEFAULTS = {
-    **{name: _merge(_BORN, d, extend=True) for name, d in _BORN_DEFAULTS.items()},
-    "exp-gmmd": {
-        "data": {"condition": 50.0},
-        "model": {"latent_dim": 15, "hidden": [64, 128, 64, 16]},
-        "train": {"max_epochs": 100},
-    },
-}
+    def check(value):
+        if not test(value):
+            raise ConfigError(f"must be {wanted}, not {value!r}")
+
+    return check
 
 
-@contextmanager
-def _field(path: str):
-    """Re-raise a TypeError or ValueError as a ConfigError naming path."""
+def _count(minimum: int):
+    return _must(lambda value: _is_count(value, minimum), f"an integer >= {minimum}")
+
+
+def _is_energy(value) -> bool:
+    """Whether value is a finite number > 0 (a bool is not one)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < math.inf
+
+
+def _widths(value):
+    if not isinstance(value, list):
+        raise ConfigError(f"must be a list, not {value!r}")
+    for width in value:
+        _count(1)(width)
+
+
+def _schedule(train: dict) -> TrainConfig | GmmdConfig:
+    """The Born machine's TrainConfig, or the GmmdConfig of the classical
+    baseline's train section, which has no kernel bandwidths."""
+    if "bandwidths" not in train:
+        return GmmdConfig(**train)
+    kernel = KernelConfig(tuple(train["bandwidths"]))
+    return TrainConfig(**{k: v for k, v in train.items() if k != "bandwidths"}, kernel=kernel)
+
+
+# Every config field: its dotted path, its check (None where its section's
+# check covers it) and its default in each experiment that reads it. A check
+# raises a ConfigError that says what the value must be, or builds what reads
+# the value and lets that raise a TypeError or ValueError.
+_FIELDS = (
+    ("seed", _count(0), dict.fromkeys(EXPERIMENTS, _REQUIRED)),
+    ("output_dir", _must(lambda v: isinstance(v, str) and v, "a non-empty string"),
+     dict.fromkeys(EXPERIMENTS)),
+    ("data.source", _must(lambda v: v in ("synthetic", "csv"), "'synthetic' or 'csv'"),
+     dict.fromkeys(EXPERIMENTS, "synthetic")),
+    ("data.n_events", _count(1), dict.fromkeys(EXPERIMENTS, 10240)),
+    ("data.path", _must(lambda v: isinstance(v, str) and Path(v).exists(), "an existing file"),
+     dict.fromkeys(EXPERIMENTS, _REQUIRED)),
+    ("data.condition", _must(_is_energy, "a finite number > 0"),
+     {**dict.fromkeys(("exp-1d", "exp-noise", "exp-gmmd"), 50.0),
+      **dict.fromkeys(("exp-multi", "exp-blocks"), 125.0)}),
+    ("data.held_out", _must(lambda v: v in CONDITION_VALUES, f"one of {CONDITION_VALUES}"),
+     {"exp-cond": 125.0}),
+    ("init_scheme", lambda scheme: init_parameters(0, scheme),
+     dict.fromkeys(_BORN_EXPERIMENTS, "small_normal")),
+    ("train.optimizer", None, dict.fromkeys(_BORN_EXPERIMENTS, "adam")),
+    ("train.initial_lr", None, dict.fromkeys(_BORN_EXPERIMENTS, 0.01)),
+    ("train.lr_halving_period", None, dict.fromkeys(_BORN_EXPERIMENTS, 20)),
+    ("train.batches_per_epoch", None, dict.fromkeys(_BORN_EXPERIMENTS, 10)),
+    ("train.batch_size", None, dict.fromkeys(_BORN_EXPERIMENTS, 512)),
+    ("train.max_epochs", None,
+     {**dict.fromkeys(("exp-1d", "exp-noise"), 70), "exp-cond": 30,
+      **dict.fromkeys(("exp-multi", "exp-blocks", "exp-gmmd"), 100)}),
+    ("train.spsa_epochs", None, dict.fromkeys(_BORN_EXPERIMENTS, 10)),
+    ("train.sample_batches", None, dict.fromkeys(_BORN_EXPERIMENTS, False)),
+    ("train.bandwidths", None, dict.fromkeys(_BORN_EXPERIMENTS, list(PAPER_BANDWIDTHS))),
+    ("circuit.n_repetitions", _count(0), dict.fromkeys(("exp-multi", "exp-blocks"), 4)),
+    ("circuit.block.connectivity", None, {"exp-multi": "linear"}),
+    ("circuit.block.depth_pairs", None, {"exp-multi": "first_only"}),
+    ("circuit.block.style", None, {"exp-multi": "hh_cx"}),
+    ("circuit.n_layers", _count(0), {"exp-cond": 4}),
+    ("sampling.n_shots", _count(1), dict.fromkeys(_SAMPLED, 5120)),
+    ("sampling.repetitions", _count(1), dict.fromkeys(_SAMPLED, 10)),
+    ("noise.readout_flip_prob", lambda p: NoiseConfig(readout_flip_prob=p), {"exp-noise": 0.029}),
+    ("noise.calibration_shots", _count(1), {"exp-noise": 100000}),
+    ("model.latent_dim", _count(1), {"exp-gmmd": 15}),
+    ("model.hidden", _widths, {"exp-gmmd": [64, 128, 64, 16]}),
+)
+# Sections checked as a whole, by building what reads them
+_SECTIONS = (
+    ("train.", _schedule),
+    ("circuit.block.", lambda block: CorrelationBlockChoice(**block)),
+)
+# Each data source reads only its own field.
+_SOURCE_FIELDS = {"synthetic": "data.n_events", "csv": "data.path"}
+
+
+def _check(check, path: str, value) -> None:
     try:
-        yield
+        check(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{path} {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _given(body, fields: set, path: str = "") -> dict:
+    """The values that body sets, by dotted path; a key that is no field or
+    section of fields, or a section that is not an object, is an error."""
+    if not isinstance(body, dict):
+        raise ConfigError(f"{path or 'the config'} must be an object")
+    given = {}
+    for key, value in body.items():
+        where = f"{path}.{key}" if path else key
+        if where in fields:
+            given[where] = value
+        elif any(field.startswith(where + ".") for field in fields):
+            given.update(_given(value, fields, where))
+        else:
+            raise ConfigError(f"unknown config field {where!r}")
+    return given
+
+
+def _resolve(raw, rows) -> dict:
+    """The value of each (path, check, default) row by its path: the value
+    that raw sets, checked, or else the default."""
+    given = _given(raw, {path for path, _, _ in rows})
+    values = {}
+    for path, check, default in rows:
+        if path in given:
+            values[path] = copy.deepcopy(given[path])
+            if check:
+                _check(check, path, values[path])
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required field {path!r}")
+        else:
+            values[path] = copy.deepcopy(default)
+    return values
 
 
 class ExperimentConfig:
@@ -153,57 +195,29 @@ class ExperimentConfig:
             raise ConfigError("missing required field 'experiment'")
         if raw["experiment"] not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {raw['experiment']!r}")
-        if "seed" not in raw:
-            raise ConfigError("missing required field 'seed'")
         self.experiment = raw["experiment"]
-        self.seed = raw["seed"]
-        self.output_dir = raw.get("output_dir")
-        raw_data = raw.get("data", {})
-        source = raw_data.get("source", "synthetic") if isinstance(raw_data, dict) else None
-        if source not in ("synthetic", "csv"):
-            raise ConfigError("data.source must be 'synthetic' or 'csv'")
-        defaults = _merge({"data": _SOURCES[source]}, _DEFAULTS[self.experiment], extend=True)
-        body = {
-            k: v
-            for k, v in raw.items()
-            if k not in ("experiment", "seed", "output_dir")
-        }
-        self.settings = s = _merge(defaults, body)
-        data = s["data"]
-        counts = [("seed", self.seed, 0)]
-        if source == "csv":
-            path = data["path"]
-            if not path or not Path(path).exists():
-                raise ConfigError(f"data.path does not exist: {path!r}")
-        else:
-            counts.append(("data.n_events", data["n_events"], 1))
-        if "held_out" in data and data["held_out"] not in CONDITION_VALUES:
-            raise ConfigError(
-                f"data.held_out must be one of {CONDITION_VALUES}, got {data['held_out']!r}"
-            )
-        counts += [(f"sampling.{key}", value, 1) for key, value in s.get("sampling", {}).items()]
-        if "noise" in s:
-            counts.append(("noise.calibration_shots", s["noise"]["calibration_shots"], 1))
-        if "model" in s:
-            if not isinstance(s["model"]["hidden"], list):
-                raise ConfigError(f"model.hidden must be a list, not {s['model']['hidden']!r}")
-            counts.append(("model.latent_dim", s["model"]["latent_dim"], 1))
-            counts += [("model.hidden", width, 1) for width in s["model"]["hidden"]]
-        for path, value, minimum in counts:
-            if not _is_count(value, minimum):
-                raise ConfigError(f"{path} must be an integer >= {minimum}, not {value!r}")
-        # build every settings object now, so that a bad value fails here
-        with _field("train"):
-            self.train_config()
-        if "init_scheme" in s:
-            with _field("init_scheme"):
-                init_parameters(0, s["init_scheme"])
-        if "block" in s.get("circuit", {}):
-            with _field("circuit.block"):
-                CorrelationBlockChoice(**s["circuit"]["block"])
-        if "noise" in s:
-            with _field("noise.readout_flip_prob"):
-                self.noise_config()
+        data = raw.get("data")
+        source = data.get("source", "synthetic") if isinstance(data, dict) else "synthetic"
+        unread = {field for s, field in _SOURCE_FIELDS.items() if s != source}
+        rows = [
+            (path, check, defaults[self.experiment])
+            for path, check, defaults in _FIELDS
+            if self.experiment in defaults and path not in unread
+        ]
+        values = _resolve({k: v for k, v in raw.items() if k != "experiment"}, rows)
+        for prefix, make in _SECTIONS:
+            fields = {p[len(prefix):]: v for p, v in values.items() if p.startswith(prefix)}
+            if fields:
+                _check(make, prefix[:-1], fields)
+        self.seed = values.pop("seed")
+        self.output_dir = values.pop("output_dir")
+        self.settings = {}
+        for path, value in values.items():
+            *sections, leaf = path.split(".")
+            node = self.settings
+            for name in sections:
+                node = node.setdefault(name, {})
+            node[leaf] = value
 
     def resolved(self) -> dict:
         return {
@@ -213,17 +227,8 @@ class ExperimentConfig:
         }
 
     def train_config(self, **overrides) -> TrainConfig | GmmdConfig:
-        """The Born machine's TrainConfig, or the GmmdConfig of an experiment
-        that trains the classical baseline's MLP."""
-        t = {**self.settings["train"], "seed": self.seed, **overrides}
-        if "model" in self.settings:
-            return GmmdConfig(**t)
-        t["kernel"] = KernelConfig(tuple(t.pop("bandwidths")))
-        return TrainConfig(**t)
-
-    def noise_config(self) -> NoiseConfig:
-        flip = self.settings["noise"]["readout_flip_prob"]
-        return NoiseConfig(readout_flip_prob=flip, seed=self.seed)
+        """The train section's settings object, as `_schedule` builds it."""
+        return _schedule({**self.settings["train"], "seed": self.seed, **overrides})
 
 
 def _near(e_in: np.ndarray, condition: float) -> np.ndarray:
@@ -337,14 +342,13 @@ def _val_mmd(trace) -> dict:
 # Each hook returns (save_model, trace, metrics, histograms). save_model
 # writes the model file into the bundle directory, and is None when there is
 # no single trained model. A histogram is (name, binning, feature, target,
-# model distribution, sampling seed). Hooks build their circuits before any
-# data is made, so that a bad circuit size fails first.
+# model distribution, sampling seed). Each circuit's size follows from its
+# binning: a register of n qubits holds 2**n bins.
 
 
 def _exp_1d(config: ExperimentConfig):
-    with _field("circuit"):
-        circuit = build_1d_rzz_ansatz(config.settings["circuit"]["n_qubits"])
     train_dist, val_dist, binning, *_ = _single_condition(config, [16], [0])
+    circuit = build_1d_rzz_ansatz(*binning.register_bits)
     trained, trace = _fit(config, circuit, train_dist, val_dist)
     dist = model_distribution(trained)
     metrics = {"tv": total_variance(dist, val_dist), **_val_mmd(trace)}
@@ -353,16 +357,12 @@ def _exp_1d(config: ExperimentConfig):
 
 
 def _exp_multi(config: ExperimentConfig):
-    c = config.settings["circuit"]
-    with _field("circuit"):
-        circuit = build_multivariate(
-            c["n_registers"],
-            c["qubits_per_register"],
-            c["n_repetitions"],
-            CorrelationBlockChoice(**c["block"]),
-        )
     train_dist, val_dist, binning, params, _, test_f = _single_condition(
         config, [8, 8, 8], [0, 1, 2]
+    )
+    bits, c = binning.register_bits, config.settings["circuit"]
+    circuit = build_multivariate(
+        len(bits), bits[0], c["n_repetitions"], CorrelationBlockChoice(**c["block"])
     )
     trained, trace = _fit(config, circuit, train_dist, val_dist)
     dist = model_distribution(trained)
@@ -392,17 +392,11 @@ def _exp_multi(config: ExperimentConfig):
 def _exp_blocks(config: ExperimentConfig):
     """Every correlation-block variant, ranked by best validation MMD. The
     trace is one per variant, and there is no single trained model."""
-    c = config.settings["circuit"]
-    with _field("circuit"):
-        circuits = {
-            choice: build_multivariate(
-                c["n_registers"], c["qubits_per_register"], c["n_repetitions"], choice
-            )
-            for choice in all_block_choices()
-        }
-    train_dist, val_dist, *_ = _single_condition(config, [8, 8, 8], [0, 1, 2])
+    train_dist, val_dist, binning, *_ = _single_condition(config, [8, 8, 8], [0, 1, 2])
+    bits, repetitions = binning.register_bits, config.settings["circuit"]["n_repetitions"]
     results, traces = {}, []
-    for i, (choice, circuit) in enumerate(circuits.items()):
+    for i, choice in enumerate(all_block_choices()):
+        circuit = build_multivariate(len(bits), bits[0], repetitions, choice)
         trained, trace = _fit(config, circuit, train_dist, val_dist, seed_offset=i)
         traces.append(trace)
         results[choice.label] = {
@@ -414,9 +408,6 @@ def _exp_blocks(config: ExperimentConfig):
 
 
 def _exp_cond(config: ExperimentConfig):
-    c = config.settings["circuit"]
-    with _field("circuit"):
-        circuit = build_conditional(c["n_qubits"], c["n_layers"])
     held_out = config.settings["data"]["held_out"]
     train_conditions = [cond for cond in CONDITION_VALUES if cond != held_out]
     events = _events(config, {cond: int(cond) for cond in CONDITION_VALUES})
@@ -425,6 +416,7 @@ def _exp_cond(config: ExperimentConfig):
     _, params = preprocess(pooled_train)
     energy = lambda evs: apply_preprocess(evs, params)[:, [0]]
     binning = BinningSpec.from_training_data(energy(pooled_train), [8])
+    circuit = build_conditional(*binning.register_bits, config.settings["circuit"]["n_layers"])
     train_dists = {cond: discretize(energy(splits[cond][0]), binning) for cond in train_conditions}
     val_dists = {cond: discretize(energy(splits[cond][1]), binning) for cond in train_conditions}
     held_out_dist = discretize(energy(splits[held_out][1]), binning)
@@ -454,12 +446,11 @@ def _exp_cond(config: ExperimentConfig):
 
 
 def _exp_noise(config: ExperimentConfig):
-    with _field("circuit"):
-        circuit = build_1d_rzz_ansatz(config.settings["circuit"]["n_qubits"])
-    train_dist, val_dist, *_ = _single_condition(config, [16], [0])
+    train_dist, val_dist, binning, *_ = _single_condition(config, [16], [0])
+    circuit = build_1d_rzz_ansatz(*binning.register_bits)
     trained, trace = _fit(config, circuit, train_dist, val_dist)
     n = config.settings["noise"]
-    noise = config.noise_config()
+    noise = NoiseConfig(readout_flip_prob=n["readout_flip_prob"], seed=config.seed)
     exact = model_distribution(trained)
     noisy = apply_readout_noise(exact, noise)
     confusion = estimate_confusion_matrix(circuit.n_qubits, noise, n["calibration_shots"])

@@ -149,11 +149,13 @@ def test_run_reports_config_error_found_while_running(runner, tmp_path):
 @pytest.mark.parametrize(
     "experiment, body, message",
     [
-        ("exp-1d", {"circuit": {"n_qubits": 1}}, "circuit: need at least 2 qubits"),
-        ("exp-noise", {"circuit": {"n_qubits": 1}}, "circuit: need at least 2 qubits"),
-        ("exp-multi", {"circuit": {"n_registers": 1}}, "circuit: "),
-        ("exp-blocks", {"circuit": {"n_registers": 1}}, "circuit: "),
-        ("exp-cond", {"circuit": {"n_qubits": 0}}, "circuit: need n_qubits >= 1"),
+        # the bins fix every circuit's size; exp-1d and exp-noise read no circuit field
+        ("exp-1d", {"circuit": {"n_qubits": 1}}, "unknown config field 'circuit'"),
+        ("exp-noise", {"circuit": {"n_qubits": 1}}, "unknown config field 'circuit'"),
+        ("exp-multi", {"circuit": {"n_registers": 1}}, "unknown config field 'circuit.n_registers'"),
+        ("exp-blocks", {"circuit": {"n_registers": 1}},
+         "unknown config field 'circuit.n_registers'"),
+        ("exp-cond", {"circuit": {"n_qubits": 0}}, "unknown config field 'circuit.n_qubits'"),
         ("exp-1d", {"data": {"n_events": 0}}, "data.n_events must be an integer >= 1"),
         ("exp-1d", {"sampling": {"n_shots": 0}}, "sampling.n_shots must be an integer >= 1"),
         ("exp-cond", {"sampling": {"repetitions": 0}}, "sampling.repetitions must be"),
@@ -172,6 +174,37 @@ def test_run_rejects_bad_size_before_any_data(runner, tmp_path, monkeypatch, exp
     assert f"config error: {message}" in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+def test_run_rejects_a_bad_output_dir(runner, tmp_path):
+    config = _write_config(tmp_path / "config.json", output_dir=5)
+    result = runner.invoke(main, ["run", str(config)])
+    assert result.exit_code == EXIT_VALIDATION
+    assert "config error: output_dir must be a non-empty string" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"n_event": 100}, "unknown config field 'n_event'"),
+        ({"n_events": 2.5}, "n_events must be an integer >= 1"),
+        ({"seed": 1.9}, "seed must be an integer >= 0"),
+        ({"conditions": 50}, "conditions must be a list of at least one incoming energy"),
+        # json reads a NaN literal
+        ({"conditions": [float("nan")]}, "conditions must be a list of at least one incoming"),
+    ],
+    ids=["typo", "fractional_n_events", "fractional_seed", "scalar_conditions", "nan_condition"],
+)
+def test_synth_data_checks_its_params(runner, tmp_path, params, message):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    out_csv = tmp_path / "x.csv"
+    result = runner.invoke(main, ["synth-data", str(path), str(out_csv)])
+    assert result.exit_code == EXIT_VALIDATION
+    assert f"synth-data error: {message}" in result.output
+    assert "Traceback" not in result.output
+    assert not out_csv.exists()
 
 
 def test_gmmd_report_is_read_by_report_and_compare(runner, tmp_path):

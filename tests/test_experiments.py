@@ -1,6 +1,8 @@
 """Experiment configuration, report bundles and report comparison."""
+import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -56,11 +58,14 @@ def test_unknown_field_reports_path():
 def test_defaults_resolved():
     config = _config()
     assert config.settings["train"]["max_epochs"] == 70
-    assert config.settings["circuit"]["n_qubits"] == 4
+    assert "circuit" not in config.settings  # 16 bins fix the 1D model's 4 qubits
     assert config.settings["data"]["condition"] == 50.0
     multi = ExperimentConfig({"experiment": "exp-multi", "seed": 0})
     assert multi.settings["train"]["max_epochs"] == 100
-    assert multi.settings["circuit"]["block"]["connectivity"] == "linear"
+    assert multi.settings["circuit"] == {
+        "n_repetitions": 4,
+        "block": {"connectivity": "linear", "depth_pairs": "first_only", "style": "hh_cx"},
+    }
 
 
 def test_override_nested_field():
@@ -272,15 +277,111 @@ def test_held_out_must_be_a_condition():
         ("exp-gmmd", {"model": {"latent_dim": 0}}, r"model\.latent_dim must be an integer"),
         ("exp-gmmd", {"model": {"hidden": [64, 2.5]}}, r"model\.hidden must be an integer"),
         ("exp-gmmd", {"model": {"hidden": 64}}, r"model\.hidden must be a list"),
+        *[
+            (experiment, {"data": {"condition": value}}, r"data\.condition must be a finite number")
+            for experiment in ("exp-1d", "exp-gmmd")
+            for value in (float("nan"), 0, -50, "abc")
+        ],
     ],
     ids=["optimizer", "max_epochs", "fractional_max_epochs", "readout_flip_prob",
          "nan_readout_flip_prob", "nan_bandwidth", "inf_bandwidth",
          "calibration_shots", "block_style", "init_scheme", "spsa_epochs", "sample_batches",
-         "n_events", "gmmd_max_epochs", "latent_dim", "hidden_width", "hidden_list"],
+         "n_events", "gmmd_max_epochs", "latent_dim", "hidden_width", "hidden_list",
+         *[f"{experiment}_{value}_condition" for experiment in ("exp-1d", "exp-gmmd")
+           for value in ("nan", "zero", "negative", "string")]],
 )
 def test_bad_train_value_rejected_up_front(experiment, body, message):
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig({"experiment": experiment, "seed": 0, **body})
+
+
+@pytest.mark.parametrize(
+    "experiment, body, section",
+    [
+        ("exp-1d", {"sampling": 5}, "sampling"),
+        ("exp-noise", {"noise": 5}, "noise"),
+        ("exp-gmmd", {"model": 5}, "model"),
+        ("exp-multi", {"circuit": 5}, "circuit"),
+        ("exp-multi", {"circuit": {"block": "linear"}}, "circuit.block"),
+        ("exp-1d", {"data": 5}, "data"),
+        ("exp-1d", {"train": [1]}, "train"),
+    ],
+)
+def test_section_must_be_an_object(experiment, body, section):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(section)} must be an object$"):
+        ExperimentConfig({"experiment": experiment, "seed": 0, **body})
+
+
+def _readme_fields() -> dict:
+    """{(field, experiment): default} from README's table of config fields,
+    whose columns are the field, what it must be and one per experiment."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| field | must be |"))
+    cells = lambda line: [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+    _, _, *names = cells(lines[start])
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        field, _, *defaults = cells(line)
+        for name, default in zip(names, defaults, strict=True):
+            if default:
+                table[field, name] = default if default == "required" else json.loads(default)
+    return table
+
+
+def test_readme_lists_every_config_field_and_default():
+    expected = {
+        (path, name): "required" if default is experiments._REQUIRED else default
+        for path, _, defaults in experiments._FIELDS
+        for name, default in defaults.items()
+    }
+    assert _readme_fields() == expected
+
+
+class _ReadRecorder(dict):
+    """Settings that record the dotted path of each leaf read from them."""
+
+    def __init__(self, tree: dict, reads: set, path: str = ""):
+        super().__init__(tree)
+        self.reads, self.path = reads, path
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if isinstance(value, dict):
+            return _ReadRecorder(value, self.reads, f"{self.path}{key}.")
+        self.reads.add(self.path + key)
+        return value
+
+    def __iter__(self):  # so that {**d} and f(**d) read through __getitem__
+        return super().__iter__()
+
+
+def _leaf_paths(tree: dict, path: str = "") -> set:
+    paths = set()
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            paths |= _leaf_paths(value, f"{path}{key}.")
+        else:
+            paths.add(path + key)
+    return paths
+
+
+def test_read_recorder_sees_reads_through_unpacking():
+    reads = set()
+    settings = _ReadRecorder({"a": 1, "b": {"c": 2, "d": 3}, "e": 4}, reads)
+    {**settings["b"]}
+    json.dumps(copy.deepcopy(settings))  # as the bundle writer does
+    assert reads == {"b.c", "b.d"}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_resolved_field_is_read(tmp_path, experiment):
+    config = ExperimentConfig({"experiment": experiment, "seed": 0, "train": {"max_epochs": 1}})
+    fields, reads = _leaf_paths(config.settings), set()
+    config.settings = _ReadRecorder(config.settings, reads)
+    run_experiment(config, tmp_path)
+    assert fields - reads == set()
 
 
 def test_compare_report_identical():
