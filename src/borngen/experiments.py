@@ -98,12 +98,13 @@ def _schedule(train: dict) -> TrainConfig | GmmdConfig:
 # the value and lets that raise a TypeError or ValueError.
 _FIELDS = (
     ("seed", _count(0), dict.fromkeys(EXPERIMENTS, _REQUIRED)),
-    ("output_dir", _must(lambda v: isinstance(v, str) and v, "a non-empty string"),
+    ("output_dir", _must(lambda v: v is None or isinstance(v, str) and v,
+                         "null or a non-empty string"),
      dict.fromkeys(EXPERIMENTS)),
     ("data.source", _must(lambda v: v in ("synthetic", "csv"), "'synthetic' or 'csv'"),
      dict.fromkeys(EXPERIMENTS, "synthetic")),
     ("data.n_events", _count(1), dict.fromkeys(EXPERIMENTS, 10240)),
-    ("data.path", _must(lambda v: isinstance(v, str) and Path(v).exists(), "an existing file"),
+    ("data.path", _must(lambda v: isinstance(v, str) and Path(v).is_file(), "an existing file"),
      dict.fromkeys(EXPERIMENTS, _REQUIRED)),
     ("data.condition", _must(_is_energy, "a finite number > 0"),
      {**dict.fromkeys(("exp-1d", "exp-noise", "exp-gmmd"), 50.0),

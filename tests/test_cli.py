@@ -180,7 +180,7 @@ def test_run_rejects_a_bad_output_dir(runner, tmp_path):
     config = _write_config(tmp_path / "config.json", output_dir=5)
     result = runner.invoke(main, ["run", str(config)])
     assert result.exit_code == EXIT_VALIDATION
-    assert "config error: output_dir must be a non-empty string" in result.output
+    assert "config error: output_dir must be null or a non-empty string" in result.output
     assert "Traceback" not in result.output
 
 

@@ -78,10 +78,20 @@ def test_override_nested_field():
 
 
 def test_csv_source_requires_existing_path(tmp_path):
-    with pytest.raises(ConfigError, match="data.path"):
-        _config(data={"source": "csv", "path": str(tmp_path / "nope.csv")})
+    # '' is the current directory, which exists but is no file
+    for path in (str(tmp_path / "nope.csv"), "", str(tmp_path)):
+        with pytest.raises(ConfigError, match="data.path must be an existing file"):
+            _config(data={"source": "csv", "path": path})
     with pytest.raises(ConfigError, match="source"):
         _config(data={"source": "sql"})
+
+
+def test_output_dir_may_be_null():
+    assert _config(output_dir=None).output_dir is None
+    assert _config(output_dir="runs/a").output_dir == "runs/a"
+    for bad in ("", 5):
+        with pytest.raises(ConfigError, match="output_dir must be null or a non-empty string"):
+            _config(output_dir=bad)
 
 
 def test_run_exp_1d_bundle(tmp_path):
