@@ -8,15 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .data import BinningSpec, discretize
-from .metrics import (
-    KernelConfig,
-    SampleTarget,
-    _check_features,
-    _kernel_rows,
-    _self_sum,
-    mmd_loss_samples,
-    total_variance,
-)
+from .metrics import KernelConfig, SampleTarget, mmd_loss_samples, total_variance
 from .optimize import AdamState, Schedule, adam_step
 from .optimize import _check_finite, _run_epochs
 
@@ -134,18 +126,8 @@ def gmmd_batch_loss(generated: np.ndarray, data, config: KernelConfig) -> float:
 
 def gmmd_loss_and_grad(weights, z: np.ndarray, data: np.ndarray, config: KernelConfig):
     """Loss of one batch and its backpropagated gradient per layer."""
-    d = np.atleast_2d(np.asarray(data, dtype=float))
     acts = _forward_cache(weights, z)
-    g = acts[-1]
-    _check_features(g, d)
-    b_size, m = len(g), len(d)
-    (kgg, grad_gg), (kgd, grad_gd) = (_kernel_rows(g, y, config, grad=True) for y in (g, d))
-    # the data-data block does not depend on the weights: it serves the loss only
-    kdd = _self_sum(d, config)
-    loss = float(kgg.sum() / b_size**2 - 2.0 * kgd.sum() / (b_size * m) + kdd / m**2)
-    # d loss / d g_i: both gg terms contribute equally by symmetry
-    delta = 2.0 / b_size**2 * grad_gg - 2.0 / (b_size * m) * grad_gd
-
+    loss, delta = mmd_loss_samples(acts[-1], data, config, grad=True)
     grads = [None] * len(weights)
     for i in reversed(range(len(weights))):
         w, _ = weights[i]
@@ -182,7 +164,6 @@ def train_gmmd(
 
     def run_epoch(epoch, lr, flat, _best):
         nonlocal adam_state
-        grad_norm = 0.0
         epoch_loss = 0.0
         for step in range(config.batches_per_epoch):
             z = rng.standard_normal((config.batch_size, spec.latent_dim))
@@ -193,9 +174,10 @@ def train_gmmd(
             epoch_loss += loss / config.batches_per_epoch
             flat_grad = flatten_weights(grads)
             _check_finite(flat_grad, "gradient", epoch, step)
-            grad_norm = float(np.linalg.norm(flat_grad))
             flat, adam_state = adam_step(flat, flat_grad, adam_state, lr)
             _check_finite(flat, "weights", epoch, step)
+        # the trace records the norm of the epoch's last gradient
+        grad_norm = float(np.linalg.norm(flat_grad))
         return flat, {"train_loss": epoch_loss, "grad_norm": grad_norm, "phase": "adam"}
 
     def evaluate(flat):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -19,13 +20,22 @@ EXIT_VALIDATION = 1
 EXIT_TRAINING = 2
 EXIT_REGRESSION = 3
 
+
+def _is_corr(value) -> bool:
+    """Whether value is null or a 3x3 list of finite numbers (a bool is not one)."""
+    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    row = lambda r: isinstance(r, list) and len(r) == 3 and all(map(number, r))
+    return value is None or isinstance(value, list) and len(value) == 3 and all(map(row, value))
+
+
 # synth-data's parameters: each one's name, check and default
 _SYNTH_PARAMS = (
     ("n_events", _count(1), 10240),
     ("conditions", _must(lambda c: isinstance(c, list) and c and all(map(_is_energy, c)),
                          "a list of at least one incoming energy, each a finite number > 0"),
      [50.0]),
-    ("target_corr", None, None),  # None: data.DEFAULT_CORRELATION
+    # None: data.DEFAULT_CORRELATION
+    ("target_corr", _must(_is_corr, "null or a 3x3 list of finite numbers"), None),
     ("seed", _count(0), 0),
 )
 
@@ -52,7 +62,7 @@ def run_cmd(config_path, output_dir, seed):
     try:
         with open(config_path) as fh:
             raw = json.load(fh)
-        if seed is not None:
+        if seed is not None and isinstance(raw, dict):
             raw["seed"] = seed
         config = ExperimentConfig(raw)
     except (ConfigError, json.JSONDecodeError, OSError) as exc:

@@ -55,6 +55,7 @@ class ConfigError(ValueError):
 _REQUIRED = object()  # the default of a field that a config must set
 _BORN_EXPERIMENTS = ("exp-1d", "exp-multi", "exp-cond", "exp-blocks", "exp-noise")
 _SAMPLED = ("exp-1d", "exp-multi", "exp-cond")  # the experiments that write histograms
+_BINS_1D = 16  # the bins of the 1D target of exp-1d, exp-noise and exp-gmmd
 
 
 def _must(test, wanted: str):
@@ -131,7 +132,9 @@ _FIELDS = (
     ("circuit.n_layers", _count(0), {"exp-cond": 4}),
     ("sampling.n_shots", _count(1), dict.fromkeys(_SAMPLED, 5120)),
     ("sampling.repetitions", _count(1), dict.fromkeys(_SAMPLED, 10)),
-    ("noise.readout_flip_prob", lambda p: NoiseConfig(readout_flip_prob=p), {"exp-noise": 0.029}),
+    ("noise.readout_flip_prob",  # one probability, or one per qubit of the 1D target
+     lambda p: NoiseConfig(readout_flip_prob=p).flip_probs(int(math.log2(_BINS_1D))),
+     {"exp-noise": 0.029}),
     ("noise.calibration_shots", _count(1), {"exp-noise": 100000}),
     ("model.latent_dim", _count(1), {"exp-gmmd": 15}),
     ("model.hidden", _widths, {"exp-gmmd": [64, 128, 64, 16]}),
@@ -192,6 +195,8 @@ class ExperimentConfig:
     """Validated experiment configuration with defaults filled in."""
 
     def __init__(self, raw: dict):
+        if not isinstance(raw, dict):
+            raise ConfigError("the config must be an object")
         if "experiment" not in raw:
             raise ConfigError("missing required field 'experiment'")
         if raw["experiment"] not in EXPERIMENTS:
@@ -243,19 +248,32 @@ def _near(e_in: np.ndarray, condition: float) -> np.ndarray:
 def _events(config: ExperimentConfig, seed_offsets: dict) -> dict:
     """(n, 4) events for each condition in seed_offsets, which maps a
     condition to the seed offset of its synthetic events. A CSV source is
-    read once and split on e_in."""
+    read once and split on e_in; a malformed row is a config error."""
     d = config.settings["data"]
     if d["source"] != "csv":
         return {
             cond: synthesize_mfc(d["n_events"], cond, DEFAULT_CORRELATION, config.seed + offset)
             for cond, offset in seed_offsets.items()
         }
-    events = load_csv(d["path"])
+    try:
+        events = load_csv(d["path"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     selected = {cond: events[_near(events[:, 3], cond)] for cond in seed_offsets}
     for cond, picked in selected.items():
         if not len(picked):
             raise ConfigError(f"no events with e_in == {cond} (to 1e-9) in {d['path']}")
     return selected
+
+
+def _preprocess(config: ExperimentConfig, events: np.ndarray):
+    """preprocess(events); events that it cannot standardize (none, or a
+    constant feature) are a config error that names their source."""
+    try:
+        return preprocess(events)
+    except ValueError as exc:
+        source = config.settings["data"].get("path", "data.n_events")
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def _version_string() -> str:
@@ -310,7 +328,7 @@ def _single_condition(config: ExperimentConfig, n_bins_per_feature, features):
     condition = config.settings["data"]["condition"]
     events = _events(config, {condition: 0})[condition]
     train_events, test_events = train_test_split(events, config.seed)
-    train_all, params = preprocess(train_events)
+    train_all, params = _preprocess(config, train_events)
     test_all = apply_preprocess(test_events, params)
     train_f = train_all[:, features]
     test_f = test_all[:, features]
@@ -348,7 +366,7 @@ def _val_mmd(trace) -> dict:
 
 
 def _exp_1d(config: ExperimentConfig):
-    train_dist, val_dist, binning, *_ = _single_condition(config, [16], [0])
+    train_dist, val_dist, binning, *_ = _single_condition(config, [_BINS_1D], [0])
     circuit = build_1d_rzz_ansatz(*binning.register_bits)
     trained, trace = _fit(config, circuit, train_dist, val_dist)
     dist = model_distribution(trained)
@@ -414,7 +432,7 @@ def _exp_cond(config: ExperimentConfig):
     events = _events(config, {cond: int(cond) for cond in CONDITION_VALUES})
     splits = {cond: train_test_split(events[cond], config.seed) for cond in CONDITION_VALUES}
     pooled_train = np.concatenate([splits[cond][0] for cond in train_conditions])
-    _, params = preprocess(pooled_train)
+    _, params = _preprocess(config, pooled_train)
     energy = lambda evs: apply_preprocess(evs, params)[:, [0]]
     binning = BinningSpec.from_training_data(energy(pooled_train), [8])
     circuit = build_conditional(*binning.register_bits, config.settings["circuit"]["n_layers"])
@@ -447,7 +465,7 @@ def _exp_cond(config: ExperimentConfig):
 
 
 def _exp_noise(config: ExperimentConfig):
-    train_dist, val_dist, binning, *_ = _single_condition(config, [16], [0])
+    train_dist, val_dist, binning, *_ = _single_condition(config, [_BINS_1D], [0])
     circuit = build_1d_rzz_ansatz(*binning.register_bits)
     trained, trace = _fit(config, circuit, train_dist, val_dist)
     n = config.settings["noise"]
@@ -470,7 +488,7 @@ def _exp_gmmd(config: ExperimentConfig):
     the 1D target, its TV taken over 100 000 generated events."""
     m = config.settings["model"]
     spec = MlpSpec(m["latent_dim"], tuple(m["hidden"]), 1)
-    _, val_dist, binning, _, train_f, test_f = _single_condition(config, [16], [0])
+    _, val_dist, binning, _, train_f, test_f = _single_condition(config, [_BINS_1D], [0])
     weights, trace = train_gmmd(
         spec, train_f, config.train_config(), binning=binning, val_dataset=test_f
     )

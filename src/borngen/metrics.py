@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -94,20 +93,6 @@ class GramCache:
             lo *= d
         return t.sum(axis=0).reshape(v.shape)
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense kernel matrix, built on first use: the oracle that
-        apply is checked against."""
-        *lower, top = self.factors
-        rest = np.ones((len(top), 1, 1))  # the product of the lower registers' factors
-        for e in lower:
-            rest = (e[:, :, None, :, None] * rest[:, None, :, None, :]).reshape(
-                len(rest), len(e[0]) * len(rest[0]), -1
-            )
-        # the top factor and the sum over bandwidths in one contraction
-        d, m = len(top[0]), len(rest[0])
-        return np.einsum("sij,skl->ikjl", top, rest).reshape(d * m, d * m)
-
 
 def _check_compatible(register_bits: tuple[int, ...], target: DiscreteDistribution):
     if register_bits != target.register_bits:
@@ -187,11 +172,6 @@ def _sample_rows(a) -> np.ndarray:
     return np.asarray(a, dtype=float).reshape(len(a), -1)
 
 
-def _check_features(x: np.ndarray, y: np.ndarray):
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(f"sample feature counts differ: {x.shape[1]} vs {y.shape[1]}")
-
-
 class SampleTarget:
     """A fixed sample and its kernel self-sum, computed once.
 
@@ -211,20 +191,29 @@ class SampleTarget:
         return np.array(self.rows, dtype=dtype, copy=copy)
 
 
-def mmd_loss_samples(x: np.ndarray, y, config: KernelConfig) -> float:
+def mmd_loss_samples(x: np.ndarray, y, config: KernelConfig, grad: bool = False):
     """Biased (V-statistic) sample MMD of (n, d) arrays, or of 1-d arrays of n values.
 
     y may be a SampleTarget built with the same config; its self-sum is reused.
+    With grad, returns (loss, dL/dx), dL/dx of shape (n, d). That loss sums
+    the xx kernel over full rows rather than one triangle, so it can differ
+    from the value-only loss by rounding.
     """
     x = _sample_rows(x)
     if not isinstance(y, SampleTarget):
         y = SampleTarget(y, config)
     if y.config != config:
         raise ValueError("the SampleTarget was built with another kernel config")
-    _check_features(x, y.rows)
     n, m = len(x), len(y.rows)
-    xy = _kernel_rows(x, y.rows, config).sum()
-    return float(_self_sum(x, config) / n**2 - 2.0 * xy / (n * m) + y.self_sum / m**2)
+    if x.shape[1] != y.rows.shape[1]:
+        raise ValueError(f"sample feature counts differ: {x.shape[1]} vs {y.rows.shape[1]}")
+    if not grad:
+        xy = _kernel_rows(x, y.rows, config).sum()
+        return float(_self_sum(x, config) / n**2 - 2.0 * xy / (n * m) + y.self_sum / m**2)
+    (kxx, grad_xx), (kxy, grad_xy) = (_kernel_rows(x, z, config, grad=True) for z in (x, y.rows))
+    loss = float(kxx.sum() / n**2 - 2.0 * kxy.sum() / (n * m) + y.self_sum / m**2)
+    # d loss / d x_i: both xx terms contribute equally by symmetry
+    return loss, 2.0 / n**2 * grad_xx - 2.0 / (n * m) * grad_xy
 
 
 def _shift_for_kind(kind: str) -> tuple[float, float]:

@@ -45,6 +45,17 @@ def test_run_rejects_invalid_json(runner, tmp_path):
     assert result.exit_code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("seed", [[], ["--seed", "1"]], ids=["no_seed", "seed"])
+@pytest.mark.parametrize("raw", [5, "x", []], ids=["number", "string", "list"])
+def test_run_rejects_a_config_that_is_not_an_object(runner, tmp_path, raw, seed):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    result = runner.invoke(main, ["run", str(config), *seed])
+    assert result.exit_code == EXIT_VALIDATION
+    assert "config error: the config must be an object" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_run_seed_override(runner, tmp_path):
     config = _write_config(tmp_path / "config.json")
     out = tmp_path / "out"
@@ -147,6 +158,41 @@ def test_run_reports_config_error_found_while_running(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "rows, column, value, message",
+    [
+        (slice(1, 2), 0, "x", "malformed row 2"),
+        (slice(None), 2, "0.0", "constant feature(s) ['eta']"),
+    ],
+    ids=["malformed_row", "constant_eta"],
+)
+def test_run_reports_a_bad_csv_as_a_config_error(runner, tmp_path, rows, column, value, message):
+    events = tmp_path / "events.csv"
+    save_csv(synthesize_mfc(64, 50.0, seed=0), events)
+    header, *lines = events.read_text().splitlines()
+    cells = [line.split(",") for line in lines]
+    for row in cells[rows]:
+        row[column] = value
+    events.write_text("\n".join([header, *map(",".join, cells)]) + "\n")
+    config = _write_config(tmp_path / "config.json", data={"source": "csv", "path": str(events)})
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(config), "-o", str(out)])
+    assert result.exit_code == EXIT_VALIDATION
+    assert f"config error: {events}: {message}" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_run_reports_too_few_synthetic_events_as_a_config_error(runner, tmp_path):
+    config = _write_config(tmp_path / "config.json", data={"n_events": 1})
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(config), "-o", str(out)])
+    assert result.exit_code == EXIT_VALIDATION
+    assert "config error: data.n_events: empty event set" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "experiment, body, message",
     [
         # the bins fix every circuit's size; exp-1d and exp-noise read no circuit field
@@ -193,8 +239,12 @@ def test_run_rejects_a_bad_output_dir(runner, tmp_path):
         ({"conditions": 50}, "conditions must be a list of at least one incoming energy"),
         # json reads a NaN literal
         ({"conditions": [float("nan")]}, "conditions must be a list of at least one incoming"),
+        ({"target_corr": "abc"}, "target_corr must be null or a 3x3 list of finite numbers"),
+        ({"target_corr": [[1.0, 0.5], [0.5, 1.0]]},
+         "target_corr must be null or a 3x3 list of finite numbers"),
     ],
-    ids=["typo", "fractional_n_events", "fractional_seed", "scalar_conditions", "nan_condition"],
+    ids=["typo", "fractional_n_events", "fractional_seed", "scalar_conditions", "nan_condition",
+         "string_corr", "2x2_corr"],
 )
 def test_synth_data_checks_its_params(runner, tmp_path, params, message):
     path = tmp_path / "params.json"

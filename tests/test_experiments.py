@@ -276,6 +276,11 @@ def test_held_out_must_be_a_condition():
         ("exp-noise", {"noise": {"readout_flip_prob": float("nan")}}, r"noise\.readout_flip_prob: "),
         ("exp-1d", {"train": {"bandwidths": [1.0, float("nan")]}}, "train: bandwidths must be"),
         ("exp-1d", {"train": {"bandwidths": [float("inf")]}}, "train: bandwidths must be"),
+        # one probability, or one per qubit of the 4-qubit 1D target
+        ("exp-noise", {"noise": {"readout_flip_prob": [0.01, 0.02, 0.03]}},
+         r"noise\.readout_flip_prob: expected 4 per-qubit flip probabilities"),
+        ("exp-noise", {"noise": {"readout_flip_prob": []}},
+         r"noise\.readout_flip_prob: expected 4 per-qubit flip probabilities"),
         ("exp-noise", {"noise": {"calibration_shots": 0}}, r"noise\.calibration_shots "),
         ("exp-multi", {"circuit": {"block": {"style": "bogus"}}}, r"circuit\.block: bad style"),
         ("exp-1d", {"init_scheme": "bogus"}, "init_scheme: unknown init scheme"),
@@ -294,15 +299,23 @@ def test_held_out_must_be_a_condition():
         ],
     ],
     ids=["optimizer", "max_epochs", "fractional_max_epochs", "readout_flip_prob",
-         "nan_readout_flip_prob", "nan_bandwidth", "inf_bandwidth",
-         "calibration_shots", "block_style", "init_scheme", "spsa_epochs", "sample_batches",
-         "n_events", "gmmd_max_epochs", "latent_dim", "hidden_width", "hidden_list",
+         "nan_readout_flip_prob", "nan_bandwidth", "inf_bandwidth", "short_readout_flip_probs",
+         "empty_readout_flip_probs", "calibration_shots", "block_style", "init_scheme",
+         "spsa_epochs", "sample_batches", "n_events", "gmmd_max_epochs", "latent_dim",
+         "hidden_width", "hidden_list",
          *[f"{experiment}_{value}_condition" for experiment in ("exp-1d", "exp-gmmd")
            for value in ("nan", "zero", "negative", "string")]],
 )
 def test_bad_train_value_rejected_up_front(experiment, body, message):
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig({"experiment": experiment, "seed": 0, **body})
+
+
+def test_one_flip_probability_per_qubit_is_accepted():
+    probs = [0.01, 0.02, 0.03, 0.04]
+    config = ExperimentConfig({"experiment": "exp-noise", "seed": 0,
+                               "noise": {"readout_flip_prob": probs}})
+    assert config.settings["noise"]["readout_flip_prob"] == probs
 
 
 @pytest.mark.parametrize(
