@@ -82,15 +82,27 @@ def run_cmd(config_path, output_dir, seed):
     sys.exit(EXIT_OK)
 
 
+def _format(value) -> str:
+    return f"{value:.6g}" if isinstance(value, (int, float)) else str(value)
+
+
 def _echo_metrics(metrics, indent=2):
+    """Every metric but the trace: a dict nested below its key, a matrix one
+    row per line, and a list or a number on one line."""
+    pad = " " * indent
     for key, value in metrics.items():
         if key == "trace":
             continue
         if isinstance(value, dict):
-            click.echo(" " * indent + f"{key}:")
+            click.echo(f"{pad}{key}:")
             _echo_metrics(value, indent + 2)
-        elif isinstance(value, (int, float)):
-            click.echo(" " * indent + f"{key}: {value:.6g}")
+        elif isinstance(value, list) and value and isinstance(value[0], list):
+            click.echo(f"{pad}{key}:")
+            for row in value:
+                click.echo(pad + "".join(f"{v:>11.6g}" for v in row))
+        else:
+            values = value if isinstance(value, list) else [value]
+            click.echo(f"{pad}{key}: " + ", ".join(map(_format, values)))
 
 
 @main.command("compare")

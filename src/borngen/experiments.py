@@ -118,12 +118,11 @@ _FIELDS = (
     ("train.initial_lr", None, dict.fromkeys(_BORN_EXPERIMENTS, 0.01)),
     ("train.lr_halving_period", None, dict.fromkeys(_BORN_EXPERIMENTS, 20)),
     ("train.batches_per_epoch", None, dict.fromkeys(_BORN_EXPERIMENTS, 10)),
-    ("train.batch_size", None, dict.fromkeys(_BORN_EXPERIMENTS, 512)),
+    ("train.batch_size", None, dict.fromkeys(_BORN_EXPERIMENTS)),
     ("train.max_epochs", None,
      {**dict.fromkeys(("exp-1d", "exp-noise"), 70), "exp-cond": 30,
       **dict.fromkeys(("exp-multi", "exp-blocks", "exp-gmmd"), 100)}),
-    ("train.spsa_epochs", None, dict.fromkeys(_BORN_EXPERIMENTS, 10)),
-    ("train.sample_batches", None, dict.fromkeys(_BORN_EXPERIMENTS, False)),
+    ("train.spsa_epochs", None, dict.fromkeys(_BORN_EXPERIMENTS, 0)),
     ("train.bandwidths", None, dict.fromkeys(_BORN_EXPERIMENTS, list(PAPER_BANDWIDTHS))),
     ("circuit.n_repetitions", _count(0), dict.fromkeys(("exp-multi", "exp-blocks"), 4)),
     ("circuit.block.connectivity", None, {"exp-multi": "linear"}),
@@ -386,18 +385,19 @@ def _exp_multi(config: ExperimentConfig):
     trained, trace = _fit(config, circuit, train_dist, val_dist)
     dist = model_distribution(trained)
     names = ("e_out", "pt", "eta")
-    # Pearson matrix of sampled events mapped back to physical units
-    coords = dist.bin_coordinates()[sample(dist, 100000, config.seed)]
-    values = np.column_stack(
-        [binning.bin_centers(j)[coords[:, j].astype(int)] for j in range(coords.shape[1])]
-    )
+
+    def pearson(coords):
+        """Pearson matrix of binned events, at their bin centers in physical units."""
+        centers = [binning.bin_centers(j)[coords[:, j].astype(int)] for j in range(len(names))]
+        return pearson_correlation(inverse_preprocess(np.column_stack(centers), params)).tolist()
+
     metrics = {
         "tv_per_feature": {
             name: total_variance(marginal(dist, j), marginal(val_dist, j))
             for j, name in enumerate(names)
         },
-        "pearson_generated": pearson_correlation(inverse_preprocess(values, params)).tolist(),
-        "pearson_data": pearson_correlation(binning.bin_indices(test_f)).tolist(),
+        "pearson_generated": pearson(dist.bin_coordinates()[sample(dist, 100000, config.seed)]),
+        "pearson_data": pearson(binning.bin_indices(test_f)),
         "pearson_target": DEFAULT_CORRELATION.tolist(),
         **_val_mmd(trace),
     }
@@ -563,8 +563,12 @@ def compare_report(report_a: dict, report_b: dict, tolerance: float = 0.05):
     """Per-metric deltas between two reports of the same experiment type.
 
     Returns (diff, regression) where regression flags any scalar metric
-    whose absolute delta exceeds the tolerance.
+    whose absolute delta exceeds the tolerance or is not finite (a metric
+    that turns NaN or infinite). The tolerance must be a finite number >= 0.
     """
+    number = isinstance(tolerance, (int, float)) and not isinstance(tolerance, bool)
+    if not (number and 0 <= tolerance < math.inf):  # NaN too
+        raise ValueError(f"tolerance must be a finite number >= 0, not {tolerance!r}")
     if report_a.get("experiment") != report_b.get("experiment"):
         raise ValueError("reports come from different experiment types")
     a = _flatten_metrics(report_a["metrics"])
@@ -573,5 +577,5 @@ def compare_report(report_a: dict, report_b: dict, tolerance: float = 0.05):
         missing = sorted(set(a) ^ set(b))
         raise ValueError(f"structural mismatch between reports: {missing}")
     diff = {k: b[k] - a[k] for k in sorted(a) if b[k] != a[k]}
-    regression = any(abs(v) > tolerance for v in diff.values())
+    regression = any(not abs(v) <= tolerance for v in diff.values())  # NaN too
     return diff, regression

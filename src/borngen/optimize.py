@@ -66,6 +66,7 @@ class Schedule:
     max_epochs: int = 70
     seed: int = 0
     kernel: KernelConfig = field(default_factory=KernelConfig)
+    _NULLABLE = ()  # the counts that may be None
 
     def __post_init__(self):
         if not self.initial_lr > 0 or not _is_count(self.lr_halving_period, 1):  # NaN too
@@ -73,26 +74,27 @@ class Schedule:
                 "learning-rate settings must be positive, lr_halving_period an integer"
             )
         for name in ("batches_per_epoch", "batch_size", "max_epochs"):
-            if not _is_count(value := getattr(self, name), 1):
+            value = getattr(self, name)
+            if not (_is_count(value, 1) or value is None and name in self._NULLABLE):
                 raise ValueError(f"counts must be >= 1 and integers, not {name}={value!r}")
 
 
 @dataclass(frozen=True)
 class TrainConfig(Schedule):
-    optimizer: str = "adam"  # adam | spsa | mixed
+    optimizer: str = "adam"  # adam | spsa
+    batch_size: Optional[int] = None  # None: the exact target; n: a batch of n events
     spsa: SpsaSettings = field(default_factory=SpsaSettings)
-    spsa_epochs: int = 10  # fine-tuning epochs in the mixed scheme
+    spsa_epochs: int = 0  # SPSA epochs after max_epochs, from the best parameters
     noise: Optional[NoiseConfig] = None
-    sample_batches: bool = False  # finite 512-sample target batches
+    _NULLABLE = ("batch_size",)
 
     def __post_init__(self):
-        if self.optimizer not in ("adam", "spsa", "mixed"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.optimizer not in ("adam", "spsa"):
+            raise ValueError(f"unknown optimizer {self.optimizer!r}: 'adam' or 'spsa', and "
+                             "either one is followed by spsa_epochs of SPSA fine-tuning")
         super().__post_init__()
         if not _is_count(self.spsa_epochs, 0):
             raise ValueError(f"spsa_epochs must be an integer >= 0, not {self.spsa_epochs!r}")
-        if not isinstance(self.sample_batches, bool):
-            raise ValueError(f"sample_batches must be true or false, not {self.sample_batches!r}")
 
 
 @dataclass(slots=True)  # one per epoch of every run, so kept small
@@ -184,13 +186,12 @@ def _as_target_map(target: TargetLike):
     return dict(target)
 
 
-def _batch_target(
-    tgt: DiscreteDistribution, config: TrainConfig, rng: np.random.Generator
-) -> DiscreteDistribution:
-    if not config.sample_batches:
+def _batch_target(tgt: DiscreteDistribution, n: Optional[int], rng) -> DiscreteDistribution:
+    """tgt itself if n is None, else the frequencies of n events drawn from it."""
+    if n is None:
         return tgt
-    counts = rng.multinomial(config.batch_size, tgt.probs / tgt.probs.sum())
-    return DiscreteDistribution(counts / config.batch_size, tgt.register_bits, tgt.names)
+    counts = rng.multinomial(n, tgt.probs / tgt.probs.sum())
+    return DiscreteDistribution(counts / n, tgt.register_bits, tgt.names)
 
 
 def _run_epochs(config: Schedule, params: np.ndarray, n_epochs: int, run_epoch, evaluate):
@@ -262,17 +263,16 @@ def train(
     rng = np.random.default_rng(config.seed)
     adam_state = AdamState.init(len(model.theta))
     spsa_iteration = 0
-    mixed = config.optimizer == "mixed"
 
     def run_epoch(epoch, lr, theta, best_theta):
         nonlocal adam_state, spsa_iteration
-        spsa_phase = config.optimizer == "spsa" or (mixed and epoch >= config.max_epochs)
-        if mixed and epoch == config.max_epochs:
+        spsa_phase = config.optimizer == "spsa" or epoch >= config.max_epochs
+        if epoch == config.max_epochs:
             theta = best_theta.copy()  # fine-tuning resumes from the best point
         step = 0
         for cond in conditions:
             for _ in range(config.batches_per_epoch):
-                batch = _batch_target(targets[cond], config, rng)
+                batch = _batch_target(targets[cond], config.batch_size, rng)
                 if spsa_phase:
                     loss_fn = lambda th: mmd_loss(eval_dist(th, cond), batch, config.kernel, cache)
                     theta = spsa_step(theta, loss_fn, spsa_iteration, config.spsa, rng)
@@ -297,7 +297,7 @@ def train(
             "tv": float(np.mean([total_variance(dists[c], val_targets[c]) for c in conditions])),
         }
 
-    n_epochs = config.max_epochs + (config.spsa_epochs if mixed else 0)
+    n_epochs = config.max_epochs + config.spsa_epochs
     best_theta, trace = _run_epochs(config, model.theta.copy(), n_epochs, run_epoch, evaluate)
     return model.with_theta(best_theta), trace
 

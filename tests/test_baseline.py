@@ -154,6 +154,14 @@ def test_config_rejects_non_positive_settings(config_class, field, value):
         config_class(**{field: value})
 
 
+def test_gmmd_batch_size_is_always_a_count():
+    # a GMMD batch is drawn from the data, and no exact target can stand in
+    # for it, so null is a Born machine setting alone
+    assert GmmdConfig().batch_size == 512
+    with pytest.raises(ValueError, match="not batch_size=None"):
+        GmmdConfig(batch_size=None)
+
+
 def test_training_divergence_detected():
     config = GmmdConfig(max_epochs=2, batch_size=32, seed=0, initial_lr=np.inf)
     data = np.random.default_rng(7).standard_normal((200, 1))

@@ -1,6 +1,7 @@
 """Command line interface: run, compare, synth-data and report commands."""
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -94,6 +95,30 @@ def test_compare_flags_regression(runner, tmp_path):
     assert "regression" in result.output
 
 
+def _write_reports(tmp_path, tv_a, tv_b):
+    paths = tmp_path / "a.json", tmp_path / "b.json"
+    for path, tv in zip(paths, (tv_a, tv_b)):
+        path.write_text(json.dumps({"experiment": "exp-1d", "metrics": {"tv": tv}}))
+    return [str(path) for path in paths]
+
+
+@pytest.mark.parametrize("tv", [float("nan"), float("inf"), -float("inf")])
+def test_compare_flags_a_metric_that_turns_non_finite(runner, tmp_path, tv):
+    # json writes and reads NaN and Infinity literals, so a report can hold them
+    result = runner.invoke(main, ["compare", *_write_reports(tmp_path, 0.05, tv)])
+    assert result.exit_code == EXIT_REGRESSION
+    assert "regression" in result.output
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.01"])
+def test_compare_rejects_a_tolerance_that_is_not_finite_and_non_negative(runner, tmp_path,
+                                                                        tolerance):
+    reports = _write_reports(tmp_path, 0.1, 0.4)
+    result = runner.invoke(main, ["compare", *reports, "--tolerance", tolerance])
+    assert result.exit_code == EXIT_VALIDATION
+    assert "compare error: tolerance must be a finite number >= 0" in result.output
+
+
 def test_compare_mismatched_reports(runner, tmp_path):
     a = {"experiment": "exp-1d", "metrics": {"tv": 0.1}}
     b = {"experiment": "exp-multi", "metrics": {"tv": 0.1}}
@@ -139,6 +164,32 @@ def test_report_command(runner, tmp_path):
     assert result.exit_code == 0
     assert "exp-1d" in result.output
     assert "tv" in result.output
+
+
+def test_report_prints_matrices_row_by_row(runner, tmp_path):
+    config = _write_config(tmp_path / "config.json", experiment="exp-multi",
+                           train={"max_epochs": 1, "batches_per_epoch": 1})
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["run", str(config), "-o", str(out)]).exit_code == 0
+    metrics = json.loads((out / "report.json").read_text())["metrics"]
+    shown = runner.invoke(main, ["report", str(out)])
+    assert shown.exit_code == 0
+    lines = shown.output.splitlines()
+    for key in ("pearson_generated", "pearson_data", "pearson_target"):
+        start = lines.index(f"  {key}:") + 1
+        rows = [[float(v) for v in line.split()] for line in lines[start:start + 3]]
+        np.testing.assert_allclose(rows, metrics[key], rtol=1e-5, atol=1e-12)
+    assert "  tv_per_feature:" in lines and any(line.startswith("    pt: ") for line in lines)
+
+
+def test_report_prints_a_list_on_one_line(runner, tmp_path):
+    report = {"experiment": "exp-blocks", "seed": 0, "version": "0",
+              "metrics": {"blocks": {"a": {"tv": 0.25}}, "ranking": ["a", "b", "c"]}}
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    shown = runner.invoke(main, ["report", str(tmp_path)])
+    assert shown.exit_code == 0
+    assert shown.output.splitlines()[2:] == ["  blocks:", "    a:", "      tv: 0.25",
+                                             "  ranking: a, b, c"]
 
 
 def test_report_missing(runner, tmp_path):

@@ -10,7 +10,18 @@ import pytest
 
 from borngen import experiments
 from borngen.baseline import load_weights
-from borngen.data import CONDITION_VALUES, load_csv, save_csv, synthesize_mfc
+from borngen.data import (
+    CONDITION_VALUES,
+    DEFAULT_CORRELATION,
+    BinningSpec,
+    apply_preprocess,
+    inverse_preprocess,
+    load_csv,
+    preprocess,
+    save_csv,
+    synthesize_mfc,
+    train_test_split,
+)
 from borngen.experiments import (
     ConfigError,
     EXPERIMENTS,
@@ -19,6 +30,7 @@ from borngen.experiments import (
     compare_report,
     run_experiment,
 )
+from borngen.optimize import trace_to_json
 
 
 def _config(**overrides):
@@ -222,6 +234,24 @@ def test_bundle_files_and_metric_keys(tmp_path, experiment):
         assert len(report["metrics"]["trace"]) == 1
 
 
+def test_pearson_data_is_the_binned_test_split_in_physical_units():
+    config = ExperimentConfig({"experiment": "exp-multi", "seed": 3,
+                               "train": {"max_epochs": 1, "batches_per_epoch": 1}})
+    pearson_data = experiments._HOOKS["exp-multi"](config)[2]["pearson_data"]
+    events = synthesize_mfc(10240, 125.0, DEFAULT_CORRELATION, 3)
+    train_events, test_events = train_test_split(events, 3)
+    train_f, params = preprocess(train_events)
+    binning = BinningSpec.from_training_data(train_f[:, :3], [8, 8, 8])
+    coords = binning.bin_indices(apply_preprocess(test_events, params)[:, :3])
+    centers = np.column_stack([binning.bin_centers(j)[coords[:, j]] for j in range(3)])
+    expected = np.corrcoef(inverse_preprocess(centers, params), rowvar=False)
+    np.testing.assert_allclose(pearson_data, expected, rtol=0, atol=1e-12)
+    # binning moves each coefficient by less than 0.025 from that of the raw
+    # test events; the bin indices themselves are 0.033 off at (pt, eta)
+    raw = np.corrcoef(test_events[:, :3], rowvar=False)
+    np.testing.assert_allclose(pearson_data, raw, rtol=0, atol=0.025)
+
+
 def test_gmmd_reads_its_model_and_epochs(tmp_path):
     config = ExperimentConfig(
         {"experiment": "exp-gmmd", "seed": 0, "train": {"max_epochs": 2},
@@ -284,9 +314,13 @@ def test_held_out_must_be_a_condition():
         ("exp-noise", {"noise": {"calibration_shots": 0}}, r"noise\.calibration_shots "),
         ("exp-multi", {"circuit": {"block": {"style": "bogus"}}}, r"circuit\.block: bad style"),
         ("exp-1d", {"init_scheme": "bogus"}, "init_scheme: unknown init scheme"),
-        ("exp-1d", {"train": {"optimizer": "mixed", "max_epochs": 1, "spsa_epochs": -3}},
+        ("exp-1d", {"train": {"max_epochs": 1, "spsa_epochs": -3}},
          "train: spsa_epochs must be an integer >= 0"),
-        ("exp-1d", {"train": {"sample_batches": "no"}}, "train: sample_batches must be true"),
+        ("exp-1d", {"train": {"sample_batches": True}},
+         r"^unknown config field 'train\.sample_batches'$"),
+        ("exp-1d", {"train": {"optimizer": "mixed"}},
+         "train: unknown optimizer 'mixed': .* followed by spsa_epochs of SPSA"),
+        ("exp-multi", {"train": {"batch_size": 0}}, "train: counts must be >= 1"),
         ("exp-1d", {"data": {"n_events": 512.5}}, r"data\.n_events must be an integer"),
         ("exp-gmmd", {"train": {"max_epochs": 0}}, "train: counts must be >= 1"),
         ("exp-gmmd", {"model": {"latent_dim": 0}}, r"model\.latent_dim must be an integer"),
@@ -301,8 +335,8 @@ def test_held_out_must_be_a_condition():
     ids=["optimizer", "max_epochs", "fractional_max_epochs", "readout_flip_prob",
          "nan_readout_flip_prob", "nan_bandwidth", "inf_bandwidth", "short_readout_flip_probs",
          "empty_readout_flip_probs", "calibration_shots", "block_style", "init_scheme",
-         "spsa_epochs", "sample_batches", "n_events", "gmmd_max_epochs", "latent_dim",
-         "hidden_width", "hidden_list",
+         "spsa_epochs", "sample_batches", "mixed_optimizer", "batch_size", "n_events",
+         "gmmd_max_epochs", "latent_dim", "hidden_width", "hidden_list",
          *[f"{experiment}_{value}_condition" for experiment in ("exp-1d", "exp-gmmd")
            for value in ("nan", "zero", "negative", "string")]],
 )
@@ -407,6 +441,48 @@ def test_every_resolved_field_is_read(tmp_path, experiment):
     assert fields - reads == set()
 
 
+# A value of each Born train field other than the one _train_outcome runs with
+_TRAIN_CHANGES = {
+    "optimizer": "spsa",
+    "initial_lr": 0.02,
+    "lr_halving_period": 1,
+    "batches_per_epoch": 3,
+    "batch_size": 64,
+    "max_epochs": 1,
+    "spsa_epochs": 1,
+    "bandwidths": [1.0],
+}
+
+
+def _train_outcome(experiment, out, **train):
+    """The traces (without seconds) and the checkpoint theta, if there is
+    one, of a 2-epoch run of 2 batches an epoch with train set as given."""
+    config = ExperimentConfig({"experiment": experiment, "seed": 0,
+                               "train": {"max_epochs": 2, "batches_per_epoch": 2, **train}})
+    save_model, trace, _, _ = experiments._HOOKS[experiment](config)
+    if save_model is None:  # exp-blocks: one trace per variant
+        return [trace_to_json(t) for t in trace], None
+    save_model(out)
+    return [trace_to_json(trace)], json.loads((out / "checkpoint.json").read_text())["theta"]
+
+
+@pytest.mark.parametrize("experiment", experiments._BORN_EXPERIMENTS)
+def test_every_born_train_field_changes_training(tmp_path, experiment):
+    # a field that is read but changes nothing would pass the read check
+    # above, so each one is set in turn and must move the trace or theta
+    train_fields = {
+        path.removeprefix("train.") for path, _, defaults in experiments._FIELDS
+        if path.startswith("train.") and experiment in defaults
+    }
+    assert train_fields == set(_TRAIN_CHANGES)
+    base = _train_outcome(experiment, tmp_path)
+    unchanged = [
+        name for name, value in _TRAIN_CHANGES.items()
+        if _train_outcome(experiment, tmp_path, **{name: value}) == base
+    ]
+    assert unchanged == []
+
+
 def test_compare_report_identical():
     report = {"experiment": "exp-1d", "metrics": {"tv": 0.5, "trace": []}}
     diff, regression = compare_report(report, json.loads(json.dumps(report)))
@@ -436,6 +512,22 @@ def test_compare_report_diffs_matrices_entry_by_entry():
         "pearson_generated.1.0": pytest.approx(-1.3),
     }
     assert regression
+
+
+@pytest.mark.parametrize("tv", [float("nan"), float("inf"), -float("inf")])
+def test_compare_report_flags_a_delta_that_is_not_finite(tv):
+    a = {"experiment": "exp-1d", "metrics": {"tv": 0.05}}
+    b = {"experiment": "exp-1d", "metrics": {"tv": tv}}
+    diff, regression = compare_report(a, b, tolerance=1e300)
+    assert set(diff) == {"tv"}
+    assert regression
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -0.01, True, "0.05", None])
+def test_compare_report_rejects_a_bad_tolerance(tolerance):
+    report = {"experiment": "exp-1d", "metrics": {"tv": 0.05}}
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        compare_report(report, report, tolerance)
 
 
 def test_compare_report_mismatched_experiments():

@@ -92,6 +92,22 @@ def test_train_config_validation():
         TrainConfig(max_epochs=0)
 
 
+def test_mixed_optimizer_is_rejected_with_its_new_spelling():
+    # ADAM then SPSA is "adam" with spsa_epochs > 0, and the message says so
+    with pytest.raises(ValueError, match="unknown optimizer 'mixed': .*spsa_epochs"):
+        TrainConfig(optimizer="mixed")
+
+
+def test_batch_size_null_is_the_default():
+    assert TrainConfig().batch_size is None  # the exact target
+
+
+@pytest.mark.parametrize("value", [0, 2.5, True, -1, "512"])
+def test_batch_size_is_null_or_a_count(value):
+    with pytest.raises(ValueError, match="counts must be >= 1 and integers, not batch_size"):
+        TrainConfig(batch_size=value)
+
+
 def _toy_problem(seed=0, n_qubits=3):
     rng = np.random.default_rng(seed)
     circuit = build_1d_rzz_ansatz(n_qubits)
@@ -131,16 +147,26 @@ def test_train_spsa_only():
 
 def test_train_mixed_phases():
     model, target = _toy_problem(3)
-    config = TrainConfig(optimizer="mixed", max_epochs=6, spsa_epochs=4, seed=0)
+    config = TrainConfig(max_epochs=6, spsa_epochs=4, seed=0)
     _, trace = train(model, target, config)
     assert [r.phase for r in trace] == ["adam"] * 6 + ["spsa"] * 4
 
 
+def test_train_spsa_fine_tuning_follows_any_optimizer():
+    model, target = _toy_problem(3)
+    config = TrainConfig(optimizer="spsa", max_epochs=3, spsa_epochs=2, seed=0)
+    _, trace = train(model, target, config)
+    assert [r.phase for r in trace] == ["spsa"] * 5
+    assert [r.epoch for r in trace] == list(range(5))
+
+
 def test_train_sampled_batches():
     model, target = _toy_problem(4)
-    config = TrainConfig(max_epochs=8, seed=0, sample_batches=True, batch_size=512)
+    config = TrainConfig(max_epochs=8, seed=0, batch_size=512)
     _, trace = train(model, target, config)
     assert trace[-1].val_loss < trace[0].val_loss
+    _, exact = train(model, target, TrainConfig(max_epochs=8, seed=0))
+    assert trace[-1].val_loss != exact[-1].val_loss  # the batches are drawn, not exact
 
 
 def test_train_multi_condition():

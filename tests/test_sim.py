@@ -307,6 +307,9 @@ def _layered_circuit(rng, n_qubits, real, n_patterns=8):
             for _ in range(rng.integers(1, 3)):
                 gates.append(Gate("RZZ", pair(), param_slot=n_slots))
                 n_slots += 1
+    if not real:  # so that the circuit is complex whatever the patterns drew
+        gates.append(Gate("RX", (int(rng.integers(n_qubits)),), param_slot=n_slots))
+        n_slots += 1
     return CircuitSpec(n_qubits, tuple(gates), n_slots, n_data_slots=n_data)
 
 
