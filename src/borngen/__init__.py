@@ -16,7 +16,6 @@ from .born import BornModel, model_distribution  # noqa: F401
 from .distributions import DiscreteDistribution, marginal, sample  # noqa: F401
 from .metrics import (  # noqa: F401
     KernelConfig,
-    kernel_value,
     mmd_gradient,
     mmd_loss,
     pearson_correlation,

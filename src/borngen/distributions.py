@@ -43,14 +43,6 @@ class DiscreteDistribution:
     def n_bins(self) -> tuple[int, ...]:
         return tuple(2**b for b in self.register_bits)
 
-    def bin_tuple(self, flat_index: int) -> tuple[int, ...]:
-        out = []
-        b = int(flat_index)
-        for bits in self.register_bits:
-            out.append(b & (2**bits - 1))
-            b >>= bits
-        return tuple(out)
-
     def bin_coordinates(self) -> np.ndarray:
         """(n_outcomes, n_features) array of bin indices as floats."""
         idx = np.arange(len(self.probs))
@@ -60,12 +52,6 @@ class DiscreteDistribution:
             coords[:, j] = (idx >> shift) & (2**bits - 1)
             shift += bits
         return coords
-
-    def normalized(self) -> "DiscreteDistribution":
-        total = self.probs.sum()
-        if total <= 0:
-            raise ValueError("cannot normalize a zero distribution")
-        return DiscreteDistribution(self.probs / total, self.register_bits, self.names)
 
 
 def _feature_index(dist: DiscreteDistribution, feature) -> int:

@@ -1,6 +1,7 @@
 """MMD loss with multi-bandwidth Gaussian kernel, gradients and metrics."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -14,7 +15,6 @@ from .sim import adjoint_gradient
 __all__ = [
     "KernelConfig",
     "GramCache",
-    "kernel_value",
     "mmd_loss",
     "mmd_loss_samples",
     "SampleTarget",
@@ -25,12 +25,18 @@ __all__ = [
 ]
 
 PAPER_BANDWIDTHS = (0.01, 0.1, 1.0, 10.0, 100.0)
-# Rows of x per sample-kernel tile. A tile's squared distances are streamed
-# through multiply, exp and a row sum once per bandwidth, so its scratch arrays
-# (T x len(y) float64 each) should stay in a core's L2 cache, 2 MB on the
-# Xeon this was tuned on: against a 2048-row sample, 64 rows are 1 MB per
-# array and 256 rows 4 MB. A 3-epoch GMMD run trained fastest at 64 of the
-# heights 16-256; the row sums do not depend on the height.
+# Rows of x per dense sample-kernel tile. The tiles serve samples of more
+# than one feature, and one-feature samples that the fast Gauss transform
+# below cannot box: an empty sample, a NaN or inf, or a range of more than
+# 2^50 boxes. Every other one-feature sample, the GMMD baseline's among
+# them, takes that transform, whose truncation moves each sample pair's
+# kernel value and derivative by at most 1e-17. A tile's squared distances
+# are streamed through multiply, exp and a row sum once per bandwidth, so
+# its scratch arrays (T x len(y) float64 each) should stay in a core's L2
+# cache, 2 MB on the Xeon this was tuned on: against a 2048-row sample, 64
+# rows are 1 MB per array and 256 rows 4 MB. A 3-epoch GMMD run, when it
+# still ran on the tiles, trained fastest at 64 of the heights 16-256; the
+# row sums do not depend on the height.
 _TILE_ROWS = 64
 
 
@@ -45,14 +51,6 @@ class KernelConfig:
         object.__setattr__(self, "bandwidths", bw)
         if not bw or not all(math.isfinite(s) and s > 0 for s in bw):
             raise ValueError("bandwidths must be a nonempty list of positive reals")
-
-
-def kernel_value(x, y, config: KernelConfig) -> float:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise ValueError("coordinate dimension mismatch")
-    return float(_kernel_rows(x[None], y[None], config)[0])
 
 
 class GramCache:
@@ -127,10 +125,22 @@ def mmd_loss(
 
 
 def _kernel_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool = False):
-    """Sums over j of K(x_i, y_j) for (n, d) and (m, d) samples, in row tiles of x.
+    """Sums over j of K(x_i, y_j) for (n, d) and (m, d) samples.
 
-    With grad, also the (n, d) sums over j of dK(x_i, y_j)/dx_i, formed as
-    W @ y - W.sum(1) x_i with W = sum_s K_s / s; no (n, m, d) array is built.
+    With grad, also the (n, d) sums over j of dK(x_i, y_j)/dx_i. One-feature
+    samples take the fast Gauss transform; other samples, and one-feature
+    samples that it cannot box (see _boxable), take the dense row tiles.
+    """
+    if x.shape[1] == 1 and _boxable(x, y, config):
+        return _gauss_transform_rows(x[:, 0], y[:, 0], config, grad)
+    return _tiled_rows(x, y, config, grad)
+
+
+def _tiled_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool = False):
+    """_kernel_rows from dense row tiles of x against all of y.
+
+    The gradient is formed as W @ y - W.sum(1) x_i with W = sum_s K_s / s,
+    so no (n, m, d) array is built.
     """
     values, grads = np.zeros(len(x)), np.empty_like(x)
     tiles = np.empty((3, min(len(x), _TILE_ROWS), len(y)))
@@ -153,17 +163,180 @@ def _kernel_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool 
     return (values, grads) if grad else values
 
 
-def _self_sum(x: np.ndarray, config: KernelConfig) -> float:
-    """Sum over i and j of K(x_i, x_j), from the row tiles on and above the diagonal.
+# The fast Gauss transform of one-feature samples (Greengard and Strain, "The
+# fast Gauss transform", SIAM J. Sci. Stat. Comput. 12, 1991). In units of
+# sqrt(2s) the kernel is exp(-(t - v)^2). The sources v in a box about c_B
+# have the moments A_k = sum (v - c_B)^k; a target box about c_C turns them
+# into Taylor coefficients B_l = sum_B sum_k A_k T_D[k, l], D = c_C - c_B, with
+#     T_D[k, l] = (-1)^l h_{k+l}(D) / (k! l!),   h_n(x) = H_n(x) exp(-x^2),
+# and a target t in that box gets sum_l B_l (t - c_C)^l. The series is exact
+# when k and l run to infinity; the code keeps k, l < _TERMS and source boxes
+# up to _REACH boxes from the target's box.
+#
+# Error bound: for each source-target pair, truncation moves the kernel
+# value and its t-derivative by at most _PAIR_ERROR = 1e-17 each, a tenth of
+# the rounding of one dense term; a row of m sources is then off by at most
+# m * 1e-17 before rounding. With rho = _BOX_SIDE / 2 the box half-width,
+# |t - c_C| and |v - c_B| are at most rho. Cramer's inequality
+# |h_n(x)| <= K 2^(n/2) sqrt(n!) exp(-x^2 / 2), K < 1.086435, and
+# (k + l)! <= 2^(k+l) k! l! bound each term of the double sum by K e_k e_l
+# with e_n = (2 rho)^n / sqrt(n!); in the derivative, e_l becomes
+# l e_l / rho. _truncation_errors sums the terms left out, and _TERMS is the
+# least p that keeps both sums within _PAIR_ERROR. A source box more than
+# _REACH boxes away holds only sources at distance w >= _REACH * _BOX_SIDE,
+# whose terms exp(-w^2) and 2w exp(-w^2) are dropped whole.
+#
+# The box side sets the rounding. Where a target and m sources share a box,
+# the derivative's terms sum in size to m 4 rho exp(4 rho^2), which the
+# gradient itself may cancel to near 0. At side 1/4 that is 0.53 m: 600
+# sources at s = 0.01 may lose 5e-13 of an x-gradient, 1.2e-12 at side 1/2.
+# Smaller boxes need more of them and a longer reach: on one BLAS thread, a
+# 3-epoch train_gmmd took about 10 % longer at side 1/4 than at 1/2, and
+# 50 % longer at 1/8.
+_PAIR_ERROR = 1e-17
+_BOX_SIDE = 0.25
+_CRAMER = 1.086435
 
-    K is symmetric, so each tile's block right of the diagonal stands for
-    its mirror image too and is counted twice.
+
+def _truncation_errors(terms: int) -> tuple[float, float]:
+    """Bounds on the value and derivative terms that k, l < terms leave out."""
+    n = np.arange(200)
+    e = np.exp(n * math.log(_BOX_SIDE) - 0.5 * np.array([math.lgamma(k + 1) for k in n]))
+    head, tail = e[:terms].sum(), e[terms:].sum()
+    head_n, tail_n = (n * e)[:terms].sum(), (n * e)[terms:].sum()
+    value = _CRAMER * tail * (2.0 * head + tail)
+    derivative = _CRAMER / (_BOX_SIDE / 2) * (head * tail_n + tail * head_n + tail * tail_n)
+    return value, derivative
+
+
+_TERMS = next(p for p in itertools.count(1) if max(_truncation_errors(p)) <= _PAIR_ERROR)
+_REACH = next(
+    r for r in itertools.count(1)
+    if max(1.0, 2.0 * r * _BOX_SIDE) * math.exp(-((r * _BOX_SIDE) ** 2)) <= _PAIR_ERROR
+)
+# box offsets D / _BOX_SIDE, target box minus source box
+_OFFSETS = np.arange(-_REACH, _REACH + 1)
+
+
+def _translation_table() -> np.ndarray:
+    """T_D for each offset in _OFFSETS, stacked into one ((2R + 1) p, p) matrix
+    so that one matmul takes a target box's gathered moments to its Taylor
+    coefficients."""
+    d = _BOX_SIDE * _OFFSETS
+    h = np.empty((2 * _TERMS - 1, len(d)))
+    h[0] = np.exp(-(d**2))
+    h[1] = 2.0 * d * h[0]
+    for n in range(1, len(h) - 1):  # the Hermite recurrence
+        h[n + 1] = 2.0 * d * h[n] - 2.0 * n * h[n - 1]
+    k = np.arange(_TERMS)
+    inv_fact = 1.0 / np.array([math.factorial(i) for i in k], dtype=float)
+    scale = inv_fact[:, None] * ((-1.0) ** k * inv_fact)[None, :]
+    return (h[k[:, None] + k[None, :]] * scale[..., None]).transpose(2, 0, 1).reshape(-1, _TERMS)
+
+
+_TRANSLATION = _translation_table()
+
+
+def _boxable(x: np.ndarray, y: np.ndarray, config: KernelConfig) -> bool:
+    """Whether the fast Gauss transform can box these samples: both are
+    nonempty and finite, and every box key fits a float64 exactly. NaN or
+    inf fail the check, so they reach the dense tiles and give the same NaN."""
+    if not (len(x) and len(y)):
+        return False
+    span = np.maximum(x.max(), y.max()) - np.minimum(x.min(), y.min())  # NaN stays NaN
+    boxes = span / (math.sqrt(2.0 * min(config.bandwidths)) * _BOX_SIDE)
+    return bool(boxes * len(config.bandwidths) < 2.0**50)
+
+
+def _gauss_transform_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool):
+    """_kernel_rows of 1-d arrays x and y by the fast Gauss transform.
+
+    Every bandwidth runs at once: row i of each (bandwidths, n) array below
+    belongs to bandwidth i. Only occupied boxes are kept, so the work is
+    O((n + m) p) plus (2R + 1) p^2 per occupied target box, whatever the
+    samples' range.
     """
+    unit = np.sqrt(2.0 * np.array(config.bandwidths))[:, None]  # of t and v
+    x_order = np.argsort(x)
+    x_sorted, y_sorted = x[x_order], np.sort(y)
+    # about the samples' medians, t and v stay small for shifted samples
+    centre = 0.5 * (x_sorted[len(x) // 2] + y_sorted[len(y) // 2])
+    t, v = (x_sorted - centre) / unit, (y_sorted - centre) / unit
+    t_box, v_box = np.floor(t / _BOX_SIDE), np.floor(v / _BOX_SIDE)
+    # box keys rise along each row, then to the next row after more than
+    # _REACH empty boxes
+    low = np.minimum(t_box[:, :1], v_box[:, :1])
+    stride = (np.maximum(t_box[:, -1:], v_box[:, -1:]) - low).max() + 2 * _REACH + 2
+    row_key = np.arange(len(unit))[:, None] * stride - low
+    t_key, v_key = ((box + row_key).astype(np.int64).ravel() for box in (t_box, v_box))
+
+    # moments of each occupied source box, and a zero row for empty boxes
+    powers = _powers((v - (v_box + 0.5) * _BOX_SIDE).ravel())
+    starts = np.flatnonzero(_first_of_run(v_key))
+    moments = np.zeros((len(starts) + 1, _TERMS))
+    moments[:-1] = np.add.reduceat(powers, starts, axis=1).T
+    source_keys = v_key[starts]
+
+    # each occupied target box gathers its neighbours' moments
+    new_box = _first_of_run(t_key)
+    target_keys = t_key[new_box]
+    want = target_keys[:, None] - _OFFSETS
+    found = np.minimum(np.searchsorted(source_keys, want), len(source_keys) - 1)
+    found[source_keys[found] != want] = len(source_keys)
+    coeffs = moments[found].reshape(len(target_keys), -1) @ _TRANSLATION
+
+    # Horner's rule per target on its box's polynomial, and on its derivative
+    rows = coeffs.T[:, np.cumsum(new_box) - 1]
+    offset = (t - (t_box + 0.5) * _BOX_SIDE).ravel()
+    value, slope = rows[-1].copy(), np.zeros_like(offset)
+    for l in range(_TERMS - 2, -1, -1):
+        if grad:
+            slope *= offset
+            slope += value
+        value *= offset
+        value += rows[l]
+    values = np.empty(len(x))
+    values[x_order] = value.reshape(len(unit), -1).sum(axis=0)
+    if not grad:
+        return values
+    grads = np.empty((len(x), 1))
+    grads[x_order, 0] = (slope.reshape(len(unit), -1) / unit).sum(axis=0)
+    return values, grads
+
+
+def _first_of_run(keys: np.ndarray) -> np.ndarray:
+    """Which entries of a sorted key array differ from the one before."""
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def _powers(a: np.ndarray) -> np.ndarray:
+    """The (p, len(a)) array of a^k for k < p."""
+    out = np.empty((_TERMS, len(a)))
+    out[0] = 1.0
+    out[1] = a
+    for k in range(2, _TERMS):
+        np.multiply(out[k - 1], a, out=out[k])
+    return out
+
+
+def _self_sum(x: np.ndarray, config: KernelConfig) -> float:
+    """Sum over i and j of K(x_i, x_j).
+
+    One-feature samples sum their full rows. Otherwise the sum comes from
+    the row tiles on and above the diagonal: K is symmetric, so each tile's
+    block right of the diagonal stands for its mirror image too and is
+    counted twice.
+    """
+    if x.shape[1] == 1:
+        return _kernel_rows(x, x, config).sum()
     total = 0.0
     for start in range(0, len(x), _TILE_ROWS):
         tile, rest = x[start : start + _TILE_ROWS], x[start + _TILE_ROWS :]
-        total += _kernel_rows(tile, tile, config).sum()
-        total += 2.0 * _kernel_rows(tile, rest, config).sum()
+        total += _tiled_rows(tile, tile, config).sum()
+        total += 2.0 * _tiled_rows(tile, rest, config).sum()
     return total
 
 
@@ -195,9 +368,9 @@ def mmd_loss_samples(x: np.ndarray, y, config: KernelConfig, grad: bool = False)
     """Biased (V-statistic) sample MMD of (n, d) arrays, or of 1-d arrays of n values.
 
     y may be a SampleTarget built with the same config; its self-sum is reused.
-    With grad, returns (loss, dL/dx), dL/dx of shape (n, d). That loss sums
-    the xx kernel over full rows rather than one triangle, so it can differ
-    from the value-only loss by rounding.
+    With grad, returns (loss, dL/dx), dL/dx of shape (n, d). For more than
+    one feature, that loss sums the xx kernel over full rows rather than one
+    triangle, so it can differ from the value-only loss by rounding.
     """
     x = _sample_rows(x)
     if not isinstance(y, SampleTarget):

@@ -85,10 +85,6 @@ class Gate:
         if not parameterized and n_slots != 0:
             raise ValueError(f"{self.kind} takes no slot")
 
-    @property
-    def is_parameterized(self) -> bool:
-        return self.kind in PARAMETERIZED_KINDS
-
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 # dU/dangle = G U for each parameterized kind, with G @ G = -rate**2 I, so

@@ -173,6 +173,14 @@ def test_training_divergence_detected():
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_non_finite_data_stops_training_at_the_first_step():
+    # a NaN in the data batch reaches the dense sample kernel, whose NaN
+    # loss the step's finite check catches
+    config = GmmdConfig(max_epochs=2, batches_per_epoch=2, batch_size=32, seed=0)
+    with pytest.raises(TrainingDivergedError, match="non-finite loss at epoch 0, step 0"):
+        train_gmmd(MlpSpec(4, (8,), 1), np.full((200, 1), np.nan), config)
+
+
 def test_training_shape_check():
     with pytest.raises(ValueError):
         train_gmmd(MlpSpec(4, (8,), 2), np.zeros((100, 1)), GmmdConfig(max_epochs=1))

@@ -17,17 +17,12 @@ def test_validation():
         DiscreteDistribution(np.ones(4) / 4, (1, 1), names=("a",))
 
 
-def test_bin_tuple_feature_zero_in_low_bits():
-    dist = DiscreteDistribution(np.ones(8) / 8, (1, 2))
-    # flat index 5 = 0b101: feature 0 gets the low bit (1), feature 1 gets 0b10
-    assert dist.bin_tuple(5) == (1, 2)
-
-
 def test_bin_coordinates_match_bin_tuple():
-    dist = DiscreteDistribution(np.ones(16) / 16, (2, 2))
-    coords = dist.bin_coordinates()
-    for flat in range(16):
-        assert tuple(int(c) for c in coords[flat]) == dist.bin_tuple(flat)
+    # feature 0 takes the low bits of a flat index: with bits (1, 2), flat
+    # index 5 = 0b101 is bin 1 of feature 0 and bin 0b10 = 2 of feature 1
+    dist = DiscreteDistribution(np.ones(8) / 8, (1, 2))
+    want = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
+    np.testing.assert_array_equal(dist.bin_coordinates(), want)
 
 
 def test_marginal_point_mass():
@@ -91,13 +86,6 @@ def test_sample_rejects_bad_shots():
     dist = DiscreteDistribution(np.array([1.0, 0.0]), (1,))
     with pytest.raises(ValueError):
         sample(dist, 0, 0)
-
-
-def test_normalized():
-    dist = DiscreteDistribution(np.array([2.0, 2.0]), (1,))
-    assert dist.normalized().probs == pytest.approx([0.5, 0.5])
-    with pytest.raises(ValueError):
-        DiscreteDistribution(np.zeros(2), (1,)).normalized()
 
 
 def test_distribution_carries_no_condition():

@@ -1,4 +1,6 @@
 """MMD loss, adjoint and parameter-shift gradients, total variance, Pearson matrices."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,16 +13,20 @@ from borngen.circuits import (
     build_hardware_efficient,
     build_multivariate,
 )
+from borngen import metrics
 from borngen.distributions import DiscreteDistribution
 from borngen.sim import Gate
 from borngen.metrics import (
     _TILE_ROWS,
+    PAPER_BANDWIDTHS,
     GramCache,
     KernelConfig,
     SampleTarget,
+    _boxable,
+    _gauss_transform_rows,
     _kernel_rows,
     _self_sum,
-    kernel_value,
+    _tiled_rows,
     mmd_gradient,
     mmd_gradient_shift,
     mmd_loss,
@@ -56,18 +62,6 @@ def test_kernel_config_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             KernelConfig((1.0, bad))
-
-
-def test_kernel_value_oracle():
-    # single bandwidth 1, squared distance 1 -> exp(-1/2)
-    assert kernel_value([0.0], [1.0], BANDWIDTH_ONE) == pytest.approx(np.exp(-0.5))
-    # at zero distance each bandwidth contributes exactly 1
-    assert kernel_value([2.0], [2.0], KernelConfig()) == pytest.approx(5.0)
-
-
-def test_kernel_value_dimension_check():
-    with pytest.raises(ValueError):
-        kernel_value([0.0], [0.0, 1.0], BANDWIDTH_ONE)
 
 
 def test_mmd_point_masses_oracle():
@@ -234,6 +228,113 @@ def test_gmmd_trace_val_loss_matches_dense_recomputation(monkeypatch):
         assert np.isin(val_rows, val).all()
         want = _dense_mmd(generated, val_rows, kernel)
         assert record.val_loss == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("s", PAPER_BANDWIDTHS)
+@settings(deadline=None, max_examples=25)
+@given(
+    n=st.integers(1, 600),
+    m=st.integers(1, 600),
+    same=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 10.0),
+    shift=st.floats(-1e3, 1e3),
+    far=st.sampled_from([None, 1e3, 1e6]),
+)
+def test_gauss_transform_matches_dense_oracle(s, n, m, same, seed, scale, shift, far):
+    # the oracle is the dense formula: the tiles form the gradient as
+    # W @ y - W.sum(1) x, which loses digits to a shift of 1e3
+    rng = np.random.default_rng(seed)
+    x = scale * rng.standard_normal((n, 1)) + shift
+    y = x if same else 0.5 * scale * rng.standard_normal((m, 1)) + shift + scale
+    if far is not None:  # an outlier on each side
+        x[0] = shift + far
+        if not same:
+            y[-1] = shift - far
+    config = KernelConfig((s,))
+    assert _boxable(x, y, config)
+    values, grads = _gauss_transform_rows(x[:, 0], y[:, 0], config, grad=True)
+    want_values, want_grads = _dense_kernel_rows(x, y, config)
+    np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(_gauss_transform_rows(x[:, 0], y[:, 0], config, False), values)
+
+
+def test_translation_table_expands_the_kernel_of_one_pair():
+    # a source and a target anywhere in their boxes, boxes up to the reach
+    # apart: sum_kl a^k b^l T_D[k, l] is exp(-(D + b - a)^2) and its
+    # b-derivative, to the 1e-17 truncation bound plus the rounding of p^2
+    # terms of size at most about 1
+    rho = metrics._BOX_SIDE / 2
+    ends = np.linspace(-rho, rho, 5)
+    a, b = (g.ravel() for g in np.meshgrid(ends, ends))
+    k = np.arange(metrics._TERMS)
+    table = metrics._TRANSLATION.reshape(len(metrics._OFFSETS), len(k), len(k))
+    for offset, t_d in zip(metrics._OFFSETS, table):
+        w = offset * metrics._BOX_SIDE + b - a
+        series = np.einsum("ik,kl,il->i", a[:, None] ** k, t_d, b[:, None] ** k)
+        slope = np.einsum("ik,kl,il->i", a[:, None] ** k, t_d[:, 1:] * k[1:], b[:, None] ** k[:-1])
+        np.testing.assert_allclose(series, np.exp(-(w**2)), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(slope, -2.0 * w * np.exp(-(w**2)), rtol=0, atol=1e-14)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this call must not reach this kernel")
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_gmmd_shapes_never_reach_the_dense_tiles(n, monkeypatch):
+    # the GMMD baseline's training steps (grad=True), its validation loss and
+    # its SampleTarget all take the fast Gauss transform
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal((2, n, 1))
+    config = KernelConfig()
+    xx, xy, yy = (_tiled_rows(a, b, config).sum() for a, b in ((x, x), (x, y), (y, y)))
+    want_loss = (xx - 2.0 * xy + yy) / n**2
+    monkeypatch.setattr(metrics, "_tiled_rows", _refuse)
+    loss, grad = mmd_loss_samples(x, y, config, grad=True)
+    target = SampleTarget(y, config)
+    assert mmd_loss_samples(x, target, config) == pytest.approx(want_loss, rel=1e-12)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    assert grad.shape == x.shape
+
+
+def test_far_outlier_keeps_only_occupied_boxes(monkeypatch):
+    # at s = 0.01 a box is 0.035 wide, so boxes over the whole range up to
+    # 1e6 would take gigabytes; only the boxes that hold samples are kept
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((2, 512, 1))
+    x[0] = 1e6
+    config = KernelConfig()
+    want_values, want_grads = _dense_kernel_rows(x, y, config)
+    monkeypatch.setattr(metrics, "_tiled_rows", _refuse)
+    tracemalloc.start()
+    try:
+        values, grads = _kernel_rows(x, y, config, grad=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("in_x", [True, False], ids=["x", "y"])
+def test_non_finite_samples_give_the_dense_nan_loss(bad, in_x):
+    # the fast path cannot box a sample that holds one, so its blocks reach
+    # the dense tiles, which give a NaN loss and gradient
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal((2, 64, 1))
+    (x if in_x else y)[3] = bad
+    config = KernelConfig()
+    assert not _boxable(x, y, config)
+    assert not _boxable(*(2 * [x if in_x else y]), config)
+    with np.errstate(invalid="ignore"):
+        loss, grad = mmd_loss_samples(x, y, config, grad=True)
+        assert np.isnan(mmd_loss_samples(x, y, config))
+    assert np.isnan(loss)
+    assert np.isnan(grad).any()
 
 
 def test_gram_cache_reused():

@@ -260,7 +260,7 @@ def test_rx_rzz_and_data_circuits_run_complex_and_match_dense_matrices(circuit):
 def test_batch_of_distinct_rows_matches_single_runs(circuit, dtype):
     # each row carries its own matrices, including on qubit 0, whose 2x2
     # the kernel applies along the last axis
-    assert any(g.is_parameterized and g.targets == (0,) for g in circuit.gates)
+    assert any(g.param_slot is not None and g.targets == (0,) for g in circuit.gates)
     thetas = np.random.default_rng(13).uniform(0, 2 * np.pi, (5, circuit.n_parameters))
     batch = run_circuit_batch(circuit, thetas)
     assert batch.dtype == dtype
