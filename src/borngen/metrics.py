@@ -254,7 +254,8 @@ def _gauss_transform_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, gr
     Every bandwidth runs at once: row i of each (bandwidths, n) array below
     belongs to bandwidth i. Only occupied boxes are kept, so the work is
     O((n + m) p) plus (2R + 1) p^2 per occupied target box, whatever the
-    samples' range.
+    samples' range. Scratch memory is about 2p doubles per sample and
+    bandwidth, plus (2R + 1) p doubles (8 kB) per occupied target box.
     """
     unit = np.sqrt(2.0 * np.array(config.bandwidths))[:, None]  # of t and v
     x_order = np.argsort(x)
