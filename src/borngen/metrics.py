@@ -27,14 +27,16 @@ __all__ = [
 PAPER_BANDWIDTHS = (0.01, 0.1, 1.0, 10.0, 100.0)
 # Rows of x per dense sample-kernel tile. The tiles serve samples of more
 # than one feature, and one-feature samples that the fast Gauss transform
-# below cannot box: an empty sample, a NaN or inf, or a range of more than
-# 2^50 boxes. Every other one-feature sample, the GMMD baseline's among
-# them, takes that transform, whose truncation moves each sample pair's
-# kernel value and derivative by at most 1e-17. A tile's squared distances
-# are streamed through multiply, exp and a row sum once per bandwidth, so
-# its scratch arrays (T x len(y) float64 each) should stay in a core's L2
-# cache, 2 MB on the Xeon this was tuned on: against a 2048-row sample, 64
-# rows are 1 MB per array and 256 rows 4 MB. A 3-epoch GMMD run, when it
+# below cannot take: an empty sample, a NaN or inf, or a cluster of samples
+# wider than 512 sqrt(2s) at the narrowest bandwidth s. Every other
+# one-feature sample, the GMMD baseline's among them, takes that transform,
+# whose truncation moves each sample pair's kernel value and derivative by
+# at most 1e-17 and whose rounding keeps row values within a relative
+# 1e-12 of the dense formula, however far the samples sit from 0. A tile's
+# squared distances are streamed through multiply, exp and a row sum once
+# per bandwidth, so its scratch arrays (T x len(y) float64 each) should
+# stay in a core's L2 cache, 2 MB on the Xeon this was tuned on: against a
+# 2048-row sample, 64 rows are 1 MB per array and 256 rows 4 MB. A 3-epoch GMMD run, when it
 # still ran on the tiles, trained fastest at 64 of the heights 16-256; the
 # row sums do not depend on the height.
 _TILE_ROWS = 64
@@ -128,11 +130,13 @@ def _kernel_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool 
     """Sums over j of K(x_i, y_j) for (n, d) and (m, d) samples.
 
     With grad, also the (n, d) sums over j of dK(x_i, y_j)/dx_i. One-feature
-    samples take the fast Gauss transform; other samples, and one-feature
-    samples that it cannot box (see _boxable), take the dense row tiles.
+    samples take the fast Gauss transform where it can take them (see
+    _gauss_transform_rows); other samples take the dense row tiles.
     """
-    if x.shape[1] == 1 and _boxable(x, y, config):
-        return _gauss_transform_rows(x[:, 0], y[:, 0], config, grad)
+    if x.shape[1] == 1:
+        rows = _gauss_transform_rows(x[:, 0], y[:, 0], config, grad)
+        if rows is not None:
+            return rows
     return _tiled_rows(x, y, config, grad)
 
 
@@ -193,8 +197,26 @@ def _tiled_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool =
 # Smaller boxes need more of them and a longer reach: on one BLAS thread, a
 # 3-epoch train_gmmd took about 10 % longer at side 1/4 than at 1/2, and
 # 50 % longer at 1/8.
+#
+# Rounding of t and v. Samples are placed about the centre of their
+# cluster: a run of samples, x and y together, with no gap wider than
+# _REACH boxes at the widest bandwidth. Samples of two clusters are then more
+# than _REACH boxes apart at every bandwidth, and their pairs are dropped as
+# above. Forming t = (x - centre) / sqrt(2s) rounds it by about 2^-52 |t|,
+# so a pair's w = t - v is off by at most eps = 2^-51 T, T the largest |t|
+# in its cluster, and exp(-w^2) by at most 2 |w| exp(-w^2) eps. Over a row,
+# the pairs with |w| <= 4.3 then move it by at most 8.6 eps times its value,
+# and each other pair by at most 8e-8 eps. With T <= _MAX_T = 256 that is
+# 9.8e-13 of the value plus 1e-20 per pair, within a relative 1e-12 of the
+# dense (n, m) formula. The x-gradient moves by at most
+# eps sum |4 w^2 - 2| exp(-w^2) / sqrt(2s), the order of the dense tiles'
+# own rounding of W @ y - W.sum(1) x for samples T sqrt(2s) from 0.
+# Far from 0, a cluster's samples thus keep the accuracy they would have
+# near 0. A cluster wider than 2 _MAX_T at the narrowest bandwidth takes
+# the dense tiles.
 _PAIR_ERROR = 1e-17
 _BOX_SIDE = 0.25
+_MAX_T = 256.0
 _CRAMER = 1.086435
 
 
@@ -216,6 +238,14 @@ _REACH = next(
 )
 # box offsets D / _BOX_SIDE, target box minus source box
 _OFFSETS = np.arange(-_REACH, _REACH + 1)
+# Box keys per cluster and bandwidth: its boxes -B - 1 to B, B = _MAX_T /
+# _BOX_SIDE, and _REACH + 1 free keys on each side, so that no box of
+# another cluster or bandwidth is within reach.
+_SLOT = 2 * (int(_MAX_T / _BOX_SIDE) + _REACH + 2)
+# Target boxes per gather: each one's neighbour moments take (2R + 1) p
+# doubles, 8 kB, so a chunk of them 2 MB, less than the dense tiles' 3 MB
+# against 2048 rows. A GMMD call occupies about 170 boxes, one chunk.
+_CHUNK_BOXES = 256
 
 
 def _translation_table() -> np.ndarray:
@@ -237,39 +267,45 @@ def _translation_table() -> np.ndarray:
 _TRANSLATION = _translation_table()
 
 
-def _boxable(x: np.ndarray, y: np.ndarray, config: KernelConfig) -> bool:
-    """Whether the fast Gauss transform can box these samples: both are
-    nonempty and finite, and every box key fits a float64 exactly. NaN or
-    inf fail the check, so they reach the dense tiles and give the same NaN."""
-    if not (len(x) and len(y)):
-        return False
-    span = np.maximum(x.max(), y.max()) - np.minimum(x.min(), y.min())  # NaN stays NaN
-    boxes = span / (math.sqrt(2.0 * min(config.bandwidths)) * _BOX_SIDE)
-    return bool(boxes * len(config.bandwidths) < 2.0**50)
-
-
 def _gauss_transform_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool):
-    """_kernel_rows of 1-d arrays x and y by the fast Gauss transform.
+    """_kernel_rows of 1-d arrays x and y by the fast Gauss transform, or
+    None where it cannot take them: x or y is empty, holds a NaN or inf
+    (the dense tiles then give the same NaN), or has a cluster wider than
+    2 _MAX_T sqrt(2s) at the narrowest bandwidth.
 
     Every bandwidth runs at once: row i of each (bandwidths, n) array below
     belongs to bandwidth i. Only occupied boxes are kept, so the work is
     O((n + m) p) plus (2R + 1) p^2 per occupied target box, whatever the
     samples' range. Scratch memory is about 2p doubles per sample and
-    bandwidth, plus (2R + 1) p doubles (8 kB) per occupied target box.
+    bandwidth, plus 2 MB for a chunk of target boxes.
     """
+    if not (len(x) and len(y)):
+        return None
     unit = np.sqrt(2.0 * np.array(config.bandwidths))[:, None]  # of t and v
     x_order = np.argsort(x)
     x_sorted, y_sorted = x[x_order], np.sort(y)
-    # about the samples' medians, t and v stay small for shifted samples
-    centre = 0.5 * (x_sorted[len(x) // 2] + y_sorted[len(y) // 2])
-    t, v = (x_sorted - centre) / unit, (y_sorted - centre) / unit
+    both = np.sort(np.concatenate([x_sorted, y_sorted]), kind="stable")  # merges two runs
+    if not (np.isfinite(both[0]) and np.isfinite(both[-1])):  # NaN sorts last
+        return None
+    gap = np.diff(both) > _REACH * _BOX_SIDE * unit.max()
+    low, high = both[np.concatenate(([True], gap))], both[np.concatenate((gap, [True]))]
+    half = 0.5 * (high - low)
+    if half.max() > _MAX_T * unit.min():
+        return None
+    centre = low + half
+    # the cluster of each sample; one cluster, the usual case, needs no search
+    x_cluster, y_cluster = (
+        np.searchsorted(low, a, side="right") - 1 if len(low) > 1 else 0
+        for a in (x_sorted, y_sorted)
+    )
+    t, v = (x_sorted - centre[x_cluster]) / unit, (y_sorted - centre[y_cluster]) / unit
     t_box, v_box = np.floor(t / _BOX_SIDE), np.floor(v / _BOX_SIDE)
-    # box keys rise along each row, then to the next row after more than
-    # _REACH empty boxes
-    low = np.minimum(t_box[:, :1], v_box[:, :1])
-    stride = (np.maximum(t_box[:, -1:], v_box[:, -1:]) - low).max() + 2 * _REACH + 2
-    row_key = np.arange(len(unit))[:, None] * stride - low
-    t_key, v_key = ((box + row_key).astype(np.int64).ravel() for box in (t_box, v_box))
+    # box keys rise along each row, then to the next row
+    slots = np.arange(len(unit))[:, None] * len(low)
+    t_key, v_key = (
+        ((slots + cluster) * _SLOT + _SLOT // 2 + box).astype(np.int64).ravel()
+        for cluster, box in ((x_cluster, t_box), (y_cluster, v_box))
+    )
 
     # moments of each occupied source box, and a zero row for empty boxes
     powers = _powers((v - (v_box + 0.5) * _BOX_SIDE).ravel())
@@ -281,10 +317,12 @@ def _gauss_transform_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, gr
     # each occupied target box gathers its neighbours' moments
     new_box = _first_of_run(t_key)
     target_keys = t_key[new_box]
-    want = target_keys[:, None] - _OFFSETS
-    found = np.minimum(np.searchsorted(source_keys, want), len(source_keys) - 1)
-    found[source_keys[found] != want] = len(source_keys)
-    coeffs = moments[found].reshape(len(target_keys), -1) @ _TRANSLATION
+    coeffs = np.empty((len(target_keys), _TERMS))
+    for start in range(0, len(target_keys), _CHUNK_BOXES):
+        want = target_keys[start : start + _CHUNK_BOXES, None] - _OFFSETS
+        found = np.minimum(np.searchsorted(source_keys, want), len(source_keys) - 1)
+        found[source_keys[found] != want] = len(source_keys)
+        coeffs[start : start + len(want)] = moments[found].reshape(len(want), -1) @ _TRANSLATION
 
     # Horner's rule per target on its box's polynomial, and on its derivative
     rows = coeffs.T[:, np.cumsum(new_box) - 1]
@@ -324,21 +362,8 @@ def _powers(a: np.ndarray) -> np.ndarray:
 
 
 def _self_sum(x: np.ndarray, config: KernelConfig) -> float:
-    """Sum over i and j of K(x_i, x_j).
-
-    One-feature samples sum their full rows. Otherwise the sum comes from
-    the row tiles on and above the diagonal: K is symmetric, so each tile's
-    block right of the diagonal stands for its mirror image too and is
-    counted twice.
-    """
-    if x.shape[1] == 1:
-        return _kernel_rows(x, x, config).sum()
-    total = 0.0
-    for start in range(0, len(x), _TILE_ROWS):
-        tile, rest = x[start : start + _TILE_ROWS], x[start + _TILE_ROWS :]
-        total += _tiled_rows(tile, tile, config).sum()
-        total += 2.0 * _tiled_rows(tile, rest, config).sum()
-    return total
+    """Sum over i and j of K(x_i, x_j)."""
+    return _kernel_rows(x, x, config).sum()
 
 
 def _sample_rows(a) -> np.ndarray:
@@ -369,9 +394,7 @@ def mmd_loss_samples(x: np.ndarray, y, config: KernelConfig, grad: bool = False)
     """Biased (V-statistic) sample MMD of (n, d) arrays, or of 1-d arrays of n values.
 
     y may be a SampleTarget built with the same config; its self-sum is reused.
-    With grad, returns (loss, dL/dx), dL/dx of shape (n, d). For more than
-    one feature, that loss sums the xx kernel over full rows rather than one
-    triangle, so it can differ from the value-only loss by rounding.
+    With grad, returns (loss, dL/dx), dL/dx of shape (n, d).
     """
     x = _sample_rows(x)
     if not isinstance(y, SampleTarget):

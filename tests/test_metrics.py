@@ -1,9 +1,10 @@
 """MMD loss, adjoint and parameter-shift gradients, total variance, Pearson matrices."""
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from borngen.born import BornModel, model_distribution
 from borngen.circuits import (
@@ -22,7 +23,6 @@ from borngen.metrics import (
     GramCache,
     KernelConfig,
     SampleTarget,
-    _boxable,
     _gauss_transform_rows,
     _kernel_rows,
     _self_sum,
@@ -196,8 +196,8 @@ def test_sample_mmd_gradient_matches_central_differences():
     x = rng.standard_normal((9, 2))
     y = 0.5 * rng.standard_normal((12, 2)) + 0.3
     loss, grad = mmd_loss_samples(x, y, config, grad=True)
-    # full xx rows against one triangle: the two losses differ only by rounding
-    assert loss == pytest.approx(mmd_loss_samples(x, y, config), rel=1e-12, abs=0)
+    # both sum the same full rows
+    assert loss == mmd_loss_samples(x, y, config)
     assert grad.shape == x.shape
     numeric, h = np.empty_like(x), 1e-6
     for i, j in np.ndindex(*x.shape):
@@ -247,13 +247,16 @@ def test_gauss_transform_matches_dense_oracle(s, n, m, same, seed, scale, shift,
     rng = np.random.default_rng(seed)
     x = scale * rng.standard_normal((n, 1)) + shift
     y = x if same else 0.5 * scale * rng.standard_normal((m, 1)) + shift + scale
-    if far is not None:  # an outlier on each side
-        x[0] = shift + far
+    if far is not None:  # a cluster of two samples far out on each side
+        x[:2] = shift + far + 0.5 * scale * rng.standard_normal((len(x[:2]), 1))
         if not same:
-            y[-1] = shift - far
+            y[-2:] = shift - far + 0.5 * scale * rng.standard_normal((len(y[-2:]), 1))
     config = KernelConfig((s,))
-    assert _boxable(x, y, config)
-    values, grads = _gauss_transform_rows(x[:, 0], y[:, 0], config, grad=True)
+    rows = _gauss_transform_rows(x[:, 0], y[:, 0], config, grad=True)
+    # at s = 0.01 and scale 10, the bulk may be too wide a cluster, which
+    # the dense tiles take (test_wide_cluster_takes_the_dense_tiles)
+    assume(rows is not None)
+    values, grads = rows
     want_values, want_grads = _dense_kernel_rows(x, y, config)
     np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=1e-12)
@@ -319,17 +322,57 @@ def test_far_outlier_keeps_only_occupied_boxes(monkeypatch):
     np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=1e-12)
 
 
+def test_spread_samples_keep_the_gather_scratch_bounded(monkeypatch):
+    # 2048 rows 100 apart: every sample pair is its own cluster and every
+    # bandwidth a box of its own, 10 240 target boxes, whose neighbour
+    # moments would take 84 MB in one gather
+    x = 100.0 * np.arange(2048.0)[:, None]
+    y = x + 0.05
+    config = KernelConfig()
+    s = np.array(config.bandwidths)
+    gap = y - x  # 0.05 up to the rounding of y
+    k = np.exp(-(gap**2) / (2.0 * s))
+    monkeypatch.setattr(metrics, "_tiled_rows", _refuse)
+    tracemalloc.start()
+    try:
+        values, grads = _kernel_rows(x, y, config, grad=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    np.testing.assert_allclose(values, k.sum(axis=1), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grads[:, 0], (k * gap / s).sum(axis=1), rtol=1e-12, atol=1e-12)
+
+
+def test_wide_cluster_takes_the_dense_tiles():
+    # one cluster may span 2 _MAX_T sqrt(2s) at the narrowest bandwidth,
+    # where the rounding of t still keeps the rows within 1e-12 of the dense
+    # formula, also far from 0; a wider one is left to the tiles
+    config = KernelConfig()
+    width = 2.0 * metrics._MAX_T * math.sqrt(2.0 * min(config.bandwidths))
+    spread = np.r_[0.0, np.random.default_rng(6).random(598), 1.0][:, None]
+    x = 1e6 + 0.999 * width * spread
+    y = x[::3] + 0.01
+    values, grads = _gauss_transform_rows(x[:, 0], y[:, 0], config, grad=True)
+    want_values, want_grads = _dense_kernel_rows(x, y, config)
+    np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=1e-12)
+    wide = 1e6 + 1.001 * width * spread
+    assert _gauss_transform_rows(wide[:, 0], wide[::3, 0] + 0.01, config, False) is None
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("in_x", [True, False], ids=["x", "y"])
 def test_non_finite_samples_give_the_dense_nan_loss(bad, in_x):
-    # the fast path cannot box a sample that holds one, so its blocks reach
+    # the fast path cannot take a sample that holds one, so its blocks reach
     # the dense tiles, which give a NaN loss and gradient
     rng = np.random.default_rng(5)
     x, y = rng.standard_normal((2, 64, 1))
     (x if in_x else y)[3] = bad
     config = KernelConfig()
-    assert not _boxable(x, y, config)
-    assert not _boxable(*(2 * [x if in_x else y]), config)
+    assert _gauss_transform_rows(x[:, 0], y[:, 0], config, False) is None
+    same = (x if in_x else y)[:, 0]
+    assert _gauss_transform_rows(same, same, config, False) is None
     with np.errstate(invalid="ignore"):
         loss, grad = mmd_loss_samples(x, y, config, grad=True)
         assert np.isnan(mmd_loss_samples(x, y, config))
