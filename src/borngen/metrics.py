@@ -32,8 +32,9 @@ PAPER_BANDWIDTHS = (0.01, 0.1, 1.0, 10.0, 100.0)
 # one-feature sample, the GMMD baseline's among them, takes that transform,
 # whose truncation moves each sample pair's kernel value and derivative by
 # at most 1e-17 and whose rounding keeps row values within a relative
-# 1e-12 of the dense formula, however far the samples sit from 0. A tile's
-# squared distances are streamed through multiply, exp and a row sum once
+# 1e-12 of the dense formula (of its |w|-weighted rows, for signed source
+# weights), however far the samples sit from 0. A tile's squared distances
+# are streamed through multiply, exp and a weighted row sum once
 # per bandwidth, so its scratch arrays (T x len(y) float64 each) should
 # stay in a core's L2 cache, 2 MB on the Xeon this was tuned on: against a
 # 2048-row sample, 64 rows are 1 MB per array and 256 rows 4 MB. A 3-epoch GMMD run, when it
@@ -126,26 +127,37 @@ def mmd_loss(
     return float(d @ K.apply(d))
 
 
-def _kernel_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool = False):
-    """Sums over j of K(x_i, y_j) for (n, d) and (m, d) samples.
+def _kernel_rows(
+    x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool = False, weights=None
+):
+    """Sums over j of w_j K(x_i, y_j) for (n, d) and (m, d) samples, with
+    the per-source weights w_j all 1 when weights is None.
 
-    With grad, also the (n, d) sums over j of dK(x_i, y_j)/dx_i. One-feature
-    samples take the fast Gauss transform where it can take them (see
-    _gauss_transform_rows); other samples take the dense row tiles.
+    With grad, also the (n, d) sums over j of w_j dK(x_i, y_j)/dx_i.
+    One-feature samples take the fast Gauss transform where it can take them
+    (see _gauss_transform_rows); other samples take the dense row tiles.
     """
     if x.shape[1] == 1:
-        rows = _gauss_transform_rows(x[:, 0], y[:, 0], config, grad)
+        rows = _gauss_transform_rows(x[:, 0], y[:, 0], config, grad, weights)
         if rows is not None:
             return rows
-    return _tiled_rows(x, y, config, grad)
+    return _tiled_rows(x, y, config, grad, weights)
 
 
-def _tiled_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool = False):
+def _tiled_rows(
+    x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool = False, weights=None
+):
     """_kernel_rows from dense row tiles of x against all of y.
 
-    The gradient is formed as W @ y - W.sum(1) x_i with W = sum_s K_s / s,
-    so no (n, m, d) array is built.
+    A tile's rows are k @ w per bandwidth. The gradient is formed from the
+    differences, sum_j (W w)_ij (y_j - x_i) with W = sum_s K_s / s, one
+    feature at a time, so no (n, m, d) array is built. A close pair's
+    difference is exact however far the pair sits from 0, where the matmul
+    form (W w) @ (y - c) - (W @ w)(x - c) about one centre c per tile rounds
+    each term by about 2^-52 times its distance from c: 5e-9 of a gradient
+    for a close pair 1e6 from the rest of its tile.
     """
+    weights = np.ones(len(y)) if weights is None else weights
     values, grads = np.zeros(len(x)), np.empty_like(x)
     tiles = np.empty((3, min(len(x), _TILE_ROWS), len(y)))
     for start in range(0, len(x), _TILE_ROWS):
@@ -158,20 +170,24 @@ def _tiled_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool =
             w[:] = 0.0
         for s in config.bandwidths:
             np.exp(np.multiply(sq, -0.5 / s, out=k), out=k)
-            values[tile] += k.sum(axis=1)
+            values[tile] += k @ weights
             if grad:
                 k *= 1.0 / s
                 w += k
         if grad:
-            grads[tile] = w @ y - w.sum(axis=1)[:, None] * x[tile]
+            w *= weights
+            for col in range(x.shape[1]):
+                np.subtract.outer(x[tile, col], y[:, col], out=sq)
+                grads[tile, col] = -np.einsum("ij,ij->i", w, sq)
     return (values, grads) if grad else values
 
 
 # The fast Gauss transform of one-feature samples (Greengard and Strain, "The
 # fast Gauss transform", SIAM J. Sci. Stat. Comput. 12, 1991). In units of
-# sqrt(2s) the kernel is exp(-(t - v)^2). The sources v in a box about c_B
-# have the moments A_k = sum (v - c_B)^k; a target box about c_C turns them
-# into Taylor coefficients B_l = sum_B sum_k A_k T_D[k, l], D = c_C - c_B, with
+# sqrt(2s) the kernel is exp(-(t - v)^2). The sources v in a box about c_B,
+# with weights w, have the moments A_k = sum w (v - c_B)^k; a target box
+# about c_C turns them into Taylor coefficients
+# B_l = sum_B sum_k A_k T_D[k, l], D = c_C - c_B, with
 #     T_D[k, l] = (-1)^l h_{k+l}(D) / (k! l!),   h_n(x) = H_n(x) exp(-x^2),
 # and a target t in that box gets sum_l B_l (t - c_C)^l. The series is exact
 # when k and l run to infinity; the code keeps k, l < _TERMS and source boxes
@@ -179,9 +195,10 @@ def _tiled_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool =
 #
 # Error bound: for each source-target pair, truncation moves the kernel
 # value and its t-derivative by at most _PAIR_ERROR = 1e-17 each, a tenth of
-# the rounding of one dense term; a row of m sources is then off by at most
-# m * 1e-17 before rounding. With rho = _BOX_SIDE / 2 the box half-width,
-# |t - c_C| and |v - c_B| are at most rho. Cramer's inequality
+# the rounding of one dense term; a row is then off by at most
+# 1e-17 sum_j |w_j| before rounding, m * 1e-17 for m sources of weight 1.
+# With rho = _BOX_SIDE / 2 the box half-width, |t - c_C| and |v - c_B| are
+# at most rho. Cramer's inequality
 # |h_n(x)| <= K 2^(n/2) sqrt(n!) exp(-x^2 / 2), K < 1.086435, and
 # (k + l)! <= 2^(k+l) k! l! bound each term of the double sum by K e_k e_l
 # with e_n = (2 rho)^n / sqrt(n!); in the derivative, e_l becomes
@@ -190,10 +207,11 @@ def _tiled_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool =
 # _REACH boxes away holds only sources at distance w >= _REACH * _BOX_SIDE,
 # whose terms exp(-w^2) and 2w exp(-w^2) are dropped whole.
 #
-# The box side sets the rounding. Where a target and m sources share a box,
-# the derivative's terms sum in size to m 4 rho exp(4 rho^2), which the
-# gradient itself may cancel to near 0. At side 1/4 that is 0.53 m: 600
-# sources at s = 0.01 may lose 5e-13 of an x-gradient, 1.2e-12 at side 1/2.
+# The box side sets the rounding. Where a target and m sources of weight 1
+# share a box, the derivative's terms sum in size to m 4 rho exp(4 rho^2),
+# which the gradient itself may cancel to near 0 (with weights, m becomes
+# the sum of their |w|). At side 1/4 that is 0.53 m: 600 sources at
+# s = 0.01 may lose 5e-13 of an x-gradient, 1.2e-12 at side 1/2.
 # Smaller boxes need more of them and a longer reach: on one BLAS thread, a
 # 3-epoch train_gmmd took about 10 % longer at side 1/4 than at 1/2, and
 # 50 % longer at 1/8.
@@ -205,15 +223,17 @@ def _tiled_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool =
 # above. Forming t = (x - centre) / sqrt(2s) rounds it by about 2^-52 |t|,
 # so a pair's w = t - v is off by at most eps = 2^-51 T, T the largest |t|
 # in its cluster, and exp(-w^2) by at most 2 |w| exp(-w^2) eps. Over a row,
-# the pairs with |w| <= 4.3 then move it by at most 8.6 eps times its value,
-# and each other pair by at most 8e-8 eps. With T <= _MAX_T = 256 that is
-# 9.8e-13 of the value plus 1e-20 per pair, within a relative 1e-12 of the
-# dense (n, m) formula. The x-gradient moves by at most
-# eps sum |4 w^2 - 2| exp(-w^2) / sqrt(2s), the order of the dense tiles'
-# own rounding of W @ y - W.sum(1) x for samples T sqrt(2s) from 0.
-# Far from 0, a cluster's samples thus keep the accuracy they would have
-# near 0. A cluster wider than 2 _MAX_T at the narrowest bandwidth takes
-# the dense tiles.
+# the pairs with |w| <= 4.3 then move it by at most 8.6 eps times
+# sum_j |w_j| K(x_i, y_j), and each other pair by at most 8e-8 eps |w_j|.
+# With T <= _MAX_T = 256 that is 9.8e-13 of sum_j |w_j| K plus 1e-20
+# sum_j |w_j|, within a relative 1e-12 of the dense (n, m) formula when the
+# weights are 1. With signed weights, as in the sample MMD's
+# c_i = 1/n, -1/m, a row may cancel to near 0, and the relative 1e-12
+# holds against sum_j |w_j| K(x_i, y_j) instead. The x-gradient moves by
+# at most eps sum_j |w_j| |4 w^2 - 2| exp(-w^2) / sqrt(2s), the rounding of
+# a difference x_i - y_j formed T sqrt(2s) from 0. Far from 0, a cluster's
+# samples thus keep the accuracy they would have near 0. A cluster wider
+# than 2 _MAX_T at the narrowest bandwidth takes the dense tiles.
 _PAIR_ERROR = 1e-17
 _BOX_SIDE = 0.25
 _MAX_T = 256.0
@@ -267,11 +287,13 @@ def _translation_table() -> np.ndarray:
 _TRANSLATION = _translation_table()
 
 
-def _gauss_transform_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool):
-    """_kernel_rows of 1-d arrays x and y by the fast Gauss transform, or
-    None where it cannot take them: x or y is empty, holds a NaN or inf
-    (the dense tiles then give the same NaN), or has a cluster wider than
-    2 _MAX_T sqrt(2s) at the narrowest bandwidth.
+def _gauss_transform_rows(
+    x: np.ndarray, y: np.ndarray, config: KernelConfig, grad: bool, weights=None
+):
+    """_kernel_rows of 1-d arrays x and y, with weights on y, by the fast
+    Gauss transform, or None where it cannot take them: x or y is empty,
+    holds a NaN or inf (the dense tiles then give the same NaN), or has a
+    cluster wider than 2 _MAX_T sqrt(2s) at the narrowest bandwidth.
 
     Every bandwidth runs at once: row i of each (bandwidths, n) array below
     belongs to bandwidth i. Only occupied boxes are kept, so the work is
@@ -282,8 +304,8 @@ def _gauss_transform_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, gr
     if not (len(x) and len(y)):
         return None
     unit = np.sqrt(2.0 * np.array(config.bandwidths))[:, None]  # of t and v
-    x_order = np.argsort(x)
-    x_sorted, y_sorted = x[x_order], np.sort(y)
+    x_order, y_order = np.argsort(x), np.argsort(y)
+    x_sorted, y_sorted = x[x_order], y[y_order]
     both = np.sort(np.concatenate([x_sorted, y_sorted]), kind="stable")  # merges two runs
     if not (np.isfinite(both[0]) and np.isfinite(both[-1])):  # NaN sorts last
         return None
@@ -307,8 +329,10 @@ def _gauss_transform_rows(x: np.ndarray, y: np.ndarray, config: KernelConfig, gr
         for cluster, box in ((x_cluster, t_box), (y_cluster, v_box))
     )
 
-    # moments of each occupied source box, and a zero row for empty boxes
+    # weighted moments of each occupied source box, and a zero row for empty boxes
     powers = _powers((v - (v_box + 0.5) * _BOX_SIDE).ravel())
+    if weights is not None:
+        powers.reshape(_TERMS, len(unit), -1)[...] *= weights[y_order]
     starts = np.flatnonzero(_first_of_run(v_key))
     moments = np.zeros((len(starts) + 1, _TERMS))
     moments[:-1] = np.add.reduceat(powers, starts, axis=1).T
@@ -375,7 +399,9 @@ class SampleTarget:
     """A fixed sample and its kernel self-sum, computed once.
 
     Pass one to mmd_loss_samples in place of y when the same sample is
-    compared against many others, as a validation batch is each epoch.
+    compared against many others, as a validation batch is each epoch: a
+    value-only call then needs one kernel call, of x against x and the
+    target's rows, in place of one over the whole joint sample.
     np.asarray(target) gives its (m, d) rows, which are read-only so that
     the cached sum stays theirs.
     """
@@ -393,24 +419,38 @@ class SampleTarget:
 def mmd_loss_samples(x: np.ndarray, y, config: KernelConfig, grad: bool = False):
     """Biased (V-statistic) sample MMD of (n, d) arrays, or of 1-d arrays of n values.
 
-    y may be a SampleTarget built with the same config; its self-sum is reused.
-    With grad, returns (loss, dL/dx), dL/dx of shape (n, d).
+    The MMD is a quadratic form over the joint sample z = [x; y]:
+    L = sum_ij c_i c_j K(z_i, z_j), c_i = 1/n on x and -1/m on y. One
+    weighted kernel-row call gives the rows r_i = sum_j c_j K(z_i, z_j) and
+    the loss c . r; with grad it also gives dL/dx_i = (2/n) dr_i/dx_i, and
+    returns (loss, dL/dx), dL/dx of shape (n, d). The value-only and grad
+    losses sum the same rows, so they are equal.
+
+    y may be a SampleTarget built with the same config. A value-only call
+    then takes x against the sources z only, weighted 1/n and -2/m, and
+    adds the target's cached self-sum; with grad, its rows stand in for y.
+    On the dense tiles (samples of more than one feature) the joint call
+    costs (n + m)^2 kernel entries, at most 4/3 of the n^2 + nm + m^2 that
+    separate xx, xy and yy blocks would.
     """
     x = _sample_rows(x)
-    if not isinstance(y, SampleTarget):
-        y = SampleTarget(y, config)
-    if y.config != config:
+    target = y if isinstance(y, SampleTarget) else None
+    if target is not None and target.config != config:
         raise ValueError("the SampleTarget was built with another kernel config")
-    n, m = len(x), len(y.rows)
-    if x.shape[1] != y.rows.shape[1]:
-        raise ValueError(f"sample feature counts differ: {x.shape[1]} vs {y.rows.shape[1]}")
+    rows = target.rows if target is not None else _sample_rows(y)
+    n, m = len(x), len(rows)
+    if x.shape[1] != rows.shape[1]:
+        raise ValueError(f"sample feature counts differ: {x.shape[1]} vs {rows.shape[1]}")
+    z = np.concatenate([x, rows])
+    if target is not None and not grad:
+        weights = np.repeat([1.0 / n, -2.0 / m], [n, m])
+        xz = _kernel_rows(x, z, config, weights=weights).sum()
+        return float(xz / n + target.self_sum / m**2)
+    c = np.repeat([1.0 / n, -1.0 / m], [n, m])
     if not grad:
-        xy = _kernel_rows(x, y.rows, config).sum()
-        return float(_self_sum(x, config) / n**2 - 2.0 * xy / (n * m) + y.self_sum / m**2)
-    (kxx, grad_xx), (kxy, grad_xy) = (_kernel_rows(x, z, config, grad=True) for z in (x, y.rows))
-    loss = float(kxx.sum() / n**2 - 2.0 * kxy.sum() / (n * m) + y.self_sum / m**2)
-    # d loss / d x_i: both xx terms contribute equally by symmetry
-    return loss, 2.0 / n**2 * grad_xx - 2.0 / (n * m) * grad_xy
+        return float(c @ _kernel_rows(z, z, config, weights=c))
+    values, grads = _kernel_rows(z, z, config, grad=True, weights=c)
+    return float(c @ values), 2.0 / n * grads[:n]
 
 
 def _shift_for_kind(kind: str) -> tuple[float, float]:

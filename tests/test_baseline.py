@@ -19,7 +19,8 @@ from borngen.baseline import (
     train_gmmd,
     unflatten_weights,
 )
-from borngen.metrics import KernelConfig, mmd_loss_samples
+from borngen import metrics
+from borngen.metrics import KernelConfig, SampleTarget, mmd_loss_samples
 from borngen.optimize import TrainConfig, TrainingDivergedError
 
 SPEC = MlpSpec(latent_dim=4, hidden=(8, 6), output_dim=2)
@@ -83,6 +84,29 @@ def test_batch_loss_is_the_sample_mmd():
     rng = np.random.default_rng(6)
     x, y = rng.standard_normal((70, 2)), rng.standard_normal((90, 2)) + 0.5
     assert gmmd_batch_loss(x, y, KernelConfig()) == mmd_loss_samples(x, y, KernelConfig())
+
+
+@pytest.mark.parametrize("features", [1, 2])
+def test_each_sample_mmd_takes_one_kernel_call(features, monkeypatch):
+    # a training step's loss, gradient and data self-sum come from one call
+    # over the joint sample; a validation loss from one call plus the
+    # target's cached self-sum
+    rng = np.random.default_rng(9)
+    spec = MlpSpec(3, (5,), features)
+    config = KernelConfig()
+    data = rng.standard_normal((40, features))
+    target = SampleTarget(data, config)
+    calls = []
+
+    def spy(*args, real=metrics._kernel_rows, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_kernel_rows", spy)
+    gmmd_loss_and_grad(init_weights(spec), rng.standard_normal((32, 3)), data, config)
+    assert len(calls) == 1
+    gmmd_batch_loss(rng.standard_normal((50, features)), target, config)
+    assert len(calls) == 2
 
 
 def test_backprop_matches_finite_differences():

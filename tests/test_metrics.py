@@ -105,14 +105,17 @@ def test_mmd_samples_matches_exact_on_empirical():
     )
 
 
-def _dense_kernel_rows(x, y, config):
-    """The dense (n, m, d) formula the tiled kernel replaced, as its oracle."""
+def _dense_kernel_rows(x, y, config, weights=None):
+    """The dense (n, m, d) formula the tiled kernel replaced, as its oracle:
+    sum_j w_j K(x_i, y_j) and its x-gradient, w_j = 1 unless weights are
+    given."""
+    w = np.ones(len(y)) if weights is None else weights
     diff = x[:, None, :] - y[None, :, :]
     sq = (diff**2).sum(axis=-1)
     value = np.zeros_like(sq)
     grad = np.zeros_like(diff)
     for s in config.bandwidths:
-        k = np.exp(-sq / (2.0 * s))
+        k = np.exp(-sq / (2.0 * s)) * w
         value += k
         grad += k[:, :, None] * (-diff / s)
     return value.sum(axis=1), grad.sum(axis=1)
@@ -230,9 +233,19 @@ def test_gmmd_trace_val_loss_matches_dense_recomputation(monkeypatch):
         assert record.val_loss == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("s", PAPER_BANDWIDTHS)
-@settings(deadline=None, max_examples=25)
-@given(
+def _oracle_samples(rng, n, m, same, scale, shift, far):
+    """(n, 1) and (m, 1) samples about shift (y is x when same), with a
+    cluster of two samples far out on each side when far is given."""
+    x = scale * rng.standard_normal((n, 1)) + shift
+    y = x if same else 0.5 * scale * rng.standard_normal((m, 1)) + shift + scale
+    if far is not None:
+        x[:2] = shift + far + 0.5 * scale * rng.standard_normal((len(x[:2]), 1))
+        if not same:
+            y[-2:] = shift - far + 0.5 * scale * rng.standard_normal((len(y[-2:]), 1))
+    return x, y
+
+
+_ORACLE_SAMPLES = dict(
     n=st.integers(1, 600),
     m=st.integers(1, 600),
     same=st.booleans(),
@@ -241,16 +254,14 @@ def test_gmmd_trace_val_loss_matches_dense_recomputation(monkeypatch):
     shift=st.floats(-1e3, 1e3),
     far=st.sampled_from([None, 1e3, 1e6]),
 )
+
+
+@pytest.mark.parametrize("s", PAPER_BANDWIDTHS)
+@settings(deadline=None, max_examples=25)
+@given(**_ORACLE_SAMPLES)
 def test_gauss_transform_matches_dense_oracle(s, n, m, same, seed, scale, shift, far):
-    # the oracle is the dense formula: the tiles form the gradient as
-    # W @ y - W.sum(1) x, which loses digits to a shift of 1e3
     rng = np.random.default_rng(seed)
-    x = scale * rng.standard_normal((n, 1)) + shift
-    y = x if same else 0.5 * scale * rng.standard_normal((m, 1)) + shift + scale
-    if far is not None:  # a cluster of two samples far out on each side
-        x[:2] = shift + far + 0.5 * scale * rng.standard_normal((len(x[:2]), 1))
-        if not same:
-            y[-2:] = shift - far + 0.5 * scale * rng.standard_normal((len(y[-2:]), 1))
+    x, y = _oracle_samples(rng, n, m, same, scale, shift, far)
     config = KernelConfig((s,))
     rows = _gauss_transform_rows(x[:, 0], y[:, 0], config, grad=True)
     # at s = 0.01 and scale 10, the bulk may be too wide a cluster, which
@@ -261,6 +272,42 @@ def test_gauss_transform_matches_dense_oracle(s, n, m, same, seed, scale, shift,
     np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(_gauss_transform_rows(x[:, 0], y[:, 0], config, False), values)
+
+
+@pytest.mark.parametrize("s", PAPER_BANDWIDTHS)
+@settings(deadline=None, max_examples=25)
+@given(**_ORACLE_SAMPLES)
+def test_weighted_rows_match_dense_oracle(s, n, m, same, seed, scale, shift, far):
+    # signed weights, as the sample MMD's 1/n and -1/m, may cancel a row to
+    # near 0, so the error is judged against the |w|-weighted rows
+    rng = np.random.default_rng(seed)
+    x, y = _oracle_samples(rng, n, m, same, scale, shift, far)
+    weights = rng.uniform(-1.0, 1.0, len(y))
+    config = KernelConfig((s,))
+    want_values, want_grads = _dense_kernel_rows(x, y, config, weights)
+    abs_values, _ = _dense_kernel_rows(x, y, config, np.abs(weights))
+    diff = x[:, None, 0] - y[None, :, 0]
+    abs_grads = (np.abs(weights) * np.exp(-(diff**2) / (2.0 * s)) * np.abs(diff) / s).sum(axis=1)
+    for rows, a, b in ((_tiled_rows, x, y), (_gauss_transform_rows, x[:, 0], y[:, 0])):
+        got = rows(a, b, config, True, weights)
+        if got is None:  # a cluster too wide for the transform
+            continue
+        values, grads = got
+        assert np.all(np.abs(values - want_values) <= 1e-12 * (abs_values + 1.0))
+        assert np.all(np.abs(grads[:, 0] - want_grads[:, 0]) <= 1e-12 * (abs_grads + 1.0))
+        np.testing.assert_array_equal(rows(a, b, config, False, weights), values)
+
+
+def test_tiled_gradient_keeps_its_digits_far_from_zero():
+    # each difference x_i - y_j is exact for a close pair, however far from
+    # 0; W @ y - W.sum(1) x lost up to 5e-10 here
+    rng = np.random.default_rng(8)
+    x, y = rng.standard_normal((2, 512, 2)) + 1e3
+    config = KernelConfig()
+    values, grads = _tiled_rows(x, y, config, grad=True)
+    want_values, want_grads = _dense_kernel_rows(x, y, config)
+    np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=1e-12)
 
 
 def test_translation_table_expands_the_kernel_of_one_pair():
