@@ -78,14 +78,41 @@ def marginal(dist: DiscreteDistribution, feature) -> DiscreteDistribution:
     return DiscreteDistribution(p, (dist.register_bits[j],), name)
 
 
+# Buckets of the sampler's guide table (Chen and Asau 1974). A power of 2,
+# so u * _GUIDE_BUCKETS and the bucket edges are exact.
+_GUIDE_BUCKETS = 4096
+
+
 def sample(dist: DiscreteDistribution, n_shots: int, rng_seed) -> np.ndarray:
-    """Draw flat bin indices from the distribution, reproducibly."""
+    """Draw flat bin indices from the distribution, reproducibly.
+
+    The draws are those of rng.choice(len(p), n_shots, p=p) with p the
+    normalised probs: the same cdf, the same rng.random(n_shots) and the
+    same searchsorted(cdf, u, side="right"). A guide table of
+    _GUIDE_BUCKETS uniform buckets finds them: a bucket whose bounds
+    [lo, hi] hold no cdf step gives its draw at once, and only draws in the
+    other buckets, at most len(p) / _GUIDE_BUCKETS of the mass, are searched.
+    Negative, NaN, infinite or all-zero probs are a ValueError.
+    """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
+    probs = dist.probs
+    total = probs.sum()
+    if not (np.all(probs >= 0) and 0 < total < np.inf):  # NaN too
+        raise ValueError("probs must be finite, >= 0 and not all zero")
     rng = (
         rng_seed
         if isinstance(rng_seed, np.random.Generator)
         else np.random.default_rng(rng_seed)
     )
-    p = dist.probs / dist.probs.sum()
-    return rng.choice(len(p), size=n_shots, p=p)
+    cdf = (probs / total).cumsum()
+    cdf /= cdf[-1]
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    lo = cdf.searchsorted(edges[:-1], side="right")  # draws in bucket b are >= lo[b]
+    hi = cdf.searchsorted(edges[1:], side="left")  # and <= hi[b]
+    guide = np.where(lo == hi, lo, -1)
+    u = rng.random(n_shots)
+    draws = guide[(u * _GUIDE_BUCKETS).astype(np.intp)]
+    step = np.flatnonzero(draws < 0)
+    draws[step] = cdf.searchsorted(u[step], side="right")
+    return draws

@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import csv
 import datetime
+import functools
 import json
 import math
 import subprocess
@@ -275,7 +276,10 @@ def _preprocess(config: ExperimentConfig, events: np.ndarray):
         raise ConfigError(f"{source}: {exc}") from exc
 
 
+@functools.cache
 def _version_string() -> str:
+    """The package version with `git describe` of its source tree, read
+    once per process: the code that runs is the code that was imported."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -375,9 +379,7 @@ def _exp_1d(config: ExperimentConfig):
 
 
 def _exp_multi(config: ExperimentConfig):
-    train_dist, val_dist, binning, params, _, test_f = _single_condition(
-        config, [8, 8, 8], [0, 1, 2]
-    )
+    train_dist, val_dist, binning, params, *_ = _single_condition(config, [8, 8, 8], [0, 1, 2])
     bits, c = binning.register_bits, config.settings["circuit"]
     circuit = build_multivariate(
         len(bits), bits[0], c["n_repetitions"], CorrelationBlockChoice(**c["block"])
@@ -385,19 +387,19 @@ def _exp_multi(config: ExperimentConfig):
     trained, trace = _fit(config, circuit, train_dist, val_dist)
     dist = model_distribution(trained)
     names = ("e_out", "pt", "eta")
-
-    def pearson(coords):
-        """Pearson matrix of binned events, at their bin centers in physical units."""
-        centers = [binning.bin_centers(j)[coords[:, j].astype(int)] for j in range(len(names))]
-        return pearson_correlation(inverse_preprocess(np.column_stack(centers), params)).tolist()
-
+    # Each bin's centre in physical units: the Pearson matrices weight these
+    # rows by the bin counts of the binned events.
+    coords = dist.bin_coordinates().astype(int)
+    centers = np.column_stack([binning.bin_centers(j)[coords[:, j]] for j in range(len(names))])
+    physical = inverse_preprocess(centers, params)
+    generated = np.bincount(sample(dist, 100000, config.seed), minlength=len(dist.probs))
     metrics = {
         "tv_per_feature": {
             name: total_variance(marginal(dist, j), marginal(val_dist, j))
             for j, name in enumerate(names)
         },
-        "pearson_generated": pearson(dist.bin_coordinates()[sample(dist, 100000, config.seed)]),
-        "pearson_data": pearson(binning.bin_indices(test_f)),
+        "pearson_generated": pearson_correlation(physical, generated).tolist(),
+        "pearson_data": pearson_correlation(physical, val_dist.probs).tolist(),
         "pearson_target": DEFAULT_CORRELATION.tolist(),
         **_val_mmd(trace),
     }

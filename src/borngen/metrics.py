@@ -159,13 +159,15 @@ def _tiled_rows(
     """
     weights = np.ones(len(y)) if weights is None else weights
     values, grads = np.zeros(len(x)), np.empty_like(x)
-    tiles = np.empty((3, min(len(x), _TILE_ROWS), len(y)))
+    tiles = np.empty((3 + x.shape[1], min(len(x), _TILE_ROWS), len(y)))
     for start in range(0, len(x), _TILE_ROWS):
         tile = slice(start, start + _TILE_ROWS)
-        sq, k, w = tiles[:, : len(x[tile])]
-        np.square(np.subtract.outer(x[tile, 0], y[:, 0], out=sq), out=sq)
-        for col in range(1, x.shape[1]):
-            sq += np.square(np.subtract.outer(x[tile, col], y[:, col], out=k), out=k)
+        sq, k, w, *diffs = tiles[:, : len(x[tile])]  # diffs: one per feature, kept for grad
+        for col, diff in enumerate(diffs):
+            np.subtract.outer(x[tile, col], y[:, col], out=diff)
+        np.square(diffs[0], out=sq)
+        for diff in diffs[1:]:
+            sq += np.square(diff, out=k)
         if grad:
             w[:] = 0.0
         for s in config.bandwidths:
@@ -176,9 +178,8 @@ def _tiled_rows(
                 w += k
         if grad:
             w *= weights
-            for col in range(x.shape[1]):
-                np.subtract.outer(x[tile, col], y[:, col], out=sq)
-                grads[tile, col] = -np.einsum("ij,ij->i", w, sq)
+            for col, diff in enumerate(diffs):
+                grads[tile, col] = -np.einsum("ij,ij->i", w, diff)
     return (values, grads) if grad else values
 
 
@@ -539,13 +540,24 @@ def total_variance(p: DiscreteDistribution, target: DiscreteDistribution) -> flo
     return float(0.5 * np.abs(p.probs - target.probs).sum())
 
 
-def pearson_correlation(samples: np.ndarray) -> np.ndarray:
-    """Pearson correlation matrix of a (n_samples, n_features) array."""
+def pearson_correlation(samples: np.ndarray, weights=None) -> np.ndarray:
+    """Pearson correlation matrix of a (n_samples, n_features) array, each
+    row counted weights[i] times (once when weights is None): the weighted
+    mean and covariance of the rows, so rows of bin centres weighted by bin
+    counts give the Pearson matrix of the binned events. A feature that
+    takes one value on every row of positive weight is an error."""
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need a 2-d array with at least two samples")
-    std = x.std(axis=0)
-    if np.any(std == 0):
-        bad = [int(j) for j in np.flatnonzero(std == 0)]
+    w = np.ones(len(x)) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (len(x),) or not (np.all(w >= 0) and 0 < w.sum() < np.inf):
+        raise ValueError("need one finite weight >= 0 per sample, not all zero")
+    x, w = x[w > 0], w[w > 0] / w.sum()
+    constant = np.all(x == x[0], axis=0)
+    if np.any(constant):
+        bad = [int(j) for j in np.flatnonzero(constant)]
         raise ValueError(f"zero-variance feature(s) {bad}: correlation undefined")
-    return np.corrcoef(x, rowvar=False)
+    d = x - w @ x
+    cov = (d.T * w) @ d
+    std = np.sqrt(np.diag(cov))
+    return np.clip(cov / np.outer(std, std), -1.0, 1.0)

@@ -88,5 +88,38 @@ def test_sample_rejects_bad_shots():
         sample(dist, 0, 0)
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    bits=st.integers(0, 9),
+    kind=st.sampled_from(["uniform", "zeros", "peaked", "dyadic"]),
+    seed=st.integers(0, 2**32 - 1),
+    n_shots=st.integers(1, 100_000),
+)
+def test_sample_draws_what_rng_choice_draws(bits, kind, seed, n_shots):
+    rng = np.random.default_rng(seed)
+    n = 2**bits
+    probs = rng.random(n)
+    if kind == "zeros":  # runs of empty bins, so equal cdf values
+        probs[rng.random(n) < 0.7] = 0.0
+        probs[rng.integers(n)] = rng.random() + 0.1
+    elif kind == "peaked":  # most mass in a few bins, the rest far below 1/4096
+        probs = probs**60
+        probs[rng.integers(n)] = 1.0
+    elif kind == "dyadic":  # cdf steps on the sampler's bucket edges
+        probs = rng.multinomial(4096, np.full(n, 1.0 / n)).astype(float)
+    q = probs / probs.sum()
+    expected = np.random.default_rng(seed).choice(len(q), n_shots, p=q)
+    draws = sample(DiscreteDistribution(probs, (bits,)), n_shots, seed)
+    assert draws.dtype == expected.dtype
+    np.testing.assert_array_equal(draws, expected)
+
+
+@pytest.mark.parametrize("probs", [[0.5, -0.1], [np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0],
+                                   [-1.0, -1.0]])
+def test_sample_rejects_bad_probs(probs):
+    with pytest.raises(ValueError, match="probs"):
+        sample(DiscreteDistribution(np.array(probs), (1,)), 10, 0)
+
+
 def test_distribution_carries_no_condition():
     assert [f.name for f in fields(DiscreteDistribution)] == ["probs", "register_bits", "names"]

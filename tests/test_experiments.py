@@ -252,6 +252,45 @@ def test_pearson_data_is_the_binned_test_split_in_physical_units():
     np.testing.assert_allclose(pearson_data, raw, rtol=0, atol=0.025)
 
 
+def test_pearson_generated_is_the_drawn_events_in_physical_units(monkeypatch):
+    models, model_distribution = [], experiments.model_distribution
+
+    def keep(*args):
+        models.append(model_distribution(*args))
+        return models[-1]
+
+    monkeypatch.setattr(experiments, "model_distribution", keep)
+    config = ExperimentConfig({"experiment": "exp-multi", "seed": 3,
+                               "train": {"max_epochs": 1, "batches_per_epoch": 1}})
+    pearson_generated = experiments._HOOKS["exp-multi"](config)[2]["pearson_generated"]
+    (dist,) = models
+    events = synthesize_mfc(10240, 125.0, DEFAULT_CORRELATION, 3)
+    train_f, params = preprocess(train_test_split(events, 3)[0])
+    binning = BinningSpec.from_training_data(train_f[:, :3], [8, 8, 8])
+    q = dist.probs / dist.probs.sum()
+    drawn = np.random.default_rng(3).choice(len(q), 100000, p=q)
+    coords = dist.bin_coordinates()[drawn].astype(int)
+    centers = np.column_stack([binning.bin_centers(j)[coords[:, j]] for j in range(3)])
+    expected = np.corrcoef(inverse_preprocess(centers, params), rowvar=False)
+    np.testing.assert_allclose(pearson_generated, expected, rtol=0, atol=1e-12)
+
+
+def test_two_runs_read_the_version_once(tmp_path, monkeypatch):
+    calls = []
+    real_run = experiments.subprocess.run
+
+    def spy(args, **kwargs):
+        calls.append(args)
+        return real_run(args, **kwargs)
+
+    experiments._version_string.cache_clear()
+    monkeypatch.setattr(experiments.subprocess, "run", spy)
+    config = ExperimentConfig({"experiment": "exp-1d", "seed": 0, "train": {"max_epochs": 1}})
+    reports = [run_experiment(config, tmp_path / str(i)) for i in range(2)]
+    assert [args[0] for args in calls] == ["git"]
+    assert reports[0]["version"] == reports[1]["version"]
+
+
 def test_gmmd_reads_its_model_and_epochs(tmp_path):
     config = ExperimentConfig(
         {"experiment": "exp-gmmd", "seed": 0, "train": {"max_epochs": 2},

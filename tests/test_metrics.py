@@ -615,8 +615,39 @@ def test_pearson_hand_example():
 
 
 def test_pearson_zero_variance_error():
-    with pytest.raises(ValueError):
-        pearson_correlation(np.array([[1.0, 2.0], [1.0, 3.0]]))
+    # np.full(3, 0.1) has a std of 1.4e-17, not 0, from rounding its mean
+    for constant in ([1.0, 1.0], np.full(3, 0.1)):
+        varied = np.arange(len(constant), dtype=float)
+        with pytest.raises(ValueError, match="zero-variance"):
+            pearson_correlation(np.column_stack([constant, varied]))
+
+
+def test_pearson_zero_variance_counts_only_rows_of_positive_weight():
+    samples = np.array([[1.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(ValueError, match=r"zero-variance feature\(s\) \[0\]"):
+        pearson_correlation(samples, weights=[1.0, 2.0, 0.0])
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(0, 10_000), rows=st.integers(2, 40))
+def test_weighted_pearson_matches_corrcoef_over_repeated_rows(seed, rows):
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal((rows, 3)) @ rng.standard_normal((3, 3)) + 100.0
+    counts = rng.integers(0, 4, rows)
+    counts[:2] = 1  # two distinct rows at least
+    expected = np.corrcoef(np.repeat(samples, counts, axis=0), rowvar=False)
+    np.testing.assert_allclose(pearson_correlation(samples, counts), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        pearson_correlation(samples, counts / counts.sum()), expected, rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("weights", [[1.0, 1.0], [1.0, -1.0, 1.0], [1.0, np.nan, 1.0],
+                                     [0.0, 0.0, 0.0], [1.0, np.inf, 1.0]])
+def test_pearson_rejects_bad_weights(weights):
+    samples = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+    with pytest.raises(ValueError, match="weight"):
+        pearson_correlation(samples, weights)
 
 
 def test_pearson_input_validation():
