@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -39,7 +40,17 @@ class BornModel:
             raise ValueError("condition_range set but circuit has no data slots")
 
     def with_theta(self, theta: np.ndarray) -> "BornModel":
-        return replace(self, theta=np.asarray(theta, dtype=float))
+        """This model with other parameters: the same circuit and condition
+        range, with only theta's length checked again (training calls this
+        once per step)."""
+        theta = np.asarray(theta, dtype=float)
+        if len(theta) != self.circuit.n_parameters:
+            raise ValueError(
+                f"theta length {len(theta)} != {self.circuit.n_parameters} parameters"
+            )
+        model = object.__new__(type(self))
+        model.__dict__.update(self.__dict__, theta=theta)  # frozen: no __setattr__
+        return model
 
     def data_angles(self, condition: Optional[float]) -> Optional[np.ndarray]:
         if self.condition_range is None:
@@ -48,8 +59,16 @@ class BornModel:
             return None
         if condition is None:
             raise ValueError("conditional model requires a condition value")
-        angle = encode_condition(condition, *self.condition_range)
-        return np.full(self.circuit.n_data_slots, angle)
+        return _condition_angles(float(condition), *self.condition_range, self.circuit.n_data_slots)
+
+
+@lru_cache(maxsize=64)
+def _condition_angles(condition: float, e_min: float, e_max: float, n_slots: int) -> np.ndarray:
+    """The encoded condition in each of n_slots data slots, read-only, as
+    the same array for every call with these values."""
+    angles = np.full(n_slots, encode_condition(condition, e_min, e_max))
+    angles.flags.writeable = False
+    return angles
 
 
 def model_distribution(

@@ -78,9 +78,12 @@ def marginal(dist: DiscreteDistribution, feature) -> DiscreteDistribution:
     return DiscreteDistribution(p, (dist.register_bits[j],), name)
 
 
-# Buckets of the sampler's guide table (Chen and Asau 1974). A power of 2,
-# so u * _GUIDE_BUCKETS and the bucket edges are exact.
-_GUIDE_BUCKETS = 4096
+# The sampler's guide table (Chen and Asau 1974) has the smallest power of
+# 2 of buckets that gives each bin at least _BUCKETS_PER_BIN, up to
+# _MAX_BUCKETS. A power of 2, so that u * buckets and the bucket edges are
+# exact.
+_BUCKETS_PER_BIN = 8
+_MAX_BUCKETS = 4096
 
 
 def sample(dist: DiscreteDistribution, n_shots: int, rng_seed) -> np.ndarray:
@@ -88,10 +91,11 @@ def sample(dist: DiscreteDistribution, n_shots: int, rng_seed) -> np.ndarray:
 
     The draws are those of rng.choice(len(p), n_shots, p=p) with p the
     normalised probs: the same cdf, the same rng.random(n_shots) and the
-    same searchsorted(cdf, u, side="right"). A guide table of
-    _GUIDE_BUCKETS uniform buckets finds them: a bucket whose bounds
-    [lo, hi] hold no cdf step gives its draw at once, and only draws in the
-    other buckets, at most len(p) / _GUIDE_BUCKETS of the mass, are searched.
+    same searchsorted(cdf, u, side="right"). A guide table of uniform
+    buckets, at least _BUCKETS_PER_BIN per bin up to _MAX_BUCKETS, finds
+    them: a bucket whose bounds [lo, hi] hold no cdf step gives its draw at
+    once, and only draws in the other buckets, at most len(p) / buckets of
+    the mass (1 / _BUCKETS_PER_BIN below the cap), are searched.
     Negative, NaN, infinite or all-zero probs are a ValueError.
     """
     if n_shots < 1:
@@ -107,12 +111,13 @@ def sample(dist: DiscreteDistribution, n_shots: int, rng_seed) -> np.ndarray:
     )
     cdf = (probs / total).cumsum()
     cdf /= cdf[-1]
-    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    buckets = min(1 << (_BUCKETS_PER_BIN * len(probs) - 1).bit_length(), _MAX_BUCKETS)
+    edges = np.arange(buckets + 1) / buckets
     lo = cdf.searchsorted(edges[:-1], side="right")  # draws in bucket b are >= lo[b]
     hi = cdf.searchsorted(edges[1:], side="left")  # and <= hi[b]
     guide = np.where(lo == hi, lo, -1)
     u = rng.random(n_shots)
-    draws = guide[(u * _GUIDE_BUCKETS).astype(np.intp)]
+    draws = guide[(u * buckets).astype(np.intp)]
     step = np.flatnonzero(draws < 0)
     draws[step] = cdf.searchsorted(u[step], side="right")
     return draws

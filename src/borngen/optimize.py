@@ -36,7 +36,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 def _check_finite(values: np.ndarray, name: str, epoch: int, step: int) -> None:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise TrainingDivergedError(f"non-finite {name} at epoch {epoch}, step {step}")
 
 
@@ -129,17 +129,23 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected ADAM update; returns new theta and state."""
+    """One bias-corrected ADAM update. It updates state in place (its
+    moments m and v and its step count t) and returns the new theta and
+    state itself."""
     theta = np.asarray(theta, dtype=float)
     gradient = np.asarray(gradient, dtype=float)
     if theta.shape != gradient.shape:
         raise ValueError("theta and gradient lengths differ")
-    t = state.t + 1
-    m = beta1 * state.m + (1 - beta1) * gradient
-    v = beta2 * state.v + (1 - beta2) * gradient**2
-    m_hat = m / (1 - beta1**t)
-    v_hat = v / (1 - beta2**t)
-    return theta - lr * m_hat / (np.sqrt(v_hat) + eps), AdamState(m, v, t)
+    state.t += 1
+    m, v = state.m, state.v
+    m *= beta1  # m = beta1 m + (1 - beta1) g
+    m += (1 - beta1) * gradient
+    v *= beta2  # v = beta2 v + (1 - beta2) g**2
+    v += (1 - beta2) * gradient**2
+    step = m / (1 - beta1**state.t)  # m_hat
+    step *= lr
+    step /= np.sqrt(v / (1 - beta2**state.t)) + eps  # over sqrt(v_hat) + eps
+    return theta - step, state
 
 
 def spsa_step(

@@ -24,7 +24,14 @@ that block: the sweep builds that rotation's matrix as M @ F.
 A circuit of RY, H and CNOT gates only keeps real amplitudes and runs in
 float64; RX and RZZ make it complex128.
 
-adjoint_gradient runs the circuit once, keeping every op's output psi, then
+A run first binds the program to its data angles (the program keeps its
+last eight bindings). A binding holds what does not depend on theta: the
+state after the ops before the first trainable gate, each data-only
+rotation block as a fixed matrix, and the constant angles that the other
+blocks read. Each run then starts from that state and sweeps only the
+blocks that hold a trainable gate.
+
+adjoint_gradient runs the circuit once, keeping the output psi of each op it reads, then
 un-applies the ops to lambda alone. The gates of an op commute (and a folded
 F comes before them), so each gate's gradient is read at the op's output:
 for a rotation block from the 2**g x 2**g matrix sum conj(lambda) psi^T
@@ -35,7 +42,7 @@ group of ops with the same layout.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -108,12 +115,14 @@ class _Op:
     RZZ layer. Its tables are shared by every circuit with the same layer.
 
     A block acts on the (batch, hi, 2**g, lo) view of the amplitudes.
-    params is the range of a rotation or phase op's gates in program order.
+    params is the range of a rotation or phase op's gates in program order
+    (for a bound phase op, its entries in the binding's order: an index
+    array when a data gate comes between them).
     table is, by kind:
     - "rotation": twice each gate's generator I x G x I on the block,
       flattened, (k, 4**g), which its _Group stacks; the op's matrix is
       block number `block` of the sweep;
-    - "fixed": the constant block matrix;
+    - "fixed": the constant block matrix, and inverse its inverse;
     - "perm": the run's index permutation (inverse holds its inverse);
     - "phase": Z, the (k, 2**n) table of +/-1.
     """
@@ -121,7 +130,7 @@ class _Op:
     kind: str
     hi: int = 1
     lo: int = 1
-    params: Optional[slice] = None
+    params: Optional[slice | np.ndarray] = None
     block: int = 0
     table: Optional[np.ndarray] = None
     inverse: Optional[np.ndarray] = None
@@ -164,7 +173,8 @@ class _Program:
     gradients it reads. dtype is float64 when
     every gate is RY, H or CNOT, so that the amplitudes stay real, and
     complex128 otherwise. Circuits with the same gates share a program, so
-    its arrays are read-only.
+    its arrays are read-only. bindings maps data angles (their bytes, or
+    None) to the program's _Binding for them.
     """
 
     ops: tuple[_Op, ...]
@@ -178,6 +188,7 @@ class _Program:
     reads: tuple[int, ...]
     groups: tuple[_Group, ...]
     dtype: type
+    bindings: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _schedule(gates) -> list[tuple[str, list]]:
@@ -307,7 +318,8 @@ def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
                 hi, lo = 2 ** (n - starts[b] - g), 2 ** starts[b]
                 positions = [gate.targets[0] - starts[b] for gate in block_gates]
                 if kind == "H":
-                    ops.append(_Op("fixed", hi, lo, table=_fixed_block(g, tuple(sorted(positions)))))
+                    h = _fixed_block(g, tuple(sorted(positions)))
+                    ops.append(_Op("fixed", hi, lo, table=h, inverse=h))  # H is its own inverse
                     continue
                 first = len(params)
                 params += block_gates
@@ -402,55 +414,188 @@ def _groups(ops: list[_Op], first: int) -> tuple[tuple[int, ...], tuple[_Group, 
     return tuple(reads), tuple(groups)
 
 
-def _sweep(program: _Program, thetas: np.ndarray, data_angles=None):
-    """Every parameterized gate's angle times its rate for each row of
-    thetas, (batch, entries), and every rotation block's Kronecker matrix,
-    (blocks, batch, 2**g, 2**g), or (blocks, 2**g, 2**g) for one row. All of
-    them come from one cos, one sin, and one gather and product of the
-    factors' entries, and one matmul by the folded fixed matrices."""
-    batch = len(thetas)
-    columns = [np.zeros((batch, 1)), thetas]
-    if data_angles is not None:
-        data = np.asarray(data_angles, dtype=float)
-        columns.append(np.broadcast_to(data, (batch, len(data))))
-    angles = np.concatenate(columns, axis=1).take(program.columns, axis=1) * program.rates
+@dataclass(frozen=True, slots=True)
+class _Binding:
+    """A program bound to one data-angle vector: what every run at those
+    data angles shares, computed once.
+
+    start, (1, 2**n) and read-only, is the state after the ops before the
+    program's first_trainable; ops are the ops from there on. Each rotation
+    block of data gates alone is a fixed op of its matrix (inverse holding
+    its conjugate transpose); each other one is numbered into the sweep's
+    blocks, the folded ones first. The sweep's entries are the trainable
+    gates in program order, whose angles are theta[slots] times rates,
+    then the constant entries that a swept block or a phase op reads,
+    whose angles times their rates are constants, (1, entries), or None
+    when there are none. generators, kron and folds are the program's for
+    these entries and blocks (folds for the first len(folds) blocks, or
+    None). rows gives each op its row among the program's reads, or None
+    for an op whose gradient is not read.
+    """
+
+    ops: tuple[_Op, ...]
+    start: np.ndarray
+    slots: np.ndarray
+    rates: np.ndarray
+    constants: Optional[np.ndarray]
+    generators: np.ndarray
+    kron: np.ndarray
+    folds: Optional[np.ndarray]
+    rows: tuple[Optional[int], ...]
+
+
+# Each program keeps the bindings of its last _BINDINGS data-angle vectors
+# (dropping the oldest first): one for a circuit without data slots, one
+# per condition value of a conditional model, whose experiment visits
+# seven. Each holds a state vector and a few small tables.
+_BINDINGS = 8
+
+
+def _binding(circuit, n_theta: int, data_angles) -> _Binding:
+    """The circuit's program bound to these data angles, from the
+    program's bindings when it holds them."""
+    _check_inputs(circuit, n_theta, data_angles)
+    data = np.asarray(data_angles, dtype=float) if circuit.n_data_slots else None
+    key = None if data is None else data.tobytes()
+    program = circuit.program
+    binding = program.bindings.get(key)
+    if binding is None:
+        if len(program.bindings) >= _BINDINGS:
+            del program.bindings[next(iter(program.bindings))]  # the oldest
+        binding = program.bindings[key] = _bind(program, data, circuit.n_qubits)
+    return binding
+
+
+def _bind(program: _Program, data: Optional[np.ndarray], n_qubits: int) -> _Binding:
+    """Bind the program to data angles: sweep it once at theta = 0 for the
+    constant blocks and angles, run the ops before first_trainable, and
+    number what is left for the per-theta sweep."""
+    n_theta = int(program.slots[-1])  # the identity entry's slot
+    source = np.zeros((1, 1 + n_theta + (0 if data is None else len(data))))
+    if data is not None:
+        source[0, 1 + n_theta:] = data
+    angles = source.take(program.columns, axis=1) * program.rates
+    # every block at theta = 0, of which those without a trainable gate are
+    # the same at every theta
+    constant_blocks = _rotation_blocks(angles, program.generators, program.kron, program.folds)[:, 0]
+    first = program.first_trainable
+    start = np.zeros((1, 2**n_qubits), dtype=program.dtype)
+    start[0, 0] = 1.0
+    for op in program.ops[:first]:
+        start = _apply(start, op, constant_blocks, angles)
+
+    n_entries = len(program.columns)
+    trainable = program.slots < n_theta
+    kron = program.kron % n_entries  # the identity entry as its index
+    swept = trainable[kron].any(axis=1)  # blocks with a trainable gate
+    folded = np.zeros(len(kron), dtype=bool)
+    if program.folds is not None:
+        d = program.folds.shape[-1]
+        folded = (program.folds[:, 0] != np.eye(d)).any(axis=(1, 2))
+    blocks = np.concatenate([np.flatnonzero(swept & folded), np.flatnonzero(swept & ~folded)])
+    n_folded = int((swept & folded).sum())
+    ops = program.ops[first:]
+    read = set(kron[blocks].ravel())
+    for op in ops:
+        if op.kind == "phase":
+            read.update(range(op.params.start, op.params.stop))
+    entries = np.concatenate([np.flatnonzero(trainable), sorted(e for e in read if not trainable[e])])
+    entries = entries.astype(np.intp)
+    rank = np.zeros(n_entries, dtype=np.intp)
+    rank[entries] = np.arange(len(entries))
+    position = np.zeros(len(kron), dtype=np.intp)
+    position[blocks] = np.arange(len(blocks))
+
+    bound = []
+    for op in ops:
+        if op.kind == "rotation" and swept[op.block]:
+            op = replace(op, block=int(position[op.block]))
+        elif op.kind == "rotation":  # data gates alone: a constant matrix
+            matrix = constant_blocks[op.block]
+            inverse = matrix.T.conj() if matrix.dtype.kind == "c" else matrix.T
+            op = _Op("fixed", op.hi, op.lo, table=_frozen(matrix), inverse=_frozen(inverse))
+        elif op.kind == "phase":
+            params = rank[op.params]  # a slice again when all its gates are trainable
+            if (np.diff(params) == 1).all():
+                params = slice(int(params[0]), int(params[-1]) + 1)
+            op = replace(op, params=params)
+        bound.append(op)
+    n_trainable = int(trainable.sum())
+    return _Binding(
+        tuple(bound),
+        start=_frozen(start),
+        slots=_frozen(program.slots[entries[:n_trainable]]),
+        rates=_frozen(program.rates[entries[:n_trainable]]),
+        constants=_frozen(angles[:, entries[n_trainable:]]) if len(entries) > n_trainable else None,
+        generators=_frozen(program.generators[entries]),
+        kron=_frozen(rank[kron[blocks]].reshape(len(blocks), kron.shape[1])),
+        folds=_frozen(program.folds[blocks[:n_folded]]) if n_folded else None,
+        rows=tuple(program.reads.index(i) if i in program.reads else None
+                   for i in range(first, len(program.ops))),
+    )
+
+
+def _sweep(binding: _Binding, thetas: np.ndarray):
+    """The bound entries' angles times their rates for each row of thetas,
+    (batch, entries), and every swept block's Kronecker matrix, (blocks,
+    batch, 2**g, 2**g), or (blocks, 2**g, 2**g) for one row."""
+    angles = thetas.take(binding.slots, axis=1) * binding.rates
+    if binding.constants is not None:
+        angles = np.concatenate([angles, binding.constants.repeat(len(thetas), axis=0)], axis=1)
+    blocks = _rotation_blocks(angles, binding.generators, binding.kron, binding.folds)
+    return angles, blocks[:, 0] if len(thetas) == 1 else blocks
+
+
+def _rotation_blocks(angles: np.ndarray, generators: np.ndarray, kron: np.ndarray,
+                     folds: Optional[np.ndarray]) -> np.ndarray:
+    """The rotation blocks' Kronecker matrices, (blocks, batch, 2**g, 2**g),
+    from each entry's angle times its rate, (batch, entries): one cos, one
+    sin, and one gather and product of the factors' entries. folds, when
+    given, holds the fixed matrices folded into the first len(folds)
+    blocks, which one matmul multiplies in."""
+    batch = len(angles)
     # each entry's 2x2 cos I + sin G / rate, flattened
-    m = np.cos(angles)[..., None] * _EYE.ravel() + np.sin(angles)[..., None] * program.generators
-    n_blocks, g = program.kron.shape
-    factors = m.take(program.kron, axis=1).reshape(batch, n_blocks, 4 * g)
+    m = np.cos(angles)[..., None] * _EYE.ravel() + np.sin(angles)[..., None] * generators
+    n_blocks, g = kron.shape
+    factors = m.take(kron, axis=1).reshape(batch, n_blocks, 4 * g)
     blocks = factors.take(_kron_entries(g), axis=2).prod(axis=2)
     blocks = blocks.reshape(batch, n_blocks, 2**g, 2**g).swapaxes(0, 1)
-    if program.folds is not None:
-        blocks = blocks @ program.folds
-    return angles, blocks[:, 0] if batch == 1 else blocks
+    if folds is not None:
+        folded = blocks[: len(folds)]
+        np.matmul(folded, folds, out=folded)
+    return blocks
 
 
 def _apply(amps: np.ndarray, op: _Op, blocks: np.ndarray, angles: np.ndarray,
-           inverse: bool = False) -> np.ndarray:
+           inverse: bool = False, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The kernel: apply one op, or with inverse its inverse, to (batch, dim)
-    amplitudes.
+    amplitudes, into out when it is given (a C-contiguous (batch, dim)
+    array of the result's dtype).
 
     blocks and angles come from _sweep; for the inverse, blocks holds the
-    conjugate transposes.
+    conjugate transposes, and a fixed op's inverse holds its own.
     """
     if op.kind == "perm":
-        return amps.take(op.inverse if inverse else op.table, axis=1)
+        return amps.take(op.inverse if inverse else op.table, axis=1, out=out)
     if op.kind == "phase":
         theta_z = angles[:, op.params] @ op.table
-        return amps * np.exp(theta_z * (1j if inverse else -1j))
+        return np.multiply(amps, np.exp(theta_z * (1j if inverse else -1j)), out=out)
     # (d, d), or (batch, d, d) with one matrix per row
-    m = op.table if op.kind == "fixed" else blocks[op.block]
+    m = (op.inverse if inverse else op.table) if op.kind == "fixed" else blocks[op.block]
     batch, d = amps.shape[0], m.shape[-1]
     if op.lo == 1:
         # the block's qubits are the lowest: a matmul over the last axis,
         # one product for the whole batch when every row shares the matrix
         if m.ndim == 2:
             # (np.dot takes the transposed operand faster than matmul does)
-            return np.dot(amps.reshape(batch * op.hi, d), m.T).reshape(amps.shape)
-        return (amps.reshape(batch, op.hi, d) @ m.swapaxes(-1, -2)).reshape(amps.shape)
+            rows = None if out is None else out.reshape(batch * op.hi, d)
+            return np.dot(amps.reshape(batch * op.hi, d), m.T, out=rows).reshape(amps.shape)
+        rows = None if out is None else out.reshape(batch, op.hi, d)
+        return np.matmul(amps.reshape(batch, op.hi, d), m.swapaxes(-1, -2), out=rows).reshape(amps.shape)
     if m.ndim == 3:
         m = m[:, None]
-    return (m @ amps.reshape(batch, op.hi, d, op.lo)).reshape(amps.shape)
+    rows = None if out is None else out.reshape(batch, op.hi, d, op.lo)
+    return np.matmul(m, amps.reshape(batch, op.hi, d, op.lo), out=rows).reshape(amps.shape)
 
 
 def _read(group: _Group, psi: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -488,34 +633,18 @@ def run_circuit(circuit, theta: Sequence[float], data_angles=None) -> np.ndarray
     return run_circuit_batch(circuit, np.asarray(theta, dtype=float)[None], data_angles)[0]
 
 
-def _forward(circuit, thetas: np.ndarray, data_angles):
-    """The circuit's program, the angles and blocks of one sweep, and a
-    generator of the amplitudes: |0...0>, then each op's output."""
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    _check_inputs(circuit, thetas.shape[1], data_angles)
-    program = circuit.program
-    angles, blocks = _sweep(program, thetas, data_angles)
-
-    def states():
-        amps = np.zeros((len(thetas), 2**circuit.n_qubits), dtype=program.dtype)
-        amps[:, 0] = 1.0
-        yield amps
-        for op in program.ops:
-            amps = _apply(amps, op, blocks, angles)
-            yield amps
-
-    return program, angles, blocks, states()
-
-
 def run_circuit_batch(circuit, thetas: np.ndarray, data_angles=None) -> np.ndarray:
     """Run the circuit for a batch of parameter vectors at once.
 
     Returns a (batch, 2**n_qubits) array of amplitudes, one row per
     parameter vector.
     """
-    *_, states = _forward(circuit, thetas, data_angles)
-    for amps in states:  # keep only the last
-        pass
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    binding = _binding(circuit, thetas.shape[1], data_angles)
+    angles, blocks = _sweep(binding, thetas)
+    amps = binding.start.repeat(len(thetas), axis=0)  # a new array, the caller's
+    for op in binding.ops:
+        amps = _apply(amps, op, blocks, angles)
     return amps
 
 
@@ -526,31 +655,40 @@ def adjoint_gradient(
     """psi = U(theta)|0...0> and the gradient of <psi|diag(O)|psi> over the
     trainable slots, where O = observable_of(psi) is held fixed.
 
-    One sweep builds every matrix. The forward run keeps each op's output
-    psi; the backward run un-applies each op to lambda = O psi alone, down
-    to the first op with a trainable gate. Then 2 Re<lambda|G psi> is read
-    at each op's output for each of its gates with generator G (adjoint
-    differentiation, Jones & Gacon, arXiv:2009.02823), one stacked read per
-    group of ops.
+    One sweep builds every matrix. The forward run starts from the bound
+    state before the first trainable op, and each rotation or phase op
+    writes its output psi into its row of one array; the backward run
+    un-applies each op to lambda = O psi alone, down to that first op,
+    writing lambda at those ops' outputs alike. Then 2 Re<lambda|G psi> is
+    read at each op's output for each of its gates with generator G
+    (adjoint differentiation, Jones & Gacon, arXiv:2009.02823), one stacked
+    read per group of ops.
     """
-    theta = np.asarray(theta, dtype=float)
-    program, angles, blocks, states = _forward(circuit, theta[None], data_angles)
-    states = list(states)  # states[i + 1] is op i's output
-    psi = states[-1][0]
+    thetas = np.asarray(theta, dtype=float)[None]
+    binding = _binding(circuit, thetas.shape[1], data_angles)
+    n, ops = circuit.n_parameters, binding.ops
+    if not ops:  # no trainable gate
+        return binding.start[0].copy(), np.zeros(n)
+    angles, blocks = _sweep(binding, thetas)
+    program, rows = circuit.program, binding.rows  # each read op writes its output into its row
+    psis = np.empty((len(program.reads), binding.start.shape[1]), binding.start.dtype)
+    amps = binding.start
+    for op, row in zip(ops, rows):
+        amps = _apply(amps, op, blocks, angles, out=None if row is None else psis[row : row + 1])
+    psi = amps[0]
     inverses = blocks.swapaxes(-1, -2)
     if inverses.dtype.kind == "c":
         inverses = inverses.conj()
-    ops = program.ops
-    lams = [None] * len(ops) + [(observable_of(psi) * psi)[None]]  # as states
-    for i in range(len(ops) - 1, program.first_trainable, -1):
-        lams[i] = _apply(lams[i + 1], ops[i], inverses, angles, inverse=True)
+    lams = np.empty_like(psis)  # lambda at each read op's output
+    row = rows[-1]
+    lam = np.multiply(observable_of(psi), psi, out=None if row is None else lams[row])[None]
+    for i in range(len(ops) - 1, 0, -1):
+        row = rows[i - 1]
+        out = None if row is None else lams[row : row + 1]
+        lam = _apply(lam, ops[i], inverses, angles, inverse=True, out=out)
+    if lams.dtype.kind == "c":
+        np.conjugate(lams, out=lams)
     values = np.zeros(len(program.slots))
-    if program.reads:
-        psis = np.concatenate([states[i + 1] for i in program.reads])
-        lams = np.concatenate([lams[i + 1] for i in program.reads])
-        if lams.dtype.kind == "c":
-            lams = lams.conj()
-        for group in program.groups:
-            values[group.params] = _read(group, psis[group.rows], lams[group.rows])
-    n = circuit.n_parameters
+    for group in program.groups:
+        values[group.params] = _read(group, psis[group.rows], lams[group.rows])
     return psi, np.bincount(program.slots, weights=values, minlength=n + 1)[:n]

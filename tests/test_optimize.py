@@ -7,8 +7,9 @@ import pytest
 from borngen.born import BornModel, model_distribution
 from borngen.circuits import build_1d_rzz_ansatz, build_conditional
 from borngen.distributions import DiscreteDistribution
-from borngen.metrics import mmd_loss, total_variance
-from borngen.noise import NoiseConfig, apply_readout_noise
+from borngen import experiments, optimize
+from borngen.metrics import GramCache, mmd_gradient, mmd_loss, total_variance
+from borngen.noise import NoiseConfig, apply_readout_noise, readout_matrix
 from borngen.optimize import (
     AdamState,
     SpsaSettings,
@@ -18,6 +19,7 @@ from borngen.optimize import (
     init_parameters,
     learning_rate,
     spsa_step,
+    trace_to_json,
     train,
 )
 
@@ -219,3 +221,135 @@ def test_train_divergence_detected():
         with pytest.raises(TrainingDivergedError, match="non-finite theta at epoch 0, step 0"):
             train(model, target, config)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _functional_adam(theta, gradient, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """ADAM as a pure function of its state: the new theta, m and v."""
+    m = beta1 * m + (1 - beta1) * gradient
+    v = beta2 * v + (1 - beta2) * gradient**2
+    m_hat = m / (1 - beta1**t)
+    v_hat = v / (1 - beta2**t)
+    return theta - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def test_adam_step_updates_its_state_in_place_with_the_functional_arithmetic():
+    rng = np.random.default_rng(8)
+    theta = np.zeros(7)  # near 0, so that theta - step keeps the step's last bits
+    ref_theta, m, v = theta.copy(), np.zeros(7), np.zeros(7)
+    state = AdamState.init(7)
+    moments = state.m, state.v
+    for t in range(1, 51):
+        g = rng.standard_normal(7) * 10.0 ** rng.integers(-6, 3)
+        lr = learning_rate(TrainConfig(lr_halving_period=20), t)
+        theta, returned = adam_step(theta, g, state, lr)
+        ref_theta, m, v = _functional_adam(ref_theta, g, m, v, t, lr)
+        assert returned is state and (state.m, state.v) == moments and state.t == t
+        assert (theta == ref_theta).all() and (state.m == m).all() and (state.v == v).all()
+
+
+def _reference_train(model, targets, config, val_targets):
+    """train as one plain loop over the public mmd_gradient, mmd_loss and
+    spsa_step and the functional ADAM formula: the best theta and the
+    trace rows."""
+    conditions = sorted(targets, key=lambda c: (c is not None, c))
+    cache = GramCache(model.circuit.register_bits, config.kernel)
+    transform = None
+    if config.noise is not None:
+        transform = readout_matrix(model.circuit.n_qubits, config.noise).matrix
+
+    def dist(theta, cond):
+        p = model_distribution(model.with_theta(theta), cond)
+        if transform is None:
+            return p
+        return DiscreteDistribution(transform @ p.probs, p.register_bits, p.names)
+
+    rng = np.random.default_rng(config.seed)
+    theta = model.theta.copy()
+    best, best_val = theta.copy(), np.inf
+    m = v = np.zeros(len(theta))
+    t = spsa_iteration = 0
+    rows = []
+    for epoch in range(config.max_epochs + config.spsa_epochs):
+        lr = learning_rate(config, epoch)
+        spsa = config.optimizer == "spsa" or epoch >= config.max_epochs
+        if epoch == config.max_epochs:
+            theta = best.copy()
+        for cond in conditions:
+            for _ in range(config.batches_per_epoch):
+                target = targets[cond]
+                if config.batch_size is not None:
+                    probs = target.probs / target.probs.sum()
+                    counts = rng.multinomial(config.batch_size, probs)
+                    target = DiscreteDistribution(counts / config.batch_size, target.register_bits, target.names)
+                if spsa:
+                    loss = lambda th: mmd_loss(dist(th, cond), target, config.kernel, cache)
+                    theta = spsa_step(theta, loss, spsa_iteration, config.spsa, rng)
+                    spsa_iteration += 1
+                else:
+                    grad = mmd_gradient(model.with_theta(theta), target, config.kernel, cond, cache, transform)
+                    t += 1
+                    theta, m, v = _functional_adam(theta, grad, m, v, t, lr)
+        dists = {c: dist(theta, c) for c in conditions}
+        row = {"epoch": epoch, "lr": lr, "phase": "spsa" if spsa else "adam"}
+        row["grad_norm"] = 0.0 if spsa else float(np.linalg.norm(grad))
+        for key, target_map in (("train_loss", targets), ("val_loss", val_targets)):
+            row[key] = float(np.mean([mmd_loss(dists[c], target_map[c], config.kernel, cache) for c in conditions]))
+        row["tv"] = float(np.mean([total_variance(dists[c], val_targets[c]) for c in conditions]))
+        rows.append(row)
+        if row["val_loss"] < best_val:
+            best, best_val = theta.copy(), row["val_loss"]
+    return best, rows
+
+
+def _random_targets(rng, conditions, bits):
+    targets = {}
+    for cond in conditions:
+        probs = rng.random(2**bits)
+        targets[cond] = DiscreteDistribution(probs / probs.sum(), (bits,))
+    return targets
+
+
+@pytest.mark.parametrize("case", ["exact", "batches", "readout", "six-conditions", "spsa-epochs"])
+def test_train_equals_a_reference_loop_of_the_public_gradient(case):
+    rng = np.random.default_rng(9)
+    settings = {
+        "exact": {},
+        "batches": {"batch_size": 256},
+        "readout": {"noise": NoiseConfig(readout_flip_prob=0.029)},
+        "six-conditions": {},
+        "spsa-epochs": {"spsa_epochs": 2},
+    }[case]
+    config = TrainConfig(max_epochs=4, seed=3, **settings)
+    if case == "six-conditions":
+        circuit = build_conditional(3, 2)
+        model = BornModel(circuit, init_parameters(circuit.n_parameters, "small_normal", 1), (50.0, 200.0))
+        conditions = (50.0, 75.0, 100.0, 125.0, 175.0, 200.0)
+    else:
+        model, _ = _toy_problem(2)
+        conditions = (None,)
+    targets = _random_targets(rng, conditions, 3)
+    val_targets = _random_targets(rng, conditions, 3)
+    theta, rows = _reference_train(model, targets, config, val_targets)
+    trained, trace = train(model, targets, config, val_targets)
+    assert (trained.theta == theta).all()
+    assert trace_to_json(trace) == rows
+
+
+def test_train_calls_the_gradient_and_adam_once_per_step(monkeypatch, tmp_path):
+    # the benchmark's tracer times and counts these two bindings per step
+    steps = {"gradient": [], "adam": []}
+
+    def spy(name, fn, record):
+        def spied(*args, **kwargs):
+            steps[name].append(record(*args))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, fn.__name__, spied)
+
+    spy("gradient", optimize.mmd_gradient, lambda model, *_: model)
+    spy("adam", optimize.adam_step, lambda theta, *_: np.array(theta))
+    config = experiments.ExperimentConfig({"experiment": "exp-1d", "seed": 1, "train": {"max_epochs": 70}})
+    experiments.run_experiment(config, tmp_path)
+    assert len(steps["gradient"]) == len(steps["adam"]) == 700
+    for model, theta in zip(steps["gradient"], steps["adam"]):
+        assert isinstance(model, BornModel) and (model.theta == theta).all()

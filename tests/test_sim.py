@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from borngen.born import BornModel
+from borngen.born import BornModel, model_distribution
+from borngen.data import CONDITION_VALUES
 from borngen.distributions import DiscreteDistribution
-from borngen.metrics import KernelConfig, mmd_gradient, mmd_gradient_shift
+from borngen.metrics import GramCache, KernelConfig, _loss_derivative, mmd_gradient, mmd_gradient_shift
 from borngen import sim
 from borngen.sim import Gate, run_circuit, run_circuit_batch
 from borngen.circuits import (
@@ -14,6 +15,7 @@ from borngen.circuits import (
     all_block_choices,
     build_1d_rzz_ansatz,
     build_conditional,
+    build_correlation_block,
     build_hardware_efficient,
     build_multivariate,
 )
@@ -380,3 +382,143 @@ def test_gradient_sweeps_the_angles_once(circuit, monkeypatch):
     target = DiscreteDistribution(p / p.sum(), circuit.register_bits)
     mmd_gradient(model, target, KernelConfig(), 0.5 if circuit.n_data_slots else None)
     assert len(calls) == 1
+
+
+def _unbound_sweep(circuit, theta, data_angles):
+    """Every entry's angle times its rate from [0, theta, data angles], and
+    every rotation block of the program, without a binding."""
+    program = circuit.program
+    source = np.concatenate([[0.0], theta, [] if data_angles is None else data_angles])
+    angles = source[None].take(program.columns, axis=1) * program.rates
+    return angles, sim._rotation_blocks(angles, program.generators, program.kron, program.folds)[:, 0]
+
+
+def _unbound_gradient(circuit, theta, observable_of, data_angles):
+    """The adjoint gradient run over every op from |0...0>, keeping every
+    state: the reference that a bound run must equal bitwise."""
+    program = circuit.program
+    angles, blocks = _unbound_sweep(circuit, theta, data_angles)
+    states = [np.zeros((1, 2**circuit.n_qubits), dtype=program.dtype)]
+    states[0][0, 0] = 1.0
+    for op in program.ops:
+        states.append(sim._apply(states[-1], op, blocks, angles))
+    psi = states[-1][0]
+    inverses = blocks.swapaxes(-1, -2).conj() if blocks.dtype.kind == "c" else blocks.swapaxes(-1, -2)
+    lams = [None] * len(program.ops) + [(observable_of(psi) * psi)[None]]
+    for i in range(len(program.ops) - 1, program.first_trainable, -1):
+        lams[i] = sim._apply(lams[i + 1], program.ops[i], inverses, angles, inverse=True)
+    values = np.zeros(len(program.slots))
+    psis = np.concatenate([states[i + 1] for i in program.reads])
+    lams = np.concatenate([lams[i + 1] for i in program.reads]).conj()
+    for group in program.groups:
+        values[group.params] = sim._read(group, psis[group.rows], lams[group.rows])
+    n = circuit.n_parameters
+    return psi, np.bincount(program.slots, weights=values, minlength=n + 1)[:n]
+
+
+def _data_after_the_first_trainable_op():
+    """Data gates after the first trainable op: a rotation layer of data
+    gates alone (a CNOT run folded into it), and an RZZ layer that mixes a
+    data gate with trainable ones."""
+    return CircuitSpec(3, (
+        Gate("RY", (0,), param_slot=0), Gate("CNOT", (0, 1)),
+        Gate("RX", (0,), data_slot=1), Gate("RX", (1,), data_slot=2),
+        Gate("RZZ", (0, 2), param_slot=1), Gate("RZZ", (0, 1), data_slot=0),
+        Gate("RZZ", (1, 2), param_slot=2), Gate("RY", (2,), param_slot=3), Gate("H", (1,)),
+    ), 4, n_data_slots=3)
+
+
+def _check_bound_equals_unbound(circuit, data_angles, rng):
+    """Bound runs, sweeps and adjoint gradients against the unbound ones,
+    bitwise (==)."""
+    theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
+    p = rng.random(2**circuit.n_qubits)
+    target = DiscreteDistribution(p / p.sum(), circuit.register_bits)
+    gram = GramCache(circuit.register_bits, KernelConfig())
+    observable_of = lambda psi: _loss_derivative(np.abs(psi) ** 2, target, gram, None)
+    psi, grad = sim.adjoint_gradient(circuit, theta, observable_of, data_angles)
+    ref_psi, ref_grad = _unbound_gradient(circuit, theta, observable_of, data_angles)
+    assert (psi == ref_psi).all() and (grad == ref_grad).all()
+    assert (run_circuit(circuit, theta, data_angles) == ref_psi).all()
+    # each swept block is the unbound block of its op, bitwise and laid out alike
+    binding = sim._binding(circuit, circuit.n_parameters, data_angles)
+    _, blocks = sim._sweep(binding, theta[None])
+    _, ref_blocks = _unbound_sweep(circuit, theta, data_angles)
+    program = circuit.program
+    for op, ref_op in zip(binding.ops, program.ops[program.first_trainable:]):
+        if op.kind == "rotation":
+            bound, ref = blocks[op.block], ref_blocks[ref_op.block]
+        elif ref_op.kind == "rotation":  # data gates alone, bound into a fixed op
+            bound, ref = op.table, ref_blocks[ref_op.block]
+        else:
+            continue
+        assert (bound == ref).all() and bound.strides == ref.strides
+
+
+_BOUND_CIRCUITS = [build_multivariate(3, 3, 4, choice) for choice in all_block_choices()]
+_BOUND_CIRCUITS += [build_1d_rzz_ansatz(4), build_1d_rzz_ansatz(3), _data_after_the_first_trainable_op()]
+
+
+@pytest.mark.parametrize("circuit", _BOUND_CIRCUITS, ids=[c.label for c in all_block_choices()] + ["1d-4", "1d-3", "data-late"])
+def test_bound_runs_equal_unbound_runs_bitwise(circuit):
+    rng = np.random.default_rng(21)
+    data_angles = rng.uniform(0, np.pi / 2, circuit.n_data_slots) if circuit.n_data_slots else None
+    for _ in range(3):
+        _check_bound_equals_unbound(circuit, data_angles, rng)
+    if data_angles is None:
+        model = BornModel(circuit, rng.uniform(0, 2 * np.pi, circuit.n_parameters))
+        target = DiscreteDistribution(np.full(2**circuit.n_qubits, 2.0**-circuit.n_qubits), circuit.register_bits)
+        np.testing.assert_allclose(
+            mmd_gradient(model, target, KernelConfig()),
+            mmd_gradient_shift(model, target, KernelConfig()),
+            rtol=0,
+            atol=1e-12,
+        )
+
+
+def test_conditional_bound_runs_equal_unbound_runs_at_every_condition():
+    circuit = build_conditional(3, 4)
+    rng = np.random.default_rng(22)
+    model = BornModel(circuit, np.zeros(circuit.n_parameters), (min(CONDITION_VALUES), max(CONDITION_VALUES)))
+    p = rng.random(8)
+    target = DiscreteDistribution(p / p.sum(), circuit.register_bits)
+    for condition in CONDITION_VALUES:
+        _check_bound_equals_unbound(circuit, model.data_angles(condition), rng)
+        trained = model.with_theta(rng.uniform(0, 2 * np.pi, circuit.n_parameters))
+        np.testing.assert_allclose(
+            mmd_gradient(trained, target, KernelConfig(), condition),
+            mmd_gradient_shift(trained, target, KernelConfig(), condition),
+            rtol=0,
+            atol=1e-12,
+        )
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10_000), n_qubits=st.integers(1, 9), real=st.booleans())
+def test_bound_layered_programs_equal_unbound_runs_bitwise(seed, n_qubits, real):
+    rng = np.random.default_rng(seed)
+    circuit = _layered_circuit(rng, n_qubits, real)
+    data_angles = rng.uniform(0, np.pi, circuit.n_data_slots) if circuit.n_data_slots else None
+    if circuit.n_parameters:
+        _check_bound_equals_unbound(circuit, data_angles, rng)
+
+
+def test_bindings_are_few_and_live_on_the_shared_program():
+    circuit = build_conditional(2, 1)
+    program = circuit.program
+    assert build_conditional(2, 1).program is program  # a circuit built anew shares it
+    program.bindings.clear()
+    model = BornModel(circuit, np.full(circuit.n_parameters, 0.3), (0.0, 1.0))
+    conditions = np.linspace(0.0, 1.0, 20)
+    for condition in conditions:
+        model_distribution(model, condition)
+    # the last eight data-angle vectors, the oldest dropped first
+    assert sim._BINDINGS == 8 and len(program.bindings) == 8
+    assert list(program.bindings) == [model.data_angles(c).tobytes() for c in conditions[-8:]]
+    binding = next(iter(program.bindings.values()))
+    assert not binding.start.flags.writeable
+    # a run hands the caller an array of its own, even with no op to run
+    block = build_correlation_block(2, 1, CorrelationBlockChoice())
+    amps = run_circuit(block, [])
+    amps[0] = 2.0
+    assert run_circuit(block, [])[0] != 2.0
