@@ -38,12 +38,32 @@ for a rotation block from the 2**g x 2**g matrix sum conj(lambda) psi^T
 against each gate's I x G x I, for an RZZ layer from Z times
 2 Im(conj(lambda) psi). These reads run at the end, one stacked matmul per
 group of ops with the same layout.
+
+At one row, as in every gradient and every run_circuit, each op is a single
+small numpy call, whose cost is its call overhead. So a binding's first
+gradient or single-row run builds its plan, which holds:
+- scratch rows for psi and lambda at each read op's output, and two
+  temporary rows that the other ops write into in turn;
+- a buffer that each sweep's blocks are copied into, with their conjugates
+  beside them in a complex program, and each phase op's vector with its
+  conjugate, the inverse;
+- each op's forward and inverse call, bound once to those fixed views.
+A gradient is then one sweep, the forward calls, the backward calls and the
+grouped reads. A plan's scratch is (2 reads + 2) states and one or two
+copies of the swept blocks: 128 KiB of rows and 7.5 KiB of blocks for the
+15 reads and 15 blocks of the default 9-qubit multivariate model, 2.5 KiB
+and 18 KiB for the 9 of the 3-qubit, 4-layer conditional one. A run holds
+its plan's lock; a run that finds it taken (an observable_of that itself
+runs the circuit at the same binding, or a run on another thread) builds a
+throwaway plan for itself. run_circuit_batch of more than one row runs each
+op through _apply, which makes the same calls on arrays of its own.
 """
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -262,13 +282,12 @@ def _fixed_block(g: int, positions: tuple[int, ...]) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _cnot_run(n_qubits: int, pairs: tuple[tuple[int, int], ...]):
     """The permutation amps[:, perm] that applies these CNOTs in order, and
-    its inverse, as the smallest unsigned integers that hold 2**n - 1."""
-    idx = np.arange(2**n_qubits)
+    its inverse, as intp, the index type that take uses without a cast."""
+    idx = np.arange(2**n_qubits, dtype=np.intp)
     perm = idx
     for control, target in pairs:
         perm = perm[idx ^ (((idx >> control) & 1) << target)]
-    dtype = np.min_scalar_type(len(idx) - 1)
-    return _frozen(perm.astype(dtype)), _frozen(np.argsort(perm).astype(dtype))
+    return _frozen(perm), _frozen(np.argsort(perm))
 
 
 @lru_cache(maxsize=256)
@@ -414,7 +433,7 @@ def _groups(ops: list[_Op], first: int) -> tuple[tuple[int, ...], tuple[_Group, 
     return tuple(reads), tuple(groups)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class _Binding:
     """A program bound to one data-angle vector: what every run at those
     data angles shares, computed once.
@@ -431,6 +450,14 @@ class _Binding:
     these entries and blocks (folds for the first len(folds) blocks, or
     None). rows gives each op its row among the program's reads, or None
     for an op whose gradient is not read.
+
+    plan, the one field that changes, is the binding's _Plan: None until
+    its first adjoint gradient or single-row run builds it, and dropped with
+    the binding when the program evicts it. Its scratch is (2 reads + 2)
+    states and the swept blocks, twice for a complex program. A run holds
+    the plan's lock while it uses the scratch; a run that finds the lock
+    taken (reentered from observable_of, or on another thread) uses a plan
+    of its own, built for that run and then dropped.
     """
 
     ops: tuple[_Op, ...]
@@ -442,6 +469,128 @@ class _Binding:
     kron: np.ndarray
     folds: Optional[np.ndarray]
     rows: tuple[Optional[int], ...]
+    plan: Optional[_Plan] = field(default=None, compare=False, repr=False)
+
+
+@dataclass(slots=True, eq=False, weakref_slot=True)
+class _Plan:
+    """A binding's scratch memory and its ops' kernel calls, each bound
+    once to fixed views of that memory.
+
+    states holds one state per row: psi at the output of each read op (psis,
+    in the program's read order), lambda at the same outputs (lams), and
+    two temporary rows that the ops whose gradient is not read write into
+    in turn. blocks[0] is the buffer that each sweep's swept blocks are
+    copied into, and for a complex program blocks[1] holds their
+    conjugates, whose transposes are the inverses. Each phase op's
+    exp(-i theta.Z) is phases[j, 0] and its conjugate, the inverse,
+    phases[j, 1]; z, one float row (none without phase ops), holds
+    theta.Z while it is built. phase_ops are those ops' (params, table).
+
+    forward applies the ops in turn from the binding's start state, ending
+    at psi (a (1, 2**n) view); backward carries lambda from lam, the last
+    op's output, back to the first op's. Every call is the one that _call
+    makes for its op, so a planned run equals a run through _apply bitwise.
+    _plan hands a plan out with its lock held, and leaving a with block on
+    it releases the lock.
+    """
+
+    states: np.ndarray
+    psis: np.ndarray
+    lams: np.ndarray
+    blocks: np.ndarray
+    phases: np.ndarray
+    z: np.ndarray
+    phase_ops: tuple
+    forward: tuple
+    backward: tuple
+    psi: np.ndarray
+    lam: np.ndarray
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def __enter__(self) -> _Plan:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.lock.release()
+
+    def load(self, angles: np.ndarray, blocks: np.ndarray, inverse: bool = True) -> None:
+        """Fill the buffers from one row's sweep; with inverse, also the
+        conjugates that the backward calls read."""
+        np.copyto(self.blocks[0], blocks)
+        if inverse and len(self.blocks) == 2:
+            np.conjugate(self.blocks[0], out=self.blocks[1])
+        for (params, table), phase in zip(self.phase_ops, self.phases):
+            np.matmul(angles[:, params], table, self.z)
+            np.multiply(self.z, -1j, phase[0])
+            np.exp(phase[0], phase[0])
+            if inverse:
+                # bitwise exp(theta.Z * 1j), the inverse that _apply builds
+                np.conjugate(phase[0], phase[1])
+
+
+def _build_plan(binding: _Binding) -> _Plan:
+    """The binding's scratch memory, and its ops' forward and inverse
+    calls bound to it."""
+    ops, rows = binding.ops, binding.rows
+    n_reads = sum(row is not None for row in rows)
+    dim, dtype = binding.start.shape[1], binding.start.dtype
+    states = np.empty((2 * n_reads + 2, dim), dtype)  # C-contiguous: every row reshapes as a view
+    psis, lams, temps = states[:n_reads], states[n_reads : 2 * n_reads], states[2 * n_reads :]
+    n_blocks, g = binding.kron.shape
+    block_dtype = binding.generators.dtype
+    blocks = np.empty((1 + (block_dtype.kind == "c"), n_blocks, 2**g, 2**g), block_dtype)
+    phase_ops = tuple((op.params, op.table) for op in ops if op.kind == "phase")
+    phases = np.empty((len(phase_ops), 2, 1, dim), complex)
+    operands, next_phase = [], iter(phases)  # each op's forward and inverse operand
+    for op in ops:
+        if op.kind == "rotation":
+            operands.append((blocks[0, op.block], blocks[-1, op.block].T))
+        elif op.kind == "phase":
+            operands.append(tuple(next(next_phase)))
+        else:
+            operands.append((op.table, op.inverse))
+
+    def output(buffer, row, taken):  # the op's row of buffer, or the temporary row that is not taken
+        if row is not None:
+            return buffer[row : row + 1], None
+        t = 1 if taken == 0 else 0
+        return temps[t : t + 1], t
+
+    forward, source, t = [], binding.start, None
+    for op, row, (m, _) in zip(ops, rows, operands):
+        out, t = output(psis, row, t)
+        forward.append(_call(op, source, m, out))
+        source = out
+    psi = source
+    lam, t = output(lams, rows[-1], None)
+    backward, source = [], lam
+    for i in range(len(ops) - 1, 0, -1):
+        out, t = output(lams, rows[i - 1], t)
+        backward.append(_call(ops[i], source, operands[i][1], out))
+        source = out
+    return _Plan(
+        states, psis, lams, blocks, phases,
+        z=np.empty((min(len(phase_ops), 1), dim)),
+        phase_ops=phase_ops,
+        forward=tuple(forward),
+        backward=tuple(backward),
+        psi=psi,
+        lam=lam[0],
+    )
+
+
+def _plan(binding: _Binding) -> _Plan:
+    """The binding's plan, built at its first use and locked for this run;
+    when another run holds it, a throwaway plan, locked alike. Run it in a
+    with block, which releases the lock."""
+    plan = binding.plan
+    if plan is None:
+        plan = binding.plan = _build_plan(binding)
+    if not plan.lock.acquire(blocking=False):
+        plan = _build_plan(binding)
+        plan.lock.acquire()
+    return plan
 
 
 # Each program keeps the bindings of its last _BINDINGS data-angle vectors
@@ -570,32 +719,44 @@ def _apply(amps: np.ndarray, op: _Op, blocks: np.ndarray, angles: np.ndarray,
            inverse: bool = False, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The kernel: apply one op, or with inverse its inverse, to (batch, dim)
     amplitudes, into out when it is given (a C-contiguous (batch, dim)
-    array of the result's dtype).
+    array of the result's dtype), else into a new array.
 
     blocks and angles come from _sweep; for the inverse, blocks holds the
     conjugate transposes, and a fixed op's inverse holds its own.
     """
-    if op.kind == "perm":
-        return amps.take(op.inverse if inverse else op.table, axis=1, out=out)
     if op.kind == "phase":
-        theta_z = angles[:, op.params] @ op.table
-        return np.multiply(amps, np.exp(theta_z * (1j if inverse else -1j)), out=out)
-    # (d, d), or (batch, d, d) with one matrix per row
-    m = (op.inverse if inverse else op.table) if op.kind == "fixed" else blocks[op.block]
+        m = np.exp(angles[:, op.params] @ op.table * (1j if inverse else -1j))
+    elif op.kind == "rotation":
+        m = blocks[op.block]
+    else:
+        m = op.inverse if inverse else op.table
+    if out is None:
+        out = np.empty(amps.shape, np.result_type(amps, m))
+    _call(op, amps, m, out)()
+    return out
+
+
+def _call(op: _Op, amps: np.ndarray, m: np.ndarray, out: np.ndarray):
+    """The op's one numpy call, bound to its arrays: apply m, the op's
+    matrix ((d, d), or (batch, d, d) with one matrix per row), permutation
+    or phase vector, to (batch, dim) amplitudes, writing into out. amps and
+    out must be C-contiguous, so that their reshapes are views."""
+    if op.kind == "perm":
+        # (the indices are in range: "clip" spares take a copy of out)
+        return partial(amps.take, m, 1, out, "clip")
+    if op.kind == "phase":
+        return partial(np.multiply, amps, m, out)
     batch, d = amps.shape[0], m.shape[-1]
     if op.lo == 1:
         # the block's qubits are the lowest: a matmul over the last axis,
         # one product for the whole batch when every row shares the matrix
         if m.ndim == 2:
             # (np.dot takes the transposed operand faster than matmul does)
-            rows = None if out is None else out.reshape(batch * op.hi, d)
-            return np.dot(amps.reshape(batch * op.hi, d), m.T, out=rows).reshape(amps.shape)
-        rows = None if out is None else out.reshape(batch, op.hi, d)
-        return np.matmul(amps.reshape(batch, op.hi, d), m.swapaxes(-1, -2), out=rows).reshape(amps.shape)
+            return partial(np.dot, amps.reshape(batch * op.hi, d), m.T, out.reshape(batch * op.hi, d))
+        return partial(np.matmul, amps.reshape(batch, op.hi, d), m.swapaxes(-1, -2), out.reshape(batch, op.hi, d))
     if m.ndim == 3:
         m = m[:, None]
-    rows = None if out is None else out.reshape(batch, op.hi, d, op.lo)
-    return np.matmul(m, amps.reshape(batch, op.hi, d, op.lo), out=rows).reshape(amps.shape)
+    return partial(np.matmul, m, amps.reshape(batch, op.hi, d, op.lo), out.reshape(batch, op.hi, d, op.lo))
 
 
 def _read(group: _Group, psi: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -630,7 +791,15 @@ def _check_inputs(circuit, n_theta: int, data_angles) -> None:
 
 def run_circuit(circuit, theta: Sequence[float], data_angles=None) -> np.ndarray:
     """Run the circuit on |0...0>, returning its (2**n_qubits,) amplitudes."""
-    return run_circuit_batch(circuit, np.asarray(theta, dtype=float)[None], data_angles)[0]
+    thetas = np.asarray(theta, dtype=float)[None]
+    binding = _binding(circuit, thetas.shape[1], data_angles)
+    if not binding.ops:
+        return binding.start[0].copy()
+    with _plan(binding) as plan:
+        plan.load(*_sweep(binding, thetas), inverse=False)
+        for call in plan.forward:
+            call()
+        return plan.psi[0].copy()  # the caller's own
 
 
 def run_circuit_batch(circuit, thetas: np.ndarray, data_angles=None) -> np.ndarray:
@@ -655,40 +824,34 @@ def adjoint_gradient(
     """psi = U(theta)|0...0> and the gradient of <psi|diag(O)|psi> over the
     trainable slots, where O = observable_of(psi) is held fixed.
 
-    One sweep builds every matrix. The forward run starts from the bound
-    state before the first trainable op, and each rotation or phase op
-    writes its output psi into its row of one array; the backward run
-    un-applies each op to lambda = O psi alone, down to that first op,
-    writing lambda at those ops' outputs alike. Then 2 Re<lambda|G psi> is
-    read at each op's output for each of its gates with generator G
-    (adjoint differentiation, Jones & Gacon, arXiv:2009.02823), one stacked
-    read per group of ops.
+    One sweep builds every matrix into the binding's plan. The forward
+    calls run from the bound state before the first trainable op, and each
+    rotation or phase op writes its output psi into its row of the plan;
+    the backward calls un-apply each op to lambda = O psi alone, down to
+    that first op, writing lambda at those ops' outputs alike. Then
+    2 Re<lambda|G psi> is read at each op's output for each of its gates
+    with generator G (adjoint differentiation, Jones & Gacon,
+    arXiv:2009.02823), one stacked read per group of ops. psi, as
+    observable_of gets it and as returned, is the caller's own array.
     """
     thetas = np.asarray(theta, dtype=float)[None]
     binding = _binding(circuit, thetas.shape[1], data_angles)
-    n, ops = circuit.n_parameters, binding.ops
-    if not ops:  # no trainable gate
+    n = circuit.n_parameters
+    if not binding.ops:  # no trainable gate
         return binding.start[0].copy(), np.zeros(n)
-    angles, blocks = _sweep(binding, thetas)
-    program, rows = circuit.program, binding.rows  # each read op writes its output into its row
-    psis = np.empty((len(program.reads), binding.start.shape[1]), binding.start.dtype)
-    amps = binding.start
-    for op, row in zip(ops, rows):
-        amps = _apply(amps, op, blocks, angles, out=None if row is None else psis[row : row + 1])
-    psi = amps[0]
-    inverses = blocks.swapaxes(-1, -2)
-    if inverses.dtype.kind == "c":
-        inverses = inverses.conj()
-    lams = np.empty_like(psis)  # lambda at each read op's output
-    row = rows[-1]
-    lam = np.multiply(observable_of(psi), psi, out=None if row is None else lams[row])[None]
-    for i in range(len(ops) - 1, 0, -1):
-        row = rows[i - 1]
-        out = None if row is None else lams[row : row + 1]
-        lam = _apply(lam, ops[i], inverses, angles, inverse=True, out=out)
-    if lams.dtype.kind == "c":
-        np.conjugate(lams, out=lams)
-    values = np.zeros(len(program.slots))
-    for group in program.groups:
-        values[group.params] = _read(group, psis[group.rows], lams[group.rows])
+    program = circuit.program
+    with _plan(binding) as plan:
+        plan.load(*_sweep(binding, thetas))
+        for call in plan.forward:
+            call()
+        psi = plan.psi[0].copy()
+        np.multiply(observable_of(psi), psi, out=plan.lam)
+        for call in plan.backward:
+            call()
+        psis, lams = plan.psis, plan.lams
+        if lams.dtype.kind == "c":
+            np.conjugate(lams, out=lams)
+        values = np.zeros(len(program.slots))
+        for group in program.groups:
+            values[group.params] = _read(group, psis[group.rows], lams[group.rows])
     return psi, np.bincount(program.slots, weights=values, minlength=n + 1)[:n]

@@ -1,4 +1,10 @@
 """Statevector simulator: gate semantics, conventions and invariants."""
+import gc
+import threading
+import tracemalloc
+import weakref
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +13,7 @@ from borngen.born import BornModel, model_distribution
 from borngen.data import CONDITION_VALUES
 from borngen.distributions import DiscreteDistribution
 from borngen.metrics import GramCache, KernelConfig, _loss_derivative, mmd_gradient, mmd_gradient_shift
-from borngen import sim
+from borngen import experiments, metrics, sim
 from borngen.sim import Gate, run_circuit, run_circuit_batch
 from borngen.circuits import (
     CircuitSpec,
@@ -18,6 +24,7 @@ from borngen.circuits import (
     build_correlation_block,
     build_hardware_efficient,
     build_multivariate,
+    encode_condition,
 )
 
 # RY(pi)|0> = |1>: a circuit's leading RY(pi) prepares a set qubit from |0...0>
@@ -522,3 +529,206 @@ def test_bindings_are_few_and_live_on_the_shared_program():
     amps = run_circuit(block, [])
     amps[0] = 2.0
     assert run_circuit(block, [])[0] != 2.0
+
+
+def _plan_spy(monkeypatch):
+    """The plans that sim builds from here on, with the binding of each."""
+    built, build = [], sim._build_plan
+
+    def spied(binding):
+        plan = build(binding)
+        built.append((binding, plan))
+        return plan
+
+    monkeypatch.setattr(sim, "_build_plan", spied)
+    return built
+
+
+def _observable(circuit, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.random(2**circuit.n_qubits)
+    target = DiscreteDistribution(p / p.sum(), circuit.register_bits)
+    gram = GramCache(circuit.register_bits, KernelConfig())
+    return target, lambda psi: _loss_derivative(np.abs(psi) ** 2, target, gram, None)
+
+
+_PLANNED_CONDITION = 0.5
+_PLANNED_RANGE = {"multivariate": None, "conditional": (0.0, 1.0), "1d-3": None}
+_PLANNED = {
+    "multivariate": (build_multivariate(3, 3, 4, CorrelationBlockChoice()), None),
+    # the data angles of condition 0.5 in the range (0, 1)
+    "conditional": (build_conditional(3, 4), np.full(3, encode_condition(_PLANNED_CONDITION, 0.0, 1.0))),
+    "1d-3": (build_1d_rzz_ansatz(3), None),
+}
+
+
+@pytest.mark.parametrize("name", _PLANNED)
+def test_planned_runs_hand_out_arrays_of_their_own(name):
+    circuit, data_angles = _PLANNED[name]
+    rng = np.random.default_rng(31)
+    _, observable_of = _observable(circuit, 32)
+    seen = []
+    keep = lambda psi: seen.append(psi) or observable_of(psi)
+    theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
+    ref_psi, ref_grad = _unbound_gradient(circuit, theta, observable_of, data_angles)
+    psi, grad = sim.adjoint_gradient(circuit, theta, keep, data_angles)
+    assert seen[0] is psi  # observable_of sees the psi that is returned
+    kept_psi, kept_grad = psi.copy(), grad.copy()
+    psi[:] = 7.0  # the caller's to change
+    grad[:] = 7.0
+    other = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
+    sim.adjoint_gradient(circuit, other, keep, data_angles)  # overwrites the plan's rows
+    again_psi, again_grad = sim.adjoint_gradient(circuit, theta, observable_of, data_angles)
+    assert (again_psi == ref_psi).all() and (again_grad == ref_grad).all()
+    assert (kept_psi == ref_psi).all() and (kept_grad == ref_grad).all()
+    assert (seen[1] != 7.0).all() and (psi == 7.0).all()
+    amps = run_circuit(circuit, theta, data_angles)
+    run_circuit(circuit, other, data_angles)
+    assert (amps == ref_psi).all()
+
+
+@pytest.mark.parametrize("name", _PLANNED)
+def test_a_reentrant_gradient_runs_on_a_throwaway_plan(name, monkeypatch):
+    # observable_of runs mmd_gradient (and run_circuit) on the same circuit
+    # at the same condition while the outer gradient holds the binding's
+    # plan: each inner run builds a plan of its own, and no run disturbs
+    # another's rows
+    circuit, data_angles = _PLANNED[name]
+    rng = np.random.default_rng(33)
+    target, observable_of = _observable(circuit, 34)
+    theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
+    inner_model = BornModel(circuit, rng.uniform(0, 2 * np.pi, circuit.n_parameters), _PLANNED_RANGE[name])
+    condition = None if data_angles is None else _PLANNED_CONDITION
+    inner = []
+
+    def reentrant(psi):
+        inner.append(mmd_gradient(inner_model, target, KernelConfig(), condition))
+        inner.append(run_circuit(circuit, inner_model.theta, data_angles))
+        return observable_of(psi)
+
+    binding = sim._binding(circuit, circuit.n_parameters, data_angles)
+    sim.adjoint_gradient(circuit, theta, observable_of, data_angles)  # the binding's plan
+    built = _plan_spy(monkeypatch)
+    psi, grad = sim.adjoint_gradient(circuit, theta, reentrant, data_angles)
+    ref_psi, ref_grad = _unbound_gradient(circuit, theta, observable_of, data_angles)
+    inner_psi, inner_grad = _unbound_gradient(circuit, inner_model.theta, observable_of, data_angles)
+    assert (psi == ref_psi).all() and (grad == ref_grad).all()
+    assert (inner[0] == inner_grad).all() and (inner[1] == inner_psi).all()
+    # one throwaway plan per inner run, none kept on the binding
+    assert len(built) == 2 and all(b is binding and plan is not binding.plan for b, plan in built)
+    assert binding.plan.lock.acquire(blocking=False)  # released again
+    binding.plan.lock.release()
+
+
+def test_gradients_on_two_threads_equal_serial_ones():
+    circuit, data_angles = _PLANNED["conditional"]
+    _, observable_of = _observable(circuit, 35)
+    thetas = np.random.default_rng(36).uniform(0, 2 * np.pi, (2, 40, circuit.n_parameters))
+    serial = [[sim.adjoint_gradient(circuit, t, observable_of, data_angles)[1] for t in rows] for rows in thetas]
+    results = [None, None]
+
+    def work(i):
+        results[i] = [sim.adjoint_gradient(circuit, t, observable_of, data_angles)[1] for t in thetas[i]]
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    for got, want in zip(results, serial):
+        assert all((g == w).all() for g, w in zip(got, want))
+
+
+def test_one_plan_per_binding_over_an_experiment(monkeypatch, tmp_path):
+    gradients = []
+    adjoint = metrics.adjoint_gradient
+
+    def counted(circuit, theta, observable_of, data_angles=None):
+        gradients.append(None if data_angles is None else data_angles.tobytes())
+        return adjoint(circuit, theta, observable_of, data_angles)
+
+    monkeypatch.setattr(metrics, "adjoint_gradient", counted)
+    sim._compile.cache_clear()  # programs compiled anew, with no bindings yet
+    built = _plan_spy(monkeypatch)
+    config = experiments.ExperimentConfig({"experiment": "exp-1d", "seed": 1, "train": {"max_epochs": 70}})
+    experiments.run_experiment(config, tmp_path / "1d")
+    assert len(gradients) == 700 and len(built) == 1
+    del gradients[:], built[:]
+    config = experiments.ExperimentConfig({"experiment": "exp-cond", "seed": 1})
+    experiments.run_experiment(config, tmp_path / "cond")
+    # the six training conditions take every gradient; the held-out one is
+    # only run, and its first run builds its plan
+    assert len(set(gradients)) == len(CONDITION_VALUES) - 1 and len(gradients) > 100
+    bindings = [b for b, _ in built]
+    assert len(built) == len(CONDITION_VALUES) == len(set(map(id, bindings)))
+    assert all(binding.plan is plan for binding, plan in built)
+
+
+def test_an_evicted_binding_drops_its_plan(monkeypatch):
+    circuit = build_conditional(2, 1)
+    circuit.program.bindings.clear()
+    built = _plan_spy(monkeypatch)
+    model = BornModel(circuit, np.full(circuit.n_parameters, 0.3), (0.0, 1.0))
+    for condition in np.linspace(0.0, 1.0, 20):
+        model_distribution(model, condition)
+    plans = [weakref.ref(plan) for _, plan in built]
+    del built[:]
+    gc.collect()
+    live = [binding.plan for binding in circuit.program.bindings.values()]
+    assert len(plans) == 20 and len(live) == sim._BINDINGS
+    assert [ref() for ref in plans[:12]] == [None] * 12
+    assert [ref() for ref in plans[12:]] == live
+
+
+def test_a_plans_scratch_is_its_rows_and_blocks():
+    # (2 reads + 2) states: psi and lambda at each read op, two temporary
+    # rows; the swept blocks, twice (their conjugates) in a complex program;
+    # a phase vector and its conjugate per RZZ layer, and one float row of
+    # theta.Z
+    expected = {
+        # 15 reads of 512 float64 amplitudes, 15 real 8 x 8 blocks
+        "multivariate": (32 * 512 * 8, 15 * 64 * 8, 0),
+        # 9 reads of 8 complex128 amplitudes, 9 complex 8 x 8 blocks
+        "conditional": (20 * 8 * 16, 2 * 9 * 64 * 16, 0),
+        # 4 reads of 8 complex128 amplitudes, 3 complex 8 x 8 blocks, one RZZ layer
+        "1d-3": (10 * 8 * 16, 2 * 3 * 64 * 16, 2 * 8 * 16 + 8 * 8),
+    }
+    for name, (rows, blocks, phases) in expected.items():
+        circuit, data_angles = _PLANNED[name]
+        plan = sim._build_plan(sim._binding(circuit, circuit.n_parameters, data_angles))
+        assert (plan.states.nbytes, plan.blocks.nbytes, plan.phases.nbytes + plan.z.nbytes) == (rows, blocks, phases)
+        arrays = [value for value in (getattr(plan, f.name) for f in fields(plan)) if isinstance(value, np.ndarray)]
+        owned = [a for a in arrays if a.base is None]  # the rest are views of these
+        assert sum(a.nbytes for a in owned) == rows + blocks + phases
+    assert expected["multivariate"][0] + expected["multivariate"][1] == 138_752
+
+
+def test_a_warm_gradient_allocates_no_state_rows(monkeypatch):
+    # Regression guard: after a warm-up call, the gradient's forward and
+    # backward runs write only into the plan (no _apply, no call built), so
+    # what a call allocates is its sweep, its observable and its reads,
+    # each a few states at most. Its peak must stay below half the plan's
+    # rows, (reads + 1) states; a gradient that allocates its psi and
+    # lambda rows per call, 2 reads states, exceeds it.
+    circuit = build_multivariate(3, 3, 4, CorrelationBlockChoice())
+    target, _ = _observable(circuit, 37)
+    model = BornModel(circuit, np.random.default_rng(38).uniform(0, 2 * np.pi, circuit.n_parameters))
+    gram = GramCache(circuit.register_bits, KernelConfig())
+    mmd_gradient(model, target, KernelConfig(), cache=gram)  # binds, builds the plan
+    plan = sim._binding(circuit, circuit.n_parameters, None).plan
+    reads, states = len(circuit.program.reads), plan.states.shape[1] * plan.states.itemsize
+    bound = (reads + 1) * states
+    assert plan.states.nbytes == 2 * bound and bound == 65_536
+    per_op = []
+    monkeypatch.setattr(sim, "_apply", lambda *a, **k: per_op.append(a))
+    monkeypatch.setattr(sim, "_call", lambda *a, **k: per_op.append(a))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        mmd_gradient(model, target, KernelConfig(), cache=gram)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert per_op == []
+    assert peak < bound, f"one gradient allocated {peak} B at its peak, bound {bound} B"
