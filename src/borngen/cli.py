@@ -164,8 +164,19 @@ def report_cmd(run_dir):
     if not path.exists():
         click.echo(f"no report.json in {run_dir}", err=True)
         sys.exit(EXIT_VALIDATION)
-    with open(path) as fh:
-        report = json.load(fh)
+    try:
+        with open(path) as fh:
+            report = json.load(fh)
+        if not isinstance(report, dict):
+            raise ValueError(f"{path} does not hold a JSON object")
+        missing = [key for key in ("experiment", "seed", "version", "metrics") if key not in report]
+        if missing:
+            raise ValueError(f"{path} has no {', '.join(missing)}")
+        if not isinstance(report["metrics"], dict):
+            raise ValueError(f"the metrics of {path} are not a JSON object")
+    except (ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
+        click.echo(f"report error: {exc}", err=True)
+        sys.exit(EXIT_VALIDATION)
     click.echo(f"experiment: {report['experiment']}  seed: {report['seed']}")
     click.echo(f"version: {report['version']}")
     _echo_metrics(report["metrics"])

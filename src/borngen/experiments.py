@@ -566,11 +566,15 @@ def compare_report(report_a: dict, report_b: dict, tolerance: float = 0.05):
 
     Returns (diff, regression) where regression flags any scalar metric
     whose absolute delta exceeds the tolerance or is not finite (a metric
-    that turns NaN or infinite). The tolerance must be a finite number >= 0.
+    that turns NaN or infinite). The tolerance must be a finite number >= 0,
+    and each report an object whose metrics is an object, else ValueError.
     """
     number = isinstance(tolerance, (int, float)) and not isinstance(tolerance, bool)
     if not (number and 0 <= tolerance < math.inf):  # NaN too
         raise ValueError(f"tolerance must be a finite number >= 0, not {tolerance!r}")
+    for name, report in (("first", report_a), ("second", report_b)):
+        if not isinstance(report, dict) or not isinstance(report.get("metrics"), dict):
+            raise ValueError(f"the {name} report is not a JSON object with a metrics object")
     if report_a.get("experiment") != report_b.get("experiment"):
         raise ValueError("reports come from different experiment types")
     a = _flatten_metrics(report_a["metrics"])

@@ -240,6 +240,8 @@ def train(
     per-epoch trace. Conditions are visited in ascending order.
     """
     targets = _as_target_map(target)
+    if not targets:
+        raise ValueError("train needs at least one target")
     val_targets = _as_target_map(val_target) if val_target is not None else targets
     conditions = sorted(targets, key=lambda c: (c is not None, c))
     if set(val_targets) != set(targets):

@@ -3,16 +3,17 @@
 Convention: qubit 0 is the least-significant bit of the basis index.
 
 A circuit runs on |0...0> to its amplitude array: run_circuit gives the
-(2**n,) amplitudes psi(theta), run_circuit_batch a (batch, 2**n) array with
-one row per parameter vector, and |psi|**2 are the Born probabilities.
+(2**n,) amplitudes psi(theta), run_circuit_batch a (rows, 2**n) array with
+one run_circuit row per parameter vector, and |psi|**2 are the Born
+probabilities.
 
 Each circuit is compiled once into a program of layers (CircuitSpec.program
 holds it). The scheduler puts each gate in the earliest layer of its kind
 after the last layer that touches its qubits; the kinds are rotations (RY,
 RX), H, a CNOT run and RZZ. A layer's gates commute, and one kernel runs
-each op of a layer on a (batch, 2**n) amplitude array:
+each op of a layer on a (1, 2**n) amplitude row:
 - a rotation or H layer is one Kronecker matrix per block of up to four
-  consecutive qubits that it touches, one matmul onto a (batch, hi, 2**g, lo)
+  consecutive qubits that it touches, one matmul onto a (1, hi, 2**g, lo)
   view; a sweep builds every rotation block at once, as one gather and one
   product of its factors' entries;
 - a CNOT run is one index permutation;
@@ -39,9 +40,8 @@ against each gate's I x G x I, for an RZZ layer from Z times
 2 Im(conj(lambda) psi). These reads run at the end, one stacked matmul per
 group of ops with the same layout.
 
-At one row, as in every gradient and every run_circuit, each op is a single
-small numpy call, whose cost is its call overhead. So a binding's first
-gradient or single-row run builds its plan, which holds:
+Each op is a single small numpy call on one row, whose cost is its call
+overhead. So a binding's first gradient or run builds its plan, which holds:
 - scratch rows for psi and lambda at each read op's output, and two
   temporary rows that the other ops write into in turn;
 - a buffer that each sweep's blocks are copied into, with their conjugates
@@ -55,8 +55,9 @@ copies of the swept blocks: 128 KiB of rows and 7.5 KiB of blocks for the
 and 18 KiB for the 9 of the 3-qubit, 4-layer conditional one. A run holds
 its plan's lock; a run that finds it taken (an observable_of that itself
 runs the circuit at the same binding, or a run on another thread) builds a
-throwaway plan for itself. run_circuit_batch of more than one row runs each
-op through _apply, which makes the same calls on arrays of its own.
+throwaway plan for itself. Every run goes through a plan; _apply, which
+makes an op's same call into a new array, only runs the ops before the
+first trainable one when a binding is made.
 """
 from __future__ import annotations
 
@@ -134,7 +135,7 @@ class _Op:
     """One kernel call: a block of a rotation or H layer, a CNOT run or an
     RZZ layer. Its tables are shared by every circuit with the same layer.
 
-    A block acts on the (batch, hi, 2**g, lo) view of the amplitudes.
+    A block acts on the (1, hi, 2**g, lo) view of the amplitudes.
     params is the range of a rotation or phase op's gates in program order
     (for a bound phase op, its entries in the binding's order: an index
     array when a data gate comes between them).
@@ -186,15 +187,14 @@ class _Program:
     rates[k] with generator / rate generators[k] (flattened), and feeds
     gradient slot slots[k] (n_parameters for data gates and the identity).
     kron[b] lists the entries of rotation block b, its highest qubit first,
-    and folds[b], (2**g, 2**g) behind a length-1 batch axis, the fixed
-    matrix folded into it (the identity if none is; folds is None when no
-    block has one). The adjoint sweep stops at op first_trainable; reads
-    lists the rotation and phase ops from there on, group after group, whose
-    gradients it reads. dtype is float64 when
-    every gate is RY, H or CNOT, so that the amplitudes stay real, and
-    complex128 otherwise. Circuits with the same gates share a program, so
-    its arrays are read-only. bindings maps data angles (their bytes, or
-    None) to the program's _Binding for them.
+    and folds[b], (2**g, 2**g), the fixed matrix folded into it (the
+    identity if none is; folds is None when no block has one). The adjoint
+    sweep stops at op first_trainable; reads lists the rotation and phase
+    ops from there on, group after group, whose gradients it reads. dtype
+    is float64 when every gate is RY, H or CNOT, so that the amplitudes
+    stay real, and complex128 otherwise. Circuits with the same gates share
+    a program, so its arrays are read-only. bindings maps data angles
+    (their bytes, or None) to the program's _Binding for them.
     """
 
     ops: tuple[_Op, ...]
@@ -404,9 +404,9 @@ def _fold(ops: list[_Op], one_block: bool, n_blocks: int, d: int):
         kept.append(op)
     if not folds:
         return kept, None
-    stacked = np.tile(np.eye(d), (n_blocks, 1, 1, 1))
+    stacked = np.tile(np.eye(d), (n_blocks, 1, 1))
     for b, f in folds.items():
-        stacked[b, 0] = f
+        stacked[b] = f
     return [op for op in kept if op is not None], _frozen(stacked)
 
 
@@ -452,8 +452,8 @@ class _Binding:
     for an op whose gradient is not read.
 
     plan, the one field that changes, is the binding's _Plan: None until
-    its first adjoint gradient or single-row run builds it, and dropped with
-    the binding when the program evicts it. Its scratch is (2 reads + 2)
+    its first adjoint gradient or run builds it, and dropped with the
+    binding when the program evicts it. Its scratch is (2 reads + 2)
     states and the swept blocks, twice for a complex program. A run holds
     the plan's lock while it uses the scratch; a run that finds the lock
     taken (reentered from observable_of, or on another thread) uses a plan
@@ -626,7 +626,7 @@ def _bind(program: _Program, data: Optional[np.ndarray], n_qubits: int) -> _Bind
     angles = source.take(program.columns, axis=1) * program.rates
     # every block at theta = 0, of which those without a trainable gate are
     # the same at every theta
-    constant_blocks = _rotation_blocks(angles, program.generators, program.kron, program.folds)[:, 0]
+    constant_blocks = _rotation_blocks(angles[0], program.generators, program.kron, program.folds)
     first = program.first_trainable
     start = np.zeros((1, 2**n_qubits), dtype=program.dtype)
     start[0, 0] = 1.0
@@ -640,7 +640,7 @@ def _bind(program: _Program, data: Optional[np.ndarray], n_qubits: int) -> _Bind
     folded = np.zeros(len(kron), dtype=bool)
     if program.folds is not None:
         d = program.folds.shape[-1]
-        folded = (program.folds[:, 0] != np.eye(d)).any(axis=(1, 2))
+        folded = (program.folds != np.eye(d)).any(axis=(1, 2))
     blocks = np.concatenate([np.flatnonzero(swept & folded), np.flatnonzero(swept & ~folded)])
     n_folded = int((swept & folded).sum())
     ops = program.ops[first:]
@@ -684,31 +684,27 @@ def _bind(program: _Program, data: Optional[np.ndarray], n_qubits: int) -> _Bind
     )
 
 
-def _sweep(binding: _Binding, thetas: np.ndarray):
-    """The bound entries' angles times their rates for each row of thetas,
-    (batch, entries), and every swept block's Kronecker matrix, (blocks,
-    batch, 2**g, 2**g), or (blocks, 2**g, 2**g) for one row."""
-    angles = thetas.take(binding.slots, axis=1) * binding.rates
+def _sweep(binding: _Binding, theta: np.ndarray):
+    """The bound entries' angles times their rates at theta, (1, entries),
+    and every swept block's Kronecker matrix, (blocks, 2**g, 2**g)."""
+    angles = theta.take(binding.slots)[None] * binding.rates
     if binding.constants is not None:
-        angles = np.concatenate([angles, binding.constants.repeat(len(thetas), axis=0)], axis=1)
-    blocks = _rotation_blocks(angles, binding.generators, binding.kron, binding.folds)
-    return angles, blocks[:, 0] if len(thetas) == 1 else blocks
+        angles = np.concatenate([angles, binding.constants], axis=1)
+    return angles, _rotation_blocks(angles[0], binding.generators, binding.kron, binding.folds)
 
 
 def _rotation_blocks(angles: np.ndarray, generators: np.ndarray, kron: np.ndarray,
                      folds: Optional[np.ndarray]) -> np.ndarray:
-    """The rotation blocks' Kronecker matrices, (blocks, batch, 2**g, 2**g),
-    from each entry's angle times its rate, (batch, entries): one cos, one
-    sin, and one gather and product of the factors' entries. folds, when
-    given, holds the fixed matrices folded into the first len(folds)
-    blocks, which one matmul multiplies in."""
-    batch = len(angles)
+    """The rotation blocks' Kronecker matrices, (blocks, 2**g, 2**g), from
+    each entry's angle times its rate, (entries,): one cos, one sin, and one
+    gather and product of the factors' entries. folds, when given, holds the
+    fixed matrices folded into the first len(folds) blocks, which one matmul
+    multiplies in."""
     # each entry's 2x2 cos I + sin G / rate, flattened
-    m = np.cos(angles)[..., None] * _EYE.ravel() + np.sin(angles)[..., None] * generators
+    m = np.cos(angles)[:, None] * _EYE.ravel() + np.sin(angles)[:, None] * generators
     n_blocks, g = kron.shape
-    factors = m.take(kron, axis=1).reshape(batch, n_blocks, 4 * g)
-    blocks = factors.take(_kron_entries(g), axis=2).prod(axis=2)
-    blocks = blocks.reshape(batch, n_blocks, 2**g, 2**g).swapaxes(0, 1)
+    factors = m.take(kron, axis=0).reshape(n_blocks, 4 * g)
+    blocks = factors.take(_kron_entries(g), axis=1).prod(axis=1).reshape(n_blocks, 2**g, 2**g)
     if folds is not None:
         folded = blocks[: len(folds)]
         np.matmul(folded, folds, out=folded)
@@ -716,10 +712,9 @@ def _rotation_blocks(angles: np.ndarray, generators: np.ndarray, kron: np.ndarra
 
 
 def _apply(amps: np.ndarray, op: _Op, blocks: np.ndarray, angles: np.ndarray,
-           inverse: bool = False, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The kernel: apply one op, or with inverse its inverse, to (batch, dim)
-    amplitudes, into out when it is given (a C-contiguous (batch, dim)
-    array of the result's dtype), else into a new array.
+           inverse: bool = False) -> np.ndarray:
+    """Apply one op, or with inverse its inverse, to (1, dim) amplitudes,
+    into a new array, through the op's one call.
 
     blocks and angles come from _sweep; for the inverse, blocks holds the
     conjugate transposes, and a fixed op's inverse holds its own.
@@ -730,17 +725,16 @@ def _apply(amps: np.ndarray, op: _Op, blocks: np.ndarray, angles: np.ndarray,
         m = blocks[op.block]
     else:
         m = op.inverse if inverse else op.table
-    if out is None:
-        out = np.empty(amps.shape, np.result_type(amps, m))
+    out = np.empty(amps.shape, np.result_type(amps, m))
     _call(op, amps, m, out)()
     return out
 
 
 def _call(op: _Op, amps: np.ndarray, m: np.ndarray, out: np.ndarray):
     """The op's one numpy call, bound to its arrays: apply m, the op's
-    matrix ((d, d), or (batch, d, d) with one matrix per row), permutation
-    or phase vector, to (batch, dim) amplitudes, writing into out. amps and
-    out must be C-contiguous, so that their reshapes are views."""
+    (d, d) matrix, permutation or phase vector, to (batch, dim) amplitudes,
+    writing into out. amps and out must be C-contiguous, so that their
+    reshapes are views."""
     if op.kind == "perm":
         # (the indices are in range: "clip" spares take a copy of out)
         return partial(amps.take, m, 1, out, "clip")
@@ -748,14 +742,9 @@ def _call(op: _Op, amps: np.ndarray, m: np.ndarray, out: np.ndarray):
         return partial(np.multiply, amps, m, out)
     batch, d = amps.shape[0], m.shape[-1]
     if op.lo == 1:
-        # the block's qubits are the lowest: a matmul over the last axis,
-        # one product for the whole batch when every row shares the matrix
-        if m.ndim == 2:
-            # (np.dot takes the transposed operand faster than matmul does)
-            return partial(np.dot, amps.reshape(batch * op.hi, d), m.T, out.reshape(batch * op.hi, d))
-        return partial(np.matmul, amps.reshape(batch, op.hi, d), m.swapaxes(-1, -2), out.reshape(batch, op.hi, d))
-    if m.ndim == 3:
-        m = m[:, None]
+        # the block's qubits are the lowest: one product over the last axis
+        # (np.dot takes the transposed operand faster than matmul does)
+        return partial(np.dot, amps.reshape(batch * op.hi, d), m.T, out.reshape(batch * op.hi, d))
     return partial(np.matmul, m, amps.reshape(batch, op.hi, d, op.lo), out.reshape(batch, op.hi, d, op.lo))
 
 
@@ -791,29 +780,31 @@ def _check_inputs(circuit, n_theta: int, data_angles) -> None:
 
 def run_circuit(circuit, theta: Sequence[float], data_angles=None) -> np.ndarray:
     """Run the circuit on |0...0>, returning its (2**n_qubits,) amplitudes."""
-    thetas = np.asarray(theta, dtype=float)[None]
-    binding = _binding(circuit, thetas.shape[1], data_angles)
+    theta = np.asarray(theta, dtype=float)
+    binding = _binding(circuit, len(theta), data_angles)
     if not binding.ops:
         return binding.start[0].copy()
     with _plan(binding) as plan:
-        plan.load(*_sweep(binding, thetas), inverse=False)
+        plan.load(*_sweep(binding, theta), inverse=False)
         for call in plan.forward:
             call()
         return plan.psi[0].copy()  # the caller's own
 
 
 def run_circuit_batch(circuit, thetas: np.ndarray, data_angles=None) -> np.ndarray:
-    """Run the circuit for a batch of parameter vectors at once.
+    """Run the circuit for each row of thetas, (rows, n_parameters), or for
+    one 1-D parameter vector as one row.
 
-    Returns a (batch, 2**n_qubits) array of amplitudes, one row per
-    parameter vector.
+    Returns a (rows, 2**n_qubits) array of amplitudes of the program's
+    dtype, each row run_circuit's for its parameter vector.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    binding = _binding(circuit, thetas.shape[1], data_angles)
-    angles, blocks = _sweep(binding, thetas)
-    amps = binding.start.repeat(len(thetas), axis=0)  # a new array, the caller's
-    for op in binding.ops:
-        amps = _apply(amps, op, blocks, angles)
+    if thetas.ndim != 2:
+        raise ValueError(f"expected a 1-D or 2-D array of parameters, got {thetas.ndim} dimensions")
+    _check_inputs(circuit, thetas.shape[1], data_angles)
+    amps = np.empty((len(thetas), 2**circuit.n_qubits), circuit.program.dtype)
+    for row, theta in zip(amps, thetas):
+        row[...] = run_circuit(circuit, theta, data_angles)
     return amps
 
 
@@ -834,14 +825,14 @@ def adjoint_gradient(
     arXiv:2009.02823), one stacked read per group of ops. psi, as
     observable_of gets it and as returned, is the caller's own array.
     """
-    thetas = np.asarray(theta, dtype=float)[None]
-    binding = _binding(circuit, thetas.shape[1], data_angles)
+    theta = np.asarray(theta, dtype=float)
+    binding = _binding(circuit, len(theta), data_angles)
     n = circuit.n_parameters
     if not binding.ops:  # no trainable gate
         return binding.start[0].copy(), np.zeros(n)
     program = circuit.program
     with _plan(binding) as plan:
-        plan.load(*_sweep(binding, thetas))
+        plan.load(*_sweep(binding, theta))
         for call in plan.forward:
             call()
         psi = plan.psi[0].copy()

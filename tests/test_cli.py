@@ -119,6 +119,17 @@ def test_compare_rejects_a_tolerance_that_is_not_finite_and_non_negative(runner,
     assert "compare error: tolerance must be a finite number >= 0" in result.output
 
 
+@pytest.mark.parametrize("bad", [[0.1], {"experiment": "exp-1d"}], ids=["not-an-object", "no-metrics"])
+def test_compare_rejects_a_report_that_is_not_an_object_with_metrics(runner, tmp_path, bad):
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps({"experiment": "exp-1d", "metrics": {"tv": 0.1}}))
+    pb.write_text(json.dumps(bad))
+    result = runner.invoke(main, ["compare", str(pa), str(pb)])
+    assert result.exit_code == EXIT_VALIDATION
+    assert result.output.startswith("compare error: the second report is not a JSON object")
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_compare_mismatched_reports(runner, tmp_path):
     a = {"experiment": "exp-1d", "metrics": {"tv": 0.1}}
     b = {"experiment": "exp-multi", "metrics": {"tv": 0.1}}
@@ -195,6 +206,32 @@ def test_report_prints_a_list_on_one_line(runner, tmp_path):
 def test_report_missing(runner, tmp_path):
     result = runner.invoke(main, ["report", str(tmp_path)])
     assert result.exit_code == EXIT_VALIDATION
+
+
+def test_report_rejects_malformed_json(runner, tmp_path):
+    (tmp_path / "report.json").write_text('{"experiment": "exp-1d", ')
+    result = runner.invoke(main, ["report", str(tmp_path)])
+    assert result.exit_code == EXIT_VALIDATION
+    assert result.output.startswith("report error: ")
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "report, complaint",
+    [
+        ({"experiment": "exp-1d", "metrics": {"tv": 0.1}}, "has no seed, version"),
+        ({"experiment": "exp-1d", "seed": 0, "version": "0"}, "has no metrics"),
+        ({"experiment": "exp-1d", "seed": 0, "version": "0", "metrics": [0.1]}, "not a JSON object"),
+        ([1, 2], "does not hold a JSON object"),
+    ],
+    ids=["no-seed-or-version", "no-metrics", "metrics-not-an-object", "not-an-object"],
+)
+def test_report_rejects_a_report_without_what_it_prints(runner, tmp_path, report, complaint):
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    result = runner.invoke(main, ["report", str(tmp_path)])
+    assert result.exit_code == EXIT_VALIDATION
+    assert result.output.startswith("report error: ") and complaint in result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_run_reports_config_error_found_while_running(runner, tmp_path):

@@ -583,6 +583,19 @@ def test_compare_report_structural_mismatch():
         compare_report(a, b)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [[], "report", None, {"experiment": "exp-1d"}, {"experiment": "exp-1d", "metrics": [0.1]}],
+    ids=["list", "string", "null", "no-metrics", "metrics-not-an-object"],
+)
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+def test_compare_report_rejects_a_report_that_is_not_an_object_with_metrics(bad, first):
+    good = {"experiment": "exp-1d", "metrics": {"tv": 0.1}}
+    pair = (bad, good) if first else (good, bad)
+    with pytest.raises(ValueError, match="not a JSON object with a metrics object"):
+        compare_report(*pair)
+
+
 def test_experiment_names():
     assert set(EXPERIMENTS) == {
         "exp-1d",

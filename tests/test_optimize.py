@@ -212,6 +212,12 @@ def test_train_layout_mismatch():
         train(model, bad, TrainConfig(max_epochs=1))
 
 
+def test_train_rejects_an_empty_target_mapping():
+    model, _ = _toy_problem()
+    with pytest.raises(ValueError, match="at least one target"):
+        train(model, {}, TrainConfig(max_epochs=1))
+
+
 def test_train_divergence_detected():
     model, target = _toy_problem(7)
     config = TrainConfig(max_epochs=3, seed=0, initial_lr=float("inf"))

@@ -185,7 +185,7 @@ def test_batch_matches_single_runs(seed):
     batch = run_circuit_batch(circuit, thetas)
     for i in range(4):
         single = run_circuit(circuit, thetas[i])
-        np.testing.assert_allclose(batch[i], single, atol=1e-12)
+        assert (batch[i] == single).all()
 
 
 def _dense_matrix(gate, angle, n_qubits):
@@ -276,7 +276,27 @@ def test_batch_of_distinct_rows_matches_single_runs(circuit, dtype):
     for row, theta in zip(batch, thetas):
         single = run_circuit(circuit, theta)
         assert single.dtype == dtype
-        np.testing.assert_allclose(row, single, rtol=0, atol=1e-12)
+        assert (row == single).all()
+
+
+@pytest.mark.parametrize("with_rx", [False, True], ids=["real", "complex"])
+def test_batch_of_no_rows_is_empty_of_the_program_dtype(with_rx):
+    circuit = build_hardware_efficient(3, 1, with_rx=with_rx)
+    batch = run_circuit_batch(circuit, np.zeros((0, circuit.n_parameters)))
+    assert batch.shape == (0, 8) and batch.dtype == circuit.program.dtype
+    with pytest.raises(ValueError, match="expected"):
+        run_circuit_batch(circuit, np.zeros((0, circuit.n_parameters + 1)))
+
+
+def test_batch_of_a_1d_theta_is_one_row():
+    circuit = build_conditional(3, 1)
+    theta = np.random.default_rng(14).uniform(0, 2 * np.pi, circuit.n_parameters)
+    data_angles = np.full(3, 0.4)
+    batch = run_circuit_batch(circuit, theta, data_angles)
+    assert batch.shape == (1, 8) and batch.dtype == np.complex128
+    assert (batch[0] == run_circuit(circuit, theta, data_angles)).all()
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        run_circuit_batch(circuit, theta[None, None], data_angles)
 
 
 def _layered_circuit(rng, n_qubits, real, n_patterns=8):
@@ -397,7 +417,7 @@ def _unbound_sweep(circuit, theta, data_angles):
     program = circuit.program
     source = np.concatenate([[0.0], theta, [] if data_angles is None else data_angles])
     angles = source[None].take(program.columns, axis=1) * program.rates
-    return angles, sim._rotation_blocks(angles, program.generators, program.kron, program.folds)[:, 0]
+    return angles, sim._rotation_blocks(angles[0], program.generators, program.kron, program.folds)
 
 
 def _unbound_gradient(circuit, theta, observable_of, data_angles):
@@ -449,7 +469,7 @@ def _check_bound_equals_unbound(circuit, data_angles, rng):
     assert (run_circuit(circuit, theta, data_angles) == ref_psi).all()
     # each swept block is the unbound block of its op, bitwise and laid out alike
     binding = sim._binding(circuit, circuit.n_parameters, data_angles)
-    _, blocks = sim._sweep(binding, theta[None])
+    _, blocks = sim._sweep(binding, theta)
     _, ref_blocks = _unbound_sweep(circuit, theta, data_angles)
     program = circuit.program
     for op, ref_op in zip(binding.ops, program.ops[program.first_trainable:]):
