@@ -31,7 +31,8 @@ FEATURE_NAMES = ("e_out", "pt", "eta")
 # the event-array columns, which are also the CSV header
 _COLUMNS = (*FEATURE_NAMES, "e_in")
 
-# off-diagonals (e-pt, e-eta, pt-eta) used as the synthetic ground truth
+# off-diagonals (e-pt, e-eta, pt-eta) used as the synthetic ground truth;
+# read-only, since synthesize_mfc knows it by identity
 DEFAULT_CORRELATION = np.array(
     [
         [1.0, 0.43, 0.89],
@@ -39,6 +40,7 @@ DEFAULT_CORRELATION = np.array(
         [0.89, 0.61, 1.0],
     ]
 )
+DEFAULT_CORRELATION.flags.writeable = False
 
 CONDITION_VALUES = (50.0, 75.0, 100.0, 125.0, 150.0, 175.0, 200.0)
 
@@ -103,12 +105,29 @@ class BinningSpec:
         return out
 
 
-def _raw_features(arr: np.ndarray, incoming_mean: float, pt_exponent: float):
-    out = np.empty((len(arr), 3))
-    out[:, 0] = arr[:, 0] / incoming_mean
-    out[:, 1] = arr[:, 1] ** pt_exponent
-    out[:, 2] = arr[:, 2]
+def _raw_features(events: np.ndarray, incoming_mean: float, pt_exponent: float,
+                  columns: Sequence[int] = (0, 1, 2)) -> np.ndarray:
+    """The requested columns of the features before standardization:
+    e_out / incoming_mean, pt ** pt_exponent and eta."""
+    out = np.empty((len(events), len(columns)))
+    for k, j in enumerate(columns):
+        if j == 0:
+            out[:, k] = events[:, 0] / incoming_mean
+        elif j == 1:
+            out[:, k] = events[:, 1] ** pt_exponent
+        else:
+            out[:, k] = events[:, 2]
     return out
+
+
+def _preprocessed_columns(events: np.ndarray, params: PreprocessParams,
+                          columns: Sequence[int]) -> np.ndarray:
+    """apply_preprocess(events, params)[:, columns], bitwise, computing
+    only those columns."""
+    raw = _raw_features(events, params.incoming_energy_mean, params.pt_exponent, columns)
+    means = np.array([params.feature_means[j] for j in columns])
+    stds = np.array([params.feature_stds[j] for j in columns])
+    return (raw - means) / stds
 
 
 def preprocess(events: np.ndarray) -> tuple[np.ndarray, PreprocessParams]:
@@ -133,9 +152,11 @@ def preprocess(events: np.ndarray) -> tuple[np.ndarray, PreprocessParams]:
 
 
 def apply_preprocess(events: np.ndarray, params: PreprocessParams):
-    """Preprocess with previously frozen statistics (for test-set data)."""
-    raw = _raw_features(events, params.incoming_energy_mean, params.pt_exponent)
-    return (raw - np.array(params.feature_means)) / np.array(params.feature_stds)
+    """Preprocess with previously frozen statistics (for test-set data):
+    the (n, 3) features that preprocess computes, with params' statistics.
+    Each element takes the same arithmetic as in preprocess, so the
+    training set's own params give preprocess's features bitwise."""
+    return _preprocessed_columns(events, params, range(len(FEATURE_NAMES)))
 
 
 def inverse_preprocess(features: np.ndarray, params: PreprocessParams) -> np.ndarray:
@@ -176,6 +197,10 @@ _LATENT_CORRELATION = np.array(
         [0.8986, 0.6729, 1.0],
     ]
 )
+_LATENT_CORRELATION.flags.writeable = False
+# its Cholesky factor, which every synthesize_mfc call at the default takes
+_DEFAULT_FACTOR = np.linalg.cholesky(_LATENT_CORRELATION)
+_DEFAULT_FACTOR.flags.writeable = False
 
 
 def _latent_for(corr: np.ndarray) -> np.ndarray:
@@ -187,6 +212,18 @@ def _latent_for(corr: np.ndarray) -> np.ndarray:
     lat = 2.0 * np.sin(np.pi * corr / 6.0)
     np.fill_diagonal(lat, 1.0)
     return lat
+
+
+def _latent_factor(corr: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of the latent correlation for a requested
+    physical one, which must be symmetric with unit diagonal and positive
+    definite."""
+    if not np.allclose(corr, corr.T) or not np.allclose(np.diag(corr), 1.0):
+        raise ValueError("target_corr must be symmetric with unit diagonal")
+    try:
+        return np.linalg.cholesky(_latent_for(corr))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("target_corr is not positive definite") from exc
 
 
 def synthesize_mfc(
@@ -201,17 +238,19 @@ def synthesize_mfc(
 
     A Gaussian copula is pushed through monotone per-feature transforms;
     the latent correlations are compensated so the physical sample Pearson
-    matrix stays close to target_corr.
+    matrix stays close to target_corr. target_corr None (or
+    DEFAULT_CORRELATION itself) takes the latent factor computed at import;
+    any other matrix, a copy of the default too, is checked and factored on
+    each call, and gives the same events as the default when it is close
+    to it. A matrix that is not symmetric with a unit diagonal, or not
+    positive definite, is a ValueError.
     """
     if n_events < 1:
         raise ValueError("n_events must be >= 1")
-    corr = DEFAULT_CORRELATION if target_corr is None else np.asarray(target_corr)
-    if not np.allclose(corr, corr.T) or not np.allclose(np.diag(corr), 1.0):
-        raise ValueError("target_corr must be symmetric with unit diagonal")
-    try:
-        chol = np.linalg.cholesky(_latent_for(corr))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("target_corr is not positive definite") from exc
+    if target_corr is None or target_corr is DEFAULT_CORRELATION:
+        chol = _DEFAULT_FACTOR
+    else:
+        chol = _latent_factor(np.asarray(target_corr))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_events, 3)) @ chol.T
     u = ndtr(z)  # uniform copula marginals on (0, 1)
@@ -228,11 +267,28 @@ def synthesize_mfc(
     return np.column_stack([e_out, pt, eta, np.full(n_events, float(condition))])
 
 
-def train_test_split(events: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint, exhaustive, seed-stable split of the rows into equal halves."""
-    order = np.random.default_rng(seed).permutation(len(events))
+def _split_order(n_rows: int, seed: int) -> np.ndarray:
+    """The row order with which train_test_split splits n_rows rows at
+    seed: its first half picks the training rows, the rest the test rows."""
+    return np.random.default_rng(seed).permutation(n_rows)
+
+
+def _split_by(events: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (train, test) halves of events that order picks."""
     half = len(events) // 2
     return events[order[:half]], events[order[half:]]
+
+
+def train_test_split(events: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Disjoint, exhaustive, seed-stable split of the rows into (train,
+    test) halves; for an odd count the test half has the extra row.
+
+    The split depends only on the row count and the seed: it takes the
+    rows in _split_order(len(events), seed). So event sets of one length
+    split alike, and a caller with several of them (exp-cond's conditions)
+    draws that order once and applies it with _split_by.
+    """
+    return _split_by(events, _split_order(len(events), seed))
 
 
 def load_csv(path) -> np.ndarray:

@@ -31,7 +31,9 @@ from .data import (
     CONDITION_VALUES,
     BinningSpec,
     DEFAULT_CORRELATION,
-    apply_preprocess,
+    _preprocessed_columns,
+    _split_by,
+    _split_order,
     discretize,
     inverse_preprocess,
     load_csv,
@@ -39,6 +41,8 @@ from .data import (
     synthesize_mfc,
     train_test_split,
 )
+# perfbench/tracer.py times the data.preprocess span through this name
+from .data import apply_preprocess  # noqa: F401
 from .distributions import marginal, sample
 from .metrics import PAPER_BANDWIDTHS, KernelConfig, pearson_correlation, total_variance
 from .noise import NoiseConfig, apply_readout_noise, estimate_confusion_matrix, mitigate_readout
@@ -327,14 +331,14 @@ def _write_histogram_csv(path, sampling, binning, feature, target, model_dist, s
 def _single_condition(config: ExperimentConfig, n_bins_per_feature, features):
     """One condition's events, split, preprocessed and binned: the train and
     validation distributions, the binning, the preprocessing parameters and
-    the train and validation features."""
+    the train and validation features. Only the requested features of the
+    validation half are computed."""
     condition = config.settings["data"]["condition"]
     events = _events(config, {condition: 0})[condition]
     train_events, test_events = train_test_split(events, config.seed)
     train_all, params = _preprocess(config, train_events)
-    test_all = apply_preprocess(test_events, params)
     train_f = train_all[:, features]
-    test_f = test_all[:, features]
+    test_f = _preprocessed_columns(test_events, params, features)
     binning = BinningSpec.from_training_data(train_f, n_bins_per_feature)
     binned = discretize(train_f, binning), discretize(test_f, binning)
     return *binned, binning, params, train_f, test_f
@@ -429,16 +433,26 @@ def _exp_blocks(config: ExperimentConfig):
 
 
 def _exp_cond(config: ExperimentConfig):
+    """One conditional model over the seven conditions but the held-out one.
+
+    Each condition's events split as train_test_split splits them, with
+    one row order drawn per distinct row count. The energies of the pooled
+    training halves are preprocess's own output; the validation and
+    held-out halves get their energy feature alone."""
     held_out = config.settings["data"]["held_out"]
     train_conditions = [cond for cond in CONDITION_VALUES if cond != held_out]
     events = _events(config, {cond: int(cond) for cond in CONDITION_VALUES})
-    splits = {cond: train_test_split(events[cond], config.seed) for cond in CONDITION_VALUES}
+    orders = {n: _split_order(n, config.seed) for n in {len(evs) for evs in events.values()}}
+    splits = {cond: _split_by(evs, orders[len(evs)]) for cond, evs in events.items()}
     pooled_train = np.concatenate([splits[cond][0] for cond in train_conditions])
-    _, params = _preprocess(config, pooled_train)
-    energy = lambda evs: apply_preprocess(evs, params)[:, [0]]
-    binning = BinningSpec.from_training_data(energy(pooled_train), [8])
+    pooled_f, params = _preprocess(config, pooled_train)
+    pooled_energy = pooled_f[:, [0]]
+    binning = BinningSpec.from_training_data(pooled_energy, [8])
     circuit = build_conditional(*binning.register_bits, config.settings["circuit"]["n_layers"])
-    train_dists = {cond: discretize(energy(splits[cond][0]), binning) for cond in train_conditions}
+    ends = np.cumsum([len(splits[cond][0]) for cond in train_conditions])[:-1]
+    train_energy = dict(zip(train_conditions, np.split(pooled_energy, ends)))
+    energy = lambda evs: _preprocessed_columns(evs, params, [0])
+    train_dists = {cond: discretize(train_energy[cond], binning) for cond in train_conditions}
     val_dists = {cond: discretize(energy(splits[cond][1]), binning) for cond in train_conditions}
     held_out_dist = discretize(energy(splits[held_out][1]), binning)
     trained, trace = _fit(

@@ -21,7 +21,9 @@ each op of a layer on a (1, 2**n) amplitude row:
   (gates, 2**n) table of +/-1.
 A fixed op, an H block or (when the circuit is one block) a CNOT run, is
 folded into the next rotation op on its block when no op in between touches
-that block: the sweep builds that rotation's matrix as M @ F.
+that block: the sweep builds that rotation's matrix as M @ F, for an H block
+by one matmul, for a CNOT run, whose F is a permutation, by taking M's
+columns in permuted order in the gather that builds M.
 A circuit of RY, H and CNOT gates only keeps real amplitudes and runs in
 float64; RX and RZZ make it complex128.
 
@@ -186,15 +188,18 @@ class _Program:
     angle from column columns[k] of [0, theta, data angles], turns at rate
     rates[k] with generator / rate generators[k] (flattened), and feeds
     gradient slot slots[k] (n_parameters for data gates and the identity).
-    kron[b] lists the entries of rotation block b, its highest qubit first,
-    and folds[b], (2**g, 2**g), the fixed matrix folded into it (the
-    identity if none is; folds is None when no block has one). The adjoint
-    sweep stops at op first_trainable; reads lists the rotation and phase
-    ops from there on, group after group, whose gradients it reads. dtype
-    is float64 when every gate is RY, H or CNOT, so that the amplitudes
-    stay real, and complex128 otherwise. Circuits with the same gates share
-    a program, so its arrays are read-only. bindings maps data angles
-    (their bytes, or None) to the program's _Binding for them.
+    kron[b] lists the entries of rotation block b, its highest qubit first.
+    folds[b], (2**g, 2**g), is the H block folded into it (the identity if
+    none is; folds is None when no block has one), and perms[b], (2**g,),
+    the column order M[:, perms[b]] that makes M @ P of the CNOT run P
+    folded into it (arange if none is; perms is None when no block has
+    one). The adjoint sweep stops at op first_trainable; reads lists the
+    rotation and phase ops from there on, group after group, whose
+    gradients it reads. dtype is float64 when every gate is RY, H or CNOT,
+    so that the amplitudes stay real, and complex128 otherwise. Circuits
+    with the same gates share a program, so its arrays are read-only.
+    bindings maps data angles (their bytes, or None) to the program's
+    _Binding for them.
     """
 
     ops: tuple[_Op, ...]
@@ -204,6 +209,7 @@ class _Program:
     slots: np.ndarray
     kron: np.ndarray
     folds: Optional[np.ndarray]
+    perms: Optional[np.ndarray]
     first_trainable: int
     reads: tuple[int, ...]
     groups: tuple[_Group, ...]
@@ -348,7 +354,7 @@ def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
                 kron.append(entries)
                 rows = _generator_rows(g, tuple((gt.kind, p) for gt, p in zip(block_gates, positions)))
                 ops.append(_Op("rotation", hi, lo, slice(first, len(params)), len(kron) - 1, rows))
-    ops, folds = _fold(ops, n <= _MAX_BLOCK, len(kron), 2**g)
+    ops, folds, perms = _fold(ops, n <= _MAX_BLOCK, len(kron), 2**g)
     trainable = [gate.param_slot is not None for gate in params]
     first_trainable = next(
         (i for i, op in enumerate(ops) if op.params and any(trainable[op.params])), len(ops)
@@ -371,6 +377,7 @@ def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
         )),
         kron=_frozen(np.array(kron, dtype=int).reshape(-1, g)),
         folds=folds,
+        perms=perms,
         first_trainable=first_trainable,
         reads=reads,
         groups=groups,
@@ -381,14 +388,17 @@ def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
 def _fold(ops: list[_Op], one_block: bool, n_blocks: int, d: int):
     """Fold each fixed op (an H block, or a CNOT run when the circuit is one
     block) into the next rotation op on its block, when no op in between
-    touches that block. Returns the ops left and the program's folds.
+    touches that block. Returns the ops left and the program's folds and
+    perms.
 
     Only a fixed F before a rotation M folds: d(M F)/dangle = G M F, so the
-    gradient is still read at the op's output.
+    gradient is still read at the op's output. A CNOT run's F is the
+    permutation matrix P = I[perm], and M @ P is M[:, argsort(perm)]: its
+    inverse permutation is the block's column order.
     """
     kept: list[Optional[_Op]] = []
     pending: dict[tuple[int, int], int] = {}  # each block's last op, if fixed
-    folds = {}
+    folds, perms = {}, {}
     for op in ops:
         fixed = op.kind == "fixed" or (op.kind == "perm" and one_block)
         if not fixed and op.kind != "rotation":
@@ -398,16 +408,17 @@ def _fold(ops: list[_Op], one_block: bool, n_blocks: int, d: int):
             if fixed:
                 pending[op.hi, op.lo] = len(kept)
             elif j is not None:
-                f = kept[j].table
-                folds[op.block] = f if kept[j].kind == "fixed" else np.eye(d)[f]
+                if kept[j].kind == "fixed":
+                    folds[op.block] = kept[j].table
+                else:
+                    perms[op.block] = kept[j].inverse
                 kept[j] = None
         kept.append(op)
-    if not folds:
-        return kept, None
-    stacked = np.tile(np.eye(d), (n_blocks, 1, 1))
-    for b, f in folds.items():
-        stacked[b] = f
-    return [op for op in kept if op is not None], _frozen(stacked)
+    stack = lambda by_block, none: (
+        _frozen(np.array([by_block.get(b, none) for b in range(n_blocks)])) if by_block else None
+    )
+    kept = [op for op in kept if op is not None]
+    return kept, stack(folds, np.eye(d)), stack(perms, np.arange(d, dtype=np.intp))
 
 
 def _groups(ops: list[_Op], first: int) -> tuple[tuple[int, ...], tuple[_Group, ...]]:
@@ -446,10 +457,11 @@ class _Binding:
     gates in program order, whose angles are theta[slots] times rates,
     then the constant entries that a swept block or a phase op reads,
     whose angles times their rates are constants, (1, entries), or None
-    when there are none. generators, kron and folds are the program's for
-    these entries and blocks (folds for the first len(folds) blocks, or
-    None). rows gives each op its row among the program's reads, or None
-    for an op whose gradient is not read.
+    when there are none. generators are the program's for these entries,
+    index the _gather_index of the swept blocks' entries and column orders
+    (perms), and folds the program's H folds for the first len(folds)
+    blocks, or None. rows gives each op its row among the program's reads,
+    or None for an op whose gradient is not read.
 
     plan, the one field that changes, is the binding's _Plan: None until
     its first adjoint gradient or run builds it, and dropped with the
@@ -466,7 +478,7 @@ class _Binding:
     rates: np.ndarray
     constants: Optional[np.ndarray]
     generators: np.ndarray
-    kron: np.ndarray
+    index: np.ndarray
     folds: Optional[np.ndarray]
     rows: tuple[Optional[int], ...]
     plan: Optional[_Plan] = field(default=None, compare=False, repr=False)
@@ -537,7 +549,7 @@ def _build_plan(binding: _Binding) -> _Plan:
     dim, dtype = binding.start.shape[1], binding.start.dtype
     states = np.empty((2 * n_reads + 2, dim), dtype)  # C-contiguous: every row reshapes as a view
     psis, lams, temps = states[:n_reads], states[n_reads : 2 * n_reads], states[2 * n_reads :]
-    n_blocks, g = binding.kron.shape
+    n_blocks, g = binding.index.shape[:2]
     block_dtype = binding.generators.dtype
     blocks = np.empty((1 + (block_dtype.kind == "c"), n_blocks, 2**g, 2**g), block_dtype)
     phase_ops = tuple((op.params, op.table) for op in ops if op.kind == "phase")
@@ -624,18 +636,19 @@ def _bind(program: _Program, data: Optional[np.ndarray], n_qubits: int) -> _Bind
     if data is not None:
         source[0, 1 + n_theta:] = data
     angles = source.take(program.columns, axis=1) * program.rates
+    n_entries = len(program.columns)
+    kron = program.kron % n_entries  # the identity entry as its index
     # every block at theta = 0, of which those without a trainable gate are
     # the same at every theta
-    constant_blocks = _rotation_blocks(angles[0], program.generators, program.kron, program.folds)
+    index = _gather_index(kron, program.perms)
+    constant_blocks = _rotation_blocks(angles[0], program.generators, index, program.folds)
     first = program.first_trainable
     start = np.zeros((1, 2**n_qubits), dtype=program.dtype)
     start[0, 0] = 1.0
     for op in program.ops[:first]:
         start = _apply(start, op, constant_blocks, angles)
 
-    n_entries = len(program.columns)
     trainable = program.slots < n_theta
-    kron = program.kron % n_entries  # the identity entry as its index
     swept = trainable[kron].any(axis=1)  # blocks with a trainable gate
     folded = np.zeros(len(kron), dtype=bool)
     if program.folds is not None:
@@ -677,7 +690,10 @@ def _bind(program: _Program, data: Optional[np.ndarray], n_qubits: int) -> _Bind
         rates=_frozen(program.rates[entries[:n_trainable]]),
         constants=_frozen(angles[:, entries[n_trainable:]]) if len(entries) > n_trainable else None,
         generators=_frozen(program.generators[entries]),
-        kron=_frozen(rank[kron[blocks]].reshape(len(blocks), kron.shape[1])),
+        index=_frozen(_gather_index(
+            rank[kron[blocks]].reshape(len(blocks), kron.shape[1]),
+            None if program.perms is None else program.perms[blocks],
+        )),
         folds=_frozen(program.folds[blocks[:n_folded]]) if n_folded else None,
         rows=tuple(program.reads.index(i) if i in program.reads else None
                    for i in range(first, len(program.ops))),
@@ -690,21 +706,38 @@ def _sweep(binding: _Binding, theta: np.ndarray):
     angles = theta.take(binding.slots)[None] * binding.rates
     if binding.constants is not None:
         angles = np.concatenate([angles, binding.constants], axis=1)
-    return angles, _rotation_blocks(angles[0], binding.generators, binding.kron, binding.folds)
+    return angles, _rotation_blocks(angles[0], binding.generators, binding.index, binding.folds)
 
 
-def _rotation_blocks(angles: np.ndarray, generators: np.ndarray, kron: np.ndarray,
+def _gather_index(kron: np.ndarray, perms: Optional[np.ndarray]) -> np.ndarray:
+    """(blocks, g, 4**g): for each block of g entries kron[b], highest qubit
+    first, and each entry of its flattened Kronecker matrix, the entry of
+    each factor that it takes, as an index into the entries' flattened 2x2
+    matrices. With perms, (blocks, 2**g), block b's columns come in the
+    order perms[b], so its matrix is M[:, perms[b]]."""
+    n_blocks, g = kron.shape
+    d = 2**g
+    # each factor's own 2x2 entry (0 to 3) for each entry of the block
+    within = _kron_entries(g) - 4 * np.arange(g)[:, None]
+    index = 4 * kron[:, :, None] + within
+    if perms is not None:
+        columns = (d * np.arange(d)[:, None] + perms[:, None, :]).reshape(n_blocks, 1, d * d)
+        index = np.take_along_axis(index, columns, axis=2)
+    return index
+
+
+def _rotation_blocks(angles: np.ndarray, generators: np.ndarray, index: np.ndarray,
                      folds: Optional[np.ndarray]) -> np.ndarray:
     """The rotation blocks' Kronecker matrices, (blocks, 2**g, 2**g), from
     each entry's angle times its rate, (entries,): one cos, one sin, and one
-    gather and product of the factors' entries. folds, when given, holds the
-    fixed matrices folded into the first len(folds) blocks, which one matmul
-    multiplies in."""
+    gather (by index, from _gather_index, which also applies the folded
+    permutations) and product of the factors' entries. folds, when given,
+    holds the H blocks folded into the first len(folds) blocks, which one
+    matmul multiplies in."""
     # each entry's 2x2 cos I + sin G / rate, flattened
     m = np.cos(angles)[:, None] * _EYE.ravel() + np.sin(angles)[:, None] * generators
-    n_blocks, g = kron.shape
-    factors = m.take(kron, axis=0).reshape(n_blocks, 4 * g)
-    blocks = factors.take(_kron_entries(g), axis=1).prod(axis=1).reshape(n_blocks, 2**g, 2**g)
+    n_blocks, g = index.shape[:2]
+    blocks = m.take(index).prod(axis=1).reshape(n_blocks, 2**g, 2**g)
     if folds is not None:
         folded = blocks[: len(folds)]
         np.matmul(folded, folds, out=folded)
@@ -769,6 +802,17 @@ def _read(group: _Group, psi: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return (group.table @ products[..., None]).real.ravel()
 
 
+def _vector(circuit, theta) -> np.ndarray:
+    """theta as a float vector; anything else (a scalar, a matrix) is the
+    ValueError that a vector of the wrong length gets."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1:
+        raise ValueError(
+            f"expected {circuit.n_parameters} parameters, got an array of shape {theta.shape}"
+        )
+    return theta
+
+
 def _check_inputs(circuit, n_theta: int, data_angles) -> None:
     if n_theta != circuit.n_parameters:
         raise ValueError(f"expected {circuit.n_parameters} parameters, got {n_theta}")
@@ -780,7 +824,7 @@ def _check_inputs(circuit, n_theta: int, data_angles) -> None:
 
 def run_circuit(circuit, theta: Sequence[float], data_angles=None) -> np.ndarray:
     """Run the circuit on |0...0>, returning its (2**n_qubits,) amplitudes."""
-    theta = np.asarray(theta, dtype=float)
+    theta = _vector(circuit, theta)
     binding = _binding(circuit, len(theta), data_angles)
     if not binding.ops:
         return binding.start[0].copy()
@@ -825,7 +869,7 @@ def adjoint_gradient(
     arXiv:2009.02823), one stacked read per group of ops. psi, as
     observable_of gets it and as returned, is the caller's own array.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = _vector(circuit, theta)
     binding = _binding(circuit, len(theta), data_angles)
     n = circuit.n_parameters
     if not binding.ops:  # no trainable gate

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from borngen import data
 from borngen.data import (
+    DEFAULT_CORRELATION,
     BinningSpec,
     apply_preprocess,
     discretize,
@@ -70,6 +72,20 @@ def test_apply_preprocess_uses_frozen_statistics():
     feats = apply_preprocess(test, params)
     # frozen statistics: the test features are not exactly zero-mean
     assert abs(feats[:, 0].mean()) > 1e-6
+
+
+@pytest.mark.parametrize("columns", [[0], [1], [2], [0, 2], [2, 0], [0, 1, 2]])
+def test_preprocessed_columns_are_apply_preprocess_columns_bitwise(columns):
+    events = synthesize_mfc(1001, 125.0, seed=6)
+    train, test = train_test_split(events, 6)
+    _, params = preprocess(train)
+    for rows in (test, train, test[::3]):
+        got = data._preprocessed_columns(rows, params, columns)
+        assert got.shape == (len(rows), len(columns))
+        assert (got == apply_preprocess(rows, params)[:, columns]).all()
+    # the training set's own statistics give preprocess's features bitwise
+    feats, params = preprocess(train)
+    assert (data._preprocessed_columns(train, params, columns) == feats[:, columns]).all()
 
 
 def test_binning_spec_validation():
@@ -150,6 +166,28 @@ def test_generator_validation():
         synthesize_mfc(10, 100.0, bad)  # not positive definite
 
 
+def test_generator_default_correlation_in_any_form_gives_the_same_events():
+    reference = synthesize_mfc(257, 75.0, seed=4)
+    for corr in (None, DEFAULT_CORRELATION, DEFAULT_CORRELATION.copy(), DEFAULT_CORRELATION.tolist()):
+        assert (synthesize_mfc(257, 75.0, corr, seed=4) == reference).all()
+    # the default is known by identity, so it cannot be changed in place
+    assert not DEFAULT_CORRELATION.flags.writeable
+    with pytest.raises(ValueError):
+        DEFAULT_CORRELATION[0, 1] = 0.5
+
+
+def test_generator_rejects_a_bad_correlation_on_every_call():
+    asymmetric = DEFAULT_CORRELATION.copy()
+    asymmetric[0, 1] = 0.2
+    not_unit = DEFAULT_CORRELATION + 0.1 * np.eye(3)
+    not_positive_definite = np.array([[1.0, 0.99, 0.0], [0.99, 1.0, 0.99], [0.0, 0.99, 1.0]])
+    for _ in range(2):
+        for bad in (asymmetric, not_unit, not_positive_definite):
+            synthesize_mfc(8, 100.0, seed=1)  # a default call in between changes nothing
+            with pytest.raises(ValueError):
+                synthesize_mfc(8, 100.0, bad, seed=1)
+
+
 def test_generator_condition_drift_distinguishable():
     low = synthesize_mfc(10240, 50.0, seed=2)
     high = synthesize_mfc(10240, 200.0, seed=3)
@@ -180,6 +218,19 @@ def test_split_disjoint_exhaustive_stable(seed):
     combined = sorted(map(tuple, np.concatenate([train_a, test_a]).tolist()))
     original = sorted(map(tuple, events.tolist()))
     assert combined == original
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 63, 64])
+def test_split_is_its_row_order_applied(n_rows):
+    # sets of one length split alike: one drawn order serves them all
+    order = data._split_order(n_rows, 7)
+    assert sorted(order.tolist()) == list(range(n_rows))
+    for seed in (0, 1):
+        events = synthesize_mfc(n_rows, 100.0, seed=seed)
+        train, test = train_test_split(events, 7)
+        assert len(train) == n_rows // 2 and len(test) == n_rows - n_rows // 2
+        by_order = data._split_by(events, order)
+        assert (by_order[0] == train).all() and (by_order[1] == test).all()
 
 
 def test_csv_round_trip(tmp_path):

@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from borngen import experiments
+from borngen import data, experiments
 from borngen.baseline import load_weights
 from borngen.data import (
     CONDITION_VALUES,
     DEFAULT_CORRELATION,
     BinningSpec,
     apply_preprocess,
+    discretize,
     inverse_preprocess,
     load_csv,
     preprocess,
@@ -171,6 +172,115 @@ def test_exp_cond_reads_its_csv_once(tmp_path, monkeypatch):
     report = run_experiment(config, tmp_path / "run")
     assert calls == [str(path)]
     assert 0 <= report["metrics"]["tv_held_out"] <= 1
+
+
+def _cond_csv(tmp_path, sizes):
+    """A CSV of synthetic events at each condition, with sizes[i] rows at
+    condition i."""
+    events = [synthesize_mfc(n, cond, seed=i) for i, (n, cond) in enumerate(zip(sizes, CONDITION_VALUES))]
+    path = tmp_path / "events.csv"
+    save_csv(np.concatenate(events), path)
+    return path
+
+
+# one source of equal row counts, and a CSV with five distinct counts
+_COND_SOURCES = {
+    "synthetic": lambda tmp_path: {"n_events": 600},
+    "csv": lambda tmp_path: {"source": "csv", "path": str(_cond_csv(tmp_path, [80, 101, 80, 64, 120, 101, 77]))},
+}
+
+
+def _cond_reference(config):
+    """exp-cond's binning and its train, validation and held-out
+    distributions, made the way each condition used to be: split by
+    train_test_split, every feature preprocessed with apply_preprocess."""
+    held_out = config.settings["data"]["held_out"]
+    train_conditions = [cond for cond in CONDITION_VALUES if cond != held_out]
+    events = experiments._events(config, {cond: int(cond) for cond in CONDITION_VALUES})
+    splits = {cond: train_test_split(events[cond], config.seed) for cond in CONDITION_VALUES}
+    pooled = np.concatenate([splits[cond][0] for cond in train_conditions])
+    _, params = preprocess(pooled)
+    energy = lambda evs: apply_preprocess(evs, params)[:, [0]]
+    binning = BinningSpec.from_training_data(energy(pooled), [8])
+    train = {cond: discretize(energy(splits[cond][0]), binning) for cond in train_conditions}
+    val = {cond: discretize(energy(splits[cond][1]), binning) for cond in train_conditions}
+    return binning, train, val, discretize(energy(splits[held_out][1]), binning)
+
+
+@pytest.mark.parametrize("source", sorted(_COND_SOURCES))
+@pytest.mark.parametrize("held_out", [50.0, 125.0])
+def test_exp_cond_distributions_equal_the_per_condition_route(tmp_path, monkeypatch, source, held_out):
+    config = ExperimentConfig(
+        {"experiment": "exp-cond", "seed": 3, "train": {"max_epochs": 1},
+         "data": {"held_out": held_out, **_COND_SOURCES[source](tmp_path)}}
+    )
+    fitted = []
+    fit = experiments._fit
+
+    def recording_fit(config, circuit, target, val_target, **kwargs):
+        fitted.append((target, val_target))
+        return fit(config, circuit, target, val_target, **kwargs)
+
+    monkeypatch.setattr(experiments, "_fit", recording_fit)
+    *_, histograms = experiments._exp_cond(config)
+    binning, train, val, held = _cond_reference(config)
+    ((got_train, got_val),) = fitted
+    _, got_binning, _, got_held, *_ = histograms[-1]  # the held-out histogram comes last
+    assert got_binning == binning
+    for got, want in ((got_train, train), (got_val, val), ({held_out: got_held}, {held_out: held})):
+        assert list(got) == list(want)
+        for cond in want:
+            assert (got[cond].probs == want[cond].probs).all()
+            assert got[cond].register_bits == want[cond].register_bits
+
+
+def _count_set_up_work(monkeypatch):
+    """Spies on split-order draws (their row counts) and on raw-feature
+    passes that compute pt ** 0.1 (their row counts)."""
+    orders, pt_rows = [], []
+    split_order, raw_features = data._split_order, data._raw_features
+
+    def counted_order(n_rows, seed):
+        orders.append(n_rows)
+        return split_order(n_rows, seed)
+
+    def counted_raw(events, incoming_mean, pt_exponent, columns=(0, 1, 2)):
+        if 1 in columns:
+            pt_rows.append(len(events))
+        return raw_features(events, incoming_mean, pt_exponent, columns)
+
+    for module in (data, experiments):
+        if hasattr(module, "_split_order"):
+            monkeypatch.setattr(module, "_split_order", counted_order)
+    monkeypatch.setattr(data, "_raw_features", counted_raw)
+    return orders, pt_rows
+
+
+@pytest.mark.parametrize("source", sorted(_COND_SOURCES))
+def test_exp_cond_sets_up_each_piece_of_work_once(tmp_path, monkeypatch, source):
+    config = ExperimentConfig(
+        {"experiment": "exp-cond", "seed": 0, "train": {"max_epochs": 1},
+         "data": _COND_SOURCES[source](tmp_path)}
+    )
+    sizes = {cond: len(evs) for cond, evs in
+             experiments._events(config, {cond: int(cond) for cond in CONDITION_VALUES}).items()}
+    orders, pt_rows = _count_set_up_work(monkeypatch)
+    run_experiment(config, tmp_path / "run")
+    # one split order per distinct row count, and pt ** 0.1 for the pooled
+    # training halves alone
+    assert sorted(orders) == sorted(set(sizes.values()))
+    held_out = config.settings["data"]["held_out"]
+    assert pt_rows == [sum(n // 2 for cond, n in sizes.items() if cond != held_out)]
+
+
+@pytest.mark.parametrize("experiment", ["exp-1d", "exp-noise", "exp-gmmd"])
+def test_one_feature_experiments_compress_pt_for_the_training_half_alone(tmp_path, monkeypatch, experiment):
+    config = ExperimentConfig(
+        {"experiment": experiment, "seed": 0, "train": {"max_epochs": 1}, "data": {"n_events": 300}}
+    )
+    orders, pt_rows = _count_set_up_work(monkeypatch)
+    run_experiment(config, tmp_path / "run")
+    assert orders == [300] and pt_rows == [150]
 
 
 def test_csv_without_matching_condition(tmp_path):

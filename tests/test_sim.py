@@ -120,6 +120,25 @@ def test_run_circuit_parameter_count_check():
         run_circuit(circuit, [0.1, 0.2])
 
 
+@pytest.mark.parametrize("n_parameters", [1, 2])
+def test_run_circuit_rejects_a_scalar_theta(n_parameters):
+    gates = tuple(Gate("RY", (0,), param_slot=k) for k in range(n_parameters))
+    circuit = CircuitSpec(1, gates, n_parameters)
+    for theta in (0.3, np.float64(0.3), np.array(0.3)):
+        with pytest.raises(ValueError, match=f"expected {n_parameters} parameters"):
+            run_circuit(circuit, theta)
+
+
+@pytest.mark.parametrize("n_parameters", [1, 2])
+def test_adjoint_gradient_rejects_a_scalar_theta(n_parameters):
+    gates = tuple(Gate("RY", (0,), param_slot=k) for k in range(n_parameters))
+    circuit = CircuitSpec(1, gates, n_parameters)
+    observable_of = lambda psi: np.ones(len(psi))
+    for theta in (0.3, np.float64(0.3), np.array(0.3)):
+        with pytest.raises(ValueError, match=f"expected {n_parameters} parameters"):
+            sim.adjoint_gradient(circuit, theta, observable_of)
+
+
 @pytest.mark.parametrize("data_angles", [None, np.zeros(2)])
 def test_batch_validates_data_angles(data_angles):
     circuit = build_conditional(3, 1)  # three data slots
@@ -417,7 +436,39 @@ def _unbound_sweep(circuit, theta, data_angles):
     program = circuit.program
     source = np.concatenate([[0.0], theta, [] if data_angles is None else data_angles])
     angles = source[None].take(program.columns, axis=1) * program.rates
-    return angles, sim._rotation_blocks(angles[0], program.generators, program.kron, program.folds)
+    index = sim._gather_index(program.kron % len(program.columns), program.perms)
+    return angles, sim._rotation_blocks(angles[0], program.generators, index, program.folds)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [build_conditional(3, 4), build_conditional(2, 2), _random_circuit(np.random.default_rng(3), 3, 40)],
+    ids=["conditional", "small-conditional", "random"],
+)
+def test_folded_cnot_runs_gather_the_blocks_of_the_dense_product(circuit):
+    # a CNOT run folded into a rotation block is a column gather of the
+    # block's entries, equal bitwise to the matmul M @ F, with F the run's
+    # dense matrix; each rotation layer of these one-block circuits is one
+    # block, and a run folds into it when it is the layer just before
+    program = circuit.program
+    layers = sim._schedule(circuit.gates)
+    runs = []  # the CNOT run folded into each rotation block, if any
+    for i, (kind, gates) in enumerate(layers):
+        if kind == "rotation":
+            runs.append(layers[i - 1][1] if i and layers[i - 1][0] == "CNOT" else [])
+    assert any(runs) and len(runs) == len(program.kron)
+    kron = program.kron % len(program.columns)
+    rng = np.random.default_rng(8)
+    data_angles = rng.uniform(0, np.pi, circuit.n_data_slots) if circuit.n_data_slots else None
+    for _ in range(3):
+        theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
+        angles, blocks = _unbound_sweep(circuit, theta, data_angles)
+        plain = sim._rotation_blocks(angles[0], program.generators, sim._gather_index(kron, None), program.folds)
+        for block, unfolded, run in zip(blocks, plain, runs):
+            f = np.eye(2**circuit.n_qubits)
+            for gate in run:
+                f = _dense_matrix(gate, 0.0, circuit.n_qubits) @ f
+            assert (block == unfolded @ f).all()
 
 
 def _unbound_gradient(circuit, theta, observable_of, data_angles):
