@@ -5,6 +5,7 @@ An event set is an (n, 4) float array with columns (e_out, pt, eta, e_in).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -304,6 +305,9 @@ def load_csv(path) -> np.ndarray:
         for i, row in enumerate(reader, start=1):
             try:
                 values = [float(row[c]) for c in _COLUMNS]
+                for column, value in zip(_COLUMNS, values):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{column} must be finite")
                 if values[0] <= 0:
                     raise ValueError("e_out must be positive")
                 if values[1] < 0:

@@ -39,7 +39,6 @@ from .data import (
     load_csv,
     preprocess,
     synthesize_mfc,
-    train_test_split,
 )
 # perfbench/tracer.py times the data.preprocess span through this name
 from .data import apply_preprocess  # noqa: F401
@@ -328,20 +327,35 @@ def _write_histogram_csv(path, sampling, binning, feature, target, model_dist, s
             writer.writerow([i, *(repr(float(v)) for v in values)])
 
 
+def _prepare(config: ExperimentConfig, events: dict, train_conditions, n_bins_per_feature, features):
+    """Each condition's events split, preprocessed and binned.
+
+    Each condition's events split as train_test_split splits them, with one
+    row order drawn per distinct row count. The training halves of
+    train_conditions are pooled and preprocessed, and their requested
+    features fix the binning; every validation half gets the requested
+    features alone. Returns the binning, the preprocessing parameters, and
+    the features of each training and each validation half, by condition."""
+    orders = {n: _split_order(n, config.seed) for n in {len(evs) for evs in events.values()}}
+    splits = {cond: _split_by(evs, orders[len(evs)]) for cond, evs in events.items()}
+    pooled, params = _preprocess(config, np.concatenate([splits[cond][0] for cond in train_conditions]))
+    pooled = pooled[:, features]
+    binning = BinningSpec.from_training_data(pooled, n_bins_per_feature)
+    ends = np.cumsum([len(splits[cond][0]) for cond in train_conditions])[:-1]
+    train_f = dict(zip(train_conditions, np.split(pooled, ends)))
+    val_f = {cond: _preprocessed_columns(val, params, features) for cond, (_, val) in splits.items()}
+    return binning, params, train_f, val_f
+
+
 def _single_condition(config: ExperimentConfig, n_bins_per_feature, features):
     """One condition's events, split, preprocessed and binned: the train and
     validation distributions, the binning, the preprocessing parameters and
-    the train and validation features. Only the requested features of the
-    validation half are computed."""
+    the train and validation features."""
     condition = config.settings["data"]["condition"]
-    events = _events(config, {condition: 0})[condition]
-    train_events, test_events = train_test_split(events, config.seed)
-    train_all, params = _preprocess(config, train_events)
-    train_f = train_all[:, features]
-    test_f = _preprocessed_columns(test_events, params, features)
-    binning = BinningSpec.from_training_data(train_f, n_bins_per_feature)
-    binned = discretize(train_f, binning), discretize(test_f, binning)
-    return *binned, binning, params, train_f, test_f
+    events = _events(config, {condition: 0})
+    binning, params, train_f, val_f = _prepare(config, events, [condition], n_bins_per_feature, features)
+    train_f, val_f = train_f[condition], val_f[condition]
+    return discretize(train_f, binning), discretize(val_f, binning), binning, params, train_f, val_f
 
 
 def _fit(config, circuit, target, val_target, seed_offset=0, condition_range=None):
@@ -433,28 +447,17 @@ def _exp_blocks(config: ExperimentConfig):
 
 
 def _exp_cond(config: ExperimentConfig):
-    """One conditional model over the seven conditions but the held-out one.
-
-    Each condition's events split as train_test_split splits them, with
-    one row order drawn per distinct row count. The energies of the pooled
-    training halves are preprocess's own output; the validation and
-    held-out halves get their energy feature alone."""
+    """One conditional model over the seven conditions but the held-out one,
+    its data prepared by _prepare: the held-out condition's training half
+    is not used."""
     held_out = config.settings["data"]["held_out"]
     train_conditions = [cond for cond in CONDITION_VALUES if cond != held_out]
     events = _events(config, {cond: int(cond) for cond in CONDITION_VALUES})
-    orders = {n: _split_order(n, config.seed) for n in {len(evs) for evs in events.values()}}
-    splits = {cond: _split_by(evs, orders[len(evs)]) for cond, evs in events.items()}
-    pooled_train = np.concatenate([splits[cond][0] for cond in train_conditions])
-    pooled_f, params = _preprocess(config, pooled_train)
-    pooled_energy = pooled_f[:, [0]]
-    binning = BinningSpec.from_training_data(pooled_energy, [8])
+    binning, _, train_energy, val_energy = _prepare(config, events, train_conditions, [8], [0])
     circuit = build_conditional(*binning.register_bits, config.settings["circuit"]["n_layers"])
-    ends = np.cumsum([len(splits[cond][0]) for cond in train_conditions])[:-1]
-    train_energy = dict(zip(train_conditions, np.split(pooled_energy, ends)))
-    energy = lambda evs: _preprocessed_columns(evs, params, [0])
     train_dists = {cond: discretize(train_energy[cond], binning) for cond in train_conditions}
-    val_dists = {cond: discretize(energy(splits[cond][1]), binning) for cond in train_conditions}
-    held_out_dist = discretize(energy(splits[held_out][1]), binning)
+    val_dists = {cond: discretize(val_energy[cond], binning) for cond in train_conditions}
+    held_out_dist = discretize(val_energy[held_out], binning)
     trained, trace = _fit(
         config,
         circuit,

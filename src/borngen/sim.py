@@ -28,11 +28,10 @@ A circuit of RY, H and CNOT gates only keeps real amplitudes and runs in
 float64; RX and RZZ make it complex128.
 
 A run first binds the program to its data angles (the program keeps its
-last eight bindings). A binding holds what does not depend on theta: the
-state after the ops before the first trainable gate, each data-only
-rotation block as a fixed matrix, and the constant angles that the other
-blocks read. Each run then starts from that state and sweeps only the
-blocks that hold a trainable gate.
+last eight bindings). A binding is those angles and the state after the
+ops before the first trainable gate. Each run then starts from that state
+and sweeps every rotation block from there on, through the one sweep table
+that the program builds at compile time for every data-angle vector.
 
 adjoint_gradient runs the circuit once, keeping the output psi of each op it reads, then
 un-applies the ops to lambda alone. The gates of an op commute (and a folded
@@ -138,9 +137,7 @@ class _Op:
     RZZ layer. Its tables are shared by every circuit with the same layer.
 
     A block acts on the (1, hi, 2**g, lo) view of the amplitudes.
-    params is the range of a rotation or phase op's gates in program order
-    (for a bound phase op, its entries in the binding's order: an index
-    array when a data gate comes between them).
+    params is the range of a rotation or phase op's gates in program order.
     table is, by kind:
     - "rotation": twice each gate's generator I x G x I on the block,
       flattened, (k, 4**g), which its _Group stacks; the op's matrix is
@@ -153,7 +150,7 @@ class _Op:
     kind: str
     hi: int = 1
     lo: int = 1
-    params: Optional[slice | np.ndarray] = None
+    params: Optional[slice] = None
     block: int = 0
     table: Optional[np.ndarray] = None
     inverse: Optional[np.ndarray] = None
@@ -195,11 +192,18 @@ class _Program:
     folded into it (arange if none is; perms is None when no block has
     one). The adjoint sweep stops at op first_trainable; reads lists the
     rotation and phase ops from there on, group after group, whose
-    gradients it reads. dtype is float64 when every gate is RY, H or CNOT,
-    so that the amplitudes stay real, and complex128 otherwise. Circuits
-    with the same gates share a program, so its arrays are read-only.
-    bindings maps data angles (their bytes, or None) to the program's
-    _Binding for them.
+    gradients it reads.
+    The sweep table serves every binding: swept_ops are the ops from
+    first_trainable on, each rotation op numbered into the swept blocks,
+    which are every rotation block among them, those with an H block folded
+    in first. index is the swept blocks' _gather_index, swept_folds the H
+    blocks folded into the first len(swept_folds) of them (None when none
+    is), and rows gives each of swept_ops its row among the reads, or None
+    for an op whose gradient is not read.
+    dtype is float64 when every gate is RY, H or CNOT, so that the
+    amplitudes stay real, and complex128 otherwise. Circuits with the same
+    gates share a program, so its arrays are read-only. bindings maps data
+    angles (their bytes) to the program's _Binding for them.
     """
 
     ops: tuple[_Op, ...]
@@ -213,6 +217,10 @@ class _Program:
     first_trainable: int
     reads: tuple[int, ...]
     groups: tuple[_Group, ...]
+    swept_ops: tuple[_Op, ...]
+    index: np.ndarray
+    swept_folds: Optional[np.ndarray]
+    rows: tuple[Optional[int], ...]
     dtype: type
     bindings: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -364,6 +372,13 @@ def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
     generators = np.array(
         [_GENERATORS[gate.kind][1] / rate for gate, rate in zip(params, rates)] + [np.zeros((2, 2))]
     ).reshape(-1, 4)
+    kron = np.array(kron, dtype=int).reshape(-1, g)
+    # the swept blocks: every rotation block from first_trainable on, those
+    # with an H block folded in first
+    blocks = [op.block for op in ops[first_trainable:] if op.kind == "rotation"]
+    h_folded = [] if folds is None else [b for b in blocks if (folds[b] != np.eye(2**g)).any()]
+    swept = np.array(h_folded + [b for b in blocks if b not in h_folded], dtype=np.intp)
+    position = {int(b): i for i, b in enumerate(swept)}
     return _Program(
         tuple(ops),
         columns=_frozen(np.array(
@@ -375,12 +390,19 @@ def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
         slots=_frozen(np.array(
             [n_theta if gate.param_slot is None else gate.param_slot for gate in params] + [n_theta]
         )),
-        kron=_frozen(np.array(kron, dtype=int).reshape(-1, g)),
+        kron=_frozen(kron),
         folds=folds,
         perms=perms,
         first_trainable=first_trainable,
         reads=reads,
         groups=groups,
+        swept_ops=tuple(replace(op, block=position[op.block]) if op.kind == "rotation" else op
+                        for op in ops[first_trainable:]),
+        index=_frozen(_gather_index(
+            kron[swept] % len(generators), None if perms is None else perms[swept]
+        )),
+        swept_folds=_frozen(folds[swept[: len(h_folded)]]) if h_folded else None,
+        rows=tuple(reads.index(i) if i in reads else None for i in range(first_trainable, len(ops))),
         dtype=generators.dtype,  # complex as soon as one RX or RZZ generator is
     )
 
@@ -446,22 +468,10 @@ def _groups(ops: list[_Op], first: int) -> tuple[tuple[int, ...], tuple[_Group, 
 
 @dataclass(slots=True, eq=False)
 class _Binding:
-    """A program bound to one data-angle vector: what every run at those
-    data angles shares, computed once.
-
-    start, (1, 2**n) and read-only, is the state after the ops before the
-    program's first_trainable; ops are the ops from there on. Each rotation
-    block of data gates alone is a fixed op of its matrix (inverse holding
-    its conjugate transpose); each other one is numbered into the sweep's
-    blocks, the folded ones first. The sweep's entries are the trainable
-    gates in program order, whose angles are theta[slots] times rates,
-    then the constant entries that a swept block or a phase op reads,
-    whose angles times their rates are constants, (1, entries), or None
-    when there are none. generators are the program's for these entries,
-    index the _gather_index of the swept blocks' entries and column orders
-    (perms), and folds the program's H folds for the first len(folds)
-    blocks, or None. rows gives each op its row among the program's reads,
-    or None for an op whose gradient is not read.
+    """A program bound to one data-angle vector, data (read-only, empty for
+    a circuit without data slots): start, (1, 2**n) and read-only, is the
+    state after the program's ops before first_trainable, from which every
+    run at these data angles goes on through the program's swept_ops.
 
     plan, the one field that changes, is the binding's _Plan: None until
     its first adjoint gradient or run builds it, and dropped with the
@@ -472,15 +482,8 @@ class _Binding:
     of its own, built for that run and then dropped.
     """
 
-    ops: tuple[_Op, ...]
     start: np.ndarray
-    slots: np.ndarray
-    rates: np.ndarray
-    constants: Optional[np.ndarray]
-    generators: np.ndarray
-    index: np.ndarray
-    folds: Optional[np.ndarray]
-    rows: tuple[Optional[int], ...]
+    data: np.ndarray
     plan: Optional[_Plan] = field(default=None, compare=False, repr=False)
 
 
@@ -541,17 +544,16 @@ class _Plan:
                 np.conjugate(phase[0], phase[1])
 
 
-def _build_plan(binding: _Binding) -> _Plan:
-    """The binding's scratch memory, and its ops' forward and inverse
-    calls bound to it."""
-    ops, rows = binding.ops, binding.rows
+def _build_plan(program: _Program, binding: _Binding) -> _Plan:
+    """The binding's scratch memory, and the program's swept_ops' forward
+    and inverse calls bound to it."""
+    ops, rows = program.swept_ops, program.rows
     n_reads = sum(row is not None for row in rows)
-    dim, dtype = binding.start.shape[1], binding.start.dtype
+    dim, dtype = binding.start.shape[1], program.dtype
     states = np.empty((2 * n_reads + 2, dim), dtype)  # C-contiguous: every row reshapes as a view
     psis, lams, temps = states[:n_reads], states[n_reads : 2 * n_reads], states[2 * n_reads :]
-    n_blocks, g = binding.index.shape[:2]
-    block_dtype = binding.generators.dtype
-    blocks = np.empty((1 + (block_dtype.kind == "c"), n_blocks, 2**g, 2**g), block_dtype)
+    n_blocks, g = program.index.shape[:2]
+    blocks = np.empty((1 + (dtype.kind == "c"), n_blocks, 2**g, 2**g), dtype)
     phase_ops = tuple((op.params, op.table) for op in ops if op.kind == "phase")
     phases = np.empty((len(phase_ops), 2, 1, dim), complex)
     operands, next_phase = [], iter(phases)  # each op's forward and inverse operand
@@ -592,15 +594,15 @@ def _build_plan(binding: _Binding) -> _Plan:
     )
 
 
-def _plan(binding: _Binding) -> _Plan:
+def _plan(program: _Program, binding: _Binding) -> _Plan:
     """The binding's plan, built at its first use and locked for this run;
     when another run holds it, a throwaway plan, locked alike. Run it in a
     with block, which releases the lock."""
     plan = binding.plan
     if plan is None:
-        plan = binding.plan = _build_plan(binding)
+        plan = binding.plan = _build_plan(program, binding)
     if not plan.lock.acquire(blocking=False):
-        plan = _build_plan(binding)
+        plan = _build_plan(program, binding)
         plan.lock.acquire()
     return plan
 
@@ -608,105 +610,52 @@ def _plan(binding: _Binding) -> _Plan:
 # Each program keeps the bindings of its last _BINDINGS data-angle vectors
 # (dropping the oldest first): one for a circuit without data slots, one
 # per condition value of a conditional model, whose experiment visits
-# seven. Each holds a state vector and a few small tables.
+# seven. Each holds a state vector and its data angles.
 _BINDINGS = 8
 
 
 def _binding(circuit, n_theta: int, data_angles) -> _Binding:
     """The circuit's program bound to these data angles, from the
     program's bindings when it holds them."""
-    _check_inputs(circuit, n_theta, data_angles)
-    data = np.asarray(data_angles, dtype=float) if circuit.n_data_slots else None
-    key = None if data is None else data.tobytes()
+    data = _check_inputs(circuit, n_theta, data_angles)
+    key = data.tobytes()
     program = circuit.program
     binding = program.bindings.get(key)
     if binding is None:
         if len(program.bindings) >= _BINDINGS:
             del program.bindings[next(iter(program.bindings))]  # the oldest
-        binding = program.bindings[key] = _bind(program, data, circuit.n_qubits)
+        binding = program.bindings[key] = _bind(program, _frozen(data.copy()), circuit.n_qubits)
     return binding
 
 
-def _bind(program: _Program, data: Optional[np.ndarray], n_qubits: int) -> _Binding:
-    """Bind the program to data angles: sweep it once at theta = 0 for the
-    constant blocks and angles, run the ops before first_trainable, and
-    number what is left for the per-theta sweep."""
-    n_theta = int(program.slots[-1])  # the identity entry's slot
-    source = np.zeros((1, 1 + n_theta + (0 if data is None else len(data))))
-    if data is not None:
-        source[0, 1 + n_theta:] = data
-    angles = source.take(program.columns, axis=1) * program.rates
-    n_entries = len(program.columns)
-    kron = program.kron % n_entries  # the identity entry as its index
-    # every block at theta = 0, of which those without a trainable gate are
-    # the same at every theta
-    index = _gather_index(kron, program.perms)
-    constant_blocks = _rotation_blocks(angles[0], program.generators, index, program.folds)
-    first = program.first_trainable
+_ZERO, _NO_DATA = _frozen(np.zeros(1)), _frozen(np.zeros(0))
+
+
+def _angles(program: _Program, theta: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Each entry's angle times its rate, (1, entries): column columns[k]
+    of [0, theta, data angles] for entry k."""
+    return np.concatenate((_ZERO, theta, data)).take(program.columns)[None] * program.rates
+
+
+def _bind(program: _Program, data: np.ndarray, n_qubits: int) -> _Binding:
+    """Bind the program to data angles: run the ops before first_trainable
+    on |0...0>, with every block swept at theta = 0."""
+    angles = _angles(program, np.zeros(int(program.slots[-1])), data)  # the identity's slot is n_theta
+    index = _gather_index(program.kron % len(program.columns), program.perms)
+    blocks = _rotation_blocks(angles[0], program.generators, index, program.folds)
     start = np.zeros((1, 2**n_qubits), dtype=program.dtype)
     start[0, 0] = 1.0
-    for op in program.ops[:first]:
-        start = _apply(start, op, constant_blocks, angles)
-
-    trainable = program.slots < n_theta
-    swept = trainable[kron].any(axis=1)  # blocks with a trainable gate
-    folded = np.zeros(len(kron), dtype=bool)
-    if program.folds is not None:
-        d = program.folds.shape[-1]
-        folded = (program.folds != np.eye(d)).any(axis=(1, 2))
-    blocks = np.concatenate([np.flatnonzero(swept & folded), np.flatnonzero(swept & ~folded)])
-    n_folded = int((swept & folded).sum())
-    ops = program.ops[first:]
-    read = set(kron[blocks].ravel())
-    for op in ops:
-        if op.kind == "phase":
-            read.update(range(op.params.start, op.params.stop))
-    entries = np.concatenate([np.flatnonzero(trainable), sorted(e for e in read if not trainable[e])])
-    entries = entries.astype(np.intp)
-    rank = np.zeros(n_entries, dtype=np.intp)
-    rank[entries] = np.arange(len(entries))
-    position = np.zeros(len(kron), dtype=np.intp)
-    position[blocks] = np.arange(len(blocks))
-
-    bound = []
-    for op in ops:
-        if op.kind == "rotation" and swept[op.block]:
-            op = replace(op, block=int(position[op.block]))
-        elif op.kind == "rotation":  # data gates alone: a constant matrix
-            matrix = constant_blocks[op.block]
-            inverse = matrix.T.conj() if matrix.dtype.kind == "c" else matrix.T
-            op = _Op("fixed", op.hi, op.lo, table=_frozen(matrix), inverse=_frozen(inverse))
-        elif op.kind == "phase":
-            params = rank[op.params]  # a slice again when all its gates are trainable
-            if (np.diff(params) == 1).all():
-                params = slice(int(params[0]), int(params[-1]) + 1)
-            op = replace(op, params=params)
-        bound.append(op)
-    n_trainable = int(trainable.sum())
-    return _Binding(
-        tuple(bound),
-        start=_frozen(start),
-        slots=_frozen(program.slots[entries[:n_trainable]]),
-        rates=_frozen(program.rates[entries[:n_trainable]]),
-        constants=_frozen(angles[:, entries[n_trainable:]]) if len(entries) > n_trainable else None,
-        generators=_frozen(program.generators[entries]),
-        index=_frozen(_gather_index(
-            rank[kron[blocks]].reshape(len(blocks), kron.shape[1]),
-            None if program.perms is None else program.perms[blocks],
-        )),
-        folds=_frozen(program.folds[blocks[:n_folded]]) if n_folded else None,
-        rows=tuple(program.reads.index(i) if i in program.reads else None
-                   for i in range(first, len(program.ops))),
-    )
+    for op in program.ops[: program.first_trainable]:
+        start = _apply(start, op, blocks, angles)
+    return _Binding(_frozen(start), data)
 
 
-def _sweep(binding: _Binding, theta: np.ndarray):
-    """The bound entries' angles times their rates at theta, (1, entries),
-    and every swept block's Kronecker matrix, (blocks, 2**g, 2**g)."""
-    angles = theta.take(binding.slots)[None] * binding.rates
-    if binding.constants is not None:
-        angles = np.concatenate([angles, binding.constants], axis=1)
-    return angles, _rotation_blocks(angles[0], binding.generators, binding.index, binding.folds)
+def _sweep(program: _Program, binding: _Binding, theta: np.ndarray):
+    """Every entry's angle times its rate at theta and the binding's data
+    angles, (1, entries), and every swept block's Kronecker matrix,
+    (blocks, 2**g, 2**g)."""
+    angles = _angles(program, theta, binding.data)
+    return angles, _rotation_blocks(angles[0], program.generators, program.index, program.swept_folds)
 
 
 def _gather_index(kron: np.ndarray, perms: Optional[np.ndarray]) -> np.ndarray:
@@ -813,23 +762,26 @@ def _vector(circuit, theta) -> np.ndarray:
     return theta
 
 
-def _check_inputs(circuit, n_theta: int, data_angles) -> None:
+def _check_inputs(circuit, n_theta: int, data_angles) -> np.ndarray:
+    """The data angles as a float vector, empty for None; a vector of
+    another length than the circuit's data slots, or any other shape, is a
+    ValueError."""
     if n_theta != circuit.n_parameters:
         raise ValueError(f"expected {circuit.n_parameters} parameters, got {n_theta}")
-    if circuit.n_data_slots and (
-        data_angles is None or len(data_angles) != circuit.n_data_slots
-    ):
+    data = _NO_DATA if data_angles is None else np.asarray(data_angles, dtype=float)
+    if data.shape != (circuit.n_data_slots,):
         raise ValueError(f"expected {circuit.n_data_slots} data angles")
+    return data
 
 
 def run_circuit(circuit, theta: Sequence[float], data_angles=None) -> np.ndarray:
     """Run the circuit on |0...0>, returning its (2**n_qubits,) amplitudes."""
     theta = _vector(circuit, theta)
-    binding = _binding(circuit, len(theta), data_angles)
-    if not binding.ops:
+    binding, program = _binding(circuit, len(theta), data_angles), circuit.program
+    if not program.swept_ops:
         return binding.start[0].copy()
-    with _plan(binding) as plan:
-        plan.load(*_sweep(binding, theta), inverse=False)
+    with _plan(program, binding) as plan:
+        plan.load(*_sweep(program, binding, theta), inverse=False)
         for call in plan.forward:
             call()
         return plan.psi[0].copy()  # the caller's own
@@ -870,13 +822,12 @@ def adjoint_gradient(
     observable_of gets it and as returned, is the caller's own array.
     """
     theta = _vector(circuit, theta)
-    binding = _binding(circuit, len(theta), data_angles)
+    binding, program = _binding(circuit, len(theta), data_angles), circuit.program
     n = circuit.n_parameters
-    if not binding.ops:  # no trainable gate
+    if not program.swept_ops:  # no trainable gate
         return binding.start[0].copy(), np.zeros(n)
-    program = circuit.program
-    with _plan(binding) as plan:
-        plan.load(*_sweep(binding, theta))
+    with _plan(program, binding) as plan:
+        plan.load(*_sweep(program, binding, theta))
         for call in plan.forward:
             call()
         psi = plan.psi[0].copy()

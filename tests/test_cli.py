@@ -250,8 +250,10 @@ def test_run_reports_config_error_found_while_running(runner, tmp_path):
     [
         (slice(1, 2), 0, "x", "malformed row 2"),
         (slice(None), 2, "0.0", "constant feature(s) ['eta']"),
+        (slice(1, 2), 0, "nan", "malformed row 2: e_out must be finite"),
+        (slice(4, 5), 2, "inf", "malformed row 5: eta must be finite"),
     ],
-    ids=["malformed_row", "constant_eta"],
+    ids=["malformed_row", "constant_eta", "nan_e_out", "inf_eta"],
 )
 def test_run_reports_a_bad_csv_as_a_config_error(runner, tmp_path, rows, column, value, message):
     events = tmp_path / "events.csv"

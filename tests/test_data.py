@@ -271,6 +271,9 @@ def test_event_record_validation(tmp_path):
         "-1.0,1.0,0.0,100.0": "e_out must be positive",
         "0.0,1.0,0.0,100.0": "e_out must be positive",
         "1.0,-1.0,0.0,100.0": "pt must be nonnegative",
+        "nan,1.0,0.0,100.0": "e_out must be finite",
+        "1.0,1.0,inf,100.0": "eta must be finite",
+        "1.0,1.0,0.0,-inf": "e_in must be finite",
     }
     for row, message in bad_rows.items():
         path.write_text("\n".join(["e_out,pt,eta,e_in", "1.0,0.0,3.0,100.0", row]) + "\n")

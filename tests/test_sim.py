@@ -139,13 +139,22 @@ def test_adjoint_gradient_rejects_a_scalar_theta(n_parameters):
             sim.adjoint_gradient(circuit, theta, observable_of)
 
 
-@pytest.mark.parametrize("data_angles", [None, np.zeros(2)])
-def test_batch_validates_data_angles(data_angles):
-    circuit = build_conditional(3, 1)  # three data slots
+@pytest.mark.parametrize(
+    "circuit, data_angles",
+    [
+        (build_conditional(3, 1), None),  # three data slots
+        (build_conditional(3, 1), np.zeros(2)),
+        (build_conditional(3, 1), np.zeros((3, 1))),  # not a vector
+        (build_hardware_efficient(2, 1), [0.3]),  # no data slots
+    ],
+    ids=["None", "data_angles1", "column", "no_data_slots"],
+)
+def test_batch_validates_data_angles(circuit, data_angles):
     thetas = np.zeros((2, circuit.n_parameters))
-    with pytest.raises(ValueError, match="expected 3 data angles"):
+    expected = f"expected {circuit.n_data_slots} data angles"
+    with pytest.raises(ValueError, match=expected):
         run_circuit_batch(circuit, thetas, data_angles)
-    with pytest.raises(ValueError, match="expected 3 data angles"):
+    with pytest.raises(ValueError, match=expected):
         run_circuit(circuit, thetas[0], data_angles)
 
 
@@ -519,18 +528,14 @@ def _check_bound_equals_unbound(circuit, data_angles, rng):
     assert (psi == ref_psi).all() and (grad == ref_grad).all()
     assert (run_circuit(circuit, theta, data_angles) == ref_psi).all()
     # each swept block is the unbound block of its op, bitwise and laid out alike
-    binding = sim._binding(circuit, circuit.n_parameters, data_angles)
-    _, blocks = sim._sweep(binding, theta)
-    _, ref_blocks = _unbound_sweep(circuit, theta, data_angles)
     program = circuit.program
-    for op, ref_op in zip(binding.ops, program.ops[program.first_trainable:]):
+    binding = sim._binding(circuit, circuit.n_parameters, data_angles)
+    _, blocks = sim._sweep(program, binding, theta)
+    _, ref_blocks = _unbound_sweep(circuit, theta, data_angles)
+    for op, ref_op in zip(program.swept_ops, program.ops[program.first_trainable:]):
         if op.kind == "rotation":
             bound, ref = blocks[op.block], ref_blocks[ref_op.block]
-        elif ref_op.kind == "rotation":  # data gates alone, bound into a fixed op
-            bound, ref = op.table, ref_blocks[ref_op.block]
-        else:
-            continue
-        assert (bound == ref).all() and bound.strides == ref.strides
+            assert (bound == ref).all() and bound.strides == ref.strides
 
 
 _BOUND_CIRCUITS = [build_multivariate(3, 3, 4, choice) for choice in all_block_choices()]
@@ -602,12 +607,43 @@ def test_bindings_are_few_and_live_on_the_shared_program():
     assert run_circuit(block, [])[0] != 2.0
 
 
+def test_every_binding_runs_from_the_programs_one_sweep_table(monkeypatch):
+    # the sweep's ops, gather index and folds are the program's, the same
+    # at every condition; a binding holds only its start state and its
+    # data angles, no more than one [0, theta, data] row beside the state
+    circuit = build_conditional(3, 4)
+    program = circuit.program
+    program.bindings.clear()
+    rng = np.random.default_rng(39)
+    model = BornModel(circuit, rng.uniform(0, 2 * np.pi, circuit.n_parameters),
+                      (min(CONDITION_VALUES), max(CONDITION_VALUES)))
+    target, _ = _observable(circuit, 40)
+    for condition in CONDITION_VALUES:  # binds
+        model_distribution(model, condition)
+    swept, rotation_blocks = [], sim._rotation_blocks
+
+    def spied(angles, generators, index, folds):
+        swept.append((index, folds))
+        return rotation_blocks(angles, generators, index, folds)
+
+    monkeypatch.setattr(sim, "_rotation_blocks", spied)
+    for condition in CONDITION_VALUES:
+        mmd_gradient(model, target, KernelConfig(), condition)
+    assert len(program.bindings) == len(swept) == len(CONDITION_VALUES)
+    assert all(index is program.index and folds is program.swept_folds for index, folds in swept)
+    row = (1 + circuit.n_parameters + circuit.n_data_slots) * 8
+    for binding in program.bindings.values():
+        values = [getattr(binding, f.name) for f in fields(binding) if f.name != "plan"]
+        assert all(isinstance(value, np.ndarray) for value in values)
+        assert sum(value.nbytes for value in values) <= binding.start.nbytes + row
+
+
 def _plan_spy(monkeypatch):
     """The plans that sim builds from here on, with the binding of each."""
     built, build = [], sim._build_plan
 
-    def spied(binding):
-        plan = build(binding)
+    def spied(program, binding):
+        plan = build(program, binding)
         built.append((binding, plan))
         return plan
 
@@ -766,7 +802,7 @@ def test_a_plans_scratch_is_its_rows_and_blocks():
     }
     for name, (rows, blocks, phases) in expected.items():
         circuit, data_angles = _PLANNED[name]
-        plan = sim._build_plan(sim._binding(circuit, circuit.n_parameters, data_angles))
+        plan = sim._build_plan(circuit.program, sim._binding(circuit, circuit.n_parameters, data_angles))
         assert (plan.states.nbytes, plan.blocks.nbytes, plan.phases.nbytes + plan.z.nbytes) == (rows, blocks, phases)
         arrays = [value for value in (getattr(plan, f.name) for f in fields(plan)) if isinstance(value, np.ndarray)]
         owned = [a for a in arrays if a.base is None]  # the rest are views of these
