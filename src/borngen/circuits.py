@@ -43,11 +43,13 @@ class CircuitSpec:
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        slots = sorted(g.param_slot for g in self.gates if g.param_slot is not None)
+        if self.n_parameters < 0 or self.n_data_slots < 0:
+            raise ValueError("slot counts must be at least 0")
+        slots = [g.param_slot for g in self.gates if g.param_slot is not None]
         if sorted(set(slots)) != list(range(self.n_parameters)):
             raise ValueError("parameter slots must cover exactly 0..n_parameters-1")
-        data = sorted(set(g.data_slot for g in self.gates if g.data_slot is not None))
-        if data and (data[0] != 0 or data[-1] != self.n_data_slots - 1):
+        data = [g.data_slot for g in self.gates if g.data_slot is not None]
+        if sorted(set(data)) != list(range(self.n_data_slots)):
             raise ValueError("data slots must cover exactly 0..n_data_slots-1")
         for g in self.gates:
             if any(t >= self.n_qubits for t in g.targets):

@@ -248,7 +248,7 @@ def train(
         raise ValueError("validation targets must cover the same conditions")
 
     bits = model.circuit.register_bits
-    for tgt in targets.values():
+    for tgt in [*targets.values(), *val_targets.values()]:
         if tgt.register_bits != bits:
             raise ValueError("target bin layout does not match the model")
 

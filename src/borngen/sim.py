@@ -27,11 +27,12 @@ columns in permuted order in the gather that builds M.
 A circuit of RY, H and CNOT gates only keeps real amplitudes and runs in
 float64; RX and RZZ make it complex128.
 
-A run first binds the program to its data angles (the program keeps its
-last eight bindings). A binding is those angles and the state after the
-ops before the first trainable gate. Each run then starts from that state
-and sweeps every rotation block from there on, through the one sweep table
-that the program builds at compile time for every data-angle vector.
+A program's start state is the state after its ops before the first
+parameterized one, which are H blocks and CNOT runs only; the compiler runs
+them once on |0...0>. Every run starts from that state and sweeps every
+rotation block from there on, data blocks included, through the program's
+one block table, from the angles [0, theta, data angles]. So data angles
+enter a run only through its sweep.
 
 adjoint_gradient runs the circuit once, keeping the output psi of each op it reads, then
 un-applies the ops to lambda alone. The gates of an op commute (and a folded
@@ -42,7 +43,8 @@ against each gate's I x G x I, for an RZZ layer from Z times
 group of ops with the same layout.
 
 Each op is a single small numpy call on one row, whose cost is its call
-overhead. So a binding's first gradient or run builds its plan, which holds:
+overhead. So a program's first gradient or run builds its plan, which
+serves every data-angle vector and holds:
 - scratch rows for psi and lambda at each read op's output, and two
   temporary rows that the other ops write into in turn;
 - a buffer that each sweep's blocks are copied into, with their conjugates
@@ -53,12 +55,12 @@ A gradient is then one sweep, the forward calls, the backward calls and the
 grouped reads. A plan's scratch is (2 reads + 2) states and one or two
 copies of the swept blocks: 128 KiB of rows and 7.5 KiB of blocks for the
 15 reads and 15 blocks of the default 9-qubit multivariate model, 2.5 KiB
-and 18 KiB for the 9 of the 3-qubit, 4-layer conditional one. A run holds
-its plan's lock; a run that finds it taken (an observable_of that itself
-runs the circuit at the same binding, or a run on another thread) builds a
-throwaway plan for itself. Every run goes through a plan; _apply, which
-makes an op's same call into a new array, only runs the ops before the
-first trainable one when a binding is made.
+and 20 KiB for the 9 reads and 10 blocks of the 3-qubit, 4-layer
+conditional one. A run holds its plan's lock; a run that finds it taken (an
+observable_of that itself runs the same circuit, or a run on another
+thread) builds a throwaway plan for itself. Every run goes through a plan;
+_apply, which makes an op's same call into a new array, only runs the ops
+before the first parameterized one, at compile time.
 """
 from __future__ import annotations
 
@@ -175,35 +177,32 @@ class _Group:
     table: np.ndarray
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class _Program:
-    """A compiled circuit: its ops, and what a sweep needs to build their
-    matrices and phases.
+    """A compiled circuit: its ops, what a sweep needs to build their
+    matrices and phases, and the state that every run starts from.
 
     The parameterized gates are numbered in op order, and one entry more,
     the identity, fills the unused qubits of a block. Entry k takes its
     angle from column columns[k] of [0, theta, data angles], turns at rate
     rates[k] with generator / rate generators[k] (flattened), and feeds
     gradient slot slots[k] (n_parameters for data gates and the identity).
-    kron[b] lists the entries of rotation block b, its highest qubit first.
-    folds[b], (2**g, 2**g), is the H block folded into it (the identity if
-    none is; folds is None when no block has one), and perms[b], (2**g,),
-    the column order M[:, perms[b]] that makes M @ P of the CNOT run P
-    folded into it (arange if none is; perms is None when no block has
-    one). The adjoint sweep stops at op first_trainable; reads lists the
-    rotation and phase ops from there on, group after group, whose
+    The program has one block table: each rotation op's matrix is block
+    op.block of every sweep, the blocks with an H block folded in first.
+    kron[b] lists the entries of block b, its highest qubit first; index is
+    the blocks' _gather_index, which also takes the columns of a block with
+    a CNOT run folded in in the run's order, and folds, (k, 2**g, 2**g),
+    holds the H blocks folded into the first k blocks (None when none is).
+    start, (1, 2**n) and read-only, is the state after the ops before op
+    first_swept, the first parameterized one; each run applies the ops from
+    there on. The adjoint sweep stops at op first_trainable; reads lists
+    the rotation and phase ops from there on, group after group, whose
     gradients it reads.
-    The sweep table serves every binding: swept_ops are the ops from
-    first_trainable on, each rotation op numbered into the swept blocks,
-    which are every rotation block among them, those with an H block folded
-    in first. index is the swept blocks' _gather_index, swept_folds the H
-    blocks folded into the first len(swept_folds) of them (None when none
-    is), and rows gives each of swept_ops its row among the reads, or None
-    for an op whose gradient is not read.
     dtype is float64 when every gate is RY, H or CNOT, so that the
     amplitudes stay real, and complex128 otherwise. Circuits with the same
-    gates share a program, so its arrays are read-only. bindings maps data
-    angles (their bytes) to the program's _Binding for them.
+    gates share a program, so its arrays are read-only. plan, the one field
+    that changes, is the program's _Plan: None until its first run builds
+    it.
     """
 
     ops: tuple[_Op, ...]
@@ -212,17 +211,15 @@ class _Program:
     generators: np.ndarray
     slots: np.ndarray
     kron: np.ndarray
+    index: np.ndarray
     folds: Optional[np.ndarray]
-    perms: Optional[np.ndarray]
+    start: np.ndarray
+    first_swept: int
     first_trainable: int
     reads: tuple[int, ...]
     groups: tuple[_Group, ...]
-    swept_ops: tuple[_Op, ...]
-    index: np.ndarray
-    swept_folds: Optional[np.ndarray]
-    rows: tuple[Optional[int], ...]
     dtype: type
-    bindings: dict = field(default_factory=dict, compare=False, repr=False)
+    plan: Optional[_Plan] = field(default=None, repr=False)
 
 
 def _schedule(gates) -> list[tuple[str, list]]:
@@ -362,8 +359,13 @@ def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
                 kron.append(entries)
                 rows = _generator_rows(g, tuple((gt.kind, p) for gt, p in zip(block_gates, positions)))
                 ops.append(_Op("rotation", hi, lo, slice(first, len(params)), len(kron) - 1, rows))
-    ops, folds, perms = _fold(ops, n <= _MAX_BLOCK, len(kron), 2**g)
+    ops, folds, perms = _fold(ops, n <= _MAX_BLOCK)
+    # the one block table, the blocks with an H block folded in first
+    order = sorted(range(len(kron)), key=lambda b: b not in folds)
+    position = {b: i for i, b in enumerate(order)}
+    ops = [replace(op, block=position[op.block]) if op.kind == "rotation" else op for op in ops]
     trainable = [gate.param_slot is not None for gate in params]
+    first_swept = next((i for i, op in enumerate(ops) if op.params is not None), len(ops))
     first_trainable = next(
         (i for i, op in enumerate(ops) if op.params and any(trainable[op.params])), len(ops)
     )
@@ -372,13 +374,14 @@ def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
     generators = np.array(
         [_GENERATORS[gate.kind][1] / rate for gate, rate in zip(params, rates)] + [np.zeros((2, 2))]
     ).reshape(-1, 4)
-    kron = np.array(kron, dtype=int).reshape(-1, g)
-    # the swept blocks: every rotation block from first_trainable on, those
-    # with an H block folded in first
-    blocks = [op.block for op in ops[first_trainable:] if op.kind == "rotation"]
-    h_folded = [] if folds is None else [b for b in blocks if (folds[b] != np.eye(2**g)).any()]
-    swept = np.array(h_folded + [b for b in blocks if b not in h_folded], dtype=np.intp)
-    position = {int(b): i for i, b in enumerate(swept)}
+    kron = np.array([kron[b] for b in order], dtype=int).reshape(-1, g)
+    arange = np.arange(2**g, dtype=np.intp)
+    column_orders = np.array([perms.get(b, arange) for b in order]) if perms else None
+    index = _gather_index(kron % len(generators), column_orders)
+    start = np.zeros((1, 2**n), dtype=generators.dtype)  # complex as soon as one RX or RZZ generator is
+    start[0, 0] = 1.0
+    for op in ops[:first_swept]:  # H blocks and CNOT runs, which take no angle
+        start = _apply(start, op, None, None)
     return _Program(
         tuple(ops),
         columns=_frozen(np.array(
@@ -391,27 +394,22 @@ def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
             [n_theta if gate.param_slot is None else gate.param_slot for gate in params] + [n_theta]
         )),
         kron=_frozen(kron),
-        folds=folds,
-        perms=perms,
+        index=_frozen(index),
+        folds=_frozen(np.array([folds[b] for b in order[: len(folds)]])) if folds else None,
+        start=_frozen(start),
+        first_swept=first_swept,
         first_trainable=first_trainable,
         reads=reads,
         groups=groups,
-        swept_ops=tuple(replace(op, block=position[op.block]) if op.kind == "rotation" else op
-                        for op in ops[first_trainable:]),
-        index=_frozen(_gather_index(
-            kron[swept] % len(generators), None if perms is None else perms[swept]
-        )),
-        swept_folds=_frozen(folds[swept[: len(h_folded)]]) if h_folded else None,
-        rows=tuple(reads.index(i) if i in reads else None for i in range(first_trainable, len(ops))),
-        dtype=generators.dtype,  # complex as soon as one RX or RZZ generator is
+        dtype=generators.dtype,
     )
 
 
-def _fold(ops: list[_Op], one_block: bool, n_blocks: int, d: int):
+def _fold(ops: list[_Op], one_block: bool):
     """Fold each fixed op (an H block, or a CNOT run when the circuit is one
     block) into the next rotation op on its block, when no op in between
-    touches that block. Returns the ops left and the program's folds and
-    perms.
+    touches that block. Returns the ops left, and the H block and the column
+    order folded into each block that has one, by block.
 
     Only a fixed F before a rotation M folds: d(M F)/dangle = G M F, so the
     gradient is still read at the op's output. A CNOT run's F is the
@@ -436,11 +434,7 @@ def _fold(ops: list[_Op], one_block: bool, n_blocks: int, d: int):
                     perms[op.block] = kept[j].inverse
                 kept[j] = None
         kept.append(op)
-    stack = lambda by_block, none: (
-        _frozen(np.array([by_block.get(b, none) for b in range(n_blocks)])) if by_block else None
-    )
-    kept = [op for op in kept if op is not None]
-    return kept, stack(folds, np.eye(d)), stack(perms, np.arange(d, dtype=np.intp))
+    return [op for op in kept if op is not None], folds, perms
 
 
 def _groups(ops: list[_Op], first: int) -> tuple[tuple[int, ...], tuple[_Group, ...]]:
@@ -467,47 +461,28 @@ def _groups(ops: list[_Op], first: int) -> tuple[tuple[int, ...], tuple[_Group, 
 
 
 @dataclass(slots=True, eq=False)
-class _Binding:
-    """A program bound to one data-angle vector, data (read-only, empty for
-    a circuit without data slots): start, (1, 2**n) and read-only, is the
-    state after the program's ops before first_trainable, from which every
-    run at these data angles goes on through the program's swept_ops.
-
-    plan, the one field that changes, is the binding's _Plan: None until
-    its first adjoint gradient or run builds it, and dropped with the
-    binding when the program evicts it. Its scratch is (2 reads + 2)
-    states and the swept blocks, twice for a complex program. A run holds
-    the plan's lock while it uses the scratch; a run that finds the lock
-    taken (reentered from observable_of, or on another thread) uses a plan
-    of its own, built for that run and then dropped.
-    """
-
-    start: np.ndarray
-    data: np.ndarray
-    plan: Optional[_Plan] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(slots=True, eq=False, weakref_slot=True)
 class _Plan:
-    """A binding's scratch memory and its ops' kernel calls, each bound
-    once to fixed views of that memory.
+    """A program's scratch memory and its ops' kernel calls, each bound
+    once to fixed views of that memory. One plan serves every data-angle
+    vector, because data angles only enter through the sweep that load
+    copies in.
 
     states holds one state per row: psi at the output of each read op (psis,
     in the program's read order), lambda at the same outputs (lams), and
     two temporary rows that the ops whose gradient is not read write into
-    in turn. blocks[0] is the buffer that each sweep's swept blocks are
-    copied into, and for a complex program blocks[1] holds their
-    conjugates, whose transposes are the inverses. Each phase op's
-    exp(-i theta.Z) is phases[j, 0] and its conjugate, the inverse,
-    phases[j, 1]; z, one float row (none without phase ops), holds
-    theta.Z while it is built. phase_ops are those ops' (params, table).
+    in turn. blocks[0] is the buffer that each sweep's blocks are copied
+    into, and for a complex program blocks[1] holds their conjugates, whose
+    transposes are the inverses. Each phase op's exp(-i theta.Z) is
+    phases[j, 0] and its conjugate, the inverse, phases[j, 1]; z, one float
+    row (none without phase ops), holds theta.Z while it is built.
+    phase_ops are those ops' (params, table).
 
-    forward applies the ops in turn from the binding's start state, ending
-    at psi (a (1, 2**n) view); backward carries lambda from lam, the last
-    op's output, back to the first op's. Every call is the one that _call
-    makes for its op, so a planned run equals a run through _apply bitwise.
-    _plan hands a plan out with its lock held, and leaving a with block on
-    it releases the lock.
+    forward applies the ops from first_swept on in turn from the program's
+    start state, ending at psi (a (1, 2**n) view); backward carries lambda
+    from lam, the last op's output, back to op first_trainable's. Every
+    call is the one that _call makes for its op, so a planned run equals a
+    run through _apply bitwise. _plan hands a plan out with its lock held,
+    and leaving a with block on it releases the lock.
     """
 
     states: np.ndarray
@@ -544,12 +519,14 @@ class _Plan:
                 np.conjugate(phase[0], phase[1])
 
 
-def _build_plan(program: _Program, binding: _Binding) -> _Plan:
-    """The binding's scratch memory, and the program's swept_ops' forward
-    and inverse calls bound to it."""
-    ops, rows = program.swept_ops, program.rows
-    n_reads = sum(row is not None for row in rows)
-    dim, dtype = binding.start.shape[1], program.dtype
+def _build_plan(program: _Program) -> _Plan:
+    """The program's scratch memory, and its ops' forward and inverse calls
+    from first_swept on, bound to it."""
+    first, read_row = program.first_swept, {i: row for row, i in enumerate(program.reads)}
+    ops = program.ops[first:]
+    rows = [read_row.get(i) for i in range(first, len(program.ops))]
+    n_reads = len(program.reads)
+    dim, dtype = program.start.shape[1], program.dtype
     states = np.empty((2 * n_reads + 2, dim), dtype)  # C-contiguous: every row reshapes as a view
     psis, lams, temps = states[:n_reads], states[n_reads : 2 * n_reads], states[2 * n_reads :]
     n_blocks, g = program.index.shape[:2]
@@ -571,7 +548,7 @@ def _build_plan(program: _Program, binding: _Binding) -> _Plan:
         t = 1 if taken == 0 else 0
         return temps[t : t + 1], t
 
-    forward, source, t = [], binding.start, None
+    forward, source, t = [], program.start, None
     for op, row, (m, _) in zip(ops, rows, operands):
         out, t = output(psis, row, t)
         forward.append(_call(op, source, m, out))
@@ -579,7 +556,7 @@ def _build_plan(program: _Program, binding: _Binding) -> _Plan:
     psi = source
     lam, t = output(lams, rows[-1], None)
     backward, source = [], lam
-    for i in range(len(ops) - 1, 0, -1):
+    for i in range(len(ops) - 1, program.first_trainable - first, -1):
         out, t = output(lams, rows[i - 1], t)
         backward.append(_call(ops[i], source, operands[i][1], out))
         source = out
@@ -594,68 +571,28 @@ def _build_plan(program: _Program, binding: _Binding) -> _Plan:
     )
 
 
-def _plan(program: _Program, binding: _Binding) -> _Plan:
-    """The binding's plan, built at its first use and locked for this run;
+def _plan(program: _Program) -> _Plan:
+    """The program's plan, built at its first use and locked for this run;
     when another run holds it, a throwaway plan, locked alike. Run it in a
     with block, which releases the lock."""
-    plan = binding.plan
+    plan = program.plan
     if plan is None:
-        plan = binding.plan = _build_plan(program, binding)
+        plan = program.plan = _build_plan(program)
     if not plan.lock.acquire(blocking=False):
-        plan = _build_plan(program, binding)
+        plan = _build_plan(program)
         plan.lock.acquire()
     return plan
-
-
-# Each program keeps the bindings of its last _BINDINGS data-angle vectors
-# (dropping the oldest first): one for a circuit without data slots, one
-# per condition value of a conditional model, whose experiment visits
-# seven. Each holds a state vector and its data angles.
-_BINDINGS = 8
-
-
-def _binding(circuit, n_theta: int, data_angles) -> _Binding:
-    """The circuit's program bound to these data angles, from the
-    program's bindings when it holds them."""
-    data = _check_inputs(circuit, n_theta, data_angles)
-    key = data.tobytes()
-    program = circuit.program
-    binding = program.bindings.get(key)
-    if binding is None:
-        if len(program.bindings) >= _BINDINGS:
-            del program.bindings[next(iter(program.bindings))]  # the oldest
-        binding = program.bindings[key] = _bind(program, _frozen(data.copy()), circuit.n_qubits)
-    return binding
 
 
 _ZERO, _NO_DATA = _frozen(np.zeros(1)), _frozen(np.zeros(0))
 
 
-def _angles(program: _Program, theta: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Each entry's angle times its rate, (1, entries): column columns[k]
-    of [0, theta, data angles] for entry k."""
-    return np.concatenate((_ZERO, theta, data)).take(program.columns)[None] * program.rates
-
-
-def _bind(program: _Program, data: np.ndarray, n_qubits: int) -> _Binding:
-    """Bind the program to data angles: run the ops before first_trainable
-    on |0...0>, with every block swept at theta = 0."""
-    angles = _angles(program, np.zeros(int(program.slots[-1])), data)  # the identity's slot is n_theta
-    index = _gather_index(program.kron % len(program.columns), program.perms)
-    blocks = _rotation_blocks(angles[0], program.generators, index, program.folds)
-    start = np.zeros((1, 2**n_qubits), dtype=program.dtype)
-    start[0, 0] = 1.0
-    for op in program.ops[: program.first_trainable]:
-        start = _apply(start, op, blocks, angles)
-    return _Binding(_frozen(start), data)
-
-
-def _sweep(program: _Program, binding: _Binding, theta: np.ndarray):
-    """Every entry's angle times its rate at theta and the binding's data
-    angles, (1, entries), and every swept block's Kronecker matrix,
-    (blocks, 2**g, 2**g)."""
-    angles = _angles(program, theta, binding.data)
-    return angles, _rotation_blocks(angles[0], program.generators, program.index, program.swept_folds)
+def _sweep(program: _Program, theta: np.ndarray, data: np.ndarray):
+    """Every entry's angle times its rate at theta and these data angles,
+    (1, entries): column columns[k] of [0, theta, data] for entry k; and
+    every block's Kronecker matrix, (blocks, 2**g, 2**g)."""
+    angles = np.concatenate((_ZERO, theta, data)).take(program.columns)[None] * program.rates
+    return angles, _rotation_blocks(angles[0], program.generators, program.index, program.folds)
 
 
 def _gather_index(kron: np.ndarray, perms: Optional[np.ndarray]) -> np.ndarray:
@@ -777,11 +714,11 @@ def _check_inputs(circuit, n_theta: int, data_angles) -> np.ndarray:
 def run_circuit(circuit, theta: Sequence[float], data_angles=None) -> np.ndarray:
     """Run the circuit on |0...0>, returning its (2**n_qubits,) amplitudes."""
     theta = _vector(circuit, theta)
-    binding, program = _binding(circuit, len(theta), data_angles), circuit.program
-    if not program.swept_ops:
-        return binding.start[0].copy()
-    with _plan(program, binding) as plan:
-        plan.load(*_sweep(program, binding, theta), inverse=False)
+    data, program = _check_inputs(circuit, len(theta), data_angles), circuit.program
+    if program.first_swept == len(program.ops):  # no parameterized gate
+        return program.start[0].copy()
+    with _plan(program) as plan:
+        plan.load(*_sweep(program, theta, data), inverse=False)
         for call in plan.forward:
             call()
         return plan.psi[0].copy()  # the caller's own
@@ -811,23 +748,23 @@ def adjoint_gradient(
     """psi = U(theta)|0...0> and the gradient of <psi|diag(O)|psi> over the
     trainable slots, where O = observable_of(psi) is held fixed.
 
-    One sweep builds every matrix into the binding's plan. The forward
-    calls run from the bound state before the first trainable op, and each
-    rotation or phase op writes its output psi into its row of the plan;
-    the backward calls un-apply each op to lambda = O psi alone, down to
-    that first op, writing lambda at those ops' outputs alike. Then
-    2 Re<lambda|G psi> is read at each op's output for each of its gates
-    with generator G (adjoint differentiation, Jones & Gacon,
-    arXiv:2009.02823), one stacked read per group of ops. psi, as
+    One sweep builds every matrix into the program's plan. The forward
+    calls run from the program's start state, and each rotation or phase
+    op from the first trainable one on writes its output psi into its row
+    of the plan; the backward calls un-apply each op to lambda = O psi
+    alone, down to that first trainable op, writing lambda at those ops'
+    outputs alike. Then 2 Re<lambda|G psi> is read at each op's output for
+    each of its gates with generator G (adjoint differentiation, Jones &
+    Gacon, arXiv:2009.02823), one stacked read per group of ops. psi, as
     observable_of gets it and as returned, is the caller's own array.
     """
     theta = _vector(circuit, theta)
-    binding, program = _binding(circuit, len(theta), data_angles), circuit.program
+    data, program = _check_inputs(circuit, len(theta), data_angles), circuit.program
     n = circuit.n_parameters
-    if not program.swept_ops:  # no trainable gate
-        return binding.start[0].copy(), np.zeros(n)
-    with _plan(program, binding) as plan:
-        plan.load(*_sweep(program, binding, theta))
+    if not program.reads:  # no trainable gate
+        return run_circuit(circuit, theta, data), np.zeros(n)
+    with _plan(program) as plan:
+        plan.load(*_sweep(program, theta, data))
         for call in plan.forward:
             call()
         psi = plan.psi[0].copy()

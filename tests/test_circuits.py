@@ -1,4 +1,6 @@
 """Circuit builders: parameter counts, block variants, condition encoding."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,6 +135,25 @@ def test_circuit_spec_slot_coverage_validation():
         CircuitSpec(1, (Gate("RY", (0,), param_slot=1),), 1)  # slot 0 missing
     with pytest.raises(ValueError):
         CircuitSpec(1, (Gate("RY", (0,), param_slot=0),), 2)
+    # data slots are checked exactly alike, and no count is negative
+    for gates, n_parameters, n_data_slots, complaint in [
+        ((Gate("RY", (0,), data_slot=0), Gate("RY", (0,), data_slot=2)), 0, 3, "data slots"),  # slot 1 missing
+        ((Gate("RY", (0,), param_slot=0),), 1, 2, "data slots"),  # data slots without a data gate
+        ((Gate("RY", (0,), data_slot=1),), 0, 1, "data slots"),  # a slot past n_data_slots
+        ((), -1, -2, "at least 0"),
+        ((), 0, -1, "at least 0"),
+    ]:
+        with pytest.raises(ValueError, match=complaint):
+            CircuitSpec(1, gates, n_parameters, n_data_slots=n_data_slots)
+
+
+@pytest.mark.parametrize("dropped", [{1}, {0, 1, 2}], ids=["gap", "no-data-gate"])
+def test_a_loaded_circuit_checks_its_data_slots(dropped):
+    # a checkpoint whose data gates leave a slot of its n_data_slots unused
+    payload = json.loads(circuit_to_json(build_conditional(3, 1)))
+    payload["gates"] = [g for g in payload["gates"] if g.get("data_slot") not in dropped]
+    with pytest.raises(ValueError, match="data slots"):
+        circuit_from_json(json.dumps(payload))
 
 
 @pytest.mark.parametrize("n_qubits", [0, -1])

@@ -205,11 +205,17 @@ def test_train_with_readout_noise_transform():
     assert trace[-1].val_loss < trace[0].val_loss
 
 
-def test_train_layout_mismatch():
-    model, _ = _toy_problem()
+def test_train_layout_mismatch(monkeypatch):
+    model, target = _toy_problem()
     bad = DiscreteDistribution(np.ones(4) / 4, (2,))
     with pytest.raises(ValueError):
         train(model, bad, TrainConfig(max_epochs=1))
+    # a validation target of another layout fails before the first step
+    gradients, gradient = [], optimize.mmd_gradient
+    monkeypatch.setattr(optimize, "mmd_gradient", lambda *args: gradients.append(args) or gradient(*args))
+    with pytest.raises(ValueError, match="target bin layout does not match the model"):
+        train(model, target, TrainConfig(max_epochs=1), val_target=bad)
+    assert gradients == []
 
 
 def test_train_rejects_an_empty_target_mapping():

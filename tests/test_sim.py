@@ -1,15 +1,14 @@
 """Statevector simulator: gate semantics, conventions and invariants."""
-import gc
+import sys
 import threading
 import tracemalloc
-import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from borngen.born import BornModel, model_distribution
+from borngen.born import BornModel
 from borngen.data import CONDITION_VALUES
 from borngen.distributions import DiscreteDistribution
 from borngen.metrics import GramCache, KernelConfig, _loss_derivative, mmd_gradient, mmd_gradient_shift
@@ -441,12 +440,11 @@ def test_gradient_sweeps_the_angles_once(circuit, monkeypatch):
 
 def _unbound_sweep(circuit, theta, data_angles):
     """Every entry's angle times its rate from [0, theta, data angles], and
-    every rotation block of the program, without a binding."""
+    every rotation block of the program's one block table, without a plan."""
     program = circuit.program
     source = np.concatenate([[0.0], theta, [] if data_angles is None else data_angles])
     angles = source[None].take(program.columns, axis=1) * program.rates
-    index = sim._gather_index(program.kron % len(program.columns), program.perms)
-    return angles, sim._rotation_blocks(angles[0], program.generators, index, program.folds)
+    return angles, sim._rotation_blocks(angles[0], program.generators, program.index, program.folds)
 
 
 @pytest.mark.parametrize(
@@ -467,22 +465,24 @@ def test_folded_cnot_runs_gather_the_blocks_of_the_dense_product(circuit):
             runs.append(layers[i - 1][1] if i and layers[i - 1][0] == "CNOT" else [])
     assert any(runs) and len(runs) == len(program.kron)
     kron = program.kron % len(program.columns)
+    rotations = [op for op in program.ops if op.kind == "rotation"]
     rng = np.random.default_rng(8)
     data_angles = rng.uniform(0, np.pi, circuit.n_data_slots) if circuit.n_data_slots else None
     for _ in range(3):
         theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
         angles, blocks = _unbound_sweep(circuit, theta, data_angles)
         plain = sim._rotation_blocks(angles[0], program.generators, sim._gather_index(kron, None), program.folds)
-        for block, unfolded, run in zip(blocks, plain, runs):
+        for op, run in zip(rotations, runs):
             f = np.eye(2**circuit.n_qubits)
             for gate in run:
                 f = _dense_matrix(gate, 0.0, circuit.n_qubits) @ f
-            assert (block == unfolded @ f).all()
+            assert (blocks[op.block] == plain[op.block] @ f).all()
 
 
 def _unbound_gradient(circuit, theta, observable_of, data_angles):
-    """The adjoint gradient run over every op from |0...0>, keeping every
-    state: the reference that a bound run must equal bitwise."""
+    """The adjoint gradient run through _apply over every op from |0...0>,
+    keeping every state: the reference that a planned run, which starts
+    from the program's start state, must equal bitwise."""
     program = circuit.program
     angles, blocks = _unbound_sweep(circuit, theta, data_angles)
     states = [np.zeros((1, 2**circuit.n_qubits), dtype=program.dtype)]
@@ -516,8 +516,8 @@ def _data_after_the_first_trainable_op():
 
 
 def _check_bound_equals_unbound(circuit, data_angles, rng):
-    """Bound runs, sweeps and adjoint gradients against the unbound ones,
-    bitwise (==)."""
+    """Planned runs and adjoint gradients against the same run through
+    _apply from |0...0>, bitwise (==)."""
     theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
     p = rng.random(2**circuit.n_qubits)
     target = DiscreteDistribution(p / p.sum(), circuit.register_bits)
@@ -527,15 +527,6 @@ def _check_bound_equals_unbound(circuit, data_angles, rng):
     ref_psi, ref_grad = _unbound_gradient(circuit, theta, observable_of, data_angles)
     assert (psi == ref_psi).all() and (grad == ref_grad).all()
     assert (run_circuit(circuit, theta, data_angles) == ref_psi).all()
-    # each swept block is the unbound block of its op, bitwise and laid out alike
-    program = circuit.program
-    binding = sim._binding(circuit, circuit.n_parameters, data_angles)
-    _, blocks = sim._sweep(program, binding, theta)
-    _, ref_blocks = _unbound_sweep(circuit, theta, data_angles)
-    for op, ref_op in zip(program.swept_ops, program.ops[program.first_trainable:]):
-        if op.kind == "rotation":
-            bound, ref = blocks[op.block], ref_blocks[ref_op.block]
-            assert (bound == ref).all() and bound.strides == ref.strides
 
 
 _BOUND_CIRCUITS = [build_multivariate(3, 3, 4, choice) for choice in all_block_choices()]
@@ -586,20 +577,23 @@ def test_bound_layered_programs_equal_unbound_runs_bitwise(seed, n_qubits, real)
         _check_bound_equals_unbound(circuit, data_angles, rng)
 
 
-def test_bindings_are_few_and_live_on_the_shared_program():
+def test_the_start_state_is_read_only_on_the_shared_program():
     circuit = build_conditional(2, 1)
     program = circuit.program
     assert build_conditional(2, 1).program is program  # a circuit built anew shares it
-    program.bindings.clear()
-    model = BornModel(circuit, np.full(circuit.n_parameters, 0.3), (0.0, 1.0))
-    conditions = np.linspace(0.0, 1.0, 20)
-    for condition in conditions:
-        model_distribution(model, condition)
-    # the last eight data-angle vectors, the oldest dropped first
-    assert sim._BINDINGS == 8 and len(program.bindings) == 8
-    assert list(program.bindings) == [model.data_angles(c).tobytes() for c in conditions[-8:]]
-    binding = next(iter(program.bindings.values()))
-    assert not binding.start.flags.writeable
+    assert not program.start.flags.writeable
+    # the ops before the first parameterized one, an H block and a CNOT run
+    # of a two-block circuit, run once into the start state; the data block
+    # after them is swept, and the backward run stops at the trainable one
+    gates = (Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("RY", (1,), data_slot=0),
+             Gate("CNOT", (1, 2)), Gate("RY", (2,), param_slot=0))
+    prefixed = CircuitSpec(5, gates, 1, n_data_slots=1)
+    assert (prefixed.program.first_swept, prefixed.program.first_trainable) == (2, 4)
+    bell = np.zeros(32)
+    bell[[0, 3]] = 2**-0.5
+    np.testing.assert_allclose(prefixed.program.start[0], bell, rtol=0, atol=1e-15)
+    assert not prefixed.program.start.flags.writeable
+    _check_bound_equals_unbound(prefixed, np.array([0.7]), np.random.default_rng(41))
     # a run hands the caller an array of its own, even with no op to run
     block = build_correlation_block(2, 1, CorrelationBlockChoice())
     amps = run_circuit(block, [])
@@ -607,19 +601,15 @@ def test_bindings_are_few_and_live_on_the_shared_program():
     assert run_circuit(block, [])[0] != 2.0
 
 
-def test_every_binding_runs_from_the_programs_one_sweep_table(monkeypatch):
-    # the sweep's ops, gather index and folds are the program's, the same
-    # at every condition; a binding holds only its start state and its
-    # data angles, no more than one [0, theta, data] row beside the state
+def test_every_condition_sweeps_the_programs_one_block_table(monkeypatch):
+    # the sweep's gather index and folds are the program's, the same at
+    # every condition, and the data block is one of its blocks
     circuit = build_conditional(3, 4)
     program = circuit.program
-    program.bindings.clear()
     rng = np.random.default_rng(39)
     model = BornModel(circuit, rng.uniform(0, 2 * np.pi, circuit.n_parameters),
                       (min(CONDITION_VALUES), max(CONDITION_VALUES)))
     target, _ = _observable(circuit, 40)
-    for condition in CONDITION_VALUES:  # binds
-        model_distribution(model, condition)
     swept, rotation_blocks = [], sim._rotation_blocks
 
     def spied(angles, generators, index, folds):
@@ -629,22 +619,18 @@ def test_every_binding_runs_from_the_programs_one_sweep_table(monkeypatch):
     monkeypatch.setattr(sim, "_rotation_blocks", spied)
     for condition in CONDITION_VALUES:
         mmd_gradient(model, target, KernelConfig(), condition)
-    assert len(program.bindings) == len(swept) == len(CONDITION_VALUES)
-    assert all(index is program.index and folds is program.swept_folds for index, folds in swept)
-    row = (1 + circuit.n_parameters + circuit.n_data_slots) * 8
-    for binding in program.bindings.values():
-        values = [getattr(binding, f.name) for f in fields(binding) if f.name != "plan"]
-        assert all(isinstance(value, np.ndarray) for value in values)
-        assert sum(value.nbytes for value in values) <= binding.start.nbytes + row
+    assert len(swept) == len(CONDITION_VALUES)
+    assert all(index is program.index and folds is program.folds for index, folds in swept)
+    assert program.first_swept == 0 and len(program.index) == 10  # the data block and 9 trainable ones
 
 
 def _plan_spy(monkeypatch):
-    """The plans that sim builds from here on, with the binding of each."""
+    """The plans that sim builds from here on, with the program of each."""
     built, build = [], sim._build_plan
 
-    def spied(program, binding):
-        plan = build(program, binding)
-        built.append((binding, plan))
+    def spied(program):
+        plan = build(program)
+        built.append((program, plan))
         return plan
 
     monkeypatch.setattr(sim, "_build_plan", spied)
@@ -697,7 +683,7 @@ def test_planned_runs_hand_out_arrays_of_their_own(name):
 @pytest.mark.parametrize("name", _PLANNED)
 def test_a_reentrant_gradient_runs_on_a_throwaway_plan(name, monkeypatch):
     # observable_of runs mmd_gradient (and run_circuit) on the same circuit
-    # at the same condition while the outer gradient holds the binding's
+    # at the same condition while the outer gradient holds the program's
     # plan: each inner run builds a plan of its own, and no run disturbs
     # another's rows
     circuit, data_angles = _PLANNED[name]
@@ -713,40 +699,60 @@ def test_a_reentrant_gradient_runs_on_a_throwaway_plan(name, monkeypatch):
         inner.append(run_circuit(circuit, inner_model.theta, data_angles))
         return observable_of(psi)
 
-    binding = sim._binding(circuit, circuit.n_parameters, data_angles)
-    sim.adjoint_gradient(circuit, theta, observable_of, data_angles)  # the binding's plan
+    program = circuit.program
+    sim.adjoint_gradient(circuit, theta, observable_of, data_angles)  # the program's plan
     built = _plan_spy(monkeypatch)
     psi, grad = sim.adjoint_gradient(circuit, theta, reentrant, data_angles)
     ref_psi, ref_grad = _unbound_gradient(circuit, theta, observable_of, data_angles)
     inner_psi, inner_grad = _unbound_gradient(circuit, inner_model.theta, observable_of, data_angles)
     assert (psi == ref_psi).all() and (grad == ref_grad).all()
     assert (inner[0] == inner_grad).all() and (inner[1] == inner_psi).all()
-    # one throwaway plan per inner run, none kept on the binding
-    assert len(built) == 2 and all(b is binding and plan is not binding.plan for b, plan in built)
-    assert binding.plan.lock.acquire(blocking=False)  # released again
-    binding.plan.lock.release()
+    # one throwaway plan per inner run, none kept on the program
+    assert len(built) == 2 and all(p is program and plan is not program.plan for p, plan in built)
+    assert program.plan.lock.acquire(blocking=False)  # released again
+    program.plan.lock.release()
 
 
-def test_gradients_on_two_threads_equal_serial_ones():
-    circuit, data_angles = _PLANNED["conditional"]
+def _check_two_threads_equal_serial(data_angles_of_thread):
+    """Gradients of the conditional model on two threads, thread i at
+    data_angles_of_thread[i], against the same gradients run serially. The
+    threads share the program's one plan, whichever data angles each runs
+    at: one holds it while the other builds throwaway plans."""
+    circuit, _ = _PLANNED["conditional"]
     _, observable_of = _observable(circuit, 35)
     thetas = np.random.default_rng(36).uniform(0, 2 * np.pi, (2, 40, circuit.n_parameters))
-    serial = [[sim.adjoint_gradient(circuit, t, observable_of, data_angles)[1] for t in rows] for rows in thetas]
+    gradients = lambda i: [sim.adjoint_gradient(circuit, t, observable_of, data_angles_of_thread[i])[1]
+                           for t in thetas[i]]
+    serial = [gradients(i) for i in range(2)]
     results = [None, None]
 
     def work(i):
-        results[i] = [sim.adjoint_gradient(circuit, t, observable_of, data_angles)[1] for t in thetas[i]]
+        results[i] = gradients(i)
 
     workers = [threading.Thread(target=work, args=(i,)) for i in range(2)]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so that they contend for the plan
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+    finally:
+        sys.setswitchinterval(interval)
     for got, want in zip(results, serial):
         assert all((g == w).all() for g, w in zip(got, want))
 
 
-def test_one_plan_per_binding_over_an_experiment(monkeypatch, tmp_path):
+def test_gradients_on_two_threads_equal_serial_ones():
+    data_angles = _PLANNED["conditional"][1]
+    _check_two_threads_equal_serial([data_angles, data_angles])
+
+
+def test_gradients_at_two_conditions_on_two_threads_equal_serial_ones():
+    _check_two_threads_equal_serial([_PLANNED["conditional"][1], np.full(3, encode_condition(0.9, 0.0, 1.0))])
+
+
+def test_one_plan_per_program_over_an_experiment(monkeypatch, tmp_path):
     gradients = []
     adjoint = metrics.adjoint_gradient
 
@@ -755,7 +761,7 @@ def test_one_plan_per_binding_over_an_experiment(monkeypatch, tmp_path):
         return adjoint(circuit, theta, observable_of, data_angles)
 
     monkeypatch.setattr(metrics, "adjoint_gradient", counted)
-    sim._compile.cache_clear()  # programs compiled anew, with no bindings yet
+    sim._compile.cache_clear()  # programs compiled anew, with no plan yet
     built = _plan_spy(monkeypatch)
     config = experiments.ExperimentConfig({"experiment": "exp-1d", "seed": 1, "train": {"max_epochs": 70}})
     experiments.run_experiment(config, tmp_path / "1d")
@@ -763,28 +769,10 @@ def test_one_plan_per_binding_over_an_experiment(monkeypatch, tmp_path):
     del gradients[:], built[:]
     config = experiments.ExperimentConfig({"experiment": "exp-cond", "seed": 1})
     experiments.run_experiment(config, tmp_path / "cond")
-    # the six training conditions take every gradient; the held-out one is
-    # only run, and its first run builds its plan
+    # the six training conditions take every gradient and the held-out one
+    # is only run, all through the program's one plan
     assert len(set(gradients)) == len(CONDITION_VALUES) - 1 and len(gradients) > 100
-    bindings = [b for b, _ in built]
-    assert len(built) == len(CONDITION_VALUES) == len(set(map(id, bindings)))
-    assert all(binding.plan is plan for binding, plan in built)
-
-
-def test_an_evicted_binding_drops_its_plan(monkeypatch):
-    circuit = build_conditional(2, 1)
-    circuit.program.bindings.clear()
-    built = _plan_spy(monkeypatch)
-    model = BornModel(circuit, np.full(circuit.n_parameters, 0.3), (0.0, 1.0))
-    for condition in np.linspace(0.0, 1.0, 20):
-        model_distribution(model, condition)
-    plans = [weakref.ref(plan) for _, plan in built]
-    del built[:]
-    gc.collect()
-    live = [binding.plan for binding in circuit.program.bindings.values()]
-    assert len(plans) == 20 and len(live) == sim._BINDINGS
-    assert [ref() for ref in plans[:12]] == [None] * 12
-    assert [ref() for ref in plans[12:]] == live
+    assert len(built) == 1 and built[0][0].plan is built[0][1]
 
 
 def test_a_plans_scratch_is_its_rows_and_blocks():
@@ -795,14 +783,14 @@ def test_a_plans_scratch_is_its_rows_and_blocks():
     expected = {
         # 15 reads of 512 float64 amplitudes, 15 real 8 x 8 blocks
         "multivariate": (32 * 512 * 8, 15 * 64 * 8, 0),
-        # 9 reads of 8 complex128 amplitudes, 9 complex 8 x 8 blocks
-        "conditional": (20 * 8 * 16, 2 * 9 * 64 * 16, 0),
+        # 9 reads of 8 complex128 amplitudes, 10 complex 8 x 8 blocks (the data block is swept)
+        "conditional": (20 * 8 * 16, 2 * 10 * 64 * 16, 0),
         # 4 reads of 8 complex128 amplitudes, 3 complex 8 x 8 blocks, one RZZ layer
         "1d-3": (10 * 8 * 16, 2 * 3 * 64 * 16, 2 * 8 * 16 + 8 * 8),
     }
     for name, (rows, blocks, phases) in expected.items():
-        circuit, data_angles = _PLANNED[name]
-        plan = sim._build_plan(circuit.program, sim._binding(circuit, circuit.n_parameters, data_angles))
+        circuit, _ = _PLANNED[name]
+        plan = sim._build_plan(circuit.program)
         assert (plan.states.nbytes, plan.blocks.nbytes, plan.phases.nbytes + plan.z.nbytes) == (rows, blocks, phases)
         arrays = [value for value in (getattr(plan, f.name) for f in fields(plan)) if isinstance(value, np.ndarray)]
         owned = [a for a in arrays if a.base is None]  # the rest are views of these
@@ -821,8 +809,8 @@ def test_a_warm_gradient_allocates_no_state_rows(monkeypatch):
     target, _ = _observable(circuit, 37)
     model = BornModel(circuit, np.random.default_rng(38).uniform(0, 2 * np.pi, circuit.n_parameters))
     gram = GramCache(circuit.register_bits, KernelConfig())
-    mmd_gradient(model, target, KernelConfig(), cache=gram)  # binds, builds the plan
-    plan = sim._binding(circuit, circuit.n_parameters, None).plan
+    mmd_gradient(model, target, KernelConfig(), cache=gram)  # builds the plan
+    plan = circuit.program.plan
     reads, states = len(circuit.program.reads), plan.states.shape[1] * plan.states.itemsize
     bound = (reads + 1) * states
     assert plan.states.nbytes == 2 * bound and bound == 65_536
