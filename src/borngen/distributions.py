@@ -104,11 +104,7 @@ def sample(dist: DiscreteDistribution, n_shots: int, rng_seed) -> np.ndarray:
     total = probs.sum()
     if not (np.all(probs >= 0) and 0 < total < np.inf):  # NaN too
         raise ValueError("probs must be finite, >= 0 and not all zero")
-    rng = (
-        rng_seed
-        if isinstance(rng_seed, np.random.Generator)
-        else np.random.default_rng(rng_seed)
-    )
+    rng = np.random.default_rng(rng_seed)  # a Generator is taken as it is
     cdf = (probs / total).cumsum()
     cdf /= cdf[-1]
     buckets = min(1 << (_BUCKETS_PER_BIN * len(probs) - 1).bit_length(), _MAX_BUCKETS)

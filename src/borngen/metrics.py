@@ -468,11 +468,9 @@ def _shift_for_kind(kind: str) -> tuple[float, float]:
     raise ValueError(f"gate kind {kind} is not parameterized")
 
 
-def _loss_derivative(p: np.ndarray, target, K: GramCache, transform) -> np.ndarray:
-    """dL/dp of L = (Tp - t)^T K (Tp - t), with T = I when transform is None."""
-    if transform is None:
-        return 2.0 * K.apply(p - target.probs)
-    return 2.0 * (K.apply(transform @ p - target.probs) @ transform)
+def _loss_derivative(p: np.ndarray, target, K: GramCache) -> np.ndarray:
+    """dL/dp of L = (p - t)^T K (p - t)."""
+    return 2.0 * K.apply(p - target.probs)
 
 
 def mmd_gradient(
@@ -481,22 +479,19 @@ def mmd_gradient(
     config: KernelConfig,
     condition: Optional[float] = None,
     cache: Optional[GramCache] = None,
-    transform: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Exact gradient of the MMD loss by adjoint differentiation.
 
     With O = diag(dL/dp) held fixed, the loss gradient equals the gradient
     of <psi|O|psi>, so one forward run (for psi and O) and one backward run
-    give every parameter's derivative. transform, when given, is the
-    matrix T of a linear channel applied to the probabilities before the
-    loss (used to train through readout flips).
+    give every parameter's derivative.
     """
     bits = model.circuit.register_bits
     _check_compatible(bits, target)
     K = _gram(bits, config, cache)
 
     def observable_of(psi):
-        return _loss_derivative(np.abs(psi) ** 2, target, K, transform)
+        return _loss_derivative(np.abs(psi) ** 2, target, K)
 
     _, grad = adjoint_gradient(model.circuit, model.theta, observable_of, model.data_angles(condition))
     return grad
@@ -508,7 +503,6 @@ def mmd_gradient_shift(
     config: KernelConfig,
     condition: Optional[float] = None,
     cache: Optional[GramCache] = None,
-    transform: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Parameter-shift gradient of the exact MMD loss, from 2n + 1 states.
 
@@ -526,11 +520,7 @@ def mmd_gradient_shift(
         thetas[2 * i, i] += shift
         thetas[2 * i + 1, i] -= shift
     probs = model_probs_batch(model, thetas, condition)
-    p = p_dist.probs
-    if transform is not None:
-        probs = probs @ transform.T
-        p = transform @ p
-    kv = K.apply(p - target.probs)
+    kv = K.apply(p_dist.probs - target.probs)
     return coeffs * ((probs[0::2] - probs[1::2]) @ kv)
 
 

@@ -11,7 +11,8 @@ import numpy as np
 from .born import BornModel, model_distribution
 from .distributions import DiscreteDistribution
 from .metrics import GramCache, KernelConfig, mmd_gradient, mmd_loss, total_variance
-from .noise import NoiseConfig, readout_matrix
+# perfbench/tracer.py binds its noise span to this name
+from .noise import readout_matrix  # noqa: F401
 
 __all__ = [
     "SpsaSettings",
@@ -50,6 +51,9 @@ class SpsaSettings:
     gamma: float = 0.101
 
 
+_SPSA = SpsaSettings()  # the settings train's SPSA steps take
+
+
 def _is_count(value, minimum: int) -> bool:
     """Whether value is an int (a bool is not one) of at least minimum."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
@@ -83,9 +87,7 @@ class Schedule:
 class TrainConfig(Schedule):
     optimizer: str = "adam"  # adam | spsa
     batch_size: Optional[int] = None  # None: the exact target; n: a batch of n events
-    spsa: SpsaSettings = field(default_factory=SpsaSettings)
     spsa_epochs: int = 0  # SPSA epochs after max_epochs, from the best parameters
-    noise: Optional[NoiseConfig] = None
     _NULLABLE = ("batch_size",)
 
     def __post_init__(self):
@@ -253,15 +255,9 @@ def train(
             raise ValueError("target bin layout does not match the model")
 
     cache = GramCache(bits, config.kernel)
-    transform = None  # the readout matrix the model is trained through
-    if config.noise is not None:
-        transform = readout_matrix(model.circuit.n_qubits, config.noise).matrix
 
     def eval_dist(theta, cond):
-        dist = model_distribution(model.with_theta(theta), cond)
-        if transform is None:
-            return dist
-        return DiscreteDistribution(transform @ dist.probs, dist.register_bits, dist.names)
+        return model_distribution(model.with_theta(theta), cond)
 
     def mean_loss(dists, target_map):
         return float(
@@ -283,12 +279,10 @@ def train(
                 batch = _batch_target(targets[cond], config.batch_size, rng)
                 if spsa_phase:
                     loss_fn = lambda th: mmd_loss(eval_dist(th, cond), batch, config.kernel, cache)
-                    theta = spsa_step(theta, loss_fn, spsa_iteration, config.spsa, rng)
+                    theta = spsa_step(theta, loss_fn, spsa_iteration, _SPSA, rng)
                     spsa_iteration += 1
                 else:
-                    grad = mmd_gradient(
-                        model.with_theta(theta), batch, config.kernel, cond, cache, transform
-                    )
+                    grad = mmd_gradient(model.with_theta(theta), batch, config.kernel, cond, cache)
                     _check_finite(grad, "gradient", epoch, step)
                     theta, adam_state = adam_step(theta, grad, adam_state, lr)
                 _check_finite(theta, "theta", epoch, step)

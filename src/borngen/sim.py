@@ -101,7 +101,11 @@ class Gate:
     data_slot: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        targets = tuple(self.targets)
+        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) and t >= 0
+                   for t in targets):
+            raise ValueError(f"gate targets must be integers >= 0, not {targets}")
+        object.__setattr__(self, "targets", tuple(map(int, targets)))
         if self.kind not in PARAMETERIZED_KINDS | FIXED_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         arity = 1 if self.kind in _SINGLE_QUBIT else 2

@@ -156,6 +156,30 @@ def test_a_loaded_circuit_checks_its_data_slots(dropped):
         circuit_from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize(
+    "kind, targets",
+    [("RY", (1.7,)), ("RY", (-1,)), ("CNOT", (-1, 0)), ("RY", (True,)), ("RY", ("1",))],
+    ids=["fraction", "negative", "negative-control", "bool", "string"],
+)
+def test_gate_rejects_a_target_that_is_no_qubit_index(kind, targets):
+    slot = {"param_slot": 0} if kind == "RY" else {}
+    with pytest.raises(ValueError, match="integers >= 0"):
+        Gate(kind, targets, **slot)
+
+
+def test_gate_takes_numpy_integer_targets_as_ints():
+    gate = Gate("CNOT", (np.int64(2), np.uint8(0)))
+    assert gate.targets == (2, 0) and all(type(t) is int for t in gate.targets)
+
+
+@pytest.mark.parametrize("target", [-1, 0.5])
+def test_a_loaded_circuit_checks_its_gate_targets(target):
+    payload = json.loads(circuit_to_json(build_1d_rzz_ansatz(3)))
+    payload["gates"][0]["targets"] = [target]
+    with pytest.raises(ValueError, match="integers >= 0"):
+        circuit_from_json(json.dumps(payload))
+
+
 @pytest.mark.parametrize("n_qubits", [0, -1])
 def test_circuit_spec_rejects_no_qubits(n_qubits):
     with pytest.raises(ValueError, match="at least one qubit"):

@@ -76,6 +76,15 @@ def test_sample_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+def test_sample_draws_from_a_generator_what_its_seed_draws():
+    dist = DiscreteDistribution(np.array([0.1, 0.2, 0.3, 0.4]), (2,))
+    rng = np.random.default_rng(42)
+    first, second = sample(dist, 100, rng), sample(dist, 100, rng)
+    # the generator is used, not reseeded: two calls continue one stream
+    np.testing.assert_array_equal(first, sample(dist, 100, 42))
+    assert not np.array_equal(first, second)
+
+
 def test_sample_frequencies():
     dist = DiscreteDistribution(np.array([0.25, 0.75]), (1,))
     draws = sample(dist, 100_000, 0)

@@ -1,5 +1,6 @@
 """Experiment configuration, report bundles and report comparison."""
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -31,7 +32,7 @@ from borngen.experiments import (
     compare_report,
     run_experiment,
 )
-from borngen.optimize import trace_to_json
+from borngen.optimize import TrainConfig, trace_to_json
 
 
 def _config(**overrides):
@@ -613,6 +614,16 @@ def _train_outcome(experiment, out, **train):
         return [trace_to_json(t) for t in trace], None
     save_model(out)
     return [trace_to_json(trace)], json.loads((out / "checkpoint.json").read_text())["theta"]
+
+
+def test_train_config_holds_the_train_fields_the_seed_and_the_kernel():
+    # the bandwidths reach it as its kernel; with no other field, the test
+    # below, which changes every train field, covers every TrainConfig field
+    train_fields = {
+        path.removeprefix("train.") for path, _, _ in experiments._FIELDS if path.startswith("train.")
+    }
+    expected = train_fields - {"bandwidths"} | {"seed", "kernel"}
+    assert {f.name for f in dataclasses.fields(TrainConfig)} == expected
 
 
 @pytest.mark.parametrize("experiment", experiments._BORN_EXPERIMENTS)

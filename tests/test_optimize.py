@@ -9,7 +9,6 @@ from borngen.circuits import build_1d_rzz_ansatz, build_conditional
 from borngen.distributions import DiscreteDistribution
 from borngen import experiments, optimize
 from borngen.metrics import GramCache, mmd_gradient, mmd_loss, total_variance
-from borngen.noise import NoiseConfig, apply_readout_noise, readout_matrix
 from borngen.optimize import (
     AdamState,
     SpsaSettings,
@@ -197,14 +196,6 @@ def test_train_multi_condition():
     assert best.tv == pytest.approx(np.mean(tvs), abs=1e-12)
 
 
-def test_train_with_readout_noise_transform():
-    model, target = _toy_problem(6)
-    noise = NoiseConfig(readout_flip_prob=0.029)
-    config = TrainConfig(max_epochs=10, seed=0, noise=noise)
-    trained, trace = train(model, apply_readout_noise(target, noise), config)
-    assert trace[-1].val_loss < trace[0].val_loss
-
-
 def test_train_layout_mismatch(monkeypatch):
     model, target = _toy_problem()
     bad = DiscreteDistribution(np.ones(4) / 4, (2,))
@@ -265,15 +256,9 @@ def _reference_train(model, targets, config, val_targets):
     trace rows."""
     conditions = sorted(targets, key=lambda c: (c is not None, c))
     cache = GramCache(model.circuit.register_bits, config.kernel)
-    transform = None
-    if config.noise is not None:
-        transform = readout_matrix(model.circuit.n_qubits, config.noise).matrix
 
     def dist(theta, cond):
-        p = model_distribution(model.with_theta(theta), cond)
-        if transform is None:
-            return p
-        return DiscreteDistribution(transform @ p.probs, p.register_bits, p.names)
+        return model_distribution(model.with_theta(theta), cond)
 
     rng = np.random.default_rng(config.seed)
     theta = model.theta.copy()
@@ -295,10 +280,10 @@ def _reference_train(model, targets, config, val_targets):
                     target = DiscreteDistribution(counts / config.batch_size, target.register_bits, target.names)
                 if spsa:
                     loss = lambda th: mmd_loss(dist(th, cond), target, config.kernel, cache)
-                    theta = spsa_step(theta, loss, spsa_iteration, config.spsa, rng)
+                    theta = spsa_step(theta, loss, spsa_iteration, SpsaSettings(), rng)
                     spsa_iteration += 1
                 else:
-                    grad = mmd_gradient(model.with_theta(theta), target, config.kernel, cond, cache, transform)
+                    grad = mmd_gradient(model.with_theta(theta), target, config.kernel, cond, cache)
                     t += 1
                     theta, m, v = _functional_adam(theta, grad, m, v, t, lr)
         dists = {c: dist(theta, c) for c in conditions}
@@ -321,13 +306,12 @@ def _random_targets(rng, conditions, bits):
     return targets
 
 
-@pytest.mark.parametrize("case", ["exact", "batches", "readout", "six-conditions", "spsa-epochs"])
+@pytest.mark.parametrize("case", ["exact", "batches", "six-conditions", "spsa-epochs"])
 def test_train_equals_a_reference_loop_of_the_public_gradient(case):
     rng = np.random.default_rng(9)
     settings = {
         "exact": {},
         "batches": {"batch_size": 256},
-        "readout": {"noise": NoiseConfig(readout_flip_prob=0.029)},
         "six-conditions": {},
         "spsa-epochs": {"spsa_epochs": 2},
     }[case]

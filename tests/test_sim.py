@@ -522,7 +522,7 @@ def _check_bound_equals_unbound(circuit, data_angles, rng):
     p = rng.random(2**circuit.n_qubits)
     target = DiscreteDistribution(p / p.sum(), circuit.register_bits)
     gram = GramCache(circuit.register_bits, KernelConfig())
-    observable_of = lambda psi: _loss_derivative(np.abs(psi) ** 2, target, gram, None)
+    observable_of = lambda psi: _loss_derivative(np.abs(psi) ** 2, target, gram)
     psi, grad = sim.adjoint_gradient(circuit, theta, observable_of, data_angles)
     ref_psi, ref_grad = _unbound_gradient(circuit, theta, observable_of, data_angles)
     assert (psi == ref_psi).all() and (grad == ref_grad).all()
@@ -642,7 +642,7 @@ def _observable(circuit, seed):
     p = rng.random(2**circuit.n_qubits)
     target = DiscreteDistribution(p / p.sum(), circuit.register_bits)
     gram = GramCache(circuit.register_bits, KernelConfig())
-    return target, lambda psi: _loss_derivative(np.abs(psi) ** 2, target, gram, None)
+    return target, lambda psi: _loss_derivative(np.abs(psi) ** 2, target, gram)
 
 
 _PLANNED_CONDITION = 0.5
