@@ -76,12 +76,6 @@ class CircuitSpec:
         dtype is float when every gate is RY, H or CNOT, else complex."""
         return compile_circuit(self)
 
-    def slot_gate_kind(self, slot: int) -> str:
-        for g in self.gates:
-            if g.param_slot == slot:
-                return g.kind
-        raise IndexError(f"no gate owns slot {slot}")
-
 
 @dataclass(frozen=True)
 class CorrelationBlockChoice:

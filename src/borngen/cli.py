@@ -12,7 +12,8 @@ import numpy as np
 
 from .data import save_csv, synthesize_mfc
 from .experiments import ConfigError, ExperimentConfig, compare_report, run_experiment
-from .experiments import _count, _is_energy, _must, _resolve
+from .experiments import _count, _must, _resolve
+from .metrics import _is_positive_real
 from .optimize import TrainingDivergedError
 
 EXIT_OK = 0
@@ -31,7 +32,7 @@ def _is_corr(value) -> bool:
 # synth-data's parameters: each one's name, check and default
 _SYNTH_PARAMS = (
     ("n_events", _count(1), 10240),
-    ("conditions", _must(lambda c: isinstance(c, list) and c and all(map(_is_energy, c)),
+    ("conditions", _must(lambda c: isinstance(c, list) and c and all(map(_is_positive_real, c)),
                          "a list of at least one incoming energy, each a finite number > 0"),
      [50.0]),
     # None: data.DEFAULT_CORRELATION

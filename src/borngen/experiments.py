@@ -43,7 +43,13 @@ from .data import (
 # perfbench/tracer.py times the data.preprocess span through this name
 from .data import apply_preprocess  # noqa: F401
 from .distributions import marginal, sample
-from .metrics import PAPER_BANDWIDTHS, KernelConfig, pearson_correlation, total_variance
+from .metrics import (
+    PAPER_BANDWIDTHS,
+    KernelConfig,
+    _is_positive_real,
+    pearson_correlation,
+    total_variance,
+)
 from .noise import NoiseConfig, apply_readout_noise, estimate_confusion_matrix, mitigate_readout
 from .optimize import TrainConfig, _is_count, init_parameters, trace_to_csv, trace_to_json, train
 
@@ -76,11 +82,6 @@ def _count(minimum: int):
     return _must(lambda value: _is_count(value, minimum), f"an integer >= {minimum}")
 
 
-def _is_energy(value) -> bool:
-    """Whether value is a finite number > 0 (a bool is not one)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < math.inf
-
-
 def _widths(value):
     if not isinstance(value, list):
         raise ConfigError(f"must be a list, not {value!r}")
@@ -111,7 +112,7 @@ _FIELDS = (
     ("data.n_events", _count(1), dict.fromkeys(EXPERIMENTS, 10240)),
     ("data.path", _must(lambda v: isinstance(v, str) and Path(v).is_file(), "an existing file"),
      dict.fromkeys(EXPERIMENTS, _REQUIRED)),
-    ("data.condition", _must(_is_energy, "a finite number > 0"),
+    ("data.condition", _must(_is_positive_real, "a finite number > 0"),
      {**dict.fromkeys(("exp-1d", "exp-noise", "exp-gmmd"), 50.0),
       **dict.fromkeys(("exp-multi", "exp-blocks"), 125.0)}),
     ("data.held_out", _must(lambda v: v in CONDITION_VALUES, f"one of {CONDITION_VALUES}"),
@@ -127,7 +128,8 @@ _FIELDS = (
      {**dict.fromkeys(("exp-1d", "exp-noise"), 70), "exp-cond": 30,
       **dict.fromkeys(("exp-multi", "exp-blocks", "exp-gmmd"), 100)}),
     ("train.spsa_epochs", None, dict.fromkeys(_BORN_EXPERIMENTS, 0)),
-    ("train.bandwidths", None, dict.fromkeys(_BORN_EXPERIMENTS, list(PAPER_BANDWIDTHS))),
+    ("train.bandwidths", _must(lambda v: isinstance(v, list), "a list"),
+     dict.fromkeys(_BORN_EXPERIMENTS, list(PAPER_BANDWIDTHS))),
     ("circuit.n_repetitions", _count(0), dict.fromkeys(("exp-multi", "exp-blocks"), 4)),
     ("circuit.block.connectivity", None, {"exp-multi": "linear"}),
     ("circuit.block.depth_pairs", None, {"exp-multi": "first_only"}),

@@ -3,12 +3,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .born import BornModel, model_distribution, model_probs_batch
+from .born import BornModel
+# perfbench/tracer.py times its born.model_distribution and
+# born.model_probs_batch spans through these names
+from .born import model_distribution, model_probs_batch  # noqa: F401
 from .distributions import DiscreteDistribution
 from .sim import adjoint_gradient
 
@@ -19,7 +23,6 @@ __all__ = [
     "mmd_loss_samples",
     "SampleTarget",
     "mmd_gradient",
-    "mmd_gradient_shift",
     "total_variance",
     "pearson_correlation",
 ]
@@ -43,6 +46,11 @@ PAPER_BANDWIDTHS = (0.01, 0.1, 1.0, 10.0, 100.0)
 _TILE_ROWS = 64
 
 
+def _is_positive_real(value) -> bool:
+    """Whether value is a finite real number > 0 (a bool or a string is not one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     """Bandwidths of the summed Gaussian kernel K(x,y) = sum_s exp(-d^2/2s)."""
@@ -50,10 +58,10 @@ class KernelConfig:
     bandwidths: tuple[float, ...] = PAPER_BANDWIDTHS
 
     def __post_init__(self):
-        bw = tuple(float(s) for s in self.bandwidths)
-        object.__setattr__(self, "bandwidths", bw)
-        if not bw or not all(math.isfinite(s) and s > 0 for s in bw):
-            raise ValueError("bandwidths must be a nonempty list of positive reals")
+        bw = tuple(self.bandwidths)
+        if not bw or not all(map(_is_positive_real, bw)):
+            raise ValueError(f"bandwidths must be a nonempty list of finite numbers > 0, not {bw}")
+        object.__setattr__(self, "bandwidths", tuple(map(float, bw)))
 
 
 class GramCache:
@@ -454,20 +462,6 @@ def mmd_loss_samples(x: np.ndarray, y, config: KernelConfig, grad: bool = False)
     return float(c @ values), 2.0 / n * grads[:n]
 
 
-def _shift_for_kind(kind: str) -> tuple[float, float]:
-    """(shift, outer coefficient) of the exact shift rule for one gate kind.
-
-    RY/RX are generated by a Pauli over 2, giving the usual +/- pi/2 rule.
-    RZZ here is exp(-i theta Z@Z) without the half, so its distributions
-    have doubled frequency in theta: shift by pi/4 and scale by 2.
-    """
-    if kind in ("RY", "RX"):
-        return np.pi / 2.0, 1.0
-    if kind == "RZZ":
-        return np.pi / 4.0, 2.0
-    raise ValueError(f"gate kind {kind} is not parameterized")
-
-
 def _loss_derivative(p: np.ndarray, target, K: GramCache) -> np.ndarray:
     """dL/dp of L = (p - t)^T K (p - t)."""
     return 2.0 * K.apply(p - target.probs)
@@ -495,33 +489,6 @@ def mmd_gradient(
 
     _, grad = adjoint_gradient(model.circuit, model.theta, observable_of, model.data_angles(condition))
     return grad
-
-
-def mmd_gradient_shift(
-    model: BornModel,
-    target: DiscreteDistribution,
-    config: KernelConfig,
-    condition: Optional[float] = None,
-    cache: Optional[GramCache] = None,
-) -> np.ndarray:
-    """Parameter-shift gradient of the exact MMD loss, from 2n + 1 states.
-
-    The rule hardware would use, kept as the oracle for mmd_gradient.
-    """
-    p_dist = model_distribution(model, condition)
-    _check_compatible(p_dist.register_bits, target)
-    K = _gram(p_dist.register_bits, config, cache)
-    n = model.circuit.n_parameters
-
-    thetas = np.repeat(model.theta[None], 2 * n, axis=0)
-    coeffs = np.empty(n)
-    for i in range(n):
-        shift, coeffs[i] = _shift_for_kind(model.circuit.slot_gate_kind(i))
-        thetas[2 * i, i] += shift
-        thetas[2 * i + 1, i] -= shift
-    probs = model_probs_batch(model, thetas, condition)
-    kv = K.apply(p_dist.probs - target.probs)
-    return coeffs * ((probs[0::2] - probs[1::2]) @ kv)
 
 
 def total_variance(p: DiscreteDistribution, target: DiscreteDistribution) -> float:

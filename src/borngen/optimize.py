@@ -10,7 +10,14 @@ import numpy as np
 
 from .born import BornModel, model_distribution
 from .distributions import DiscreteDistribution
-from .metrics import GramCache, KernelConfig, mmd_gradient, mmd_loss, total_variance
+from .metrics import (
+    GramCache,
+    KernelConfig,
+    _is_positive_real,
+    mmd_gradient,
+    mmd_loss,
+    total_variance,
+)
 # perfbench/tracer.py binds its noise span to this name
 from .noise import readout_matrix  # noqa: F401
 
@@ -73,9 +80,11 @@ class Schedule:
     _NULLABLE = ()  # the counts that may be None
 
     def __post_init__(self):
-        if not self.initial_lr > 0 or not _is_count(self.lr_halving_period, 1):  # NaN too
+        if not _is_positive_real(self.initial_lr):
+            raise ValueError(f"initial_lr must be a finite number > 0, not {self.initial_lr!r}")
+        if not _is_count(self.lr_halving_period, 1):
             raise ValueError(
-                "learning-rate settings must be positive, lr_halving_period an integer"
+                f"lr_halving_period must be an integer >= 1, not {self.lr_halving_period!r}"
             )
         for name in ("batches_per_epoch", "batch_size", "max_epochs"):
             value = getattr(self, name)

@@ -87,6 +87,11 @@ FIXED_KINDS = frozenset({"CNOT", "H"})
 _SINGLE_QUBIT = frozenset({"RY", "RX", "H"})
 
 
+def _is_index(value) -> bool:
+    """Whether value is an integer >= 0, numpy's included (a bool is not one)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True, slots=True)
 class Gate:
     """One gate in a circuit: a kind, target qubits and an optional slot.
@@ -102,10 +107,15 @@ class Gate:
 
     def __post_init__(self):
         targets = tuple(self.targets)
-        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) and t >= 0
-                   for t in targets):
+        if not all(map(_is_index, targets)):
             raise ValueError(f"gate targets must be integers >= 0, not {targets}")
         object.__setattr__(self, "targets", tuple(map(int, targets)))
+        for name in ("param_slot", "data_slot"):
+            slot = getattr(self, name)
+            if slot is not None:
+                if not _is_index(slot):
+                    raise ValueError(f"gate slots must be integers >= 0, not {name}={slot!r}")
+                object.__setattr__(self, name, int(slot))
         if self.kind not in PARAMETERIZED_KINDS | FIXED_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         arity = 1 if self.kind in _SINGLE_QUBIT else 2
@@ -193,10 +203,10 @@ class _Program:
     gradient slot slots[k] (n_parameters for data gates and the identity).
     The program has one block table: each rotation op's matrix is block
     op.block of every sweep, the blocks with an H block folded in first.
-    kron[b] lists the entries of block b, its highest qubit first; index is
-    the blocks' _gather_index, which also takes the columns of a block with
-    a CNOT run folded in in the run's order, and folds, (k, 2**g, 2**g),
-    holds the H blocks folded into the first k blocks (None when none is).
+    index is the blocks' _gather_index, which also takes the columns of a
+    block with a CNOT run folded in in the run's order, and folds,
+    (k, 2**g, 2**g), holds the H blocks folded into the first k blocks (None
+    when none is).
     start, (1, 2**n) and read-only, is the state after the ops before op
     first_swept, the first parameterized one; each run applies the ops from
     there on. The adjoint sweep stops at op first_trainable; reads lists
@@ -214,7 +224,6 @@ class _Program:
     rates: np.ndarray
     generators: np.ndarray
     slots: np.ndarray
-    kron: np.ndarray
     index: np.ndarray
     folds: Optional[np.ndarray]
     start: np.ndarray
@@ -397,7 +406,6 @@ def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
         slots=_frozen(np.array(
             [n_theta if gate.param_slot is None else gate.param_slot for gate in params] + [n_theta]
         )),
-        kron=_frozen(kron),
         index=_frozen(index),
         folds=_frozen(np.array([folds[b] for b in order[: len(folds)]])) if folds else None,
         start=_frozen(start),

@@ -19,9 +19,9 @@ from borngen.baseline import (
     train_gmmd,
     unflatten_weights,
 )
-from borngen import metrics
+from borngen import baseline, metrics
 from borngen.metrics import KernelConfig, SampleTarget, mmd_loss_samples
-from borngen.optimize import TrainConfig, TrainingDivergedError
+from borngen.optimize import TrainConfig, TrainingDivergedError, adam_step
 
 SPEC = MlpSpec(latent_dim=4, hidden=(8, 6), output_dim=2)
 
@@ -148,6 +148,8 @@ _BAD_SCHEDULE = [
     ("initial_lr", 0.0),
     ("initial_lr", -0.01),
     ("initial_lr", float("nan")),
+    ("initial_lr", float("inf")),
+    ("initial_lr", True),
     ("lr_halving_period", 0),
     ("batches_per_epoch", 0),
     ("batch_size", 0),
@@ -186,10 +188,13 @@ def test_gmmd_batch_size_is_always_a_count():
         GmmdConfig(batch_size=None)
 
 
-def test_training_divergence_detected():
-    config = GmmdConfig(max_epochs=2, batch_size=32, seed=0, initial_lr=np.inf)
+def test_training_divergence_detected(monkeypatch):
+    config = GmmdConfig(max_epochs=2, batch_size=32, seed=0)
     data = np.random.default_rng(7).standard_normal((200, 1))
-    # caught at the first step, before numpy warns about the inf weights
+    # ADAM at an infinite rate, which no config can hold, leaves the weights
+    # infinite; caught at the first step, before numpy warns about them
+    monkeypatch.setattr(baseline, "adam_step",
+                        lambda flat, grad, state, lr: adam_step(flat, grad, state, np.inf))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(TrainingDivergedError, match="non-finite weights at epoch 0, step 0"):

@@ -157,25 +157,46 @@ def test_a_loaded_circuit_checks_its_data_slots(dropped):
 
 
 @pytest.mark.parametrize(
-    "kind, targets",
-    [("RY", (1.7,)), ("RY", (-1,)), ("CNOT", (-1, 0)), ("RY", (True,)), ("RY", ("1",))],
-    ids=["fraction", "negative", "negative-control", "bool", "string"],
+    "kind, targets, slots",
+    [
+        ("RY", (1.7,), {"param_slot": 0}),
+        ("RY", (-1,), {"param_slot": 0}),
+        ("CNOT", (-1, 0), {}),
+        ("RY", (True,), {"param_slot": 0}),
+        ("RY", ("1",), {"param_slot": 0}),
+        # a slot indexes theta or the data angles, as a target indexes qubits
+        ("RY", (0,), {"param_slot": 0.0}),
+        ("RY", (0,), {"param_slot": False}),
+        ("RZZ", (0, 1), {"param_slot": -1}),
+        ("RY", (0,), {"data_slot": 1.0}),
+        ("RX", (0,), {"data_slot": True}),
+        ("RY", (0,), {"param_slot": "0"}),
+    ],
+    ids=["fraction", "negative", "negative-control", "bool", "string", "fraction-param-slot",
+         "bool-param-slot", "negative-param-slot", "fraction-data-slot", "bool-data-slot",
+         "string-param-slot"],
 )
-def test_gate_rejects_a_target_that_is_no_qubit_index(kind, targets):
-    slot = {"param_slot": 0} if kind == "RY" else {}
+def test_gate_rejects_a_target_that_is_no_qubit_index(kind, targets, slots):
     with pytest.raises(ValueError, match="integers >= 0"):
-        Gate(kind, targets, **slot)
+        Gate(kind, targets, **slots)
 
 
 def test_gate_takes_numpy_integer_targets_as_ints():
     gate = Gate("CNOT", (np.int64(2), np.uint8(0)))
     assert gate.targets == (2, 0) and all(type(t) is int for t in gate.targets)
+    ry, rx = Gate("RY", (0,), param_slot=np.int64(3)), Gate("RX", (0,), data_slot=np.uint8(1))
+    assert (ry.param_slot, rx.data_slot) == (3, 1)
+    assert type(ry.param_slot) is int and type(rx.data_slot) is int
 
 
-@pytest.mark.parametrize("target", [-1, 0.5])
-def test_a_loaded_circuit_checks_its_gate_targets(target):
+@pytest.mark.parametrize(
+    "field, value",
+    [("targets", [-1]), ("targets", [0.5]), ("param_slot", 0.0), ("param_slot", False)],
+    ids=["-1", "0.5", "fraction-param-slot", "bool-param-slot"],
+)
+def test_a_loaded_circuit_checks_its_gate_targets(field, value):
     payload = json.loads(circuit_to_json(build_1d_rzz_ansatz(3)))
-    payload["gates"][0]["targets"] = [target]
+    payload["gates"][0][field] = value
     with pytest.raises(ValueError, match="integers >= 0"):
         circuit_from_json(json.dumps(payload))
 
@@ -184,12 +205,6 @@ def test_a_loaded_circuit_checks_its_gate_targets(target):
 def test_circuit_spec_rejects_no_qubits(n_qubits):
     with pytest.raises(ValueError, match="at least one qubit"):
         CircuitSpec(n_qubits, (), 0)
-
-
-def test_slot_gate_kind():
-    circuit = build_1d_rzz_ansatz(4)
-    kinds = [circuit.slot_gate_kind(i) for i in range(circuit.n_parameters)]
-    assert kinds == ["RY"] * 4 + ["RX"] * 4 + ["RZZ"] * 6 + ["RY"] * 4
 
 
 def test_json_round_trip():

@@ -456,6 +456,13 @@ def test_held_out_must_be_a_condition():
         ("exp-noise", {"noise": {"readout_flip_prob": float("nan")}}, r"noise\.readout_flip_prob: "),
         ("exp-1d", {"train": {"bandwidths": [1.0, float("nan")]}}, "train: bandwidths must be"),
         ("exp-1d", {"train": {"bandwidths": [float("inf")]}}, "train: bandwidths must be"),
+        # json reads 1e400 as inf
+        ("exp-1d", {"train": {"initial_lr": float("inf")}}, "train: initial_lr must be a finite number"),
+        ("exp-cond", {"train": {"initial_lr": True}}, "train: initial_lr must be a finite number"),
+        ("exp-multi", {"train": {"initial_lr": "0.01"}}, "train: initial_lr must be a finite number"),
+        ("exp-1d", {"train": {"bandwidths": ["1"]}}, "train: bandwidths must be"),
+        ("exp-noise", {"train": {"bandwidths": [True]}}, "train: bandwidths must be"),
+        ("exp-1d", {"train": {"bandwidths": "abc"}}, r"train\.bandwidths must be a list, not 'abc'"),
         # one probability, or one per qubit of the 4-qubit 1D target
         ("exp-noise", {"noise": {"readout_flip_prob": [0.01, 0.02, 0.03]}},
          r"noise\.readout_flip_prob: expected 4 per-qubit flip probabilities"),
@@ -483,7 +490,9 @@ def test_held_out_must_be_a_condition():
         ],
     ],
     ids=["optimizer", "max_epochs", "fractional_max_epochs", "readout_flip_prob",
-         "nan_readout_flip_prob", "nan_bandwidth", "inf_bandwidth", "short_readout_flip_probs",
+         "nan_readout_flip_prob", "nan_bandwidth", "inf_bandwidth", "inf_initial_lr",
+         "bool_initial_lr", "string_initial_lr", "string_bandwidth", "bool_bandwidth",
+         "string_bandwidths", "short_readout_flip_probs",
          "empty_readout_flip_probs", "calibration_shots", "block_style", "init_scheme",
          "spsa_epochs", "sample_batches", "mixed_optimizer", "batch_size", "n_events",
          "gmmd_max_epochs", "latent_dim", "hidden_width", "hidden_list",

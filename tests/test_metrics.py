@@ -28,12 +28,12 @@ from borngen.metrics import (
     _self_sum,
     _tiled_rows,
     mmd_gradient,
-    mmd_gradient_shift,
     mmd_loss,
     mmd_loss_samples,
     pearson_correlation,
     total_variance,
 )
+from shift_oracle import mmd_gradient_shift
 
 BANDWIDTH_ONE = KernelConfig((1.0,))
 
@@ -59,9 +59,10 @@ def test_kernel_config_validation():
         KernelConfig(())
     with pytest.raises(ValueError):
         KernelConfig((1.0, -2.0))
-    for bad in (float("nan"), float("inf")):
+    for bad in (float("nan"), float("inf"), True, "1"):
         with pytest.raises(ValueError):
             KernelConfig((1.0, bad))
+    assert KernelConfig((1, np.float32(2.0))).bandwidths == (1.0, 2.0)
 
 
 def test_mmd_point_masses_oracle():

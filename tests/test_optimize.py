@@ -215,10 +215,13 @@ def test_train_rejects_an_empty_target_mapping():
         train(model, {}, TrainConfig(max_epochs=1))
 
 
-def test_train_divergence_detected():
+def test_train_divergence_detected(monkeypatch):
     model, target = _toy_problem(7)
-    config = TrainConfig(max_epochs=3, seed=0, initial_lr=float("inf"))
-    # caught at the first step, before numpy warns about the inf parameters
+    config = TrainConfig(max_epochs=3, seed=0)
+    # ADAM at an infinite rate, which no config can hold, leaves theta
+    # infinite; caught at the first step, before numpy warns about it
+    monkeypatch.setattr(optimize, "adam_step",
+                        lambda theta, grad, state, lr: adam_step(theta, grad, state, np.inf))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(TrainingDivergedError, match="non-finite theta at epoch 0, step 0"):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from borngen.born import BornModel
 from borngen.data import CONDITION_VALUES
 from borngen.distributions import DiscreteDistribution
-from borngen.metrics import GramCache, KernelConfig, _loss_derivative, mmd_gradient, mmd_gradient_shift
+from borngen.metrics import GramCache, KernelConfig, _loss_derivative, mmd_gradient
 from borngen import experiments, metrics, sim
 from borngen.sim import Gate, run_circuit, run_circuit_batch
 from borngen.circuits import (
@@ -25,6 +25,7 @@ from borngen.circuits import (
     build_multivariate,
     encode_condition,
 )
+from shift_oracle import mmd_gradient_shift
 
 # RY(pi)|0> = |1>: a circuit's leading RY(pi) prepares a set qubit from |0...0>
 FLIP = np.pi
@@ -463,8 +464,10 @@ def test_folded_cnot_runs_gather_the_blocks_of_the_dense_product(circuit):
     for i, (kind, gates) in enumerate(layers):
         if kind == "rotation":
             runs.append(layers[i - 1][1] if i and layers[i - 1][0] == "CNOT" else [])
-    assert any(runs) and len(runs) == len(program.kron)
-    kron = program.kron % len(program.columns)
+    # each value of index[b, k] is 4 e plus a 2x2 entry (0 to 3), with e
+    # block b's k-th entry, highest qubit first (the identity is the last)
+    kron = program.index[:, :, 0] // 4
+    assert any(runs) and len(runs) == len(kron)
     rotations = [op for op in program.ops if op.kind == "rotation"]
     rng = np.random.default_rng(8)
     data_angles = rng.uniform(0, np.pi, circuit.n_data_slots) if circuit.n_data_slots else None
