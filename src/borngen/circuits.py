@@ -127,8 +127,8 @@ def _default_layout(n_registers, qubits_per_register, names=None):
     )
 
 
-def build_hardware_efficient(n_qubits: int, n_layers: int, with_rx: bool = True) -> CircuitSpec:
-    """Layered ansatz: RY (and RX) on all qubits plus a linear CNOT chain,
+def build_hardware_efficient(n_qubits: int, n_layers: int) -> CircuitSpec:
+    """Layered ansatz: RY and RX on all qubits plus a linear CNOT chain,
     with one extra RY layer before measurement."""
     if n_qubits < 1 or n_layers < 0:
         raise ValueError("need n_qubits >= 1 and n_layers >= 0")
@@ -138,10 +138,9 @@ def build_hardware_efficient(n_qubits: int, n_layers: int, with_rx: bool = True)
         for q in range(n_qubits):
             gates.append(Gate("RY", (q,), param_slot=slot))
             slot += 1
-        if with_rx:
-            for q in range(n_qubits):
-                gates.append(Gate("RX", (q,), param_slot=slot))
-                slot += 1
+        for q in range(n_qubits):
+            gates.append(Gate("RX", (q,), param_slot=slot))
+            slot += 1
         for q in range(n_qubits - 1):
             gates.append(Gate("CNOT", (q, q + 1)))
     for q in range(n_qubits):
@@ -249,7 +248,7 @@ def build_conditional(n_qubits: int, n_layers: int) -> CircuitSpec:
     qubit) followed by the layered ansatz with RX rotations."""
     if n_qubits < 1:
         raise ValueError("need n_qubits >= 1")
-    base = build_hardware_efficient(n_qubits, n_layers, with_rx=True)
+    base = build_hardware_efficient(n_qubits, n_layers)
     feature_map = tuple(Gate("RY", (q,), data_slot=q) for q in range(n_qubits))
     return CircuitSpec(
         n_qubits,

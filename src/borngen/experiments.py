@@ -51,7 +51,8 @@ from .metrics import (
     total_variance,
 )
 from .noise import NoiseConfig, apply_readout_noise, estimate_confusion_matrix, mitigate_readout
-from .optimize import TrainConfig, _is_count, init_parameters, trace_to_csv, trace_to_json, train
+from .optimize import TrainConfig, init_parameters, trace_to_csv, trace_to_json, train
+from .sim import _is_count
 
 __all__ = ["ExperimentConfig", "run_experiment", "compare_report", "EXPERIMENTS"]
 

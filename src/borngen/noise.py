@@ -1,6 +1,7 @@
 """Readout bit-flip noise and its mitigation."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from typing import Union
@@ -27,9 +28,14 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        probs = np.atleast_1d(np.asarray(self.readout_flip_prob, dtype=float))
-        if not all(0 <= p < 0.5 for p in probs):  # NaN too
-            raise ValueError("readout flip probabilities must lie in [0, 0.5)")
+        prob = self.readout_flip_prob
+        probs = prob if isinstance(prob, (list, tuple)) else [prob]
+        # a bool or a string is no probability; the range check rejects NaN too
+        if not all(isinstance(p, numbers.Real) and not isinstance(p, bool) and 0 <= p < 0.5
+                   for p in probs):
+            raise ValueError(
+                f"readout flip probabilities must be numbers in [0, 0.5), one or a list, not {prob!r}"
+            )
 
     def flip_probs(self, n_qubits: int) -> np.ndarray:
         probs = np.atleast_1d(np.asarray(self.readout_flip_prob, dtype=float))

@@ -20,6 +20,7 @@ from .metrics import (
 )
 # perfbench/tracer.py binds its noise span to this name
 from .noise import readout_matrix  # noqa: F401
+from .sim import _is_count
 
 __all__ = [
     "SpsaSettings",
@@ -59,11 +60,6 @@ class SpsaSettings:
 
 
 _SPSA = SpsaSettings()  # the settings train's SPSA steps take
-
-
-def _is_count(value, minimum: int) -> bool:
-    """Whether value is an int (a bool is not one) of at least minimum."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
 @dataclass(frozen=True)

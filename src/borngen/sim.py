@@ -8,10 +8,13 @@ one run_circuit row per parameter vector, and |psi|**2 are the Born
 probabilities.
 
 Each circuit is compiled once into a program of layers (CircuitSpec.program
-holds it). The scheduler puts each gate in the earliest layer of its kind
-after the last layer that touches its qubits; the kinds are rotations (RY,
-RX), H, a CNOT run and RZZ. A layer's gates commute, and one kernel runs
-each op of a layer on a (1, 2**n) amplitude row:
+holds it). First an H whose next gate on its qubit is an RY or RX moves
+into that rotation as its first factor: the rotation's 2x2 matrix is
+(cos I + sin G / rate) H. Every other H stays. The scheduler then puts each
+gate in the earliest layer of its kind after the last layer that touches
+its qubits; the kinds are rotations (RY, RX), H, a CNOT run and RZZ. A
+layer's gates commute, and one kernel runs each op of a layer on a
+(1, 2**n) amplitude row:
 - a rotation or H layer is one Kronecker matrix per block of up to four
   consecutive qubits that it touches, one matmul onto a (1, hi, 2**g, lo)
   view; a sweep builds every rotation block at once, as one gather and one
@@ -19,11 +22,10 @@ each op of a layer on a (1, 2**n) amplitude row:
 - a CNOT run is one index permutation;
 - an RZZ layer is one phase vector exp(-i theta.Z), with Z the layer's
   (gates, 2**n) table of +/-1.
-A fixed op, an H block or (when the circuit is one block) a CNOT run, is
-folded into the next rotation op on its block when no op in between touches
-that block: the sweep builds that rotation's matrix as M @ F, for an H block
-by one matmul, for a CNOT run, whose F is a permutation, by taking M's
-columns in permuted order in the gather that builds M.
+When the circuit is one block, a CNOT run directly before a rotation op
+is folded into it: the sweep builds that rotation's matrix as M @ P, with P
+the run's permutation matrix, by taking M's columns in permuted order in
+the gather that builds M.
 A circuit of RY, H and CNOT gates only keeps real amplitudes and runs in
 float64; RX and RZZ make it complex128.
 
@@ -35,8 +37,9 @@ one block table, from the angles [0, theta, data angles]. So data angles
 enter a run only through its sweep.
 
 adjoint_gradient runs the circuit once, keeping the output psi of each op it reads, then
-un-applies the ops to lambda alone. The gates of an op commute (and a folded
-F comes before them), so each gate's gradient is read at the op's output:
+un-applies the ops to lambda alone. The gates of an op commute (and an H
+factor or a folded run comes before them), so each gate's gradient is read
+at the op's output:
 for a rotation block from the 2**g x 2**g matrix sum conj(lambda) psi^T
 against each gate's I x G x I, for an RZZ layer from Z times
 2 Im(conj(lambda) psi). These reads run at the end, one stacked matmul per
@@ -66,7 +69,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
@@ -87,9 +90,10 @@ FIXED_KINDS = frozenset({"CNOT", "H"})
 _SINGLE_QUBIT = frozenset({"RY", "RX", "H"})
 
 
-def _is_index(value) -> bool:
-    """Whether value is an integer >= 0, numpy's included (a bool is not one)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+def _is_count(value, minimum: int = 0) -> bool:
+    """Whether value is an integer of at least minimum, numpy's included (a
+    bool is not one)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,13 +111,13 @@ class Gate:
 
     def __post_init__(self):
         targets = tuple(self.targets)
-        if not all(map(_is_index, targets)):
+        if not all(map(_is_count, targets)):
             raise ValueError(f"gate targets must be integers >= 0, not {targets}")
         object.__setattr__(self, "targets", tuple(map(int, targets)))
         for name in ("param_slot", "data_slot"):
             slot = getattr(self, name)
             if slot is not None:
-                if not _is_index(slot):
+                if not _is_count(slot):
                     raise ValueError(f"gate slots must be integers >= 0, not {name}={slot!r}")
                 object.__setattr__(self, name, int(slot))
         if self.kind not in PARAMETERIZED_KINDS | FIXED_KINDS:
@@ -150,7 +154,7 @@ _MAX_BLOCK = 4  # up to this many qubits run as one block; more split into block
 @dataclass(frozen=True, slots=True)
 class _Op:
     """One kernel call: a block of a rotation or H layer, a CNOT run or an
-    RZZ layer. Its tables are shared by every circuit with the same layer.
+    RZZ layer.
 
     A block acts on the (1, hi, 2**g, lo) view of the amplitudes.
     params is the range of a rotation or phase op's gates in program order.
@@ -199,14 +203,14 @@ class _Program:
     The parameterized gates are numbered in op order, and one entry more,
     the identity, fills the unused qubits of a block. Entry k takes its
     angle from column columns[k] of [0, theta, data angles], turns at rate
-    rates[k] with generator / rate generators[k] (flattened), and feeds
-    gradient slot slots[k] (n_parameters for data gates and the identity).
-    The program has one block table: each rotation op's matrix is block
-    op.block of every sweep, the blocks with an H block folded in first.
-    index is the blocks' _gather_index, which also takes the columns of a
-    block with a CNOT run folded in in the run's order, and folds,
-    (k, 2**g, 2**g), holds the H blocks folded into the first k blocks (None
-    when none is).
+    rates[k], and feeds gradient slot slots[k] (n_parameters for data gates
+    and the identity). Its 2x2 matrix is cos bases[k] + sin generators[k]
+    (both flattened): bases[k] is H for a rotation that took an H, else I,
+    and generators[k] is generator / rate times bases[k] (0 for the
+    identity). The program has one block table: each rotation op's matrix
+    is block op.block of every sweep. index is the blocks' _gather_index,
+    which also takes the columns of a block with a CNOT run folded in in the
+    run's order.
     start, (1, 2**n) and read-only, is the state after the ops before op
     first_swept, the first parameterized one; each run applies the ops from
     there on. The adjoint sweep stops at op first_trainable; reads lists
@@ -222,10 +226,10 @@ class _Program:
     ops: tuple[_Op, ...]
     columns: np.ndarray
     rates: np.ndarray
+    bases: np.ndarray
     generators: np.ndarray
     slots: np.ndarray
     index: np.ndarray
-    folds: Optional[np.ndarray]
     start: np.ndarray
     first_swept: int
     first_trainable: int
@@ -235,14 +239,36 @@ class _Program:
     plan: Optional[_Plan] = field(default=None, repr=False)
 
 
-def _schedule(gates) -> list[tuple[str, list]]:
-    """The circuit as (kind, gates) layers. Each gate goes into the earliest
-    layer of its kind after the last layer touching its qubits; a CNOT or
-    RZZ may also join that last layer when it is of its kind."""
+def _fuse(gates) -> list[tuple[Gate, np.ndarray]]:
+    """The gates as (gate, base) pairs, base the 2x2 factor that the gate
+    takes first: an H whose next gate on its qubit is an RY or RX leaves
+    the list, and that rotation takes H as its base. Every other gate's base
+    is I, and an H whose next gate on its qubit is a CNOT, an RZZ or another
+    H (or none) stays."""
+    entries: list[Optional[tuple[Gate, np.ndarray]]] = []
+    pending: dict[int, int] = {}  # each qubit's last gate, where it is an H
+    for gate in gates:
+        before = [pending.pop(q) for q in gate.targets if q in pending]
+        if before and gate.kind in ("RY", "RX"):
+            entries[before[0]] = None  # the H moves into the rotation
+            entries.append((gate, _H))
+            continue
+        if gate.kind == "H":
+            pending[gate.targets[0]] = len(entries)
+        entries.append((gate, _EYE))
+    return [entry for entry in entries if entry is not None]
+
+
+def _schedule(entries) -> list[tuple[str, list]]:
+    """The (gate, base) entries as (kind, entries) layers. Each gate goes
+    into the earliest layer of its kind after the last layer touching its
+    qubits; a CNOT or RZZ may also join that last layer when it is of its
+    kind."""
     layers: list[tuple[str, list]] = []
     of_kind: dict[str, list[int]] = {}  # each kind's layer indices, ascending
     last: dict[int, int] = {}  # each qubit's last layer
-    for gate in gates:
+    for entry in entries:
+        gate = entry[0]
         kind = _LAYER_KIND[gate.kind]
         after = max([last.get(q, -1) for q in gate.targets])
         indices = of_kind.setdefault(kind, [])
@@ -254,7 +280,7 @@ def _schedule(gates) -> list[tuple[str, list]]:
             index = len(layers)
             layers.append((kind, []))
             indices.append(index)
-        layers[index][1].append(gate)
+        layers[index][1].append(entry)
         for q in gate.targets:
             last[q] = index
     return layers
@@ -284,27 +310,16 @@ def _kron(factors) -> np.ndarray:
     return np.take(np.ravel(factors), _kron_entries(g)).prod(axis=0).reshape(2**g, 2**g)
 
 
-# The shared tables, keyed by the layer's gates, so that circuits with the
-# same layers (every pass of an experiment builds its circuit anew) hold one
-# copy. Each is small: a block's tables have 4**g <= 256 entries per gate.
-@lru_cache(maxsize=256)
-def _generator_rows(g: int, gates: tuple[tuple[str, int], ...]) -> np.ndarray:
-    """Twice each (kind, position) gate's generator on a g-qubit block,
-    flattened."""
+def _generator_rows(g: int, kinds: list[str], positions: list[int]) -> np.ndarray:
+    """Twice each gate's generator, of these kinds at these positions, on a
+    g-qubit block, flattened."""
     return _frozen(np.array([
         2.0 * _kron([_GENERATORS[kind][1] if p == pos else _EYE for p in range(g - 1, -1, -1)]).ravel()
-        for kind, pos in gates
+        for kind, pos in zip(kinds, positions)
     ]))
 
 
-@lru_cache(maxsize=256)
-def _fixed_block(g: int, positions: tuple[int, ...]) -> np.ndarray:
-    """H on these positions of a g-qubit block, identity on the others."""
-    return _frozen(_kron([_H if p in positions else _EYE for p in range(g - 1, -1, -1)]))
-
-
-@lru_cache(maxsize=256)
-def _cnot_run(n_qubits: int, pairs: tuple[tuple[int, int], ...]):
+def _cnot_run(n_qubits: int, pairs) -> tuple[np.ndarray, np.ndarray]:
     """The permutation amps[:, perm] that applies these CNOTs in order, and
     its inverse, as intp, the index type that take uses without a cast."""
     idx = np.arange(2**n_qubits, dtype=np.intp)
@@ -314,8 +329,7 @@ def _cnot_run(n_qubits: int, pairs: tuple[tuple[int, int], ...]):
     return _frozen(perm), _frozen(np.argsort(perm))
 
 
-@lru_cache(maxsize=256)
-def _zz_table(n_qubits: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+def _zz_table(n_qubits: int, pairs) -> np.ndarray:
     """(k, 2**n) Z x Z of each pair: +1 where its two bits agree, else -1."""
     idx = np.arange(2**n_qubits)
     parity = np.array([((idx >> a) ^ (idx >> b)) & 1 for a, b in pairs])
@@ -343,53 +357,51 @@ def compile_circuit(circuit) -> _Program:
 @lru_cache(maxsize=64)
 def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
     g, starts = _blocks_of(n)
-    ops, params, kron = [], [], []
-    for kind, gates in _schedule(circuit_gates):
+    ops, params, kron = [], [], []  # params: the parameterized (gate, base) entries
+    for kind, entries in _schedule(_fuse(circuit_gates)):
         if kind == "CNOT":
-            perm, inverse = _cnot_run(n, tuple(gate.targets for gate in gates))
+            perm, inverse = _cnot_run(n, [gate.targets for gate, _ in entries])
             ops.append(_Op("perm", table=perm, inverse=inverse))
         elif kind == "RZZ":
             first = len(params)
-            params += gates
-            table = _zz_table(n, tuple(gate.targets for gate in gates))
+            params += entries
+            table = _zz_table(n, [gate.targets for gate, _ in entries])
             ops.append(_Op("phase", params=slice(first, len(params)), table=table))
         else:
             by_block: dict[int, list] = {}
-            for gate in gates:
-                by_block.setdefault(gate.targets[0] // g, []).append(gate)
-            for b, block_gates in sorted(by_block.items()):
+            for entry in entries:
+                by_block.setdefault(entry[0].targets[0] // g, []).append(entry)
+            for b, block_entries in sorted(by_block.items()):
                 hi, lo = 2 ** (n - starts[b] - g), 2 ** starts[b]
-                positions = [gate.targets[0] - starts[b] for gate in block_gates]
+                positions = [gate.targets[0] - starts[b] for gate, _ in block_entries]
                 if kind == "H":
-                    h = _fixed_block(g, tuple(sorted(positions)))
+                    h = _frozen(_kron([_H if p in positions else _EYE for p in range(g - 1, -1, -1)]))
                     ops.append(_Op("fixed", hi, lo, table=h, inverse=h))  # H is its own inverse
                     continue
                 first = len(params)
-                params += block_gates
-                entries = [-1] * g  # -1: the identity, the last entry
+                params += block_entries
+                factors = [-1] * g  # -1: the identity, the last entry
                 for k, pos in enumerate(positions):
-                    entries[g - 1 - pos] = first + k
-                kron.append(entries)
-                rows = _generator_rows(g, tuple((gt.kind, p) for gt, p in zip(block_gates, positions)))
+                    factors[g - 1 - pos] = first + k
+                kron.append(factors)
+                rows = _generator_rows(g, [gate.kind for gate, _ in block_entries], positions)
                 ops.append(_Op("rotation", hi, lo, slice(first, len(params)), len(kron) - 1, rows))
-    ops, folds, perms = _fold(ops, n <= _MAX_BLOCK)
-    # the one block table, the blocks with an H block folded in first
-    order = sorted(range(len(kron)), key=lambda b: b not in folds)
-    position = {b: i for i, b in enumerate(order)}
-    ops = [replace(op, block=position[op.block]) if op.kind == "rotation" else op for op in ops]
-    trainable = [gate.param_slot is not None for gate in params]
+    ops, perms = _fold(ops, n <= _MAX_BLOCK)
+    gates = [gate for gate, _ in params]
+    trainable = [gate.param_slot is not None for gate in gates]
     first_swept = next((i for i, op in enumerate(ops) if op.params is not None), len(ops))
     first_trainable = next(
         (i for i, op in enumerate(ops) if op.params and any(trainable[op.params])), len(ops)
     )
     reads, groups = _groups(ops, first_trainable)
-    rates = [_GENERATORS[gate.kind][0] for gate in params]
+    rates = [_GENERATORS[gate.kind][0] for gate in gates]
     generators = np.array(
-        [_GENERATORS[gate.kind][1] / rate for gate, rate in zip(params, rates)] + [np.zeros((2, 2))]
+        [(_GENERATORS[gate.kind][1] / rate) @ base for (gate, base), rate in zip(params, rates)]
+        + [np.zeros((2, 2))]
     ).reshape(-1, 4)
-    kron = np.array([kron[b] for b in order], dtype=int).reshape(-1, g)
+    kron = np.array(kron, dtype=int).reshape(-1, g)
     arange = np.arange(2**g, dtype=np.intp)
-    column_orders = np.array([perms.get(b, arange) for b in order]) if perms else None
+    column_orders = np.array([perms.get(b, arange) for b in range(len(kron))]) if perms else None
     index = _gather_index(kron % len(generators), column_orders)
     start = np.zeros((1, 2**n), dtype=generators.dtype)  # complex as soon as one RX or RZZ generator is
     start[0, 0] = 1.0
@@ -399,15 +411,15 @@ def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
         tuple(ops),
         columns=_frozen(np.array(
             [1 + gate.param_slot if gate.data_slot is None else 1 + n_theta + gate.data_slot
-             for gate in params] + [0]
+             for gate in gates] + [0]
         )),
         rates=_frozen(np.array(rates + [0.0])),
+        bases=_frozen(np.array([base for _, base in params] + [_EYE]).reshape(-1, 4)),
         generators=_frozen(generators),
         slots=_frozen(np.array(
-            [n_theta if gate.param_slot is None else gate.param_slot for gate in params] + [n_theta]
+            [n_theta if gate.param_slot is None else gate.param_slot for gate in gates] + [n_theta]
         )),
         index=_frozen(index),
-        folds=_frozen(np.array([folds[b] for b in order[: len(folds)]])) if folds else None,
         start=_frozen(start),
         first_swept=first_swept,
         first_trainable=first_trainable,
@@ -417,36 +429,23 @@ def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
     )
 
 
-def _fold(ops: list[_Op], one_block: bool):
-    """Fold each fixed op (an H block, or a CNOT run when the circuit is one
-    block) into the next rotation op on its block, when no op in between
-    touches that block. Returns the ops left, and the H block and the column
-    order folded into each block that has one, by block.
+def _fold(ops: list[_Op], one_block: bool) -> tuple[list[_Op], dict[int, np.ndarray]]:
+    """When the circuit is one block, fold each CNOT run that comes directly
+    before a rotation op into it. Returns the ops left, and the column order
+    folded into each block that has one, by block.
 
-    Only a fixed F before a rotation M folds: d(M F)/dangle = G M F, so the
-    gradient is still read at the op's output. A CNOT run's F is the
-    permutation matrix P = I[perm], and M @ P is M[:, argsort(perm)]: its
-    inverse permutation is the block's column order.
+    The run's matrix is the permutation matrix P = I[perm], and a rotation
+    M after it is M @ P = M[:, argsort(perm)]: the run's inverse permutation
+    is the block's column order. d(M P)/dangle = G M P, so the gradient is
+    still read at the op's output.
     """
-    kept: list[Optional[_Op]] = []
-    pending: dict[tuple[int, int], int] = {}  # each block's last op, if fixed
-    folds, perms = {}, {}
+    kept: list[_Op] = []
+    perms: dict[int, np.ndarray] = {}
     for op in ops:
-        fixed = op.kind == "fixed" or (op.kind == "perm" and one_block)
-        if not fixed and op.kind != "rotation":
-            pending.clear()  # a phase op or a CNOT run touches every block
-        else:
-            j = pending.pop((op.hi, op.lo), None)
-            if fixed:
-                pending[op.hi, op.lo] = len(kept)
-            elif j is not None:
-                if kept[j].kind == "fixed":
-                    folds[op.block] = kept[j].table
-                else:
-                    perms[op.block] = kept[j].inverse
-                kept[j] = None
+        if one_block and op.kind == "rotation" and kept and kept[-1].kind == "perm":
+            perms[op.block] = kept.pop().inverse
         kept.append(op)
-    return [op for op in kept if op is not None], folds, perms
+    return kept, perms
 
 
 def _groups(ops: list[_Op], first: int) -> tuple[tuple[int, ...], tuple[_Group, ...]]:
@@ -604,7 +603,7 @@ def _sweep(program: _Program, theta: np.ndarray, data: np.ndarray):
     (1, entries): column columns[k] of [0, theta, data] for entry k; and
     every block's Kronecker matrix, (blocks, 2**g, 2**g)."""
     angles = np.concatenate((_ZERO, theta, data)).take(program.columns)[None] * program.rates
-    return angles, _rotation_blocks(angles[0], program.generators, program.index, program.folds)
+    return angles, _rotation_blocks(angles[0], program.bases, program.generators, program.index)
 
 
 def _gather_index(kron: np.ndarray, perms: Optional[np.ndarray]) -> np.ndarray:
@@ -624,22 +623,16 @@ def _gather_index(kron: np.ndarray, perms: Optional[np.ndarray]) -> np.ndarray:
     return index
 
 
-def _rotation_blocks(angles: np.ndarray, generators: np.ndarray, index: np.ndarray,
-                     folds: Optional[np.ndarray]) -> np.ndarray:
+def _rotation_blocks(angles: np.ndarray, bases: np.ndarray, generators: np.ndarray,
+                     index: np.ndarray) -> np.ndarray:
     """The rotation blocks' Kronecker matrices, (blocks, 2**g, 2**g), from
     each entry's angle times its rate, (entries,): one cos, one sin, and one
     gather (by index, from _gather_index, which also applies the folded
-    permutations) and product of the factors' entries. folds, when given,
-    holds the H blocks folded into the first len(folds) blocks, which one
-    matmul multiplies in."""
-    # each entry's 2x2 cos I + sin G / rate, flattened
-    m = np.cos(angles)[:, None] * _EYE.ravel() + np.sin(angles)[:, None] * generators
+    permutations) and product of the factors' entries."""
+    # each entry's 2x2 (cos I + sin G / rate) base, flattened
+    m = np.cos(angles)[:, None] * bases + np.sin(angles)[:, None] * generators
     n_blocks, g = index.shape[:2]
-    blocks = m.take(index).prod(axis=1).reshape(n_blocks, 2**g, 2**g)
-    if folds is not None:
-        folded = blocks[: len(folds)]
-        np.matmul(folded, folds, out=folded)
-    return blocks
+    return m.take(index).prod(axis=1).reshape(n_blocks, 2**g, 2**g)
 
 
 def _apply(amps: np.ndarray, op: _Op, blocks: np.ndarray, angles: np.ndarray,

@@ -51,7 +51,7 @@ def test_bell_block_model():
 def test_conditional_at_lower_bound_matches_plain_ansatz():
     rng = np.random.default_rng(0)
     cond_circuit = build_conditional(3, 2)
-    plain_circuit = build_hardware_efficient(3, 2, with_rx=True)
+    plain_circuit = build_hardware_efficient(3, 2)
     theta = rng.uniform(0, 2 * np.pi, cond_circuit.n_parameters)
     cond = BornModel(cond_circuit, theta, condition_range=(50.0, 200.0))
     plain = BornModel(plain_circuit, theta)

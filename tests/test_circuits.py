@@ -53,8 +53,7 @@ def test_multivariate_count_formula(d, n, reps):
 @settings(deadline=None, max_examples=30)
 @given(n=st.integers(1, 5), layers=st.integers(0, 4))
 def test_hardware_efficient_count_formula(n, layers):
-    assert build_hardware_efficient(n, layers, with_rx=True).n_parameters == 2 * n * layers + n
-    assert build_hardware_efficient(n, layers, with_rx=False).n_parameters == n * layers + n
+    assert build_hardware_efficient(n, layers).n_parameters == 2 * n * layers + n
 
 
 def test_multivariate_zero_repetitions():

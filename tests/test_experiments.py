@@ -468,6 +468,11 @@ def test_held_out_must_be_a_condition():
          r"noise\.readout_flip_prob: expected 4 per-qubit flip probabilities"),
         ("exp-noise", {"noise": {"readout_flip_prob": []}},
          r"noise\.readout_flip_prob: expected 4 per-qubit flip probabilities"),
+        *[
+            ("exp-noise", {"noise": {"readout_flip_prob": value}},
+             r"noise\.readout_flip_prob: readout flip probabilities must be numbers")
+            for value in ("0.01", False, [False, 0.01, 0.01, 0.01])
+        ],
         ("exp-noise", {"noise": {"calibration_shots": 0}}, r"noise\.calibration_shots "),
         ("exp-multi", {"circuit": {"block": {"style": "bogus"}}}, r"circuit\.block: bad style"),
         ("exp-1d", {"init_scheme": "bogus"}, "init_scheme: unknown init scheme"),
@@ -493,7 +498,8 @@ def test_held_out_must_be_a_condition():
          "nan_readout_flip_prob", "nan_bandwidth", "inf_bandwidth", "inf_initial_lr",
          "bool_initial_lr", "string_initial_lr", "string_bandwidth", "bool_bandwidth",
          "string_bandwidths", "short_readout_flip_probs",
-         "empty_readout_flip_probs", "calibration_shots", "block_style", "init_scheme",
+         "empty_readout_flip_probs", "string_readout_flip_prob", "bool_readout_flip_prob",
+         "bool_readout_flip_probs", "calibration_shots", "block_style", "init_scheme",
          "spsa_epochs", "sample_batches", "mixed_optimizer", "batch_size", "n_events",
          "gmmd_max_epochs", "latent_dim", "hidden_width", "hidden_list",
          *[f"{experiment}_{value}_condition" for experiment in ("exp-1d", "exp-gmmd")

@@ -467,7 +467,7 @@ def test_gram_cache_for_other_bins_is_rejected():
     cache = GramCache((2,), BANDWIDTH_ONE)
     with pytest.raises(ValueError, match=r"built for bits \(2,\) with .*used for bits \(3,\)"):
         mmd_loss(p, q, BANDWIDTH_ONE, cache)
-    model = BornModel(build_hardware_efficient(3, 1, with_rx=False), np.zeros(6))
+    model = BornModel(build_hardware_efficient(3, 1), np.zeros(9))
     with pytest.raises(ValueError, match=r"built for bits \(2,\)"):
         mmd_gradient(model, q, BANDWIDTH_ONE, cache=cache)
 

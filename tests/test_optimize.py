@@ -9,6 +9,7 @@ from borngen.circuits import build_1d_rzz_ansatz, build_conditional
 from borngen.distributions import DiscreteDistribution
 from borngen import experiments, optimize
 from borngen.metrics import GramCache, mmd_gradient, mmd_loss, total_variance
+from borngen.sim import Gate
 from borngen.optimize import (
     AdamState,
     SpsaSettings,
@@ -107,6 +108,20 @@ def test_batch_size_null_is_the_default():
 def test_batch_size_is_null_or_a_count(value):
     with pytest.raises(ValueError, match="counts must be >= 1 and integers, not batch_size"):
         TrainConfig(batch_size=value)
+
+
+@pytest.mark.parametrize("value, accepted", [(5, True), (np.int64(5), True), (np.uint8(5), True),
+                                             (True, False), (np.True_, False), (5.0, False)])
+@pytest.mark.parametrize("name", ["lr_halving_period", "batches_per_epoch", "batch_size",
+                                  "max_epochs", "spsa_epochs"])
+def test_counts_and_gate_slots_take_the_same_integers(name, value, accepted):
+    # one check serves both: numpy integers are integers, and a bool is none
+    for build in (lambda: TrainConfig(**{name: value}), lambda: Gate("RY", (0,), param_slot=value)):
+        if accepted:
+            build()
+        else:
+            with pytest.raises(ValueError, match="integer"):
+                build()
 
 
 def _toy_problem(seed=0, n_qubits=3):

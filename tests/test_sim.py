@@ -106,12 +106,20 @@ def test_gate_validation():
         Gate("H", (0,), param_slot=0)
 
 
-@pytest.mark.parametrize("with_rx", [False, True], ids=["real", "complex"])
-def test_run_circuit_returns_one_amplitude_array(with_rx):
-    circuit = build_hardware_efficient(3, 1, with_rx=with_rx)
+# a 3-qubit circuit of RY, H and CNOT gates, which stays real, and one with RX
+_REAL_AND_COMPLEX = pytest.mark.parametrize(
+    "circuit, dtype",
+    [(build_multivariate(3, 1, 1, CorrelationBlockChoice()), np.float64),
+     (build_hardware_efficient(3, 1), np.complex128)],
+    ids=["real", "complex"],
+)
+
+
+@_REAL_AND_COMPLEX
+def test_run_circuit_returns_one_amplitude_array(circuit, dtype):
     amps = run_circuit(circuit, np.zeros(circuit.n_parameters))
     assert type(amps) is np.ndarray and amps.shape == (8,)
-    assert amps.dtype == circuit.program.dtype == (np.complex128 if with_rx else np.float64)
+    assert amps.dtype == circuit.program.dtype == dtype
 
 
 def test_run_circuit_parameter_count_check():
@@ -164,10 +172,10 @@ def test_circuit_compiles_once():
     # gates are compiled into layers, one kernel call per layer and block:
     # the 1D ansatz's 18 gates are an RY, an RX, an RZZ and an RY layer
     assert len(build_1d_rzz_ansatz(4).program.ops) == 4
-    # an H block folds into the next rotation on its block, and so does a
-    # CNOT run when the circuit is one block
+    # an H moves into the rotation after it on its qubit, and a CNOT run
+    # folds into the rotation op right after it when the circuit is one block
     multivariate = build_multivariate(3, 3, 4, CorrelationBlockChoice())
-    assert len(multivariate.gates) == 93 and len(multivariate.program.ops) <= 32
+    assert len(multivariate.gates) == 93 and len(multivariate.program.ops) == 28
     assert len(build_conditional(3, 4).program.ops) == 10
 
 
@@ -272,7 +280,7 @@ def test_block_models_run_real_and_match_dense_matrices(choice):
 
 @pytest.mark.parametrize(
     "circuit",
-    [build_conditional(3, 2), build_1d_rzz_ansatz(4), build_hardware_efficient(3, 2, with_rx=True)],
+    [build_conditional(3, 2), build_1d_rzz_ansatz(4), build_hardware_efficient(3, 2)],
     ids=["conditional", "1d-rzz", "hardware-efficient-rx"],
 )
 def test_rx_rzz_and_data_circuits_run_complex_and_match_dense_matrices(circuit):
@@ -290,7 +298,7 @@ def test_rx_rzz_and_data_circuits_run_complex_and_match_dense_matrices(circuit):
     "circuit, dtype",
     [
         (build_multivariate(2, 2, 2, all_block_choices()[5]), np.float64),
-        (build_hardware_efficient(3, 2, with_rx=True), np.complex128),
+        (build_hardware_efficient(3, 2), np.complex128),
     ],
     ids=["real", "complex"],
 )
@@ -307,11 +315,10 @@ def test_batch_of_distinct_rows_matches_single_runs(circuit, dtype):
         assert (row == single).all()
 
 
-@pytest.mark.parametrize("with_rx", [False, True], ids=["real", "complex"])
-def test_batch_of_no_rows_is_empty_of_the_program_dtype(with_rx):
-    circuit = build_hardware_efficient(3, 1, with_rx=with_rx)
+@_REAL_AND_COMPLEX
+def test_batch_of_no_rows_is_empty_of_the_program_dtype(circuit, dtype):
     batch = run_circuit_batch(circuit, np.zeros((0, circuit.n_parameters)))
-    assert batch.shape == (0, 8) and batch.dtype == circuit.program.dtype
+    assert batch.shape == (0, 8) and batch.dtype == circuit.program.dtype == dtype
     with pytest.raises(ValueError, match="expected"):
         run_circuit_batch(circuit, np.zeros((0, circuit.n_parameters + 1)))
 
@@ -445,7 +452,7 @@ def _unbound_sweep(circuit, theta, data_angles):
     program = circuit.program
     source = np.concatenate([[0.0], theta, [] if data_angles is None else data_angles])
     angles = source[None].take(program.columns, axis=1) * program.rates
-    return angles, sim._rotation_blocks(angles[0], program.generators, program.index, program.folds)
+    return angles, sim._rotation_blocks(angles[0], program.bases, program.generators, program.index)
 
 
 @pytest.mark.parametrize(
@@ -459,7 +466,7 @@ def test_folded_cnot_runs_gather_the_blocks_of_the_dense_product(circuit):
     # dense matrix; each rotation layer of these one-block circuits is one
     # block, and a run folds into it when it is the layer just before
     program = circuit.program
-    layers = sim._schedule(circuit.gates)
+    layers = sim._schedule(sim._fuse(circuit.gates))
     runs = []  # the CNOT run folded into each rotation block, if any
     for i, (kind, gates) in enumerate(layers):
         if kind == "rotation":
@@ -474,12 +481,84 @@ def test_folded_cnot_runs_gather_the_blocks_of_the_dense_product(circuit):
     for _ in range(3):
         theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
         angles, blocks = _unbound_sweep(circuit, theta, data_angles)
-        plain = sim._rotation_blocks(angles[0], program.generators, sim._gather_index(kron, None), program.folds)
+        plain = sim._rotation_blocks(angles[0], program.bases, program.generators, sim._gather_index(kron, None))
         for op, run in zip(rotations, runs):
             f = np.eye(2**circuit.n_qubits)
-            for gate in run:
+            for gate, _ in run:
                 f = _dense_matrix(gate, 0.0, circuit.n_qubits) @ f
             assert (blocks[op.block] == plain[op.block] @ f).all()
+
+
+def _next_on_its_qubit(gates, i):
+    """The index of the next gate after gates[i] on its first target, or None."""
+    q = gates[i].targets[0]
+    return next((j for j in range(i + 1, len(gates)) if q in gates[j].targets), None)
+
+
+def _receivers(gates):
+    """moved, {H index: the index of the rotation after it on its qubit},
+    for each H whose next gate on its qubit is an RY or RX; and kept,
+    {H index: the kind of the gate after it on its qubit, or None}, for
+    every other H."""
+    moved, kept = {}, {}
+    for i, gate in enumerate(gates):
+        if gate.kind == "H":
+            j = _next_on_its_qubit(gates, i)
+            if j is not None and gates[j].kind in ("RY", "RX"):
+                moved[i] = j
+            else:
+                kept[i] = None if j is None else gates[j].kind
+    return moved, kept
+
+
+@pytest.mark.parametrize("choice", all_block_choices(), ids=lambda choice: choice.label)
+def test_fused_blocks_are_the_unfused_blocks_times_their_h_factors(choice, monkeypatch):
+    # an H moves into the RY after it on its qubit, as its 2x2 base; the
+    # unfused program keeps every H as a fixed op and the same rotation
+    # blocks, so that each fused block is the unfused one times the H
+    # factors of its entries
+    circuit = build_multivariate(3, 3, 4, choice)
+    fused = circuit.program
+    monkeypatch.setattr(sim, "_fuse", lambda gates: [(gate, sim._EYE) for gate in gates])
+    unfused = sim._compile.__wrapped__(circuit.n_qubits, circuit.n_parameters, circuit.gates)
+    identity = np.eye(2).ravel()
+    assert (unfused.bases == identity).all()
+    entries = fused.index[:, :, 0] // 4  # each block's entries, highest qubit first
+    assert (entries == unfused.index[:, :, 0] // 4).all()
+    moved, _ = _receivers(circuit.gates)
+    assert bool(moved) == (choice.style == "hh_cx")  # a bell block's H is followed by a CNOT
+    assert (fused.bases != identity).any(axis=1).sum() == len(moved)
+    if choice == CorrelationBlockChoice():
+        assert ("fixed", 64, 1) not in [(op.kind, op.hi, op.lo) for op in fused.ops]
+        assert (len(fused.ops), fused.first_swept) == (28, 3)
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
+        angles, blocks = _unbound_sweep(circuit, theta, None)
+        plain = sim._rotation_blocks(angles[0], unfused.bases, unfused.generators, unfused.index)
+        for b, block_entries in enumerate(entries):
+            h = sim._kron([fused.bases[e].reshape(2, 2) for e in block_entries])
+            np.testing.assert_allclose(blocks[b], plain[b] @ h, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_an_h_before_a_cnot_or_rzz_stays_a_fixed_op(seed):
+    rng = np.random.default_rng(seed)
+    circuit = _random_circuit(rng, 4, 40)
+    gates = circuit.gates
+    moved, kept = _receivers(gates)
+    assert {"CNOT", "RZZ"} & set(kept.values())
+    # the H gates left are the ones whose next gate on their qubit is no
+    # rotation, and each rotation after a moved H takes it as its base
+    entries = sim._fuse(gates)
+    left = [i for i in range(len(gates)) if i not in moved]
+    assert [gate for gate, _ in entries] == [gates[i] for i in left]
+    assert [base is sim._H for _, base in entries] == [i in moved.values() for i in left]
+    program = circuit.program
+    assert 0 < sum(op.kind == "fixed" for op in program.ops) <= len(kept)
+    assert (program.bases != np.eye(2).ravel()).any(axis=1).sum() == len(moved)
+    theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
+    np.testing.assert_allclose(run_circuit(circuit, theta), _dense_state(circuit, theta), atol=1e-12)
 
 
 def _unbound_gradient(circuit, theta, observable_of, data_angles):
@@ -605,7 +684,7 @@ def test_the_start_state_is_read_only_on_the_shared_program():
 
 
 def test_every_condition_sweeps_the_programs_one_block_table(monkeypatch):
-    # the sweep's gather index and folds are the program's, the same at
+    # the sweep's bases and gather index are the program's, the same at
     # every condition, and the data block is one of its blocks
     circuit = build_conditional(3, 4)
     program = circuit.program
@@ -615,15 +694,15 @@ def test_every_condition_sweeps_the_programs_one_block_table(monkeypatch):
     target, _ = _observable(circuit, 40)
     swept, rotation_blocks = [], sim._rotation_blocks
 
-    def spied(angles, generators, index, folds):
-        swept.append((index, folds))
-        return rotation_blocks(angles, generators, index, folds)
+    def spied(angles, bases, generators, index):
+        swept.append((bases, index))
+        return rotation_blocks(angles, bases, generators, index)
 
     monkeypatch.setattr(sim, "_rotation_blocks", spied)
     for condition in CONDITION_VALUES:
         mmd_gradient(model, target, KernelConfig(), condition)
     assert len(swept) == len(CONDITION_VALUES)
-    assert all(index is program.index and folds is program.folds for index, folds in swept)
+    assert all(bases is program.bases and index is program.index for bases, index in swept)
     assert program.first_swept == 0 and len(program.index) == 10  # the data block and 9 trainable ones
 
 
