@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circuits import CircuitSpec, circuit_from_json, circuit_to_json, encode_condition
+from .circuits import CircuitSpec, _circuit_from_dict, _circuit_to_dict, encode_condition
 from .distributions import DiscreteDistribution, marginal
 from .sim import run_circuit, run_circuit_batch
 
@@ -94,7 +94,7 @@ CHECKPOINT_SCHEMA = 1
 def save_checkpoint(model: BornModel, path, extra: Optional[dict] = None) -> None:
     payload = {
         "schema": CHECKPOINT_SCHEMA,
-        "circuit": json.loads(circuit_to_json(model.circuit)),
+        "circuit": _circuit_to_dict(model.circuit),
         "theta": [float(t) for t in model.theta],
         "condition_range": list(model.condition_range)
         if model.condition_range
@@ -114,7 +114,7 @@ def load_checkpoint(path) -> BornModel:
             f"{path}: checkpoint schema version {schema!r} is not supported "
             f"(this borngen reads version {CHECKPOINT_SCHEMA})"
         )
-    circuit = circuit_from_json(json.dumps(payload["circuit"]))
+    circuit = _circuit_from_dict(payload["circuit"])
     rng = payload.get("condition_range")
     return BornModel(
         circuit,

@@ -268,8 +268,9 @@ def encode_condition(e_in: float, e_min: float, e_max: float) -> float:
     return float(np.arcsin((e_in - e_min) / (e_max - e_min)))
 
 
-def circuit_to_json(circuit: CircuitSpec) -> str:
-    payload = {
+def _circuit_to_dict(circuit: CircuitSpec) -> dict:
+    """The circuit as the JSON-ready dict that circuit_to_json writes."""
+    return {
         "n_qubits": circuit.n_qubits,
         "n_parameters": circuit.n_parameters,
         "n_data_slots": circuit.n_data_slots,
@@ -286,11 +287,10 @@ def circuit_to_json(circuit: CircuitSpec) -> str:
             for g in circuit.gates
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def circuit_from_json(text: str) -> CircuitSpec:
-    payload = json.loads(text)
+def _circuit_from_dict(payload: dict) -> CircuitSpec:
+    """The circuit that _circuit_to_dict gave payload for."""
     gates = tuple(
         Gate(
             g["kind"],
@@ -310,3 +310,11 @@ def circuit_from_json(text: str) -> CircuitSpec:
         payload["n_data_slots"],
         layout,
     )
+
+
+def circuit_to_json(circuit: CircuitSpec) -> str:
+    return json.dumps(_circuit_to_dict(circuit), indent=2, sort_keys=True)
+
+
+def circuit_from_json(text: str) -> CircuitSpec:
+    return _circuit_from_dict(json.loads(text))

@@ -84,10 +84,11 @@ class BinningSpec:
     @classmethod
     def from_training_data(cls, features: np.ndarray, n_bins: Sequence[int]):
         features = np.atleast_2d(np.asarray(features, dtype=float))
+        columns = [features[:, j] for j in range(features.shape[1])]
         return cls(
             tuple(int(n) for n in n_bins),
-            tuple(float(x) for x in features.min(axis=0)),
-            tuple(float(x) for x in features.max(axis=0)),
+            tuple(float(col.min()) for col in columns),
+            tuple(float(col.max()) for col in columns),
         )
 
     def bin_centers(self, feature: int) -> np.ndarray:
@@ -95,29 +96,44 @@ class BinningSpec:
         width = (hi - lo) / n
         return lo + width * (np.arange(n) + 0.5)
 
+    def _column_bins(self, column: np.ndarray, feature: int) -> np.ndarray:
+        """One feature's values -> its bin indices, clipped to range."""
+        lo, hi, n = self.lower[feature], self.upper[feature], self.n_bins[feature]
+        width = (hi - lo) / n
+        idx = np.floor((column - lo) / width).astype(int)
+        return np.clip(idx, 0, n - 1, out=idx)
+
     def bin_indices(self, features: np.ndarray) -> np.ndarray:
         """(m, D) feature values -> (m, D) bin indices, clipped to range."""
         x = np.atleast_2d(np.asarray(features, dtype=float))
         out = np.empty(x.shape, dtype=int)
-        for j, (lo, hi, n) in enumerate(zip(self.lower, self.upper, self.n_bins)):
-            width = (hi - lo) / n
-            idx = np.floor((x[:, j] - lo) / width).astype(int)
-            out[:, j] = np.clip(idx, 0, n - 1)
+        for j in range(len(self.n_bins)):
+            out[:, j] = self._column_bins(x[:, j], j)
         return out
 
 
 def _raw_features(events: np.ndarray, incoming_mean: float, pt_exponent: float,
-                  columns: Sequence[int] = (0, 1, 2)) -> np.ndarray:
-    """The requested columns of the features before standardization:
-    e_out / incoming_mean, pt ** pt_exponent and eta."""
-    out = np.empty((len(events), len(columns)))
-    for k, j in enumerate(columns):
+                  columns: Sequence[int] = (0, 1, 2)) -> list[np.ndarray]:
+    """The requested columns of the features before standardization, each
+    its own 1-d array: e_out / incoming_mean, pt ** pt_exponent and eta (a
+    view of events, which no caller writes into)."""
+    events = np.asarray(events, dtype=float)
+    raw = []
+    for j in columns:
         if j == 0:
-            out[:, k] = events[:, 0] / incoming_mean
+            raw.append(events[:, 0] / incoming_mean)
         elif j == 1:
-            out[:, k] = events[:, 1] ** pt_exponent
+            raw.append(events[:, 1] ** pt_exponent)
         else:
-            out[:, k] = events[:, 2]
+            raw.append(events[:, 2])
+    return raw
+
+
+def _standardized(raw: Sequence[np.ndarray], means, stds) -> np.ndarray:
+    """The (n, k) array whose column k is (raw[k] - means[k]) / stds[k]."""
+    out = np.empty((len(raw[0]), len(raw)))
+    for k, (col, mean, std) in enumerate(zip(raw, means, stds)):
+        np.divide(np.subtract(col, mean), std, out=out[:, k])
     return out
 
 
@@ -126,30 +142,52 @@ def _preprocessed_columns(events: np.ndarray, params: PreprocessParams,
     """apply_preprocess(events, params)[:, columns], bitwise, computing
     only those columns."""
     raw = _raw_features(events, params.incoming_energy_mean, params.pt_exponent, columns)
-    means = np.array([params.feature_means[j] for j in columns])
-    stds = np.array([params.feature_stds[j] for j in columns])
-    return (raw - means) / stds
+    return _standardized(
+        raw, [params.feature_means[j] for j in columns], [params.feature_stds[j] for j in columns]
+    )
+
+
+def _row_order_mean(column: np.ndarray) -> float:
+    """column's mean, its values added first to last: bitwise what
+    mean(axis=0) gives for that column of a C-ordered (n, k) array."""
+    return float(np.cumsum(column)[-1] / len(column))
 
 
 def preprocess(events: np.ndarray) -> tuple[np.ndarray, PreprocessParams]:
     """Scale energy by the mean incoming energy, root-compress pt, then
     z-score each feature with population statistics.
 
-    `events` is an (n, 4) array of (e_out, pt, eta, e_in).
+    `events` is an (n, 4) array of (e_out, pt, eta, e_in), in any memory
+    layout; it is never written into. Each raw feature is its own 1-d
+    array (eta a view of its column), and its mean and std add its values
+    in row order, as np.cumsum(col)[-1] / n and the same over the squared
+    deviations: bitwise what raw.mean(axis=0) and raw.std(axis=0) give on
+    the C-ordered (n, 3) raw features, which a 1-d col.sum(), adding
+    pairwise, would not be. Its column of the C-ordered (n, 3) result is
+    (col - mean) / std. A constant feature, or a non-finite mean(e_in),
+    feature mean or std (values whose sums or squares overflow), is a
+    ValueError that names the features.
     """
     if len(events) == 0:
         raise ValueError("empty event set")
-    incoming_mean = float(events[:, 3].mean())
-    raw = _raw_features(events, incoming_mean, 0.1)
-    means = raw.mean(axis=0)
-    stds = raw.std(axis=0)
-    if np.any(stds == 0):
-        bad = [FEATURE_NAMES[j] for j in np.flatnonzero(stds == 0)]
+    with np.errstate(all="ignore"):  # overflow shows as a non-finite statistic
+        incoming_mean = float(events[:, 3].mean())
+        if not math.isfinite(incoming_mean):
+            raise ValueError("non-finite mean of feature(s) ['e_in']: cannot standardize")
+        raw = _raw_features(events, incoming_mean, 0.1)
+        means = [_row_order_mean(col) for col in raw]
+        stds = []
+        for col, mean in zip(raw, means):
+            dev = np.subtract(col, mean)
+            stds.append(math.sqrt(_row_order_mean(np.multiply(dev, dev, out=dev))))
+    bad = [FEATURE_NAMES[j] for j, (mean, std) in enumerate(zip(means, stds))
+           if not (math.isfinite(mean) and math.isfinite(std))]
+    if bad:
+        raise ValueError(f"non-finite mean or std of feature(s) {bad}: cannot standardize")
+    bad = [FEATURE_NAMES[j] for j, std in enumerate(stds) if std == 0]
+    if bad:
         raise ValueError(f"constant feature(s) {bad}: cannot standardize")
-    params = PreprocessParams(
-        incoming_mean, tuple(map(float, means)), tuple(map(float, stds))
-    )
-    return (raw - means) / stds, params
+    return _standardized(raw, means, stds), PreprocessParams(incoming_mean, tuple(means), tuple(stds))
 
 
 def apply_preprocess(events: np.ndarray, params: PreprocessParams):
@@ -176,12 +214,11 @@ def discretize(features: np.ndarray, spec: BinningSpec) -> DiscreteDistribution:
     x = np.atleast_2d(np.asarray(features, dtype=float))
     if x.shape[1] != len(spec.n_bins):
         raise ValueError("feature dimension does not match binning spec")
-    idx = spec.bin_indices(x)
     bits = spec.register_bits
-    flat = np.zeros(len(idx), dtype=int)
+    flat = np.zeros(len(x), dtype=int)
     shift = 0
     for j, b in enumerate(bits):
-        flat |= idx[:, j] << shift
+        flat |= spec._column_bins(x[:, j], j) << shift
         shift += b
     counts = np.bincount(flat, minlength=2**shift)
     names = FEATURE_NAMES[: len(bits)] if len(bits) <= 3 else None
@@ -258,14 +295,16 @@ def synthesize_mfc(
     # near-uniform marginals with soft Gaussian-ish shoulders instead of
     # hard edges; the tanh term is bounded so positivity is guaranteed
     soft = u + 0.16 * np.tanh(z / 2.0)
+    events = np.empty((n_events, 4))
     # location drifts linearly with the condition energy; the full-scale
     # width keeps neighbouring conditions overlapping and learnable
-    e_out = (25.0 + 0.05 * condition) * (0.5 + soft[:, 0])
+    np.multiply(25.0 + 0.05 * condition, 0.5 + soft[:, 0], out=events[:, 0])
     # pt spans roughly [1, 58] GeV; the tenth power undoes the pt^0.1
     # compression applied during preprocessing
-    pt = (1.0 + 0.5 * (soft[:, 1] + 0.16) / 1.32) ** 10
-    eta = 2.0 + 0.5 * soft[:, 2]
-    return np.column_stack([e_out, pt, eta, np.full(n_events, float(condition))])
+    events[:, 1] = (1.0 + 0.5 * (soft[:, 1] + 0.16) / 1.32) ** 10
+    np.add(2.0, 0.5 * soft[:, 2], out=events[:, 2])
+    events[:, 3] = float(condition)
+    return events
 
 
 def _split_order(n_rows: int, seed: int) -> np.ndarray:
@@ -274,10 +313,16 @@ def _split_order(n_rows: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).permutation(n_rows)
 
 
-def _split_by(events: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (train, test) halves of events that order picks."""
+def _split_by(events: np.ndarray, order: np.ndarray,
+              train: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """The (train, test) halves of events that order, a permutation of the
+    rows, picks. A given train array (rows of a pooled array) receives the
+    train half."""
     half = len(events) // 2
-    return events[order[:half]], events[order[half:]]
+    # mode="clip" takes straight into train; "raise" would buffer. order's
+    # entries are all in range, so no index is clipped.
+    train = np.take(events, order[:half], axis=0, out=train, mode="clip")
+    return train, events.take(order[half:], axis=0)
 
 
 def train_test_split(events: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -80,10 +80,26 @@ def marginal(dist: DiscreteDistribution, feature) -> DiscreteDistribution:
 
 # The sampler's guide table (Chen and Asau 1974) has the smallest power of
 # 2 of buckets that gives each bin at least _BUCKETS_PER_BIN, up to
-# _MAX_BUCKETS. A power of 2, so that u * buckets and the bucket edges are
+# _MAX_BUCKETS. A power of 2, so that u * buckets and cdf * buckets are
 # exact.
-_BUCKETS_PER_BIN = 8
-_MAX_BUCKETS = 4096
+_BUCKETS_PER_BIN = 64
+_MAX_BUCKETS = 65536
+
+
+def _guide_table(cdf: np.ndarray, buckets: int) -> np.ndarray:
+    """For each of the buckets uniform buckets of [0, 1), the index that
+    searchsorted(cdf, u, side="right") gives for every u in it, or -1 where
+    that index varies within the bucket.
+
+    Bucket b's draws lie in [lo, hi], with lo the count of cdf <= b / buckets
+    and hi the count of cdf < (b + 1) / buckets. With s = cdf * buckets,
+    these are the counts of ceil(s) <= b and of floor(s) <= b: one bincount
+    and one cumsum each, O(bins + buckets).
+    """
+    s = cdf * buckets  # in [0, buckets]
+    lo = np.bincount(np.ceil(s).astype(np.intp), minlength=buckets + 1)[:buckets].cumsum()
+    hi = np.bincount(np.floor(s).astype(np.intp), minlength=buckets + 1)[:buckets].cumsum()
+    return np.where(lo == hi, lo, -1)
 
 
 def sample(dist: DiscreteDistribution, n_shots: int, rng_seed) -> np.ndarray:
@@ -108,10 +124,7 @@ def sample(dist: DiscreteDistribution, n_shots: int, rng_seed) -> np.ndarray:
     cdf = (probs / total).cumsum()
     cdf /= cdf[-1]
     buckets = min(1 << (_BUCKETS_PER_BIN * len(probs) - 1).bit_length(), _MAX_BUCKETS)
-    edges = np.arange(buckets + 1) / buckets
-    lo = cdf.searchsorted(edges[:-1], side="right")  # draws in bucket b are >= lo[b]
-    hi = cdf.searchsorted(edges[1:], side="left")  # and <= hi[b]
-    guide = np.where(lo == hi, lo, -1)
+    guide = _guide_table(cdf, buckets)
     u = rng.random(n_shots)
     draws = guide[(u * buckets).astype(np.intp)]
     step = np.flatnonzero(draws < 0)

@@ -340,12 +340,14 @@ def _prepare(config: ExperimentConfig, events: dict, train_conditions, n_bins_pe
     features alone. Returns the binning, the preprocessing parameters, and
     the features of each training and each validation half, by condition."""
     orders = {n: _split_order(n, config.seed) for n in {len(evs) for evs in events.values()}}
-    splits = {cond: _split_by(evs, orders[len(evs)]) for cond, evs in events.items()}
-    pooled, params = _preprocess(config, np.concatenate([splits[cond][0] for cond in train_conditions]))
+    ends = np.cumsum([len(events[cond]) // 2 for cond in train_conditions])
+    pool = np.empty((ends[-1], 4))  # the pooled training halves, each split straight into its rows
+    rows = dict(zip(train_conditions, np.split(pool, ends[:-1])))
+    splits = {cond: _split_by(evs, orders[len(evs)], rows.get(cond)) for cond, evs in events.items()}
+    pooled, params = _preprocess(config, pool)
     pooled = pooled[:, features]
     binning = BinningSpec.from_training_data(pooled, n_bins_per_feature)
-    ends = np.cumsum([len(splits[cond][0]) for cond in train_conditions])[:-1]
-    train_f = dict(zip(train_conditions, np.split(pooled, ends)))
+    train_f = dict(zip(train_conditions, np.split(pooled, ends[:-1])))
     val_f = {cond: _preprocessed_columns(val, params, features) for cond, (_, val) in splits.items()}
     return binning, params, train_f, val_f
 

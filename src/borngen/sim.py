@@ -310,13 +310,16 @@ def _kron(factors) -> np.ndarray:
     return np.take(np.ravel(factors), _kron_entries(g)).prod(axis=0).reshape(2**g, 2**g)
 
 
-def _generator_rows(g: int, kinds: list[str], positions: list[int]) -> np.ndarray:
+def _generator_rows(g: int, kinds: list[str], positions: list[int], built: dict) -> np.ndarray:
     """Twice each gate's generator, of these kinds at these positions, on a
-    g-qubit block, flattened."""
-    return _frozen(np.array([
-        2.0 * _kron([_GENERATORS[kind][1] if p == pos else _EYE for p in range(g - 1, -1, -1)]).ravel()
-        for kind, pos in zip(kinds, positions)
-    ]))
+    g-qubit block, flattened. built holds the rows that one compile has
+    made, by (kind, position), so that it makes each of them once."""
+    keys = list(zip(kinds, positions))
+    for kind, pos in keys:
+        if (kind, pos) not in built:
+            factors = [_GENERATORS[kind][1] if p == pos else _EYE for p in range(g - 1, -1, -1)]
+            built[kind, pos] = 2.0 * _kron(factors).ravel()
+    return _frozen(np.array([built[key] for key in keys]))
 
 
 def _cnot_run(n_qubits: int, pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -358,6 +361,7 @@ def compile_circuit(circuit) -> _Program:
 def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
     g, starts = _blocks_of(n)
     ops, params, kron = [], [], []  # params: the parameterized (gate, base) entries
+    generator_rows: dict = {}  # each block row, by (kind, position), built once
     for kind, entries in _schedule(_fuse(circuit_gates)):
         if kind == "CNOT":
             perm, inverse = _cnot_run(n, [gate.targets for gate, _ in entries])
@@ -384,7 +388,7 @@ def _compile(n: int, n_theta: int, circuit_gates: tuple[Gate, ...]) -> _Program:
                 for k, pos in enumerate(positions):
                     factors[g - 1 - pos] = first + k
                 kron.append(factors)
-                rows = _generator_rows(g, [gate.kind for gate, _ in block_entries], positions)
+                rows = _generator_rows(g, [gate.kind for gate, _ in block_entries], positions, generator_rows)
                 ops.append(_Op("rotation", hi, lo, slice(first, len(params)), len(kron) - 1, rows))
     ops, perms = _fold(ops, n <= _MAX_BLOCK)
     gates = [gate for gate, _ in params]

@@ -18,6 +18,7 @@ from borngen.circuits import (
     build_correlation_block,
     build_hardware_efficient,
     build_multivariate,
+    circuit_to_json,
 )
 from borngen.distributions import sample
 from borngen.metrics import total_variance
@@ -136,6 +137,21 @@ def test_checkpoint_round_trip(tmp_path):
         model_distribution(model, 125.0).probs,
         atol=1e-12,
     )
+
+
+def test_checkpoint_bytes_are_the_payload_dumped_once(tmp_path):
+    circuit = build_conditional(3, 2)
+    theta = np.linspace(-1.0, 2.5, circuit.n_parameters)
+    path = tmp_path / "model.json"
+    save_checkpoint(BornModel(circuit, theta, condition_range=(50.0, 200.0)), path, {"note": "x"})
+    payload = {
+        "schema": 1,
+        "circuit": json.loads(circuit_to_json(circuit)),
+        "theta": [float(t) for t in theta],
+        "condition_range": [50.0, 200.0],
+        "extra": {"note": "x"},
+    }
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _saved_payload(tmp_path):

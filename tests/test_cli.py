@@ -272,6 +272,25 @@ def test_run_reports_a_bad_csv_as_a_config_error(runner, tmp_path, rows, column,
     assert not out.exists()
 
 
+def test_run_reports_overflowing_feature_statistics_as_a_config_error(runner, tmp_path):
+    # eta's squared deviations overflow: its std would be inf, the
+    # standardized column all zero and the binning empty
+    events = synthesize_mfc(64, 125.0, seed=0)
+    events[:, 2] = 1e200 * np.random.default_rng(0).uniform(-1.0, 1.0, 64)
+    path = tmp_path / "events.csv"
+    save_csv(events, path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "exp-multi", "seed": 0, "train": {"max_epochs": 1},
+                                  "data": {"source": "csv", "path": str(path)}}))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(config), "-o", str(out)])
+    assert result.exit_code == EXIT_VALIDATION
+    assert (f"config error: {path}: non-finite mean or std of feature(s) ['eta']: "
+            "cannot standardize") in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 def test_run_reports_too_few_synthetic_events_as_a_config_error(runner, tmp_path):
     config = _write_config(tmp_path / "config.json", data={"n_events": 1})
     out = tmp_path / "out"

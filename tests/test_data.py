@@ -1,10 +1,13 @@
 """Event preprocessing, binning, CSV ingestion and the synthetic generator."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from borngen import data
 from borngen.data import (
+    CONDITION_VALUES,
     DEFAULT_CORRELATION,
     BinningSpec,
     apply_preprocess,
@@ -86,6 +89,55 @@ def test_preprocessed_columns_are_apply_preprocess_columns_bitwise(columns):
     # the training set's own statistics give preprocess's features bitwise
     feats, params = preprocess(train)
     assert (data._preprocessed_columns(train, params, columns) == feats[:, columns]).all()
+
+
+def _row_major_preprocess(events):
+    """preprocess's formulas on the C-ordered (n, 3) raw features, with
+    numpy's row-major mean(axis=0) and std(axis=0)."""
+    incoming = float(events[:, 3].mean())
+    raw = np.empty((len(events), 3))
+    raw[:, 0] = events[:, 0] / incoming
+    raw[:, 1] = events[:, 1] ** 0.1
+    raw[:, 2] = events[:, 2]
+    means, stds = raw.mean(axis=0), raw.std(axis=0)
+    return (raw - means) / stds, incoming, means, stds
+
+
+@pytest.mark.parametrize("n_rows", [2, 7, 8191, 8193, 30720, 200_000])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_preprocess_is_the_row_major_formulas_bitwise(n_rows, layout):
+    rng = np.random.default_rng(n_rows)
+    events = _events(rng.uniform(10, 80, n_rows), rng.uniform(1, 58, n_rows),
+                     rng.normal(2, 0.3, n_rows), rng.choice(CONDITION_VALUES))
+    if layout == "F":
+        events = np.asfortranarray(events)
+    elif layout == "strided":
+        events = np.repeat(events, 2, axis=0)[::2]
+    before = events.copy()
+    feats, params = preprocess(events)
+    want, incoming, means, stds = _row_major_preprocess(events)
+    assert feats.flags.c_contiguous and feats.dtype == np.float64
+    assert feats.tobytes() == want.tobytes()
+    assert params.incoming_energy_mean == incoming
+    assert params.feature_means == tuple(map(float, means))
+    assert params.feature_stds == tuple(map(float, stds))
+    assert (events == before).all()  # the caller's events are not written into
+
+
+@pytest.mark.parametrize("column, value, named", [
+    (2, 1e200, "['eta']"),  # eta's squared deviations overflow, so its std does
+    (0, 1e300, "['e_out']"),  # e_out / mean(e_in) overflows
+    (3, 1e308, "['e_in']"),  # the sum of e_in overflows
+])
+def test_preprocess_rejects_statistics_that_overflow(column, value, named):
+    events = synthesize_mfc(64, 50.0, seed=0)
+    events[:, column] = value * np.random.default_rng(0).uniform(0.5, 1.0, 64)
+    if column == 2:
+        events[::2, column] *= -1.0
+    if column == 0:
+        events[:, 3] = 1e-10
+    with pytest.raises(ValueError, match=rf"non-finite .*{re.escape(named)}: cannot standardize"):
+        preprocess(events)
 
 
 def test_binning_spec_validation():
@@ -231,6 +283,24 @@ def test_split_is_its_row_order_applied(n_rows):
         assert len(train) == n_rows // 2 and len(test) == n_rows - n_rows // 2
         by_order = data._split_by(events, order)
         assert (by_order[0] == train).all() and (by_order[1] == test).all()
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 7, 10_240])
+def test_split_by_takes_the_rows_that_fancy_indexing_takes(n_rows):
+    order = data._split_order(n_rows, 3)
+    half = n_rows // 2
+    for events in (synthesize_mfc(n_rows, 75.0, seed=3),
+                   np.asfortranarray(synthesize_mfc(n_rows, 75.0, seed=4))):
+        train, test = data._split_by(events, order)
+        assert train.tobytes() == events[order[:half]].tobytes()
+        assert test.tobytes() == events[order[half:]].tobytes()
+        # the train half taken straight into rows of a pooled array
+        pool = np.zeros((half + 3, 4))
+        into, test = data._split_by(events, order, pool[2:2 + half])
+        assert np.shares_memory(into, pool) or half == 0
+        assert pool[2:2 + half].tobytes() == events[order[:half]].tobytes()
+        assert not pool[:2].any() and not pool[2 + half:].any()
+        assert test.tobytes() == events[order[half:]].tobytes()
 
 
 def test_csv_round_trip(tmp_path):

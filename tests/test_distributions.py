@@ -123,6 +123,26 @@ def test_sample_draws_what_rng_choice_draws(bits, kind, seed, n_shots):
     np.testing.assert_array_equal(draws, expected)
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    bits=st.integers(1, 9),
+    zeros=st.floats(0.0, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+    n_shots=st.integers(1, 100_000),
+)
+def test_sample_is_the_search_of_its_cdf(bits, zeros, seed, n_shots):
+    rng = np.random.default_rng(seed)
+    probs = rng.random(2**bits) ** rng.choice([1, 8, 60])
+    probs[rng.random(len(probs)) < zeros] = 0.0
+    probs[rng.integers(len(probs))] += 0.1
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    expected = cdf.searchsorted(np.random.default_rng(seed).random(n_shots), side="right")
+    draws = sample(DiscreteDistribution(probs, (bits,)), n_shots, seed)
+    assert draws.dtype == expected.dtype
+    np.testing.assert_array_equal(draws, expected)
+
+
 @pytest.mark.parametrize("probs", [[0.5, -0.1], [np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0],
                                    [-1.0, -1.0]])
 def test_sample_rejects_bad_probs(probs):

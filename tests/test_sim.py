@@ -541,6 +541,29 @@ def test_fused_blocks_are_the_unfused_blocks_times_their_h_factors(choice, monke
             np.testing.assert_allclose(blocks[b], plain[b] @ h, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "circuit",
+    [build_multivariate(3, 3, 4, choice) for choice in all_block_choices()]
+    + [build_conditional(3, 4), build_1d_rzz_ansatz(4)],
+    ids=[choice.label for choice in all_block_choices()] + ["conditional", "1d-rzz"],
+)
+def test_each_generator_row_is_built_once_per_compile(circuit, monkeypatch):
+    # a g-qubit block has at most 2g distinct rows (RY or RX at each
+    # position); each H block takes one more Kronecker product
+    g, starts = sim._blocks_of(circuit.n_qubits)
+    rows = {(gate.kind, gate.targets[0] - starts[gate.targets[0] // g])
+            for gate in circuit.gates if gate.kind in ("RY", "RX")}
+    calls = []
+    kron = sim._kron
+    monkeypatch.setattr(sim, "_kron", lambda factors: calls.append(1) or kron(factors))
+    for _ in range(2):  # and built anew by the next compile: no cache across compiles
+        calls.clear()
+        program = sim._compile.__wrapped__(circuit.n_qubits, circuit.n_parameters, circuit.gates)
+        fixed = sum(op.kind == "fixed" for op in program.ops)
+        assert len(calls) == len(rows) + fixed
+    assert len(rows) <= 2 * g
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_an_h_before_a_cnot_or_rzz_stays_a_fixed_op(seed):
     rng = np.random.default_rng(seed)
