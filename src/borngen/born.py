@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -36,8 +38,19 @@ class BornModel:
             raise ValueError(
                 f"theta length {len(theta)} != {self.circuit.n_parameters} parameters"
             )
-        if self.condition_range is not None and self.circuit.n_data_slots == 0:
+        pair = self.condition_range
+        if pair is None:
+            return
+        if self.circuit.n_data_slots == 0:
             raise ValueError("condition_range set but circuit has no data slots")
+        # a bool or a string is no energy
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and all(isinstance(e, numbers.Real) and not isinstance(e, bool) and math.isfinite(e)
+                        for e in pair) and pair[0] < pair[1]):
+            raise ValueError(
+                f"condition_range must be a pair (e_min, e_max) of finite numbers with "
+                f"e_min < e_max, not {pair!r}"
+            )
 
     def with_theta(self, theta: np.ndarray) -> "BornModel":
         """This model with other parameters: the same circuit and condition
@@ -77,7 +90,7 @@ def model_distribution(
     """Exact joint distribution over bin tuples via the Born rule."""
     circuit = model.circuit
     amps = run_circuit(circuit, model.theta, model.data_angles(condition))
-    return DiscreteDistribution(np.abs(amps) ** 2, circuit.register_bits, circuit.register_names)
+    return DiscreteDistribution(np.abs(amps) ** 2, circuit.register_bits)
 
 
 def model_probs_batch(
@@ -119,5 +132,5 @@ def load_checkpoint(path) -> BornModel:
     return BornModel(
         circuit,
         np.asarray(payload["theta"], dtype=float),
-        tuple(rng) if rng else None,
+        tuple(rng) if isinstance(rng, list) else rng,
     )

@@ -64,12 +64,6 @@ class CircuitSpec:
             return (self.n_qubits,)
         return tuple(hi - lo for _, (lo, hi) in self.register_layout)
 
-    @property
-    def register_names(self) -> tuple[str, ...]:
-        if not self.register_layout:
-            return ("x",)
-        return tuple(name for name, _ in self.register_layout)
-
     @cached_property
     def program(self):
         """The compiled program the simulator runs, built on first use. Its
@@ -118,11 +112,9 @@ def _register_pairs(n_registers: int, connectivity: str) -> list[tuple[int, int]
     return pairs
 
 
-def _default_layout(n_registers, qubits_per_register, names=None):
-    if names is None:
-        names = [f"q{chr(ord('A') + r)}" for r in range(n_registers)]
+def _default_layout(n_registers, qubits_per_register):
     return tuple(
-        (names[r], (r * qubits_per_register, (r + 1) * qubits_per_register))
+        (f"q{chr(ord('A') + r)}", (r * qubits_per_register, (r + 1) * qubits_per_register))
         for r in range(n_registers)
     )
 

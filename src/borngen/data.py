@@ -45,6 +45,9 @@ DEFAULT_CORRELATION.flags.writeable = False
 
 CONDITION_VALUES = (50.0, 75.0, 100.0, 125.0, 150.0, 175.0, 200.0)
 
+# preprocessing compresses pt to pt ** _PT_EXPONENT
+_PT_EXPONENT = 0.1
+
 
 @dataclass(frozen=True)
 class PreprocessParams:
@@ -53,7 +56,6 @@ class PreprocessParams:
     incoming_energy_mean: float
     feature_means: tuple[float, ...]
     feature_stds: tuple[float, ...]
-    pt_exponent: float = 0.1
 
     def __post_init__(self):
         if any(s <= 0 for s in self.feature_stds):
@@ -103,19 +105,11 @@ class BinningSpec:
         idx = np.floor((column - lo) / width).astype(int)
         return np.clip(idx, 0, n - 1, out=idx)
 
-    def bin_indices(self, features: np.ndarray) -> np.ndarray:
-        """(m, D) feature values -> (m, D) bin indices, clipped to range."""
-        x = np.atleast_2d(np.asarray(features, dtype=float))
-        out = np.empty(x.shape, dtype=int)
-        for j in range(len(self.n_bins)):
-            out[:, j] = self._column_bins(x[:, j], j)
-        return out
 
-
-def _raw_features(events: np.ndarray, incoming_mean: float, pt_exponent: float,
+def _raw_features(events: np.ndarray, incoming_mean: float,
                   columns: Sequence[int] = (0, 1, 2)) -> list[np.ndarray]:
     """The requested columns of the features before standardization, each
-    its own 1-d array: e_out / incoming_mean, pt ** pt_exponent and eta (a
+    its own 1-d array: e_out / incoming_mean, pt ** _PT_EXPONENT and eta (a
     view of events, which no caller writes into)."""
     events = np.asarray(events, dtype=float)
     raw = []
@@ -123,7 +117,7 @@ def _raw_features(events: np.ndarray, incoming_mean: float, pt_exponent: float,
         if j == 0:
             raw.append(events[:, 0] / incoming_mean)
         elif j == 1:
-            raw.append(events[:, 1] ** pt_exponent)
+            raw.append(events[:, 1] ** _PT_EXPONENT)
         else:
             raw.append(events[:, 2])
     return raw
@@ -141,7 +135,7 @@ def _preprocessed_columns(events: np.ndarray, params: PreprocessParams,
                           columns: Sequence[int]) -> np.ndarray:
     """apply_preprocess(events, params)[:, columns], bitwise, computing
     only those columns."""
-    raw = _raw_features(events, params.incoming_energy_mean, params.pt_exponent, columns)
+    raw = _raw_features(events, params.incoming_energy_mean, columns)
     return _standardized(
         raw, [params.feature_means[j] for j in columns], [params.feature_stds[j] for j in columns]
     )
@@ -174,7 +168,7 @@ def preprocess(events: np.ndarray) -> tuple[np.ndarray, PreprocessParams]:
         incoming_mean = float(events[:, 3].mean())
         if not math.isfinite(incoming_mean):
             raise ValueError("non-finite mean of feature(s) ['e_in']: cannot standardize")
-        raw = _raw_features(events, incoming_mean, 0.1)
+        raw = _raw_features(events, incoming_mean)
         means = [_row_order_mean(col) for col in raw]
         stds = []
         for col, mean in zip(raw, means):
@@ -204,7 +198,7 @@ def inverse_preprocess(features: np.ndarray, params: PreprocessParams) -> np.nda
     raw = x * np.array(params.feature_stds) + np.array(params.feature_means)
     out = np.empty_like(raw)
     out[:, 0] = raw[:, 0] * params.incoming_energy_mean
-    out[:, 1] = raw[:, 1] ** (1.0 / params.pt_exponent)
+    out[:, 1] = raw[:, 1] ** (1.0 / _PT_EXPONENT)
     out[:, 2] = raw[:, 2]
     return out
 
@@ -221,8 +215,7 @@ def discretize(features: np.ndarray, spec: BinningSpec) -> DiscreteDistribution:
         flat |= spec._column_bins(x[:, j], j) << shift
         shift += b
     counts = np.bincount(flat, minlength=2**shift)
-    names = FEATURE_NAMES[: len(bits)] if len(bits) <= 3 else None
-    return DiscreteDistribution(counts / counts.sum(), bits, names)
+    return DiscreteDistribution(counts / counts.sum(), bits)
 
 
 # Latent Gaussian correlations calibrated (4e6-sample Monte Carlo bisection)

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sim import _is_count
+
 __all__ = ["DiscreteDistribution", "marginal", "sample"]
 
 
@@ -19,7 +21,6 @@ class DiscreteDistribution:
 
     probs: np.ndarray
     register_bits: tuple[int, ...]
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -32,16 +33,10 @@ class DiscreteDistribution:
             raise ValueError(
                 f"probs length {len(probs)} does not match register bits {bits}"
             )
-        if self.names is not None and len(self.names) != len(bits):
-            raise ValueError("one name per register required")
 
     @property
     def n_features(self) -> int:
         return len(self.register_bits)
-
-    @property
-    def n_bins(self) -> tuple[int, ...]:
-        return tuple(2**b for b in self.register_bits)
 
     def bin_coordinates(self) -> np.ndarray:
         """(n_outcomes, n_features) array of bin indices as floats."""
@@ -54,28 +49,19 @@ class DiscreteDistribution:
         return coords
 
 
-def _feature_index(dist: DiscreteDistribution, feature) -> int:
-    if isinstance(feature, str):
-        if dist.names is None or feature not in dist.names:
-            raise KeyError(f"unknown feature {feature!r}")
-        return dist.names.index(feature)
-    j = int(feature)
-    if not 0 <= j < dist.n_features:
-        raise KeyError(f"feature index {j} out of range")
-    return j
-
-
-def marginal(dist: DiscreteDistribution, feature) -> DiscreteDistribution:
-    """Marginal distribution of one feature of a joint distribution."""
-    j = _feature_index(dist, feature)
+def marginal(dist: DiscreteDistribution, j: int) -> DiscreteDistribution:
+    """Marginal distribution of feature j of a joint distribution. An index
+    that is no integer in 0..n_features - 1 (a float, a bool, a string) is
+    a KeyError."""
+    if not (_is_count(j) and j < dist.n_features):
+        raise KeyError(f"feature index {j!r} out of range")
     # reshape puts the last feature (high bits) on axis 0
     shape = tuple(2**b for b in reversed(dist.register_bits))
     axis = dist.n_features - 1 - j
     table = dist.probs.reshape(shape)
     keep = [a for a in range(dist.n_features) if a != axis]
     p = table.sum(axis=tuple(keep)) if keep else table
-    name = (dist.names[j],) if dist.names is not None else None
-    return DiscreteDistribution(p, (dist.register_bits[j],), name)
+    return DiscreteDistribution(p, (dist.register_bits[j],))
 
 
 # The sampler's guide table (Chen and Asau 1974) has the smallest power of

@@ -80,7 +80,7 @@ def apply_readout_noise(
     """Push a distribution through the independent bit-flip channel."""
     n_qubits = sum(p_true.register_bits)
     m = readout_matrix(n_qubits, config).matrix
-    return DiscreteDistribution(m @ p_true.probs, p_true.register_bits, p_true.names)
+    return DiscreteDistribution(m @ p_true.probs, p_true.register_bits)
 
 
 def mitigate_readout(
@@ -95,7 +95,7 @@ def mitigate_readout(
     total = p.sum()
     if total == 0:
         raise ValueError("mitigation produced an empty distribution")
-    return DiscreteDistribution(p / total, p_noisy.register_bits, p_noisy.names)
+    return DiscreteDistribution(p / total, p_noisy.register_bits)
 
 
 def estimate_confusion_matrix(

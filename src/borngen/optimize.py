@@ -23,7 +23,6 @@ from .noise import readout_matrix  # noqa: F401
 from .sim import _is_count
 
 __all__ = [
-    "SpsaSettings",
     "Schedule",
     "TrainConfig",
     "EpochRecord",
@@ -49,17 +48,11 @@ def _check_finite(values: np.ndarray, name: str, epoch: int, step: int) -> None:
         raise TrainingDivergedError(f"non-finite {name} at epoch {epoch}, step {step}")
 
 
-@dataclass(frozen=True)
-class SpsaSettings:
-    """Standard Spall decay constants; the source material gives none."""
-
-    a: float = 0.2
-    c: float = 0.1
-    alpha: float = 0.602
-    gamma: float = 0.101
-
-
-_SPSA = SpsaSettings()  # the settings train's SPSA steps take
+# SPSA's step a / k**alpha and perturbation c / k**gamma at iteration k:
+# standard Spall decay constants; the source material gives none.
+_SPSA_A, _SPSA_C, _SPSA_ALPHA, _SPSA_GAMMA = 0.2, 0.1, 0.602, 0.101
+# ADAM's moment decay rates and the offset of its denominator
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -132,9 +125,6 @@ def adam_step(
     gradient: np.ndarray,
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected ADAM update. It updates state in place (its
     moments m and v and its step count t) and returns the new theta and
@@ -145,13 +135,13 @@ def adam_step(
         raise ValueError("theta and gradient lengths differ")
     state.t += 1
     m, v = state.m, state.v
-    m *= beta1  # m = beta1 m + (1 - beta1) g
-    m += (1 - beta1) * gradient
-    v *= beta2  # v = beta2 v + (1 - beta2) g**2
-    v += (1 - beta2) * gradient**2
-    step = m / (1 - beta1**state.t)  # m_hat
+    m *= _BETA1  # m = beta1 m + (1 - beta1) g
+    m += (1 - _BETA1) * gradient
+    v *= _BETA2  # v = beta2 v + (1 - beta2) g**2
+    v += (1 - _BETA2) * gradient**2
+    step = m / (1 - _BETA1**state.t)  # m_hat
     step *= lr
-    step /= np.sqrt(v / (1 - beta2**state.t)) + eps  # over sqrt(v_hat) + eps
+    step /= np.sqrt(v / (1 - _BETA2**state.t)) + _EPS  # over sqrt(v_hat) + eps
     return theta - step, state
 
 
@@ -159,14 +149,13 @@ def spsa_step(
     theta: np.ndarray,
     loss_fn: Callable[[np.ndarray], float],
     iteration: int,
-    settings: SpsaSettings,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One SPSA update from exactly two loss evaluations."""
     theta = np.asarray(theta, dtype=float)
     k = iteration + 1
-    a_k = settings.a / k**settings.alpha
-    c_k = settings.c / k**settings.gamma
+    a_k = _SPSA_A / k**_SPSA_ALPHA
+    c_k = _SPSA_C / k**_SPSA_GAMMA
     delta = rng.integers(0, 2, size=len(theta)) * 2.0 - 1.0
     diff = loss_fn(theta + c_k * delta) - loss_fn(theta - c_k * delta)
     return theta - a_k * diff / (2.0 * c_k) * delta
@@ -204,7 +193,7 @@ def _batch_target(tgt: DiscreteDistribution, n: Optional[int], rng) -> DiscreteD
     if n is None:
         return tgt
     counts = rng.multinomial(n, tgt.probs / tgt.probs.sum())
-    return DiscreteDistribution(counts / n, tgt.register_bits, tgt.names)
+    return DiscreteDistribution(counts / n, tgt.register_bits)
 
 
 def _run_epochs(config: Schedule, params: np.ndarray, n_epochs: int, run_epoch, evaluate):
@@ -284,7 +273,7 @@ def train(
                 batch = _batch_target(targets[cond], config.batch_size, rng)
                 if spsa_phase:
                     loss_fn = lambda th: mmd_loss(eval_dist(th, cond), batch, config.kernel, cache)
-                    theta = spsa_step(theta, loss_fn, spsa_iteration, _SPSA, rng)
+                    theta = spsa_step(theta, loss_fn, spsa_iteration, rng)
                     spsa_iteration += 1
                 else:
                     grad = mmd_gradient(model.with_theta(theta), batch, config.kernel, cond, cache)

@@ -178,3 +178,23 @@ def test_checkpoint_unknown_schema_rejected(tmp_path, schema):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=f"schema version {schema!r} is not supported"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("condition_range", [[50, 125, 200], [200, 50], [50, float("nan")]])
+def test_checkpoint_with_a_malformed_condition_range_fails_at_load(tmp_path, condition_range):
+    circuit = build_conditional(3, 2)
+    path = tmp_path / "model.json"
+    save_checkpoint(BornModel(circuit, np.zeros(circuit.n_parameters), (50.0, 200.0)), path)
+    payload = json.loads(path.read_text())
+    payload["condition_range"] = condition_range
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="condition_range must be a pair"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("condition_range", [(50.0,), (50.0, 50.0), (True, 200.0), ("50", 200.0),
+                                             (50.0, float("inf"))])
+def test_condition_range_must_be_an_increasing_pair_of_finite_numbers(condition_range):
+    circuit = build_conditional(3, 2)
+    with pytest.raises(ValueError, match="condition_range must be a pair"):
+        BornModel(circuit, np.zeros(circuit.n_parameters), condition_range)

@@ -245,10 +245,10 @@ def _count_set_up_work(monkeypatch):
         orders.append(n_rows)
         return split_order(n_rows, seed)
 
-    def counted_raw(events, incoming_mean, pt_exponent, columns=(0, 1, 2)):
+    def counted_raw(events, incoming_mean, columns=(0, 1, 2)):
         if 1 in columns:
             pt_rows.append(len(events))
-        return raw_features(events, incoming_mean, pt_exponent, columns)
+        return raw_features(events, incoming_mean, columns)
 
     for module in (data, experiments):
         if hasattr(module, "_split_order"):
@@ -353,7 +353,9 @@ def test_pearson_data_is_the_binned_test_split_in_physical_units():
     train_events, test_events = train_test_split(events, 3)
     train_f, params = preprocess(train_events)
     binning = BinningSpec.from_training_data(train_f[:, :3], [8, 8, 8])
-    coords = binning.bin_indices(apply_preprocess(test_events, params)[:, :3])
+    lower, upper = np.array(binning.lower), np.array(binning.upper)
+    x = apply_preprocess(test_events, params)[:, :3]
+    coords = np.clip(np.floor((x - lower) / ((upper - lower) / 8)).astype(int), 0, 7)
     centers = np.column_stack([binning.bin_centers(j)[coords[:, j]] for j in range(3)])
     expected = np.corrcoef(inverse_preprocess(centers, params), rowvar=False)
     np.testing.assert_allclose(pearson_data, expected, rtol=0, atol=1e-12)

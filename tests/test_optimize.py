@@ -12,7 +12,6 @@ from borngen.metrics import GramCache, mmd_gradient, mmd_loss, total_variance
 from borngen.sim import Gate
 from borngen.optimize import (
     AdamState,
-    SpsaSettings,
     TrainConfig,
     TrainingDivergedError,
     adam_step,
@@ -53,14 +52,14 @@ def test_spsa_decreases_quadratic_loss():
     loss = lambda t: float(np.sum(t**2))
     initial = loss(theta)
     for k in range(300):
-        theta = spsa_step(theta, loss, k, SpsaSettings(), rng)
+        theta = spsa_step(theta, loss, k, rng)
     assert loss(theta) < initial / 10
 
 
 def test_spsa_uses_exactly_two_evaluations():
     calls = []
     loss = lambda t: calls.append(1) or float(np.sum(t**2))
-    spsa_step(np.zeros(4), loss, 0, SpsaSettings(), np.random.default_rng(0))
+    spsa_step(np.zeros(4), loss, 0, np.random.default_rng(0))
     assert len(calls) == 2
 
 
@@ -295,10 +294,10 @@ def _reference_train(model, targets, config, val_targets):
                 if config.batch_size is not None:
                     probs = target.probs / target.probs.sum()
                     counts = rng.multinomial(config.batch_size, probs)
-                    target = DiscreteDistribution(counts / config.batch_size, target.register_bits, target.names)
+                    target = DiscreteDistribution(counts / config.batch_size, target.register_bits)
                 if spsa:
                     loss = lambda th: mmd_loss(dist(th, cond), target, config.kernel, cache)
-                    theta = spsa_step(theta, loss, spsa_iteration, SpsaSettings(), rng)
+                    theta = spsa_step(theta, loss, spsa_iteration, rng)
                     spsa_iteration += 1
                 else:
                     grad = mmd_gradient(model.with_theta(theta), target, config.kernel, cond, cache)

@@ -857,6 +857,46 @@ def test_gradients_at_two_conditions_on_two_threads_equal_serial_ones():
     _check_two_threads_equal_serial([_PLANNED["conditional"][1], np.full(3, encode_condition(0.9, 0.0, 1.0))])
 
 
+def test_gradients_on_four_threads_while_one_holds_the_plan(monkeypatch):
+    # thread 0's observable_of waits, holding the program's plan, until the
+    # three other threads are done: each of them builds a throwaway plan,
+    # and every thread gets the psi and gradient of a plain call
+    circuit, data_angles = _PLANNED["conditional"]
+    _, observable_of = _observable(circuit, 37)
+    thetas = np.random.default_rng(38).uniform(0, 2 * np.pi, (4, circuit.n_parameters))
+    plain = [sim.adjoint_gradient(circuit, t, observable_of, data_angles) for t in thetas]
+    program = circuit.program
+    plan = program.plan
+    holding, others_done = threading.Event(), threading.Event()
+
+    def hold(psi):
+        holding.set()
+        assert others_done.wait(timeout=60)
+        return observable_of(psi)
+
+    results = [None] * 4
+
+    def work(i):
+        results[i] = sim.adjoint_gradient(circuit, thetas[i], hold if i == 0 else observable_of, data_angles)
+
+    built = _plan_spy(monkeypatch)
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    workers[0].start()
+    assert holding.wait(timeout=60)
+    for w in workers[1:]:
+        w.start()
+    for w in workers[1:]:
+        w.join(timeout=60)
+    others_done.set()
+    workers[0].join(timeout=60)
+    for (psi, grad), (want_psi, want_grad) in zip(results, plain):
+        assert (psi == want_psi).all() and (grad == want_grad).all()
+    assert len(built) == 3 and all(p is program and b is not plan for p, b in built)
+    assert program.plan is plan
+    assert plan.lock.acquire(blocking=False)  # released again
+    plan.lock.release()
+
+
 def test_one_plan_per_program_over_an_experiment(monkeypatch, tmp_path):
     gradients = []
     adjoint = metrics.adjoint_gradient
