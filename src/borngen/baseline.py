@@ -144,11 +144,12 @@ def train_gmmd(
     spec: MlpSpec,
     dataset: np.ndarray,
     config: GmmdConfig,
-    binning: Optional[BinningSpec] = None,
+    binning: BinningSpec,
     val_dataset: Optional[np.ndarray] = None,
 ):
     """Train the generator with ADAM on batched sample-MMD; returns the
-    best-validation weights and the per-epoch trace."""
+    best-validation weights and the per-epoch trace, whose tv column is the
+    TV on binning's bins between generated events and the validation set."""
     data = np.atleast_2d(np.asarray(dataset, dtype=float))
     if data.shape[1] != spec.output_dim:
         raise ValueError("dataset feature count does not match the net output")
@@ -162,7 +163,7 @@ def train_gmmd(
     eval_latent = rng.standard_normal((2048, spec.latent_dim))
     val_batch = val[rng.choice(len(val), size=min(len(val), 2048), replace=False)]
     val_target = SampleTarget(val_batch, config.kernel)  # its self-sum once per run
-    val_dist = discretize(val, binning) if binning is not None else None
+    val_dist = discretize(val, binning)
 
     def run_epoch(epoch, lr, flat, _best):
         nonlocal adam_state
@@ -185,10 +186,7 @@ def train_gmmd(
     def evaluate(flat):
         generated = forward(unflatten_weights(flat, spec), eval_latent)
         val_loss = gmmd_batch_loss(generated, val_target, config.kernel)
-        tv = 0.0
-        if binning is not None:
-            tv = total_variance(discretize(generated, binning), val_dist)
-        return {"val_loss": val_loss, "tv": tv}
+        return {"val_loss": val_loss, "tv": total_variance(discretize(generated, binning), val_dist)}
 
     best_flat, trace = _run_epochs(config, flat, config.max_epochs, run_epoch, evaluate)
     return unflatten_weights(best_flat, spec), trace

@@ -38,8 +38,16 @@ class BornModel:
             raise ValueError(
                 f"theta length {len(theta)} != {self.circuit.n_parameters} parameters"
             )
+        bad = np.flatnonzero(~np.isfinite(theta))
+        if len(bad):
+            raise ValueError(f"theta[{bad[0]}] is {theta[bad[0]]}: parameters must be finite")
         pair = self.condition_range
         if pair is None:
+            if self.circuit.n_data_slots:
+                raise ValueError(
+                    f"condition_range is None, but the circuit's {self.circuit.n_data_slots} data "
+                    "slots need the range (e_min, e_max) that the condition is encoded over"
+                )
             return
         if self.circuit.n_data_slots == 0:
             raise ValueError("condition_range set but circuit has no data slots")
@@ -55,7 +63,7 @@ class BornModel:
     def with_theta(self, theta: np.ndarray) -> "BornModel":
         """This model with other parameters: the same circuit and condition
         range, with only theta's length checked again (training calls this
-        once per step)."""
+        once per step, and checks that theta stays finite itself)."""
         theta = np.asarray(theta, dtype=float)
         if len(theta) != self.circuit.n_parameters:
             raise ValueError(

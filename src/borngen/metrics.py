@@ -1,10 +1,16 @@
-"""MMD loss with multi-bandwidth Gaussian kernel, gradients and metrics."""
+"""MMD loss with multi-bandwidth Gaussian kernel, gradients and metrics.
+
+The exact MMD's kernel matrix depends only on the bin layout and the
+bandwidths, so its factors are built once per process for each
+(register bits, KernelConfig) and shared (_gram); no caller passes one in.
+"""
 from __future__ import annotations
 
 import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -18,7 +24,6 @@ from .sim import adjoint_gradient
 
 __all__ = [
     "KernelConfig",
-    "GramCache",
     "mmd_loss",
     "mmd_loss_samples",
     "SampleTarget",
@@ -66,7 +71,7 @@ class KernelConfig:
 
 class GramCache:
     """The kernel matrix over the bin coordinates of a bin layout, kept as
-    its per-register factors.
+    its per-register factors. Build one through _gram, which shares it.
 
     Over a product grid of bins the Gaussian kernel factorizes by register:
     K = sum_s E_{s,R-1} x ... x E_{s,0}, with E_{s,r}[i, j] =
@@ -77,15 +82,16 @@ class GramCache:
     """
 
     def __init__(self, register_bits: tuple[int, ...], config: KernelConfig):
-        self.register_bits = tuple(register_bits)
-        self.config = config
         s = np.array(config.bandwidths)[:, None, None]
-        self.factors = []  # (bandwidths, 2**bits, 2**bits) per register, register 0 first
-        for bits in self.register_bits:
+        factors = []  # (bandwidths, 2**bits, 2**bits) per register, register 0 first
+        for bits in register_bits:
             i = np.arange(2**bits, dtype=float)
-            self.factors.append(np.exp(-((i[:, None] - i[None, :]) ** 2) / (2.0 * s)))
-        if len(self.factors) == 1:
-            self.factors = [self.factors[0].sum(axis=0, keepdims=True)]
+            factors.append(np.exp(-((i[:, None] - i[None, :]) ** 2) / (2.0 * s)))
+        if len(factors) == 1:
+            factors = [factors[0].sum(axis=0, keepdims=True)]
+        for e in factors:  # shared by every caller of _gram
+            e.flags.writeable = False
+        self.factors = tuple(factors)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """v @ K (K is symmetric) for v of shape (..., bins): one matmul per
@@ -108,29 +114,17 @@ def _check_compatible(register_bits: tuple[int, ...], target: DiscreteDistributi
         raise ValueError(f"bin layouts differ: {register_bits} vs {target.register_bits}")
 
 
-def _gram(register_bits: tuple[int, ...], config: KernelConfig, cache: Optional[GramCache]):
-    """The GramCache for these bins and this config: the given one, or a new
-    one when none is given; a cache built for other bins or another config
-    is an error."""
-    if cache is None:
-        return GramCache(register_bits, config)
-    if cache.register_bits != register_bits or cache.config != config:
-        raise ValueError(
-            f"GramCache built for bits {cache.register_bits} with {cache.config}, "
-            f"used for bits {register_bits} with {config}"
-        )
-    return cache
+@lru_cache(maxsize=64)
+def _gram(register_bits: tuple[int, ...], config: KernelConfig) -> GramCache:
+    """The GramCache for these bins and this kernel, built on the first call
+    and shared by every later call with equal arguments."""
+    return GramCache(register_bits, config)
 
 
-def mmd_loss(
-    p: DiscreteDistribution,
-    target: DiscreteDistribution,
-    config: KernelConfig,
-    cache: Optional[GramCache] = None,
-) -> float:
+def mmd_loss(p: DiscreteDistribution, target: DiscreteDistribution, config: KernelConfig) -> float:
     """Exact MMD between two distributions on the same bin set."""
     _check_compatible(p.register_bits, target)
-    K = _gram(p.register_bits, config, cache)
+    K = _gram(p.register_bits, config)
     d = p.probs - target.probs
     return float(d @ K.apply(d))
 
@@ -472,7 +466,6 @@ def mmd_gradient(
     target: DiscreteDistribution,
     config: KernelConfig,
     condition: Optional[float] = None,
-    cache: Optional[GramCache] = None,
 ) -> np.ndarray:
     """Exact gradient of the MMD loss by adjoint differentiation.
 
@@ -482,7 +475,7 @@ def mmd_gradient(
     """
     bits = model.circuit.register_bits
     _check_compatible(bits, target)
-    K = _gram(bits, config, cache)
+    K = _gram(bits, config)
 
     def observable_of(psi):
         return _loss_derivative(np.abs(psi) ** 2, target, K)

@@ -10,14 +10,10 @@ import numpy as np
 
 from .born import BornModel, model_distribution
 from .distributions import DiscreteDistribution
-from .metrics import (
-    GramCache,
-    KernelConfig,
-    _is_positive_real,
-    mmd_gradient,
-    mmd_loss,
-    total_variance,
-)
+from .metrics import KernelConfig, _is_positive_real, mmd_gradient, mmd_loss, total_variance
+# perfbench/tracer.py binds its metrics.gram span to this name as well as
+# to metrics._gram, which builds the shared Gram factors
+from .metrics import GramCache  # noqa: F401
 # perfbench/tracer.py binds its noise span to this name
 from .noise import readout_matrix  # noqa: F401
 from .sim import _is_count
@@ -243,20 +239,15 @@ def train(
     if set(val_targets) != set(targets):
         raise ValueError("validation targets must cover the same conditions")
 
-    bits = model.circuit.register_bits
     for tgt in [*targets.values(), *val_targets.values()]:
-        if tgt.register_bits != bits:
+        if tgt.register_bits != model.circuit.register_bits:
             raise ValueError("target bin layout does not match the model")
-
-    cache = GramCache(bits, config.kernel)
 
     def eval_dist(theta, cond):
         return model_distribution(model.with_theta(theta), cond)
 
     def mean_loss(dists, target_map):
-        return float(
-            np.mean([mmd_loss(dists[c], target_map[c], config.kernel, cache) for c in conditions])
-        )
+        return float(np.mean([mmd_loss(dists[c], target_map[c], config.kernel) for c in conditions]))
 
     rng = np.random.default_rng(config.seed)
     adam_state = AdamState.init(len(model.theta))
@@ -272,11 +263,11 @@ def train(
             for _ in range(config.batches_per_epoch):
                 batch = _batch_target(targets[cond], config.batch_size, rng)
                 if spsa_phase:
-                    loss_fn = lambda th: mmd_loss(eval_dist(th, cond), batch, config.kernel, cache)
+                    loss_fn = lambda th: mmd_loss(eval_dist(th, cond), batch, config.kernel)
                     theta = spsa_step(theta, loss_fn, spsa_iteration, rng)
                     spsa_iteration += 1
                 else:
-                    grad = mmd_gradient(model.with_theta(theta), batch, config.kernel, cond, cache)
+                    grad = mmd_gradient(model.with_theta(theta), batch, config.kernel, cond)
                     _check_finite(grad, "gradient", epoch, step)
                     theta, adam_state = adam_step(theta, grad, adam_state, lr)
                 _check_finite(theta, "theta", epoch, step)

@@ -4,7 +4,7 @@ hardware would use."""
 import numpy as np
 
 from borngen.born import model_distribution, model_probs_batch
-from borngen.metrics import GramCache
+from borngen.metrics import _gram
 
 # (shift, outer coefficient) of the exact rule for each gate kind. RY and RX
 # are generated by a Pauli over 2, giving the usual +/- pi/2 rule; RZZ is
@@ -24,6 +24,6 @@ def mmd_gradient_shift(model, target, config, condition=None):
         thetas[2 * i, i] += shift
         thetas[2 * i + 1, i] -= shift
     p = model_distribution(model, condition)
-    kv = GramCache(p.register_bits, config).apply(p.probs - target.probs)
+    kv = _gram(p.register_bits, config).apply(p.probs - target.probs)
     probs = model_probs_batch(model, thetas, condition)
     return coeffs * ((probs[0::2] - probs[1::2]) @ kv)

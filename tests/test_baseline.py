@@ -20,6 +20,7 @@ from borngen.baseline import (
     unflatten_weights,
 )
 from borngen import baseline, metrics
+from borngen.data import BinningSpec
 from borngen.metrics import KernelConfig, SampleTarget, mmd_loss_samples
 from borngen.optimize import TrainConfig, TrainingDivergedError, adam_step
 
@@ -137,7 +138,7 @@ def test_training_reduces_validation_loss():
     data = rng.standard_normal((2000, 1)) * 0.5 + 1.0
     spec = MlpSpec(4, (16, 16), 1)
     config = GmmdConfig(max_epochs=15, batch_size=128, seed=0)
-    weights, trace = train_gmmd(spec, data, config)
+    weights, trace = train_gmmd(spec, data, config, BinningSpec.from_training_data(data, [16]))
     assert len(trace) == 15
     assert min(r.val_loss for r in trace) < trace[0].val_loss
     generated = forward(weights, rng.standard_normal((1000, 4)))
@@ -198,27 +199,33 @@ def test_training_divergence_detected(monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(TrainingDivergedError, match="non-finite weights at epoch 0, step 0"):
-            train_gmmd(MlpSpec(4, (8,), 1), data, config)
+            train_gmmd(MlpSpec(4, (8,), 1), data, config, BinningSpec.from_training_data(data, [16]))
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_non_finite_data_stops_training_at_the_first_step():
     # a NaN in the data batch reaches the dense sample kernel, whose NaN
-    # loss the step's finite check catches
+    # loss the step's finite check catches; the binning and the validation
+    # set are finite, so only the batch carries the NaN
     config = GmmdConfig(max_epochs=2, batches_per_epoch=2, batch_size=32, seed=0)
+    val = np.random.default_rng(7).standard_normal((200, 1))
+    binning = BinningSpec.from_training_data(val, [16])
     with pytest.raises(TrainingDivergedError, match="non-finite loss at epoch 0, step 0"):
-        train_gmmd(MlpSpec(4, (8,), 1), np.full((200, 1), np.nan), config)
+        train_gmmd(MlpSpec(4, (8,), 1), np.full((200, 1), np.nan), config, binning, val)
 
 
 def test_training_shape_check():
+    data = np.linspace(0.0, 1.0, 100)[:, None]
+    binning = BinningSpec.from_training_data(data, [16])
     with pytest.raises(ValueError):
-        train_gmmd(MlpSpec(4, (8,), 2), np.zeros((100, 1)), GmmdConfig(max_epochs=1))
+        train_gmmd(MlpSpec(4, (8,), 2), data, GmmdConfig(max_epochs=1), binning)
     # a validation set with another feature count fails before any training
     with pytest.raises(ValueError, match="validation feature count"):
         train_gmmd(
             MlpSpec(4, (8,), 1),
-            np.zeros((100, 1)),
+            data,
             GmmdConfig(max_epochs=1),
+            binning,
             val_dataset=np.zeros((100, 2)),
         )
 

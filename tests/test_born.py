@@ -192,6 +192,38 @@ def test_checkpoint_with_a_malformed_condition_range_fails_at_load(tmp_path, con
         load_checkpoint(path)
 
 
+def test_checkpoint_with_a_non_finite_theta_fails_at_load(tmp_path):
+    # a NaN parameter would give all-NaN probabilities at first use
+    circuit = build_conditional(3, 2)
+    path = tmp_path / "model.json"
+    save_checkpoint(BornModel(circuit, np.zeros(circuit.n_parameters), (50.0, 200.0)), path)
+    payload = json.loads(path.read_text())
+    payload["theta"][0] = float("nan")
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"theta\[0\] is nan"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_theta_must_be_finite(bad):
+    circuit = build_hardware_efficient(3, 1)
+    theta = np.zeros(circuit.n_parameters)
+    theta[[4, 6]] = bad
+    with pytest.raises(ValueError, match=r"theta\[4\] is .*must be finite"):
+        BornModel(circuit, theta)
+
+
+def test_checkpoint_of_a_conditional_circuit_without_a_condition_range_fails_at_load(tmp_path):
+    circuit = build_conditional(3, 2)
+    path = tmp_path / "model.json"
+    save_checkpoint(BornModel(circuit, np.zeros(circuit.n_parameters), (50.0, 200.0)), path)
+    payload = json.loads(path.read_text())
+    payload["condition_range"] = None
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"condition_range is None.*3 data slots need the range"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("condition_range", [(50.0,), (50.0, 50.0), (True, 200.0), ("50", 200.0),
                                              (50.0, float("inf"))])
 def test_condition_range_must_be_an_increasing_pair_of_finite_numbers(condition_range):

@@ -15,15 +15,16 @@ from borngen.circuits import (
     build_multivariate,
 )
 from borngen import metrics
+from borngen.data import BinningSpec
 from borngen.distributions import DiscreteDistribution
 from borngen.sim import Gate
 from borngen.metrics import (
     _TILE_ROWS,
     PAPER_BANDWIDTHS,
-    GramCache,
     KernelConfig,
     SampleTarget,
     _gauss_transform_rows,
+    _gram,
     _kernel_rows,
     _self_sum,
     _tiled_rows,
@@ -226,7 +227,8 @@ def test_gmmd_trace_val_loss_matches_dense_recomputation(monkeypatch):
     rng = np.random.default_rng(4)
     data, val = 0.5 * rng.standard_normal((2, 300, 1)) + 1.0
     config = baseline.GmmdConfig(max_epochs=2, batches_per_epoch=2, batch_size=32, seed=0)
-    _, trace = baseline.train_gmmd(baseline.MlpSpec(4, (8,), 1), data, config, val_dataset=val)
+    binning = BinningSpec.from_training_data(data, [16])
+    _, trace = baseline.train_gmmd(baseline.MlpSpec(4, (8,), 1), data, config, binning, val_dataset=val)
     assert len(seen) == len(trace) == 2
     for record, (generated, val_rows, kernel) in zip(trace, seen):
         assert np.isin(val_rows, val).all()
@@ -428,13 +430,32 @@ def test_non_finite_samples_give_the_dense_nan_loss(bad, in_x):
     assert np.isnan(grad).any()
 
 
-def test_gram_cache_reused():
-    cache = GramCache((2,), BANDWIDTH_ONE)
-    p = _dist([0.5, 0.5, 0.0, 0.0])
-    q = _dist([0.0, 0.0, 0.5, 0.5])
-    assert mmd_loss(p, q, BANDWIDTH_ONE, cache) == pytest.approx(
-        mmd_loss(p, q, BANDWIDTH_ONE)
-    )
+def test_gram_is_shared_for_equal_bins_and_kernel(monkeypatch):
+    # one build per (bits, KernelConfig); a separately built equal config
+    # finds the same Gram, another layout or kernel gets its own
+    gram = _gram((2, 3), KernelConfig((1.0, 2.0)))
+    assert _gram((2, 3), KernelConfig((1.0, 2.0))) is gram
+    assert _gram((2, 3), KernelConfig([1, 2.0])) is gram
+    assert _gram((3, 2), KernelConfig((1.0, 2.0))) is not gram
+    assert _gram((2, 3), KernelConfig((1.0,))) is not gram
+    # once a Gram is built, the loss and the gradient on its bins and kernel
+    # take it, and build none of their own
+    p, q = _dist([0.5, 0.5, 0.0, 0.0]), _dist([0.0, 0.0, 0.5, 0.5])
+    want = float((p.probs - q.probs) @ _gram((2,), BANDWIDTH_ONE).apply(p.probs - q.probs))
+    built = []
+    monkeypatch.setattr(metrics, "GramCache", lambda *a: built.append(a))
+    assert mmd_loss(p, q, BANDWIDTH_ONE) == mmd_loss(p, q, KernelConfig((1.0,))) == want
+    mmd_gradient(BornModel(build_hardware_efficient(2, 1), np.full(6, 0.3)), q, BANDWIDTH_ONE)
+    assert built == []
+
+
+def test_gram_factors_are_a_tuple_of_read_only_arrays():
+    for bits in [(3,), (2, 3)]:
+        gram = _gram(bits, KernelConfig())
+        assert isinstance(gram.factors, tuple) and len(gram.factors) == len(bits)
+        for e in gram.factors:
+            with pytest.raises(ValueError, match="read-only"):
+                e[0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("bits", [(3, 3, 3), (4,), (3,), (2, 3)])
@@ -446,30 +467,13 @@ def test_gram_cache_matches_dense_pairwise_kernel(bits):
     sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1)
     config = KernelConfig()
     dense = sum(np.exp(-sq / (2.0 * s)) for s in config.bandwidths)
-    cache = GramCache(bits, config)
+    cache = _gram(bits, config)
     # apply multiplies by the factors, one register at a time; K is symmetric.
     # v is positive, so that no entry of v @ K cancels to near 0, where a
     # relative bound would compare rounding errors
     v = np.random.default_rng(sum(bits)).random((5, n))
     np.testing.assert_allclose(cache.apply(v), v @ dense, rtol=1e-13, atol=0)
     np.testing.assert_allclose(cache.apply(v[0]), dense @ v[0], rtol=1e-13, atol=0)
-
-
-def test_gram_cache_for_another_kernel_config_is_rejected():
-    p, q = _dist(np.full(8, 0.125)), _dist(np.eye(8)[2])
-    cache = GramCache((3,), KernelConfig())
-    with pytest.raises(ValueError, match=r"built for bits \(3,\) with .*used for bits \(3,\)"):
-        mmd_loss(p, q, BANDWIDTH_ONE, cache)
-
-
-def test_gram_cache_for_other_bins_is_rejected():
-    p, q = _dist(np.full(8, 0.125)), _dist(np.eye(8)[2])
-    cache = GramCache((2,), BANDWIDTH_ONE)
-    with pytest.raises(ValueError, match=r"built for bits \(2,\) with .*used for bits \(3,\)"):
-        mmd_loss(p, q, BANDWIDTH_ONE, cache)
-    model = BornModel(build_hardware_efficient(3, 1), np.zeros(9))
-    with pytest.raises(ValueError, match=r"built for bits \(2,\)"):
-        mmd_gradient(model, q, BANDWIDTH_ONE, cache=cache)
 
 
 def _finite_difference(model, target, config, h=1e-6):

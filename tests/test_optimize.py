@@ -8,7 +8,7 @@ from borngen.born import BornModel, model_distribution
 from borngen.circuits import build_1d_rzz_ansatz, build_conditional
 from borngen.distributions import DiscreteDistribution
 from borngen import experiments, optimize
-from borngen.metrics import GramCache, mmd_gradient, mmd_loss, total_variance
+from borngen.metrics import mmd_gradient, mmd_loss, total_variance
 from borngen.sim import Gate
 from borngen.optimize import (
     AdamState,
@@ -272,7 +272,6 @@ def _reference_train(model, targets, config, val_targets):
     spsa_step and the functional ADAM formula: the best theta and the
     trace rows."""
     conditions = sorted(targets, key=lambda c: (c is not None, c))
-    cache = GramCache(model.circuit.register_bits, config.kernel)
 
     def dist(theta, cond):
         return model_distribution(model.with_theta(theta), cond)
@@ -296,18 +295,18 @@ def _reference_train(model, targets, config, val_targets):
                     counts = rng.multinomial(config.batch_size, probs)
                     target = DiscreteDistribution(counts / config.batch_size, target.register_bits)
                 if spsa:
-                    loss = lambda th: mmd_loss(dist(th, cond), target, config.kernel, cache)
+                    loss = lambda th: mmd_loss(dist(th, cond), target, config.kernel)
                     theta = spsa_step(theta, loss, spsa_iteration, rng)
                     spsa_iteration += 1
                 else:
-                    grad = mmd_gradient(model.with_theta(theta), target, config.kernel, cond, cache)
+                    grad = mmd_gradient(model.with_theta(theta), target, config.kernel, cond)
                     t += 1
                     theta, m, v = _functional_adam(theta, grad, m, v, t, lr)
         dists = {c: dist(theta, c) for c in conditions}
         row = {"epoch": epoch, "lr": lr, "phase": "spsa" if spsa else "adam"}
         row["grad_norm"] = 0.0 if spsa else float(np.linalg.norm(grad))
         for key, target_map in (("train_loss", targets), ("val_loss", val_targets)):
-            row[key] = float(np.mean([mmd_loss(dists[c], target_map[c], config.kernel, cache) for c in conditions]))
+            row[key] = float(np.mean([mmd_loss(dists[c], target_map[c], config.kernel) for c in conditions]))
         row["tv"] = float(np.mean([total_variance(dists[c], val_targets[c]) for c in conditions]))
         rows.append(row)
         if row["val_loss"] < best_val:

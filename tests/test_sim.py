@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from borngen.born import BornModel
 from borngen.data import CONDITION_VALUES
 from borngen.distributions import DiscreteDistribution
-from borngen.metrics import GramCache, KernelConfig, _loss_derivative, mmd_gradient
+from borngen.metrics import KernelConfig, _gram, _loss_derivative, mmd_gradient
 from borngen import experiments, metrics, sim
 from borngen.sim import Gate, run_circuit, run_circuit_batch
 from borngen.circuits import (
@@ -626,7 +626,7 @@ def _check_bound_equals_unbound(circuit, data_angles, rng):
     theta = rng.uniform(0, 2 * np.pi, circuit.n_parameters)
     p = rng.random(2**circuit.n_qubits)
     target = DiscreteDistribution(p / p.sum(), circuit.register_bits)
-    gram = GramCache(circuit.register_bits, KernelConfig())
+    gram = _gram(circuit.register_bits, KernelConfig())
     observable_of = lambda psi: _loss_derivative(np.abs(psi) ** 2, target, gram)
     psi, grad = sim.adjoint_gradient(circuit, theta, observable_of, data_angles)
     ref_psi, ref_grad = _unbound_gradient(circuit, theta, observable_of, data_angles)
@@ -746,7 +746,7 @@ def _observable(circuit, seed):
     rng = np.random.default_rng(seed)
     p = rng.random(2**circuit.n_qubits)
     target = DiscreteDistribution(p / p.sum(), circuit.register_bits)
-    gram = GramCache(circuit.register_bits, KernelConfig())
+    gram = _gram(circuit.register_bits, KernelConfig())
     return target, lambda psi: _loss_derivative(np.abs(psi) ** 2, target, gram)
 
 
@@ -953,8 +953,7 @@ def test_a_warm_gradient_allocates_no_state_rows(monkeypatch):
     circuit = build_multivariate(3, 3, 4, CorrelationBlockChoice())
     target, _ = _observable(circuit, 37)
     model = BornModel(circuit, np.random.default_rng(38).uniform(0, 2 * np.pi, circuit.n_parameters))
-    gram = GramCache(circuit.register_bits, KernelConfig())
-    mmd_gradient(model, target, KernelConfig(), cache=gram)  # builds the plan
+    mmd_gradient(model, target, KernelConfig())  # builds the plan and the Gram
     plan = circuit.program.plan
     reads, states = len(circuit.program.reads), plan.states.shape[1] * plan.states.itemsize
     bound = (reads + 1) * states
@@ -966,7 +965,7 @@ def test_a_warm_gradient_allocates_no_state_rows(monkeypatch):
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        mmd_gradient(model, target, KernelConfig(), cache=gram)
+        mmd_gradient(model, target, KernelConfig())
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
