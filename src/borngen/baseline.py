@@ -11,6 +11,7 @@ from .data import BinningSpec, discretize
 from .metrics import KernelConfig, SampleTarget, mmd_loss_samples, total_variance
 from .optimize import AdamState, Schedule, adam_step
 from .optimize import _check_finite, _run_epochs
+from .sim import _is_count
 
 __all__ = [
     "MlpSpec",
@@ -36,8 +37,8 @@ class MlpSpec:
     output_dim: int
 
     def __post_init__(self):
-        if self.latent_dim < 1 or self.output_dim < 1 or any(h < 1 for h in self.hidden):
-            raise ValueError("all layer sizes must be >= 1")
+        if not all(_is_count(size, 1) for size in self.layer_sizes):
+            raise ValueError(f"all layer sizes must be integers >= 1, not {self.layer_sizes}")
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:

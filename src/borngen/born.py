@@ -11,13 +11,12 @@ from typing import Optional
 import numpy as np
 
 from .circuits import CircuitSpec, _circuit_from_dict, _circuit_to_dict, encode_condition
-from .distributions import DiscreteDistribution, marginal
+from .distributions import DiscreteDistribution
 from .sim import run_circuit, run_circuit_batch
 
 __all__ = [
     "BornModel",
     "model_distribution",
-    "marginal",
     "save_checkpoint",
     "load_checkpoint",
 ]

@@ -4,11 +4,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 
-from .sim import Gate, compile_circuit
+from .sim import PARAMETERIZED_KINDS, Gate, _is_count, compile_circuit
 
 __all__ = [
     "CircuitSpec",
@@ -29,8 +29,9 @@ __all__ = [
 class CircuitSpec:
     """Ordered gate list with trainable and data parameter slots.
 
-    register_layout maps feature registers to half-open qubit ranges;
-    register 0 occupies the lowest qubit indices.
+    register_layout maps feature registers to half-open qubit ranges,
+    non-empty and consecutive from qubit 0 to n_qubits: register 0 occupies
+    the lowest qubit indices, and register_bits keeps only the widths.
     """
 
     n_qubits: int
@@ -41,10 +42,10 @@ class CircuitSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        if self.n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        if self.n_parameters < 0 or self.n_data_slots < 0:
-            raise ValueError("slot counts must be at least 0")
+        if not _is_count(self.n_qubits, 1):
+            raise ValueError(f"need at least one qubit, not n_qubits={self.n_qubits!r}")
+        if not (_is_count(self.n_parameters) and _is_count(self.n_data_slots)):
+            raise ValueError("slot counts must be integers of at least 0")
         slots = [g.param_slot for g in self.gates if g.param_slot is not None]
         if sorted(set(slots)) != list(range(self.n_parameters)):
             raise ValueError("parameter slots must cover exactly 0..n_parameters-1")
@@ -54,9 +55,15 @@ class CircuitSpec:
         for g in self.gates:
             if any(t >= self.n_qubits for t in g.targets):
                 raise ValueError(f"gate {g} targets a qubit >= {self.n_qubits}")
-        for _, (lo, hi) in self.register_layout:
-            if not 0 <= lo < hi <= self.n_qubits:
-                raise ValueError("register range outside qubit range")
+        start = 0
+        for name, (lo, hi) in self.register_layout:
+            if not (_is_count(lo) and lo == start and _is_count(hi, start + 1)):
+                raise ValueError(
+                    f"register {name!r} spans {(lo, hi)}, not a non-empty range from qubit {start}"
+                )
+            start = hi
+        if start not in (0, self.n_qubits):
+            raise ValueError(f"registers end at qubit {start}, not at n_qubits={self.n_qubits}")
 
     @property
     def register_bits(self) -> tuple[int, ...]:
@@ -119,26 +126,34 @@ def _default_layout(n_registers, qubits_per_register):
     )
 
 
+def _on_each(kind: str, qubits: range) -> list[tuple[str, tuple[int, ...]]]:
+    return [(kind, (q,)) for q in qubits]
+
+
+def _cnot_chain(qubits: range) -> list[tuple[str, tuple[int, ...]]]:
+    return [("CNOT", (q, q + 1)) for q in qubits[:-1]]
+
+
+def _numbered(n_qubits: int, gates, register_layout=()) -> CircuitSpec:
+    """The circuit of the (kind, targets) gates in order. Each RY, RX and
+    RZZ takes the next trainable slot, so theta is stored in gate order."""
+    slots = count()
+    numbered = tuple(
+        Gate(kind, targets, param_slot=next(slots) if kind in PARAMETERIZED_KINDS else None)
+        for kind, targets in gates
+    )
+    n_parameters = sum(g.param_slot is not None for g in numbered)
+    return CircuitSpec(n_qubits, numbered, n_parameters, register_layout=register_layout)
+
+
 def build_hardware_efficient(n_qubits: int, n_layers: int) -> CircuitSpec:
     """Layered ansatz: RY and RX on all qubits plus a linear CNOT chain,
     with one extra RY layer before measurement."""
     if n_qubits < 1 or n_layers < 0:
         raise ValueError("need n_qubits >= 1 and n_layers >= 0")
-    gates: list[Gate] = []
-    slot = 0
-    for _ in range(n_layers):
-        for q in range(n_qubits):
-            gates.append(Gate("RY", (q,), param_slot=slot))
-            slot += 1
-        for q in range(n_qubits):
-            gates.append(Gate("RX", (q,), param_slot=slot))
-            slot += 1
-        for q in range(n_qubits - 1):
-            gates.append(Gate("CNOT", (q, q + 1)))
-    for q in range(n_qubits):
-        gates.append(Gate("RY", (q,), param_slot=slot))
-        slot += 1
-    return CircuitSpec(n_qubits, tuple(gates), slot)
+    qubits = range(n_qubits)
+    layer = _on_each("RY", qubits) + _on_each("RX", qubits) + _cnot_chain(qubits)
+    return _numbered(n_qubits, layer * n_layers + _on_each("RY", qubits))
 
 
 def build_1d_rzz_ansatz(n_qubits: int) -> CircuitSpec:
@@ -146,43 +161,30 @@ def build_1d_rzz_ansatz(n_qubits: int) -> CircuitSpec:
     then a final RY layer. 2N + N(N-1)/2 + N parameters."""
     if n_qubits < 2:
         raise ValueError("need at least 2 qubits")
-    gates: list[Gate] = []
-    slot = 0
-    for q in range(n_qubits):
-        gates.append(Gate("RY", (q,), param_slot=slot))
-        slot += 1
-    for q in range(n_qubits):
-        gates.append(Gate("RX", (q,), param_slot=slot))
-        slot += 1
-    for i, j in combinations(range(n_qubits), 2):
-        gates.append(Gate("RZZ", (i, j), param_slot=slot))
-        slot += 1
-    for q in range(n_qubits):
-        gates.append(Gate("RY", (q,), param_slot=slot))
-        slot += 1
-    return CircuitSpec(n_qubits, tuple(gates), slot)
+    qubits = range(n_qubits)
+    rzz = [("RZZ", pair) for pair in combinations(qubits, 2)]
+    return _numbered(
+        n_qubits, _on_each("RY", qubits) + _on_each("RX", qubits) + rzz + _on_each("RY", qubits)
+    )
 
 
 def _correlation_gates(
     n_registers: int, qubits_per_register: int, choice: CorrelationBlockChoice
-) -> list[Gate]:
+) -> list[tuple[str, tuple[int, ...]]]:
     n = qubits_per_register
     idx = lambda reg, i: reg * n + i
     depth = 1 if choice.depth_pairs == "first_only" else n
-    gates: list[Gate] = []
+    pairs = _register_pairs(n_registers, choice.connectivity)
+    gates = []
     if choice.style == "hh_cx":
-        for a, b in _register_pairs(n_registers, choice.connectivity):
+        for a, b in pairs:
             for i in range(depth):
+                qa, qb = idx(a, i), idx(b, i)
                 # literal right-to-left reading of (H x H) . CX
-                gates.append(Gate("CNOT", (idx(a, i), idx(b, i))))
-                gates.append(Gate("H", (idx(a, i),)))
-                gates.append(Gate("H", (idx(b, i),)))
+                gates += [("CNOT", (qa, qb)), ("H", (qa,)), ("H", (qb,))]
     else:  # bell: Hadamard on the chain head, then a CNOT cascade
-        pairs = _register_pairs(n_registers, choice.connectivity)
         for i in range(depth):
-            gates.append(Gate("H", (idx(0, i),)))
-            for a, b in pairs:
-                gates.append(Gate("CNOT", (idx(a, i), idx(b, i))))
+            gates += [("H", (idx(0, i),))] + [("CNOT", (idx(a, i), idx(b, i))) for a, b in pairs]
     return gates
 
 
@@ -192,12 +194,10 @@ def build_correlation_block(
     """The parameter-free entangling block between feature registers."""
     if n_registers < 2 or qubits_per_register < 1:
         raise ValueError("need >= 2 registers with >= 1 qubit each")
-    gates = _correlation_gates(n_registers, qubits_per_register, choice)
-    return CircuitSpec(
+    return _numbered(
         n_registers * qubits_per_register,
-        tuple(gates),
-        0,
-        register_layout=_default_layout(n_registers, qubits_per_register),
+        _correlation_gates(n_registers, qubits_per_register, choice),
+        _default_layout(n_registers, qubits_per_register),
     )
 
 
@@ -211,27 +211,13 @@ def build_multivariate(
     block per register], then a final RY layer on all qubits."""
     if n_registers < 2 or qubits_per_register < 1 or n_repetitions < 0:
         raise ValueError("bad register/repetition counts")
-    n = qubits_per_register
-    n_qubits = n_registers * n
-    gates: list[Gate] = []
-    slot = 0
-    for _ in range(n_repetitions):
-        gates.extend(_correlation_gates(n_registers, n, choice))
-        for reg in range(n_registers):
-            base = reg * n
-            for i in range(n):
-                gates.append(Gate("RY", (base + i,), param_slot=slot))
-                slot += 1
-            for i in range(n - 1):
-                gates.append(Gate("CNOT", (base + i, base + i + 1)))
-    for q in range(n_qubits):
-        gates.append(Gate("RY", (q,), param_slot=slot))
-        slot += 1
-    return CircuitSpec(
-        n_qubits,
-        tuple(gates),
-        slot,
-        register_layout=_default_layout(n_registers, n),
+    n_qubits = n_registers * qubits_per_register
+    layout = _default_layout(n_registers, qubits_per_register)
+    repetition = _correlation_gates(n_registers, qubits_per_register, choice)
+    for _, (lo, hi) in layout:
+        repetition += _on_each("RY", range(lo, hi)) + _cnot_chain(range(lo, hi))
+    return _numbered(
+        n_qubits, repetition * n_repetitions + _on_each("RY", range(n_qubits)), layout
     )
 
 
@@ -292,9 +278,7 @@ def _circuit_from_dict(payload: dict) -> CircuitSpec:
         )
         for g in payload["gates"]
     )
-    layout = tuple(
-        (name, (int(lo), int(hi))) for name, (lo, hi) in payload["register_layout"]
-    )
+    layout = tuple((name, (lo, hi)) for name, (lo, hi) in payload["register_layout"])
     return CircuitSpec(
         payload["n_qubits"],
         gates,

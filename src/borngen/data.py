@@ -76,8 +76,11 @@ class BinningSpec:
                 raise ValueError(f"bin count {n} is not a power of two >= 2")
         if not len(self.n_bins) == len(self.lower) == len(self.upper):
             raise ValueError("per-feature lists must have equal length")
-        if any(lo >= hi for lo, hi in zip(self.lower, self.upper)):
-            raise ValueError("need lower < upper per feature")
+        for j, (lo, hi) in enumerate(zip(self.lower, self.upper)):
+            if not -math.inf < lo < hi < math.inf:  # NaN fails every comparison
+                raise ValueError(
+                    f"feature {j}: bin bounds ({lo}, {hi}) must be finite, with lower < upper"
+                )
 
     @property
     def register_bits(self) -> tuple[int, ...]:

@@ -106,9 +106,6 @@ def estimate_confusion_matrix(
         raise ValueError("need at least one shot per basis state")
     exact = readout_matrix(n_qubits, config).matrix
     rng = np.random.default_rng(config.seed)
-    dim = 2**n_qubits
-    m = np.empty((dim, dim))
-    for true_state in range(dim):
-        counts = rng.multinomial(shots_per_basis_state, exact[:, true_state])
-        m[:, true_state] = counts / shots_per_basis_state
-    return ConfusionMatrix(m)
+    # one row of counts per prepared state, drawn in turn from the stream
+    counts = rng.multinomial(shots_per_basis_state, exact.T)
+    return ConfusionMatrix(counts.T / shots_per_basis_state)

@@ -1,4 +1,5 @@
 """Classical MLP generator trained on the sample MMD."""
+import json
 import warnings
 
 import numpy as np
@@ -32,6 +33,10 @@ def test_spec_validation():
         MlpSpec(0, (8,), 1)
     with pytest.raises(ValueError):
         MlpSpec(4, (0,), 1)
+    # the sizes that load_weights reads from a file are checked as integers
+    for sizes in [(15, (64.5,), 1), (True, (64,), 1), (4, (8,), 2.0)]:
+        with pytest.raises(ValueError, match="integers >= 1"):
+            MlpSpec(*sizes)
     assert SPEC.layer_sizes == (4, 8, 6, 2)
 
 
@@ -239,3 +244,13 @@ def test_weight_serialization_round_trip(tmp_path):
     for (w0, b0), (w1, b1) in zip(weights, restored):
         np.testing.assert_allclose(w0, w1)
         np.testing.assert_allclose(b0, b1)
+
+
+def test_weights_file_with_a_fractional_layer_size_fails_at_load(tmp_path):
+    path = tmp_path / "weights.json"
+    save_weights(init_weights(SPEC, seed=4), SPEC, path)
+    payload = json.loads(path.read_text())
+    payload["spec"]["hidden"][0] = 8.5
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"integers >= 1, not \(4, 8.5, 6, 2\)"):
+        load_weights(path)

@@ -224,6 +224,28 @@ def test_checkpoint_of_a_conditional_circuit_without_a_condition_range_fails_at_
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "layout",
+    [
+        [["qA", [2, 4]], ["qB", [0, 2]]],
+        [["qA", [0, 3]], ["qB", [1, 4]]],
+        [["qA", [0, 2]]],
+        [["qA", [0, 2.5]], ["qB", [2, 4]]],
+    ],
+    ids=["swapped", "overlapping", "gapped", "fractional"],
+)
+def test_checkpoint_whose_registers_do_not_tile_the_qubits_fails_at_load(tmp_path, layout):
+    # register_bits keeps only the widths, so any other layout misreads the bins
+    circuit = build_multivariate(2, 2, 1, CorrelationBlockChoice())
+    path = tmp_path / "model.json"
+    save_checkpoint(BornModel(circuit, np.zeros(circuit.n_parameters)), path)
+    payload = json.loads(path.read_text())
+    payload["circuit"]["register_layout"] = layout
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="register .* spans|registers end at qubit"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("condition_range", [(50.0,), (50.0, 50.0), (True, 200.0), ("50", 200.0),
                                              (50.0, float("inf"))])
 def test_condition_range_must_be_an_increasing_pair_of_finite_numbers(condition_range):

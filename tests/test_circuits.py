@@ -18,7 +18,7 @@ from borngen.circuits import (
     circuit_to_json,
     encode_condition,
 )
-from borngen.sim import Gate, run_circuit
+from borngen.sim import PARAMETERIZED_KINDS, Gate, run_circuit
 
 
 def test_1d_ansatz_parameter_count():
@@ -204,6 +204,52 @@ def test_a_loaded_circuit_checks_its_gate_targets(field, value):
 def test_circuit_spec_rejects_no_qubits(n_qubits):
     with pytest.raises(ValueError, match="at least one qubit"):
         CircuitSpec(n_qubits, (), 0)
+
+
+@pytest.mark.parametrize(
+    "n_qubits, n_parameters, n_data_slots, complaint",
+    [
+        (True, 0, 0, "at least one qubit"),
+        (2.0, 0, 0, "at least one qubit"),
+        (1, 0.0, 0, "at least 0"),
+        (1, 0, False, "at least 0"),
+    ],
+)
+def test_circuit_spec_counts_must_be_integers(n_qubits, n_parameters, n_data_slots, complaint):
+    with pytest.raises(ValueError, match=complaint):
+        CircuitSpec(n_qubits, (), n_parameters, n_data_slots)
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        (("qA", (2, 4)), ("qB", (0, 2))),
+        (("qA", (0, 3)), ("qB", (1, 4))),
+        (("qA", (0, 2)),),
+        (("qA", (0, 0)), ("qB", (0, 4))),
+        (("qA", (0, 2)), ("qB", (2, 5))),
+        (("qA", (0, 2.0)), ("qB", (2, 4))),
+        (("qA", (False, 2)), ("qB", (2, 4))),
+    ],
+    ids=["swapped", "overlapping", "gapped", "empty", "past-the-end", "fraction", "bool"],
+)
+def test_register_layout_must_tile_the_qubits_from_0_in_order(layout):
+    # register_bits keeps only the widths: a swapped layout would read qA as qubits 0-1
+    with pytest.raises(ValueError, match="register .* spans|registers end at qubit"):
+        CircuitSpec(4, (), 0, register_layout=layout)
+
+
+def test_every_builder_numbers_its_trainable_slots_in_gate_order():
+    # theta is stored in this order in every checkpoint
+    circuits = [build_hardware_efficient(n, layers) for n in (1, 3) for layers in (0, 2)]
+    circuits += [build_conditional(n, layers) for n in (1, 3) for layers in (0, 2)]
+    circuits += [build_1d_rzz_ansatz(n) for n in (2, 4)]
+    for choice in all_block_choices():
+        circuits += [build_correlation_block(3, 2, choice), build_multivariate(3, 2, 2, choice)]
+    for circuit in circuits:
+        slots = [g.param_slot for g in circuit.gates
+                 if g.kind in PARAMETERIZED_KINDS and g.data_slot is None]
+        assert slots == list(range(circuit.n_parameters))
 
 
 def test_json_round_trip():

@@ -149,6 +149,16 @@ def test_binning_spec_validation():
         BinningSpec((4, 4), (0.0,), (1.0,))
 
 
+def test_binning_spec_bounds_must_be_finite():
+    # NaN fails every comparison, so lower < upper alone lets it through
+    with pytest.raises(ValueError, match=r"feature 0: bin bounds \(nan, nan\) must be finite"):
+        BinningSpec.from_training_data([[0.0], [np.nan], [1.0]], [4])
+    with pytest.raises(ValueError, match="feature 1: bin bounds"):
+        BinningSpec((4, 4), (0.0, -np.inf), (1.0, 1.0))
+    with pytest.raises(ValueError, match="feature 0: bin bounds"):
+        BinningSpec((4,), (0.0,), (np.inf,))
+
+
 def test_bin_centers():
     spec = BinningSpec((4,), (0.0,), (1.0,))
     np.testing.assert_allclose(spec.bin_centers(0), [0.125, 0.375, 0.625, 0.875])

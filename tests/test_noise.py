@@ -99,6 +99,19 @@ def test_estimated_confusion_matrix_converges():
     np.testing.assert_allclose(estimated.sum(axis=0), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "n_qubits, flip_prob, shots", [(1, 0.029, 7), (3, (0.01, 0.2, 0.4), 100), (5, 0.1, 1000)]
+)
+def test_calibration_counts_equal_one_draw_per_prepared_state(n_qubits, flip_prob, shots):
+    # the counts of each basis state in turn, from one stream
+    config = NoiseConfig(flip_prob, seed=3)
+    exact = readout_matrix(n_qubits, config).matrix
+    rng = np.random.default_rng(config.seed)
+    columns = [rng.multinomial(shots, exact[:, state]) / shots for state in range(2**n_qubits)]
+    estimated = estimate_confusion_matrix(n_qubits, config, shots).matrix
+    np.testing.assert_array_equal(estimated, np.column_stack(columns))
+
+
 def test_estimated_confusion_matrix_shot_check():
     with pytest.raises(ValueError):
         estimate_confusion_matrix(2, NoiseConfig(), 0)

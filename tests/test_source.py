@@ -1,6 +1,7 @@
 """Source checks that need no linter: no module of borngen imports a name it
-does not use, or lists in __all__ a name it does not define, and only the
-epoch loop in optimize builds the per-epoch trace records."""
+does not use, or lists in __all__ a name it does not define or (but for the
+package's __init__) imports, and only the epoch loop in optimize builds the
+per-epoch trace records."""
 import ast
 import importlib
 import types
@@ -9,6 +10,16 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "borngen"
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    """The names that the module's __all__ lists."""
+    return [
+        element.value
+        for node in ast.walk(tree)
+        if [getattr(t, "id", None) for t in getattr(node, "targets", ())] == ["__all__"]
+        for element in node.value.elts
+    ]
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -26,10 +37,7 @@ def _unused_imports(path: Path) -> list[str]:
         for alias in node.names:
             imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
-        if targets == ["__all__"]:
-            used.update(element.value for element in node.value.elts)
+    used.update(_exported(tree))
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
@@ -71,6 +79,37 @@ def test_stale_export_check_finds_one():
     module = types.ModuleType("mod")
     exec("__all__ = ['kept', 'removed']\nkept = 1\n", module.__dict__)
     assert _stale_exports(module) == ["mod.removed"]
+
+
+def _reexports(path: Path) -> list[str]:
+    """Names in the module's __all__ that it imports rather than defines."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    return [f"{path.stem}.{name}" for name in _exported(tree) if name in imported]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}), ids=lambda p: p.name
+)
+def test_only_the_package_re_exports_names(path):
+    # a name is exported by the module that defines it, so no caller imports it twice over
+    assert _reexports(path) == []
+
+
+def test_re_export_check_finds_one(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from json import dumps, loads\n"
+        "import os\n"
+        "__all__ = ['loads', 'os', 'kept']\n"
+        "def kept(): return dumps\n"
+    )
+    assert _reexports(module) == ["mod.loads", "mod.os"]
 
 
 def _calls(path: Path, name: str) -> int:
