@@ -150,7 +150,9 @@ def train_gmmd(
 ):
     """Train the generator with ADAM on batched sample-MMD; returns the
     best-validation weights and the per-epoch trace, whose tv column is the
-    TV on binning's bins between generated events and the validation set."""
+    TV on binning's bins between generated events and the validation set.
+    Generated events with a NaN or infinite value stop training with a
+    TrainingDivergedError."""
     data = np.atleast_2d(np.asarray(dataset, dtype=float))
     if data.shape[1] != spec.output_dim:
         raise ValueError("dataset feature count does not match the net output")
@@ -167,7 +169,6 @@ def train_gmmd(
     val_dist = discretize(val, binning)
 
     def run_epoch(epoch, lr, flat, _best):
-        nonlocal adam_state
         epoch_loss = 0.0
         for step in range(config.batches_per_epoch):
             z = rng.standard_normal((config.batch_size, spec.latent_dim))
@@ -178,7 +179,7 @@ def train_gmmd(
             epoch_loss += loss / config.batches_per_epoch
             flat_grad = flatten_weights(grads)
             _check_finite(flat_grad, "gradient", epoch, step)
-            flat, adam_state = adam_step(flat, flat_grad, adam_state, lr)
+            flat = adam_step(flat, flat_grad, adam_state, lr)
             _check_finite(flat, "weights", epoch, step)
         # the trace records the norm of the epoch's last gradient
         grad_norm = float(np.linalg.norm(flat_grad))
@@ -186,6 +187,8 @@ def train_gmmd(
 
     def evaluate(flat):
         generated = forward(unflatten_weights(flat, spec), eval_latent)
+        if not np.isfinite(generated).all():  # no kernel value and no bin: the NaNs stop the run
+            return {"val_loss": np.nan, "tv": np.nan}
         val_loss = gmmd_batch_loss(generated, val_target, config.kernel)
         return {"val_loss": val_loss, "tv": total_variance(discretize(generated, binning), val_dist)}
 

@@ -5,12 +5,11 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .circuits import CircuitSpec, _circuit_from_dict, _circuit_to_dict, encode_condition
+from .circuits import CircuitSpec, circuit_from_dict, circuit_to_dict, encode_condition
 from .distributions import DiscreteDistribution
 from .sim import run_circuit, run_circuit_batch
 
@@ -33,10 +32,9 @@ class BornModel:
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
         object.__setattr__(self, "theta", theta)
-        if len(theta) != self.circuit.n_parameters:
-            raise ValueError(
-                f"theta length {len(theta)} != {self.circuit.n_parameters} parameters"
-            )
+        if theta.shape != (self.circuit.n_parameters,):
+            raise ValueError(f"theta must be a vector of {self.circuit.n_parameters} parameters, "
+                             f"not an array of shape {theta.shape}")
         bad = np.flatnonzero(~np.isfinite(theta))
         if len(bad):
             raise ValueError(f"theta[{bad[0]}] is {theta[bad[0]]}: parameters must be finite")
@@ -79,16 +77,7 @@ class BornModel:
             return None
         if condition is None:
             raise ValueError("conditional model requires a condition value")
-        return _condition_angles(float(condition), *self.condition_range, self.circuit.n_data_slots)
-
-
-@lru_cache(maxsize=64)
-def _condition_angles(condition: float, e_min: float, e_max: float, n_slots: int) -> np.ndarray:
-    """The encoded condition in each of n_slots data slots, read-only, as
-    the same array for every call with these values."""
-    angles = np.full(n_slots, encode_condition(condition, e_min, e_max))
-    angles.flags.writeable = False
-    return angles
+        return np.full(self.circuit.n_data_slots, encode_condition(condition, *self.condition_range))
 
 
 def model_distribution(
@@ -114,7 +103,7 @@ CHECKPOINT_SCHEMA = 1
 def save_checkpoint(model: BornModel, path, extra: Optional[dict] = None) -> None:
     payload = {
         "schema": CHECKPOINT_SCHEMA,
-        "circuit": _circuit_to_dict(model.circuit),
+        "circuit": circuit_to_dict(model.circuit),
         "theta": [float(t) for t in model.theta],
         "condition_range": list(model.condition_range)
         if model.condition_range
@@ -134,7 +123,7 @@ def load_checkpoint(path) -> BornModel:
             f"{path}: checkpoint schema version {schema!r} is not supported "
             f"(this borngen reads version {CHECKPOINT_SCHEMA})"
         )
-    circuit = _circuit_from_dict(payload["circuit"])
+    circuit = circuit_from_dict(payload["circuit"])
     rng = payload.get("condition_range")
     return BornModel(
         circuit,

@@ -1,7 +1,6 @@
 """Circuit builders: layered ansatz, multi-register model, conditional model."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, count
@@ -20,8 +19,8 @@ __all__ = [
     "build_multivariate",
     "build_conditional",
     "encode_condition",
-    "circuit_to_json",
-    "circuit_from_json",
+    "circuit_to_dict",
+    "circuit_from_dict",
 ]
 
 
@@ -246,8 +245,8 @@ def encode_condition(e_in: float, e_min: float, e_max: float) -> float:
     return float(np.arcsin((e_in - e_min) / (e_max - e_min)))
 
 
-def _circuit_to_dict(circuit: CircuitSpec) -> dict:
-    """The circuit as the JSON-ready dict that circuit_to_json writes."""
+def circuit_to_dict(circuit: CircuitSpec) -> dict:
+    """The circuit as a JSON-ready dict, as a checkpoint stores it."""
     return {
         "n_qubits": circuit.n_qubits,
         "n_parameters": circuit.n_parameters,
@@ -267,8 +266,8 @@ def _circuit_to_dict(circuit: CircuitSpec) -> dict:
     }
 
 
-def _circuit_from_dict(payload: dict) -> CircuitSpec:
-    """The circuit that _circuit_to_dict gave payload for."""
+def circuit_from_dict(payload: dict) -> CircuitSpec:
+    """The circuit that circuit_to_dict gave payload for."""
     gates = tuple(
         Gate(
             g["kind"],
@@ -286,11 +285,3 @@ def _circuit_from_dict(payload: dict) -> CircuitSpec:
         payload["n_data_slots"],
         layout,
     )
-
-
-def circuit_to_json(circuit: CircuitSpec) -> str:
-    return json.dumps(_circuit_to_dict(circuit), indent=2, sort_keys=True)
-
-
-def circuit_from_json(text: str) -> CircuitSpec:
-    return _circuit_from_dict(json.loads(text))

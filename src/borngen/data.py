@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, bin_shape
 
 __all__ = [
     "PreprocessParams",
@@ -100,13 +100,6 @@ class BinningSpec:
         lo, hi, n = self.lower[feature], self.upper[feature], self.n_bins[feature]
         width = (hi - lo) / n
         return lo + width * (np.arange(n) + 0.5)
-
-    def _column_bins(self, column: np.ndarray, feature: int) -> np.ndarray:
-        """One feature's values -> its bin indices, clipped to range."""
-        lo, hi, n = self.lower[feature], self.upper[feature], self.n_bins[feature]
-        width = (hi - lo) / n
-        idx = np.floor((column - lo) / width).astype(int)
-        return np.clip(idx, 0, n - 1, out=idx)
 
 
 def _raw_features(events: np.ndarray, incoming_mean: float,
@@ -207,17 +200,27 @@ def inverse_preprocess(features: np.ndarray, params: PreprocessParams) -> np.nda
 
 
 def discretize(features: np.ndarray, spec: BinningSpec) -> DiscreteDistribution:
-    """Empirical joint distribution over the bin tuples of the spec."""
+    """Empirical joint distribution over the bin tuples of the spec. A value
+    outside a feature's bounds counts in that feature's nearest bin. No
+    events, or a NaN or infinite value, is a ValueError."""
     x = np.atleast_2d(np.asarray(features, dtype=float))
     if x.shape[1] != len(spec.n_bins):
         raise ValueError("feature dimension does not match binning spec")
+    if len(x) == 0:
+        raise ValueError("no events to discretize")
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = np.flatnonzero(~finite.all(axis=0))[0]
+        raise ValueError(f"feature {bad} has a NaN or infinite value: it falls in no bin")
+    bins = []  # each feature's bin indices, last feature first as bin_shape orders them
+    for j in reversed(range(x.shape[1])):
+        lo, hi, n = spec.lower[j], spec.upper[j], spec.n_bins[j]
+        idx = np.floor((x[:, j] - lo) / ((hi - lo) / n))
+        # clipped while still a float: a float beyond intp's range has no defined cast
+        bins.append(np.clip(idx, 0, n - 1, out=idx).astype(np.intp))
     bits = spec.register_bits
-    flat = np.zeros(len(x), dtype=int)
-    shift = 0
-    for j, b in enumerate(bits):
-        flat |= spec._column_bins(x[:, j], j) << shift
-        shift += b
-    counts = np.bincount(flat, minlength=2**shift)
+    flat = np.ravel_multi_index(tuple(bins), bin_shape(bits))
+    counts = np.bincount(flat, minlength=2 ** sum(bits))
     return DiscreteDistribution(counts / counts.sum(), bits)
 
 

@@ -7,17 +7,21 @@ import numpy as np
 
 from .sim import _is_count
 
-__all__ = ["DiscreteDistribution", "marginal", "sample"]
+__all__ = ["DiscreteDistribution", "bin_shape", "marginal", "sample"]
+
+
+def bin_shape(register_bits) -> tuple[int, ...]:
+    """The shape whose C-order flat index is the bin index: the bins per
+    feature, last feature first. Feature 0 so takes the least-significant
+    bits of the index, matching the simulator's qubit ordering (qubit 0 =
+    least-significant bit of the basis index)."""
+    return tuple(2**b for b in reversed(register_bits))
 
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Probability vector over bin tuples.
-
-    The flat index packs the per-feature bin indices with feature 0 in the
-    least-significant bits, matching the simulator's qubit ordering
-    (qubit 0 = least-significant bit of the basis index).
-    """
+    """Probability vector over bin tuples, indexed as bin_shape lays them
+    out."""
 
     probs: np.ndarray
     register_bits: tuple[int, ...]
@@ -39,14 +43,9 @@ class DiscreteDistribution:
         return len(self.register_bits)
 
     def bin_coordinates(self) -> np.ndarray:
-        """(n_outcomes, n_features) array of bin indices as floats."""
-        idx = np.arange(len(self.probs))
-        coords = np.empty((len(idx), self.n_features))
-        shift = 0
-        for j, bits in enumerate(self.register_bits):
-            coords[:, j] = (idx >> shift) & (2**bits - 1)
-            shift += bits
-        return coords
+        """(n_outcomes, n_features) array of each outcome's bin indices."""
+        coords = np.unravel_index(np.arange(len(self.probs)), bin_shape(self.register_bits))
+        return np.column_stack(coords[::-1])
 
 
 def marginal(dist: DiscreteDistribution, j: int) -> DiscreteDistribution:
@@ -55,10 +54,8 @@ def marginal(dist: DiscreteDistribution, j: int) -> DiscreteDistribution:
     a KeyError."""
     if not (_is_count(j) and j < dist.n_features):
         raise KeyError(f"feature index {j!r} out of range")
-    # reshape puts the last feature (high bits) on axis 0
-    shape = tuple(2**b for b in reversed(dist.register_bits))
     axis = dist.n_features - 1 - j
-    table = dist.probs.reshape(shape)
+    table = dist.probs.reshape(bin_shape(dist.register_bits))
     keep = [a for a in range(dist.n_features) if a != axis]
     p = table.sum(axis=tuple(keep)) if keep else table
     return DiscreteDistribution(p, (dist.register_bits[j],))

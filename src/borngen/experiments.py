@@ -31,6 +31,7 @@ from .data import (
     CONDITION_VALUES,
     BinningSpec,
     DEFAULT_CORRELATION,
+    FEATURE_NAMES,
     _preprocessed_columns,
     _split_by,
     _split_order,
@@ -254,7 +255,8 @@ def _near(e_in: np.ndarray, condition: float) -> np.ndarray:
 def _events(config: ExperimentConfig, seed_offsets: dict) -> dict:
     """(n, 4) events for each condition in seed_offsets, which maps a
     condition to the seed offset of its synthetic events. A CSV source is
-    read once and split on e_in; a malformed row is a config error."""
+    read once and split on e_in; a malformed row, or a condition with
+    fewer than 2 events, is a config error."""
     d = config.settings["data"]
     if d["source"] != "csv":
         return {
@@ -269,6 +271,9 @@ def _events(config: ExperimentConfig, seed_offsets: dict) -> dict:
     for cond, picked in selected.items():
         if not len(picked):
             raise ConfigError(f"no events with e_in == {cond} (to 1e-9) in {d['path']}")
+        if len(picked) == 1:
+            raise ConfigError(f"1 event with e_in == {cond} (to 1e-9) in {d['path']}: a condition "
+                              "needs at least 2, to split into training and validation halves")
     return selected
 
 
@@ -409,17 +414,16 @@ def _exp_multi(config: ExperimentConfig):
     )
     trained, trace = _fit(config, circuit, train_dist, val_dist)
     dist = model_distribution(trained)
-    names = ("e_out", "pt", "eta")
     # Each bin's centre in physical units: the Pearson matrices weight these
     # rows by the bin counts of the binned events.
-    coords = dist.bin_coordinates().astype(int)
-    centers = np.column_stack([binning.bin_centers(j)[coords[:, j]] for j in range(len(names))])
+    coords = dist.bin_coordinates()
+    centers = np.column_stack([binning.bin_centers(j)[col] for j, col in enumerate(coords.T)])
     physical = inverse_preprocess(centers, params)
     generated = np.bincount(sample(dist, 100000, config.seed), minlength=len(dist.probs))
     metrics = {
         "tv_per_feature": {
             name: total_variance(marginal(dist, j), marginal(val_dist, j))
-            for j, name in enumerate(names)
+            for j, name in enumerate(FEATURE_NAMES)
         },
         "pearson_generated": pearson_correlation(physical, generated).tolist(),
         "pearson_data": pearson_correlation(physical, val_dist.probs).tolist(),
@@ -428,7 +432,7 @@ def _exp_multi(config: ExperimentConfig):
     }
     histograms = [
         (name, binning, j, marginal(val_dist, j), marginal(dist, j), config.seed + j)
-        for j, name in enumerate(names)
+        for j, name in enumerate(FEATURE_NAMES)
     ]
     return _checkpoint(config, trained), trace, metrics, histograms
 

@@ -121,10 +121,9 @@ def adam_step(
     gradient: np.ndarray,
     state: AdamState,
     lr: float,
-) -> tuple[np.ndarray, AdamState]:
+) -> np.ndarray:
     """One bias-corrected ADAM update. It updates state in place (its
-    moments m and v and its step count t) and returns the new theta and
-    state itself."""
+    moments m and v and its step count t) and returns the new theta."""
     theta = np.asarray(theta, dtype=float)
     gradient = np.asarray(gradient, dtype=float)
     if theta.shape != gradient.shape:
@@ -138,7 +137,7 @@ def adam_step(
     step = m / (1 - _BETA1**state.t)  # m_hat
     step *= lr
     step /= np.sqrt(v / (1 - _BETA2**state.t)) + _EPS  # over sqrt(v_hat) + eps
-    return theta - step, state
+    return theta - step
 
 
 def spsa_step(
@@ -254,7 +253,7 @@ def train(
     spsa_iteration = 0
 
     def run_epoch(epoch, lr, theta, best_theta):
-        nonlocal adam_state, spsa_iteration
+        nonlocal spsa_iteration
         spsa_phase = config.optimizer == "spsa" or epoch >= config.max_epochs
         if epoch == config.max_epochs:
             theta = best_theta.copy()  # fine-tuning resumes from the best point
@@ -269,7 +268,7 @@ def train(
                 else:
                     grad = mmd_gradient(model.with_theta(theta), batch, config.kernel, cond)
                     _check_finite(grad, "gradient", epoch, step)
-                    theta, adam_state = adam_step(theta, grad, adam_state, lr)
+                    theta = adam_step(theta, grad, adam_state, lr)
                 _check_finite(theta, "theta", epoch, step)
                 step += 1
         # the trace records the norm of the epoch's last gradient

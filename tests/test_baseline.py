@@ -219,6 +219,21 @@ def test_non_finite_data_stops_training_at_the_first_step():
         train_gmmd(MlpSpec(4, (8,), 1), np.full((200, 1), np.nan), config, binning, val)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_evaluation_batch_stops_training(monkeypatch, value):
+    # the generated batch of the first evaluation has no kernel value and no
+    # bin; its NaN validation loss and TV end the run without a warning
+    def non_finite_forward(weights, z):
+        return np.full((len(z), 1), value)
+
+    monkeypatch.setattr(baseline, "forward", non_finite_forward)
+    config = GmmdConfig(max_epochs=2, batches_per_epoch=2, batch_size=32, seed=0)
+    data = np.random.default_rng(7).standard_normal((200, 1))
+    binning = BinningSpec.from_training_data(data, [16])
+    with pytest.raises(TrainingDivergedError, match="non-finite loss at epoch 0: train=.*, val=nan"):
+        train_gmmd(MlpSpec(4, (8,), 1), data, config, binning)
+
+
 def test_training_shape_check():
     data = np.linspace(0.0, 1.0, 100)[:, None]
     binning = BinningSpec.from_training_data(data, [16])

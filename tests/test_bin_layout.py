@@ -17,20 +17,27 @@ from borngen.distributions import marginal
 from borngen.metrics import KernelConfig, _gram
 
 
-# Both circuits are one RY(theta_q) on each qubit q, with a register per
+# Each circuit is one RY(theta_q) on each qubit q, with a register per
 # feature; build_multivariate takes equal registers only.
 UNEQUAL_LAYOUT = (("qA", (0, 2)), ("qB", (2, 5)), ("qC", (5, 6)))
+FOUR_LAYOUT = (("qA", (0, 1)), ("qB", (1, 3)), ("qC", (3, 4)), ("qD", (4, 6)))
 CIRCUITS = {
+    (16,): build_hardware_efficient(4, 0),
     (8, 8, 8): build_multivariate(3, 3, 0, CorrelationBlockChoice()),
     (4, 8, 2): CircuitSpec(
         6, build_hardware_efficient(6, 0).gates, 6, register_layout=UNEQUAL_LAYOUT
     ),
+    (2, 4, 2, 4): CircuitSpec(
+        6, build_hardware_efficient(6, 0).gates, 6, register_layout=FOUR_LAYOUT
+    ),
 }
+# each feature's bin bounds, the first len(n_bins) of them taken
+LOWER, UPPER = (-1.0, 0.0, 2.0, -3.0), (1.0, 4.0, 3.0, 5.0)
 
 
 @pytest.mark.parametrize("n_bins", list(CIRCUITS), ids=lambda bins: "-".join(map(str, bins)))
 def test_a_bin_tuple_has_one_basis_index_everywhere(n_bins):
-    spec = BinningSpec(n_bins, (-1.0, 0.0, 2.0), (1.0, 4.0, 3.0))
+    spec = BinningSpec(n_bins, LOWER[: len(n_bins)], UPPER[: len(n_bins)])
     bits = spec.register_bits
     size = 2 ** sum(bits)
     # row i: the bin tuple of index i, read as mixed-radix digits with feature 0 lowest

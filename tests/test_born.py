@@ -18,7 +18,7 @@ from borngen.circuits import (
     build_correlation_block,
     build_hardware_efficient,
     build_multivariate,
-    circuit_to_json,
+    circuit_to_dict,
 )
 from borngen.distributions import sample
 from borngen.metrics import total_variance
@@ -146,7 +146,7 @@ def test_checkpoint_bytes_are_the_payload_dumped_once(tmp_path):
     save_checkpoint(BornModel(circuit, theta, condition_range=(50.0, 200.0)), path, {"note": "x"})
     payload = {
         "schema": 1,
-        "circuit": json.loads(circuit_to_json(circuit)),
+        "circuit": circuit_to_dict(circuit),
         "theta": [float(t) for t in theta],
         "condition_range": [50.0, 200.0],
         "extra": {"note": "x"},
@@ -201,6 +201,23 @@ def test_checkpoint_with_a_non_finite_theta_fails_at_load(tmp_path):
     payload["theta"][0] = float("nan")
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=r"theta\[0\] is nan"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("theta", [[[0.0]] * 9, 0.5, [0.0] * 8], ids=["column", "scalar", "short"])
+def test_a_theta_that_is_no_vector_fails_at_construction_and_at_load(tmp_path, theta):
+    # the column and the scalar once failed only at first use, the scalar
+    # with a TypeError from len()
+    circuit = build_conditional(3, 1)
+    message = r"theta must be a vector of 9 parameters, not an array of shape \("
+    with pytest.raises(ValueError, match=message):
+        BornModel(circuit, np.array(theta), (50.0, 200.0))
+    path = tmp_path / "model.json"
+    save_checkpoint(BornModel(circuit, np.zeros(circuit.n_parameters), (50.0, 200.0)), path)
+    payload = json.loads(path.read_text())
+    payload["theta"] = theta
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
 
 

@@ -14,8 +14,8 @@ from borngen.circuits import (
     build_correlation_block,
     build_hardware_efficient,
     build_multivariate,
-    circuit_from_json,
-    circuit_to_json,
+    circuit_from_dict,
+    circuit_to_dict,
     encode_condition,
 )
 from borngen.sim import PARAMETERIZED_KINDS, Gate, run_circuit
@@ -149,10 +149,10 @@ def test_circuit_spec_slot_coverage_validation():
 @pytest.mark.parametrize("dropped", [{1}, {0, 1, 2}], ids=["gap", "no-data-gate"])
 def test_a_loaded_circuit_checks_its_data_slots(dropped):
     # a checkpoint whose data gates leave a slot of its n_data_slots unused
-    payload = json.loads(circuit_to_json(build_conditional(3, 1)))
+    payload = circuit_to_dict(build_conditional(3, 1))
     payload["gates"] = [g for g in payload["gates"] if g.get("data_slot") not in dropped]
     with pytest.raises(ValueError, match="data slots"):
-        circuit_from_json(json.dumps(payload))
+        circuit_from_dict(payload)
 
 
 @pytest.mark.parametrize(
@@ -194,10 +194,10 @@ def test_gate_takes_numpy_integer_targets_as_ints():
     ids=["-1", "0.5", "fraction-param-slot", "bool-param-slot"],
 )
 def test_a_loaded_circuit_checks_its_gate_targets(field, value):
-    payload = json.loads(circuit_to_json(build_1d_rzz_ansatz(3)))
+    payload = circuit_to_dict(build_1d_rzz_ansatz(3))
     payload["gates"][0][field] = value
     with pytest.raises(ValueError, match="integers >= 0"):
-        circuit_from_json(json.dumps(payload))
+        circuit_from_dict(payload)
 
 
 @pytest.mark.parametrize("n_qubits", [0, -1])
@@ -258,7 +258,7 @@ def test_json_round_trip():
         build_multivariate(3, 2, 2, CorrelationBlockChoice(style="bell")),
         build_conditional(3, 4),
     ):
-        restored = circuit_from_json(circuit_to_json(circuit))
+        restored = circuit_from_dict(json.loads(json.dumps(circuit_to_dict(circuit))))
         assert restored == circuit
 
 

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from borngen import experiments
 from borngen.cli import EXIT_REGRESSION, EXIT_VALIDATION, main
-from borngen.data import save_csv, synthesize_mfc
+from borngen.data import CONDITION_VALUES, save_csv, synthesize_mfc
 
 
 @pytest.fixture
@@ -268,6 +268,24 @@ def test_run_reports_a_bad_csv_as_a_config_error(runner, tmp_path, rows, column,
     result = runner.invoke(main, ["run", str(config), "-o", str(out)])
     assert result.exit_code == EXIT_VALIDATION
     assert f"config error: {events}: {message}" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_run_reports_a_csv_condition_of_one_event_as_a_config_error(runner, tmp_path):
+    # its training half would be empty, its target 0 / 0 and the first
+    # gradient at that condition non-finite
+    events = np.concatenate([synthesize_mfc(1 if cond == 75.0 else 200, cond, seed=int(cond))
+                             for cond in CONDITION_VALUES])
+    path = tmp_path / "events.csv"
+    save_csv(events, path)
+    config = _write_config(tmp_path / "config.json", experiment="exp-cond",
+                           data={"source": "csv", "path": str(path)})
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(config), "-o", str(out)])
+    assert result.exit_code == EXIT_VALIDATION and isinstance(result.exception, SystemExit)
+    assert (f"config error: 1 event with e_in == 75.0 (to 1e-9) in {path}: a condition needs "
+            "at least 2") in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
 

@@ -178,9 +178,10 @@ def test_discretize_uniform_centers():
 
 def test_discretize_clips_out_of_range():
     spec = BinningSpec((4,), (0.0,), (1.0,))
-    dist = discretize(np.array([[-5.0], [1.0], [7.0]]), spec)
-    # upper edge and beyond land in the last bin; below range in the first
-    np.testing.assert_allclose(dist.probs, [1 / 3, 0.0, 0.0, 2 / 3])
+    dist = discretize(np.array([[-5.0], [1.0], [7.0], [1e30], [-1e30]]), spec)
+    # upper edge and beyond land in the last bin; below range in the first,
+    # also past the range of a bin index (1e30 once landed in bin 0)
+    np.testing.assert_allclose(dist.probs, [2 / 5, 0.0, 0.0, 3 / 5])
     assert dist.probs.sum() == pytest.approx(1.0)
 
 
@@ -189,6 +190,25 @@ def test_discretize_joint_packing():
     # feature 0 in bin 1, feature 1 in bin 2 -> flat = 1 + (2 << 1) = 5
     dist = discretize(np.array([[0.75, 0.6]]), spec)
     assert dist.probs[5] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "bad", [[np.nan], [np.inf], [-np.inf], [np.nan, np.inf, -np.inf]], ids=["nan", "inf", "-inf", "all"]
+)
+def test_discretize_rejects_a_value_it_cannot_bin(bad):
+    # each once landed in bin 0, after numpy warned of an invalid cast
+    spec = BinningSpec((4,), (0.0,), (1.0,))
+    with pytest.raises(ValueError, match="feature 0 has a NaN or infinite value"):
+        discretize(np.array([[0.9], *[[v] for v in bad]]), spec)
+    spec = BinningSpec((4, 2), (0.0, 0.0), (1.0, 1.0))
+    with pytest.raises(ValueError, match="feature 1 has a NaN or infinite value"):
+        discretize(np.array([[0.9, 0.5], *[[0.5, v] for v in bad]]), spec)
+
+
+def test_discretize_rejects_no_events():
+    # the distribution of no events would be 0 / 0 in every bin
+    with pytest.raises(ValueError, match="no events"):
+        discretize(np.empty((0, 1)), BinningSpec((4,), (0.0,), (1.0,)))
 
 
 def test_discretize_dimension_check():

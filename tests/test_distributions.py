@@ -20,7 +20,9 @@ def test_bin_coordinates_match_bin_tuple():
     # index 5 = 0b101 is bin 1 of feature 0 and bin 0b10 = 2 of feature 1
     dist = DiscreteDistribution(np.ones(8) / 8, (1, 2))
     want = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
-    np.testing.assert_array_equal(dist.bin_coordinates(), want)
+    coords = dist.bin_coordinates()
+    np.testing.assert_array_equal(coords, want)
+    assert coords.dtype == np.intp  # indices, usable to index bin centres
 
 
 def test_marginal_point_mass():

@@ -382,7 +382,7 @@ def test_pearson_generated_is_the_drawn_events_in_physical_units(monkeypatch):
     binning = BinningSpec.from_training_data(train_f[:, :3], [8, 8, 8])
     q = dist.probs / dist.probs.sum()
     drawn = np.random.default_rng(3).choice(len(q), 100000, p=q)
-    coords = dist.bin_coordinates()[drawn].astype(int)
+    coords = dist.bin_coordinates()[drawn]
     centers = np.column_stack([binning.bin_centers(j)[coords[:, j]] for j in range(3)])
     expected = np.corrcoef(inverse_preprocess(centers, params), rowvar=False)
     np.testing.assert_allclose(pearson_generated, expected, rtol=0, atol=1e-12)

@@ -28,7 +28,8 @@ def test_adam_first_step_is_signed_lr():
     # so each coordinate moves by exactly lr * sign(g) (up to eps)
     theta = np.zeros(3)
     g = np.array([0.3, -0.01, 2.0])
-    new_theta, state = adam_step(theta, g, AdamState.init(3), lr=0.01)
+    state = AdamState.init(3)
+    new_theta = adam_step(theta, g, state, lr=0.01)
     np.testing.assert_allclose(new_theta, [-0.01, 0.01, -0.01], atol=1e-6)
     assert state.t == 1
 
@@ -37,7 +38,7 @@ def test_adam_converges_on_quadratic():
     theta = np.array([1.0, -2.0])
     state = AdamState.init(2)
     for _ in range(2000):
-        theta, state = adam_step(theta, 2 * theta, state, lr=0.01)
+        theta = adam_step(theta, 2 * theta, state, lr=0.01)
     assert np.abs(theta).max() < 1e-3
 
 
@@ -261,9 +262,9 @@ def test_adam_step_updates_its_state_in_place_with_the_functional_arithmetic():
     for t in range(1, 51):
         g = rng.standard_normal(7) * 10.0 ** rng.integers(-6, 3)
         lr = learning_rate(TrainConfig(lr_halving_period=20), t)
-        theta, returned = adam_step(theta, g, state, lr)
+        theta = adam_step(theta, g, state, lr)
         ref_theta, m, v = _functional_adam(ref_theta, g, m, v, t, lr)
-        assert returned is state and (state.m, state.v) == moments and state.t == t
+        assert (state.m, state.v) == moments and state.t == t
         assert (theta == ref_theta).all() and (state.m == m).all() and (state.v == v).all()
 
 
