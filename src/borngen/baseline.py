@@ -11,7 +11,7 @@ from .data import BinningSpec, discretize
 from .metrics import KernelConfig, SampleTarget, mmd_loss_samples, total_variance
 from .optimize import AdamState, Schedule, adam_step
 from .optimize import _check_finite, _run_epochs
-from .sim import _is_count
+from .sim import _is_count, _json_object
 
 __all__ = [
     "MlpSpec",
@@ -210,12 +210,39 @@ def save_weights(weights, spec: MlpSpec, path) -> None:
 
 
 def load_weights(path):
+    """The weights and spec that save_weights wrote to path. A file that
+    holds no such net, or whose weights do not fit its spec's layers or are
+    not all finite, is a ValueError that names the file and what is wrong."""
     with open(path) as fh:
         payload = json.load(fh)
-    spec = MlpSpec(
-        payload["spec"]["latent_dim"],
-        tuple(payload["spec"]["hidden"]),
-        payload["spec"]["output_dim"],
-    )
-    weights = [(np.asarray(w), np.asarray(b)) for w, b in payload["weights"]]
-    return weights, spec
+    try:
+        _json_object(payload, "a weights file", ("spec", "weights"))
+        raw = _json_object(payload["spec"], "the spec", ("latent_dim", "hidden", "output_dim"))
+        if not isinstance(raw["hidden"], list):
+            raise ValueError(f"the spec's hidden sizes must be a list, not {raw['hidden']!r}")
+        spec = MlpSpec(raw["latent_dim"], tuple(raw["hidden"]), raw["output_dim"])
+        return _weights_from(payload["weights"], spec), spec
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _weights_from(layers, spec: MlpSpec):
+    """The (matrix, bias) arrays of a file's [matrix, bias] lists, one per
+    layer of spec, each of the layer's shape and finite."""
+    sizes = spec.layer_sizes
+    if not (isinstance(layers, list) and len(layers) == len(sizes) - 1):
+        raise ValueError(f"the weights must be a list of {len(sizes) - 1} layers, as the spec has")
+    weights = []
+    for i, (layer, fan_in, fan_out) in enumerate(zip(layers, sizes, sizes[1:])):
+        if not (isinstance(layer, list) and len(layer) == 2):
+            raise ValueError(f"layer {i} must be a [matrix, bias] pair")
+        w, b = np.asarray(layer[0]), np.asarray(layer[1])
+        if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
+            raise ValueError(
+                f"layer {i} has a {w.shape} matrix and a {b.shape} bias, "
+                f"where the spec needs ({fan_in}, {fan_out}) and ({fan_out},)"
+            )
+        if not all(a.dtype.kind in "iuf" and np.isfinite(a).all() for a in (w, b)):
+            raise ValueError(f"layer {i} holds a value that is no finite number")
+        weights.append((w.astype(float), b.astype(float)))
+    return weights

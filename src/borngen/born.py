@@ -2,8 +2,6 @@
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -11,7 +9,7 @@ import numpy as np
 
 from .circuits import CircuitSpec, circuit_from_dict, circuit_to_dict, encode_condition
 from .distributions import DiscreteDistribution
-from .sim import run_circuit, run_circuit_batch
+from .sim import _is_real, _json_object, run_circuit, run_circuit_batch
 
 __all__ = [
     "BornModel",
@@ -48,14 +46,13 @@ class BornModel:
             return
         if self.circuit.n_data_slots == 0:
             raise ValueError("condition_range set but circuit has no data slots")
-        # a bool or a string is no energy
         if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                and all(isinstance(e, numbers.Real) and not isinstance(e, bool) and math.isfinite(e)
-                        for e in pair) and pair[0] < pair[1]):
+                and all(map(_is_real, pair)) and pair[0] < pair[1]):
             raise ValueError(
                 f"condition_range must be a pair (e_min, e_max) of finite numbers with "
                 f"e_min < e_max, not {pair!r}"
             )
+        object.__setattr__(self, "condition_range", (float(pair[0]), float(pair[1])))
 
     def with_theta(self, theta: np.ndarray) -> "BornModel":
         """This model with other parameters: the same circuit and condition
@@ -115,18 +112,21 @@ def save_checkpoint(model: BornModel, path, extra: Optional[dict] = None) -> Non
 
 
 def load_checkpoint(path) -> BornModel:
+    """The model that save_checkpoint wrote to path. A file that holds no
+    such model is a ValueError that names the file and what is wrong."""
     with open(path) as fh:
         payload = json.load(fh)
-    schema = payload.get("schema", 1)  # files from before the key existed are version 1
-    if schema != CHECKPOINT_SCHEMA:
-        raise ValueError(
-            f"{path}: checkpoint schema version {schema!r} is not supported "
-            f"(this borngen reads version {CHECKPOINT_SCHEMA})"
+    try:
+        # files from before the key existed are version 1
+        schema = _json_object(payload, "a checkpoint").get("schema", 1)
+        if schema != CHECKPOINT_SCHEMA:
+            raise ValueError(
+                f"checkpoint schema version {schema!r} is not supported "
+                f"(this borngen reads version {CHECKPOINT_SCHEMA})"
+            )
+        _json_object(payload, "the checkpoint", ("circuit", "theta"))
+        return BornModel(
+            circuit_from_dict(payload["circuit"]), payload["theta"], payload.get("condition_range")
         )
-    circuit = circuit_from_dict(payload["circuit"])
-    rng = payload.get("condition_range")
-    return BornModel(
-        circuit,
-        np.asarray(payload["theta"], dtype=float),
-        tuple(rng) if isinstance(rng, list) else rng,
-    )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -7,7 +7,7 @@ from itertools import combinations, count
 
 import numpy as np
 
-from .sim import PARAMETERIZED_KINDS, Gate, _is_count, compile_circuit
+from .sim import PARAMETERIZED_KINDS, Gate, _is_count, _json_object, compile_circuit
 
 __all__ = [
     "CircuitSpec",
@@ -267,21 +267,26 @@ def circuit_to_dict(circuit: CircuitSpec) -> dict:
 
 
 def circuit_from_dict(payload: dict) -> CircuitSpec:
-    """The circuit that circuit_to_dict gave payload for."""
-    gates = tuple(
-        Gate(
-            g["kind"],
-            tuple(g["targets"]),
-            param_slot=g.get("param_slot"),
-            data_slot=g.get("data_slot"),
-        )
-        for g in payload["gates"]
-    )
-    layout = tuple((name, (lo, hi)) for name, (lo, hi) in payload["register_layout"])
+    """The circuit that circuit_to_dict gave payload for. A payload of
+    another shape is a ValueError that says what is wrong with it."""
+    keys = ("n_qubits", "n_parameters", "n_data_slots", "register_layout", "gates")
+    payload = _json_object(payload, "the circuit", keys)
+    layout = payload["register_layout"]
+    pair = lambda v: isinstance(v, list) and len(v) == 2
+    if not (isinstance(layout, list) and all(pair(r) and pair(r[1]) for r in layout)):
+        raise ValueError(f"the circuit's register_layout is no list of [name, [lo, hi]]: {layout!r}")
+    if not isinstance(payload["gates"], list):
+        raise ValueError(f"the circuit's gates are no list: {payload['gates']!r}")
+    gates = []
+    for i, g in enumerate(payload["gates"]):
+        g = _json_object(g, f"gate {i} of the circuit", ("kind", "targets"))
+        if not isinstance(g["targets"], list):
+            raise ValueError(f"the targets of gate {i} of the circuit are no list: {g['targets']!r}")
+        gates.append(Gate(g["kind"], tuple(g["targets"]), g.get("param_slot"), g.get("data_slot")))
     return CircuitSpec(
         payload["n_qubits"],
-        gates,
+        tuple(gates),
         payload["n_parameters"],
         payload["n_data_slots"],
-        layout,
+        tuple((name, (lo, hi)) for name, (lo, hi) in layout),
     )

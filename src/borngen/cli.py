@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -13,8 +12,8 @@ import numpy as np
 from .data import save_csv, synthesize_mfc
 from .experiments import ConfigError, ExperimentConfig, compare_report, run_experiment
 from .experiments import _count, _must, _resolve
-from .metrics import _is_positive_real
 from .optimize import TrainingDivergedError
+from .sim import _is_positive_real, _is_real
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -24,8 +23,7 @@ EXIT_REGRESSION = 3
 
 def _is_corr(value) -> bool:
     """Whether value is null or a 3x3 list of finite numbers (a bool is not one)."""
-    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-    row = lambda r: isinstance(r, list) and len(r) == 3 and all(map(number, r))
+    row = lambda r: isinstance(r, list) and len(r) == 3 and all(map(_is_real, r))
     return value is None or isinstance(value, list) and len(value) == 3 and all(map(row, value))
 
 

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .distributions import DiscreteDistribution, bin_shape
+from .sim import _is_count, _is_real
 
 __all__ = [
     "PreprocessParams",
@@ -71,13 +72,13 @@ class BinningSpec:
     upper: tuple[float, ...]
 
     def __post_init__(self):
-        for n in self.n_bins:
-            if n < 2 or n & (n - 1):
-                raise ValueError(f"bin count {n} is not a power of two >= 2")
+        for j, n in enumerate(self.n_bins):
+            if not (_is_count(n, 2) and n & (n - 1) == 0):
+                raise ValueError(f"feature {j}: bin count {n!r} is not a power of two >= 2")
         if not len(self.n_bins) == len(self.lower) == len(self.upper):
             raise ValueError("per-feature lists must have equal length")
         for j, (lo, hi) in enumerate(zip(self.lower, self.upper)):
-            if not -math.inf < lo < hi < math.inf:  # NaN fails every comparison
+            if not (_is_real(lo) and _is_real(hi) and lo < hi):
                 raise ValueError(
                     f"feature {j}: bin bounds ({lo}, {hi}) must be finite, with lower < upper"
                 )
@@ -91,7 +92,7 @@ class BinningSpec:
         features = np.atleast_2d(np.asarray(features, dtype=float))
         columns = [features[:, j] for j in range(features.shape[1])]
         return cls(
-            tuple(int(n) for n in n_bins),
+            tuple(n_bins),
             tuple(float(col.min()) for col in columns),
             tuple(float(col.max()) for col in columns),
         )
@@ -282,8 +283,8 @@ def synthesize_mfc(
     to it. A matrix that is not symmetric with a unit diagonal, or not
     positive definite, is a ValueError.
     """
-    if n_events < 1:
-        raise ValueError("n_events must be >= 1")
+    if not _is_count(n_events, 1):
+        raise ValueError(f"n_events must be an integer >= 1, not {n_events!r}")
     if target_corr is None or target_corr is DEFAULT_CORRELATION:
         chol = _DEFAULT_FACTOR
     else:

@@ -97,8 +97,8 @@ def sample(dist: DiscreteDistribution, n_shots: int, rng_seed) -> np.ndarray:
     the mass (1 / _BUCKETS_PER_BIN below the cap), are searched.
     Negative, NaN, infinite or all-zero probs are a ValueError.
     """
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
+    if not _is_count(n_shots, 1):
+        raise ValueError(f"n_shots must be an integer >= 1, not {n_shots!r}")
     probs = dist.probs
     total = probs.sum()
     if not (np.all(probs >= 0) and 0 < total < np.inf):  # NaN too

@@ -47,13 +47,12 @@ from .distributions import marginal, sample
 from .metrics import (
     PAPER_BANDWIDTHS,
     KernelConfig,
-    _is_positive_real,
     pearson_correlation,
     total_variance,
 )
 from .noise import NoiseConfig, apply_readout_noise, estimate_confusion_matrix, mitigate_readout
 from .optimize import TrainConfig, init_parameters, trace_to_csv, trace_to_json, train
-from .sim import _is_count
+from .sim import _is_count, _is_positive_real, _is_real
 
 __all__ = ["ExperimentConfig", "run_experiment", "compare_report", "EXPERIMENTS"]
 
@@ -595,8 +594,7 @@ def compare_report(report_a: dict, report_b: dict, tolerance: float = 0.05):
     that turns NaN or infinite). The tolerance must be a finite number >= 0,
     and each report an object whose metrics is an object, else ValueError.
     """
-    number = isinstance(tolerance, (int, float)) and not isinstance(tolerance, bool)
-    if not (number and 0 <= tolerance < math.inf):  # NaN too
+    if not (_is_real(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be a finite number >= 0, not {tolerance!r}")
     for name, report in (("first", report_a), ("second", report_b)):
         if not isinstance(report, dict) or not isinstance(report.get("metrics"), dict):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -20,7 +19,7 @@ from .born import BornModel
 # born.model_probs_batch spans through these names
 from .born import model_distribution, model_probs_batch  # noqa: F401
 from .distributions import DiscreteDistribution
-from .sim import adjoint_gradient
+from .sim import _is_positive_real, adjoint_gradient
 
 __all__ = [
     "KernelConfig",
@@ -49,11 +48,6 @@ PAPER_BANDWIDTHS = (0.01, 0.1, 1.0, 10.0, 100.0)
 # still ran on the tiles, trained fastest at 64 of the heights 16-256; the
 # row sums do not depend on the height.
 _TILE_ROWS = 64
-
-
-def _is_positive_real(value) -> bool:
-    """Whether value is a finite real number > 0 (a bool or a string is not one)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 """Readout bit-flip noise and its mitigation."""
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import reduce
 from typing import Union
@@ -9,6 +8,7 @@ from typing import Union
 import numpy as np
 
 from .distributions import DiscreteDistribution
+from .sim import _is_count, _is_real
 
 __all__ = [
     "NoiseConfig",
@@ -30,9 +30,7 @@ class NoiseConfig:
     def __post_init__(self):
         prob = self.readout_flip_prob
         probs = prob if isinstance(prob, (list, tuple)) else [prob]
-        # a bool or a string is no probability; the range check rejects NaN too
-        if not all(isinstance(p, numbers.Real) and not isinstance(p, bool) and 0 <= p < 0.5
-                   for p in probs):
+        if not all(_is_real(p) and 0 <= p < 0.5 for p in probs):
             raise ValueError(
                 f"readout flip probabilities must be numbers in [0, 0.5), one or a list, not {prob!r}"
             )
@@ -102,8 +100,10 @@ def estimate_confusion_matrix(
     n_qubits: int, config: NoiseConfig, shots_per_basis_state: int
 ) -> ConfusionMatrix:
     """Calibration columns: prepare each basis state, count noisy readouts."""
-    if shots_per_basis_state < 1:
-        raise ValueError("need at least one shot per basis state")
+    if not _is_count(shots_per_basis_state, 1):
+        raise ValueError(
+            f"shots_per_basis_state must be an integer >= 1, not {shots_per_basis_state!r}"
+        )
     exact = readout_matrix(n_qubits, config).matrix
     rng = np.random.default_rng(config.seed)
     # one row of counts per prepared state, drawn in turn from the stream

@@ -10,13 +10,13 @@ import numpy as np
 
 from .born import BornModel, model_distribution
 from .distributions import DiscreteDistribution
-from .metrics import KernelConfig, _is_positive_real, mmd_gradient, mmd_loss, total_variance
+from .metrics import KernelConfig, mmd_gradient, mmd_loss, total_variance
 # perfbench/tracer.py binds its metrics.gram span to this name as well as
 # to metrics._gram, which builds the shared Gram factors
 from .metrics import GramCache  # noqa: F401
 # perfbench/tracer.py binds its noise span to this name
 from .noise import readout_matrix  # noqa: F401
-from .sim import _is_count
+from .sim import _is_count, _is_positive_real
 
 __all__ = [
     "Schedule",
@@ -157,8 +157,8 @@ def spsa_step(
 
 
 def init_parameters(n: int, scheme: str = "small_normal", seed: int = 0) -> np.ndarray:
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not _is_count(n):
+        raise ValueError(f"n must be an integer >= 0, not {n!r}")
     rng = np.random.default_rng(seed)
     if scheme == "zeros":
         return np.zeros(n)

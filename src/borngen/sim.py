@@ -67,6 +67,8 @@ before the first parameterized one, at compile time.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -90,10 +92,37 @@ FIXED_KINDS = frozenset({"CNOT", "H"})
 _SINGLE_QUBIT = frozenset({"RY", "RX", "H"})
 
 
+# The rules that every check in borngen asks of its input. A count is an
+# integer and a real a finite number, numpy's included, and a bool is
+# neither; a file's record is a JSON object with the keys its reader reads.
+
+
 def _is_count(value, minimum: int = 0) -> bool:
-    """Whether value is an integer of at least minimum, numpy's included (a
-    bool is not one)."""
+    """Whether value is an integer of at least minimum."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum
+
+
+def _is_real(value) -> bool:
+    """Whether value is a finite real number (NaN fails every comparison,
+    and a string is no number)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and -math.inf < value < math.inf)
+
+
+def _is_positive_real(value) -> bool:
+    """Whether value is a finite real number > 0."""
+    return _is_real(value) and value > 0
+
+
+def _json_object(value, what: str, keys: Sequence[str] = ()) -> dict:
+    """value, if it is a dict holding every one of keys; else a ValueError
+    that says which of them what lacks."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not a {type(value).__name__}")
+    missing = [key for key in keys if key not in value]
+    if missing:
+        raise ValueError(f"{what} has no {', '.join(missing)}")
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +149,7 @@ class Gate:
                 if not _is_count(slot):
                     raise ValueError(f"gate slots must be integers >= 0, not {name}={slot!r}")
                 object.__setattr__(self, name, int(slot))
-        if self.kind not in PARAMETERIZED_KINDS | FIXED_KINDS:
+        if not (isinstance(self.kind, str) and self.kind in PARAMETERIZED_KINDS | FIXED_KINDS):
             raise ValueError(f"unknown gate kind {self.kind!r}")
         arity = 1 if self.kind in _SINGLE_QUBIT else 2
         if len(self.targets) != arity:

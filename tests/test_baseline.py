@@ -1,5 +1,6 @@
 """Classical MLP generator trained on the sample MMD."""
 import json
+import re
 import warnings
 
 import numpy as np
@@ -268,4 +269,37 @@ def test_weights_file_with_a_fractional_layer_size_fails_at_load(tmp_path):
     payload["spec"]["hidden"][0] = 8.5
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=r"integers >= 1, not \(4, 8.5, 6, 2\)"):
+        load_weights(path)
+
+
+def _with(change):
+    """A malform that applies change to the saved payload and returns it."""
+    def malform(payload):
+        change(payload)
+        return payload
+    return malform
+
+
+@pytest.mark.parametrize(
+    "malform, message",
+    [
+        (lambda payload: [], "a weights file must be a JSON object, not a list"),
+        (lambda payload: {}, "a weights file has no spec, weights"),
+        (_with(lambda p: p.pop("weights")), "a weights file has no weights"),
+        (_with(lambda p: p["weights"][0].__setitem__(0, p["weights"][0][0][:2])),
+         r"layer 0 has a \(2, 8\) matrix and a \(8,\) bias, where the spec needs \(4, 8\) and \(8,\)"),
+        (_with(lambda p: p["weights"].append(p["weights"][-1])),
+         "the weights must be a list of 3 layers, as the spec has"),
+        (_with(lambda p: p["weights"][1][0][0].__setitem__(0, float("nan"))),
+         "layer 1 holds a value that is no finite number"),
+    ],
+    ids=["list", "empty", "no-weights", "short-matrix", "extra-layer", "nan"],
+)
+def test_a_malformed_weights_file_is_a_value_error_that_names_the_file(tmp_path, malform, message):
+    # the first three once raised a TypeError or a KeyError; the others
+    # loaded, and forward then failed or returned NaN events
+    path = tmp_path / "weights.json"
+    save_weights(init_weights(SPEC, seed=4), SPEC, path)
+    path.write_text(json.dumps(malform(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
         load_weights(path)

@@ -1,5 +1,6 @@
 """Born model: distributions, batched probabilities, checkpoints."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,50 @@ def test_checkpoint_unknown_schema_rejected(tmp_path, schema):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=f"schema version {schema!r} is not supported"):
         load_checkpoint(path)
+
+
+def _drop_gates(payload):
+    del payload["circuit"]["gates"]
+    return payload
+
+
+def _drop_kind(payload):
+    del payload["circuit"]["gates"][0]["kind"]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "malform, message",
+    [
+        (lambda payload: [], "a checkpoint must be a JSON object, not a list"),
+        (lambda payload: {}, "the checkpoint has no circuit, theta"),
+        (_drop_gates, "the circuit has no gates"),
+        (_drop_kind, "gate 0 of the circuit has no kind"),
+        (lambda payload: {**payload, "circuit": {**payload["circuit"], "gates": {}}},
+         r"the circuit's gates are no list: \{\}"),
+        (lambda payload: {**payload, "theta": [], "circuit": {**payload["circuit"], "gates": [
+            {"kind": ["H"], "targets": [0]}], "n_parameters": 0}},
+         r"unknown gate kind \['H'\]"),
+    ],
+    ids=["list", "empty", "no-gates", "no-kind", "gates-object", "kind-list"],
+)
+def test_a_malformed_checkpoint_is_a_value_error_that_names_the_file(tmp_path, malform, message):
+    # these once raised an AttributeError or a KeyError of the missing key
+    _, path, payload = _saved_payload(tmp_path)
+    path.write_text(json.dumps(malform(payload)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+        load_checkpoint(path)
+
+
+def test_a_checkpoint_stores_its_condition_range_as_two_floats(tmp_path):
+    circuit = build_conditional(3, 2)
+    model = BornModel(circuit, np.zeros(circuit.n_parameters), [50, 200])
+    assert model.condition_range == (50.0, 200.0)
+    assert all(type(e) is float for e in model.condition_range)
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    assert load_checkpoint(path).condition_range == (50.0, 200.0)
+    assert json.loads(path.read_text())["condition_range"] == [50.0, 200.0]
 
 
 @pytest.mark.parametrize("condition_range", [[50, 125, 200], [200, 50], [50, float("nan")]])

@@ -157,6 +157,25 @@ def test_binning_spec_bounds_must_be_finite():
         BinningSpec((4, 4), (0.0, -np.inf), (1.0, 1.0))
     with pytest.raises(ValueError, match="feature 0: bin bounds"):
         BinningSpec((4,), (0.0,), (np.inf,))
+    # a bool or a string is no bound: False once passed as 0, and "0" raised a TypeError
+    for lower in (False, "0"):
+        with pytest.raises(ValueError, match="feature 0: bin bounds"):
+            BinningSpec((4,), (lower,), (1.0,))
+
+
+@pytest.mark.parametrize("n", [4.5, 4.0, True, "4", 6, 1])
+def test_binning_spec_bin_counts_must_be_integer_powers_of_two(n):
+    # 4.5 once binned into 4 bins through int(), and 4.0 raised a TypeError from &
+    message = rf"feature 1: bin count {re.escape(repr(n))} is not a power of two >= 2"
+    with pytest.raises(ValueError, match=message):
+        BinningSpec.from_training_data([[0.0, 0.0], [1.0, 1.0]], [4, n])
+    with pytest.raises(ValueError, match=message):
+        BinningSpec((4, n), (0.0, 0.0), (1.0, 1.0))
+
+
+def test_binning_spec_takes_numpy_bin_counts():
+    spec = BinningSpec.from_training_data([[0.0], [1.0]], [np.int64(8)])
+    assert spec.n_bins == (8,) and spec.register_bits == (3,)
 
 
 def test_bin_centers():

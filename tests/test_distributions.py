@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from borngen.data import synthesize_mfc
 from borngen.distributions import DiscreteDistribution, marginal, sample
+from borngen.noise import NoiseConfig, estimate_confusion_matrix
+from borngen.optimize import init_parameters
 
 
 def test_validation():
@@ -152,3 +155,25 @@ def test_sample_rejects_bad_probs(probs):
 
 def test_distribution_carries_no_condition():
     assert [f.name for f in fields(DiscreteDistribution)] == ["probs", "register_bits"]
+
+
+_UNIFORM = DiscreteDistribution(np.full(4, 0.25), (2,))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda n: sample(_UNIFORM, n, 0), "n_shots must be an integer >= 1"),
+        (lambda n: estimate_confusion_matrix(1, NoiseConfig(0.1), n),
+         "shots_per_basis_state must be an integer >= 1"),
+        (lambda n: synthesize_mfc(n, 50.0), "n_events must be an integer >= 1"),
+        (lambda n: init_parameters(n), "n must be an integer >= 0"),
+    ],
+    ids=["sample", "calibration", "synthesize_mfc", "init_parameters"],
+)
+@pytest.mark.parametrize("n", [2.5, True])
+def test_public_count_arguments_must_be_integers(call, message, n):
+    # a float once failed inside numpy with a TypeError, or drew 2 shots per
+    # state and failed on the columns' sums; True counted as one
+    with pytest.raises(ValueError, match=f"^{message}, not {n!r}$"):
+        call(n)

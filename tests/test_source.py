@@ -1,7 +1,7 @@
 """Source checks that need no linter: no module of borngen imports a name it
 does not use, or lists in __all__ a name it does not define or (but for the
-package's __init__) imports, and only the epoch loop in optimize builds the
-per-epoch trace records."""
+package's __init__) imports, only the epoch loop in optimize builds the
+per-epoch trace records, and only sim writes the number rule."""
 import ast
 import importlib
 import types
@@ -131,3 +131,49 @@ def test_call_check_finds_bare_and_attribute_calls(tmp_path):
     module = tmp_path / "mod.py"
     module.write_text("EpochRecord(0)\noptimize.EpochRecord(1)\nEpochRecord\n")
     assert _calls(module, "EpochRecord") == 2
+
+
+def _number_rule_copies(path: Path) -> list[str]:
+    """Each place where the module writes the number rule itself: an import
+    of numbers, or an isinstance call whose types are bool or a tuple
+    holding bool."""
+    copies = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names) or (
+            isinstance(node, ast.ImportFrom) and node.module == "numbers"
+        ):
+            copies.append(f"{path.name}:{node.lineno} imports numbers")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            types = node.args[1] if len(node.args) == 2 else None
+            names = types.elts if isinstance(types, ast.Tuple) else [types]
+            if any(getattr(name, "id", None) == "bool" for name in names):
+                copies.append(f"{path.name}:{node.lineno} asks isinstance(..., bool)")
+    return copies
+
+
+def test_the_number_rule_is_written_once():
+    # what counts as a count or a finite number is sim's _is_count and
+    # _is_real, which every other check calls
+    copies = [c for p in sorted(SRC.glob("*.py")) if p.name != "sim.py" for c in _number_rule_copies(p)]
+    assert copies == []
+    assert _number_rule_copies(SRC / "sim.py") != []
+
+
+def test_number_rule_check_finds_each_copy(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import numbers\n"
+        "from numbers import Real\n"
+        "isinstance(v, bool)\n"
+        "isinstance(v, (int, bool))\n"
+        "isinstance(v, (int, float))\n"
+        "isinstance(v, np.bool_)\n"
+        "isinstance(v, dict) and not isinstance(v[0], bool)\n"
+    )
+    assert _number_rule_copies(module) == [
+        "mod.py:1 imports numbers",
+        "mod.py:2 imports numbers",
+        "mod.py:3 asks isinstance(..., bool)",
+        "mod.py:4 asks isinstance(..., bool)",
+        "mod.py:7 asks isinstance(..., bool)",
+    ]
